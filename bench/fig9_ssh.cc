@@ -7,6 +7,8 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/ssh.h"
+#include "src/common/serde.h"
+#include "src/core/remote_attestation.h"
 
 namespace flicker {
 namespace {
@@ -26,35 +28,55 @@ void RunProfile(const char* name, const TimingModel& timing) {
   PrivacyCa ca;
   AikCertificate cert = ca.Certify(platform.tpm()->aik_public(), "ssh-server");
   SshClient client(&binary, ca.public_key(), cert);
-  Channel channel(platform.clock());
+  LossyChannel channel(platform.clock());
+  // Carries one frame to the peer; the clock advances by its wire latency.
+  auto carry = [&channel](NetEndpoint from, const Bytes& frame) {
+    channel.Send(from, frame);
+    Bytes arrived;
+    channel.Receive(from == NetEndpoint::kClient ? NetEndpoint::kServer : NetEndpoint::kClient,
+                    &arrived);
+    return arrived;
+  };
 
   // ---- PAL 1 (setup) + attestation: the password-prompt latency ----
   double prompt_t0 = platform.clock()->NowMillis();
   Bytes setup_nonce = client.MakeNonce();
-  channel.Deliver();  // Challenge to the server.
-  Result<SshServer::SetupResult> setup = server.Setup(setup_nonce);
+  Result<SshServer::SetupResult> setup =
+      server.Setup(carry(NetEndpoint::kClient, setup_nonce));  // Challenge to the server.
   if (!setup.ok()) {
     std::printf("setup failed: %s\n", setup.status().ToString().c_str());
     return;
   }
-  channel.Deliver();  // Key + attestation back.
-  if (!client.VerifyServerSetup(setup.value(), setup_nonce).ok()) {
+  // Key material + attestation back to the client.
+  Writer setup_frame;
+  setup_frame.Blob(setup.value().setup_outputs);
+  setup_frame.Blob(SerializeAttestationResponse(setup.value().attestation));
+  Bytes setup_wire = carry(NetEndpoint::kServer, setup_frame.Take());
+  Reader setup_reader(setup_wire);
+  SshServer::SetupResult received;
+  received.setup_outputs = setup_reader.Blob();
+  Result<AttestationResponse> attestation = DeserializeAttestationResponse(setup_reader.Blob());
+  if (!attestation.ok()) {
+    std::printf("setup frame corrupt: %s\n", attestation.status().ToString().c_str());
+    return;
+  }
+  received.attestation = attestation.take();
+  if (!client.VerifyServerSetup(received, setup_nonce).ok()) {
     std::printf("client rejected setup attestation\n");
     return;
   }
   double prompt_latency = platform.clock()->NowMillis() - prompt_t0;
 
   // ---- PAL 2 (login): the post-password latency ----
-  Bytes login_nonce = client.MakeNonce();
-  channel.Deliver();  // Server nonce to the client.
+  Bytes login_nonce = carry(NetEndpoint::kServer, client.MakeNonce());  // Nonce to the client.
   Result<Bytes> ciphertext = client.EncryptPassword("correct horse", login_nonce);
   if (!ciphertext.ok()) {
     return;
   }
-  channel.Deliver();  // Ciphertext to the server.
+  Bytes ciphertext_wire = carry(NetEndpoint::kClient, ciphertext.value());  // To the server.
   double login_t0 = platform.clock()->NowMillis();
   Result<SshServer::LoginResult> login =
-      server.HandleLogin("alice", ciphertext.value(), login_nonce);
+      server.HandleLogin("alice", ciphertext_wire, login_nonce);
   double login_latency = platform.clock()->NowMillis() - login_t0;
   if (!login.ok() || !login.value().authenticated) {
     std::printf("login failed\n");

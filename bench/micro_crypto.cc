@@ -24,7 +24,6 @@
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
-#include "src/crypto/sha512.h"
 #include "src/crypto/sha_multibuf.h"
 #include "src/hw/clock.h"
 #include "src/os/tqd.h"
@@ -60,16 +59,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
-
-void BM_Sha512(benchmark::State& state) {
-  Drbg rng(3);
-  Bytes data = rng.Generate(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha512::Digest(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha512)->Arg(4096)->Arg(65536);
 
 // Lane scaling of the multi-buffer engine: batch size 1 degenerates to the
 // scalar path; 4/8 fill one SSE2/AVX2 vector; 32 shows steady-state

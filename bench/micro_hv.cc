@@ -33,15 +33,12 @@
 #include "src/apps/hello.h"
 #include "src/core/flicker_platform.h"
 #include "src/hv/hv_campaign.h"
+#include "src/sim/campaign.h"
 
 namespace flicker {
 namespace {
 
-std::string F3(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
+using sim::F3;
 
 struct ModeComparison {
   int sessions = 0;

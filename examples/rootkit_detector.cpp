@@ -31,7 +31,7 @@ int main() {
   AikCertificate cert = ca.Certify(laptop.tpm()->aik_public(), "employee-laptop-042");
   RootkitMonitor admin(&detector, laptop.kernel()->pristine_measurement(), ca.public_key(),
                        cert);
-  Channel vpn_link(laptop.clock());  // 12 hops, ~9.45 ms RTT (paper §7.1).
+  LossyChannel vpn_link(laptop.clock());  // 12 hops, ~9.45 ms RTT (paper §7.1).
 
   // 1. Clean host admits.
   Report("clean host:", admin.Query(&laptop, &vpn_link));

@@ -1,5 +1,6 @@
 #include "src/apps/rootkit_detector.h"
 
+#include "src/core/remote_attestation.h"
 #include "src/crypto/sha1.h"
 #include "src/os/kernel.h"
 #include "src/tpm/pcr_bank.h"
@@ -38,18 +39,24 @@ RootkitMonitor::RootkitMonitor(const PalBinary* binary, Bytes known_good_measure
       host_aik_cert_(std::move(host_aik_cert)),
       nonce_rng_(nonce_seed) {}
 
-RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform, Channel* channel) {
+RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform,
+                                                  LossyChannel* channel) {
   QueryReport report;
   SimStopwatch total(platform->clock());
 
   // Challenge: nonce travels to the host.
   Bytes nonce = nonce_rng_.Generate(kPcrSize);
   Bytes inputs = platform->kernel()->SerializeRegions();
-  channel->Deliver();
+  channel->Send(NetEndpoint::kClient, nonce);
+  Bytes host_nonce;
+  if (!channel->Receive(NetEndpoint::kServer, &host_nonce)) {
+    report.status = UnavailableError("challenge lost on the wire");
+    return report;
+  }
 
   // Host: run the detector PAL under Flicker.
   SlbCoreOptions options;
-  options.nonce = nonce;
+  options.nonce = host_nonce;
   Result<FlickerSessionResult> session = platform->ExecuteSession(*binary_, inputs, options);
   if (!session.ok()) {
     report.status = session.status();
@@ -62,7 +69,7 @@ RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform, Cha
   // Host: quote daemon signs the PCR state.
   SimStopwatch quote_watch(platform->clock());
   Result<AttestationResponse> response =
-      platform->tqd()->HandleChallenge(nonce, PcrSelection({kSkinitPcr}));
+      platform->tqd()->HandleChallenge(host_nonce, PcrSelection({kSkinitPcr}));
   report.quote_ms = quote_watch.ElapsedMillis();
   if (!response.ok()) {
     report.status = response.status();
@@ -70,14 +77,24 @@ RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform, Cha
   }
 
   // Response travels back; administrator verifies.
-  channel->Deliver();
+  channel->Send(NetEndpoint::kServer, SerializeAttestationResponse(response.value()));
+  Bytes response_wire;
+  if (!channel->Receive(NetEndpoint::kClient, &response_wire)) {
+    report.status = UnavailableError("attestation lost on the wire");
+    return report;
+  }
+  Result<AttestationResponse> received = DeserializeAttestationResponse(response_wire);
+  if (!received.ok()) {
+    report.status = received.status();
+    return report;
+  }
   SessionExpectation expectation;
   expectation.binary = binary_;
   expectation.inputs = inputs;
   expectation.outputs = report.reported_measurement;
   expectation.nonce = nonce;
   expectation.pal_extends = {report.reported_measurement};
-  report.status = VerifyAttestation(expectation, response.value(), host_aik_cert_,
+  report.status = VerifyAttestation(expectation, received.value(), host_aik_cert_,
                                     privacy_ca_public_, nonce);
   report.kernel_clean = report.status.ok() &&
                         ConstantTimeEquals(report.reported_measurement, known_good_);

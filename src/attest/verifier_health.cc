@@ -121,7 +121,11 @@ double VerifierHealthTracker::HedgeDelayMs() const {
   }
   std::vector<double> sorted(latency_ring_.begin(), latency_ring_.begin() + count);
   std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank p95, matching FleetStats::LatencyPercentileMs.
+  // Nearest-rank p95: 1-based rank round(0.95 * n). This is not the
+  // campaign percentile (src/sim/campaign.h, index round(p * (n - 1))): the
+  // two pick different samples when n ≡ 11 (mod 20). The hedge delay is a
+  // control input, so switching formulas would move every hedged fleet run;
+  // it stays as is.
   size_t rank = static_cast<size_t>(0.95 * static_cast<double>(count) + 0.5);
   rank = std::min(std::max<size_t>(rank, 1), count);
   double p95 = sorted[rank - 1];

@@ -1,17 +1,8 @@
 #include "src/common/backoff.h"
 
+#include "src/common/splitmix64.h"
+
 namespace flicker {
-
-namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double BackoffSchedule::DelayForRetry(int retry) const {
   double delay = policy_.initial_ms;

@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 
+#include "src/common/splitmix64.h"
+
 namespace flicker {
 
 namespace {
@@ -17,13 +19,6 @@ namespace {
 std::map<std::string, bool>& CrashPointCensus() {
   static std::map<std::string, bool> census;
   return census;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 FaultScheduler*& ActiveSchedulerSlot() {

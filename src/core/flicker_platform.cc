@@ -5,6 +5,18 @@
 
 namespace flicker {
 
+FlickerPlatformConfig CompactPlatformConfig() {
+  FlickerPlatformConfig config;
+  config.machine.memory_bytes = 0x180000;  // 1.5 MB.
+  config.kernel.text_base = 0x120000;
+  config.kernel.text_size = 64 * 1024;
+  config.kernel.syscall_table_base = 0x134000;
+  config.kernel.syscall_table_size = 4096;
+  config.kernel.modules_base = 0x136000;
+  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
+  return config;
+}
+
 FlickerPlatform::FlickerPlatform(const FlickerPlatformConfig& config)
     : mode_(config.mode),
       machine_(config.machine),

@@ -49,6 +49,12 @@ struct FlickerPlatformConfig {
   hv::HvConfig hv;
 };
 
+// The compact machine image campaigns build by the hundred. The default
+// 64 MB MachineConfig is infeasible a thousand times over, so the kernel is
+// relocated to just above the 64 KB SLB region at kSlbFixedBase (1 MB):
+// text at 1.125 MB, a one-module set, everything inside 1.5 MB.
+FlickerPlatformConfig CompactPlatformConfig();
+
 // Everything a completed session yields, including the timing breakdown the
 // evaluation tables report.
 struct FlickerSessionResult {

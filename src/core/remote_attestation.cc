@@ -8,6 +8,28 @@
 
 namespace flicker {
 
+namespace {
+
+// The one decoder for a wire PCR-selection mask. A bit at or above
+// kNumPcrs names a PCR that does not exist: the frame is hostile or
+// garbled, so it is refused rather than silently narrowed to the bits that
+// happen to be valid.
+Result<PcrSelection> DecodePcrMask(uint32_t mask) {
+  static_assert(kNumPcrs < 32, "the wire mask is one 32-bit word");
+  if ((mask >> kNumPcrs) != 0) {
+    return InvalidArgumentError("PCR selection names a PCR that does not exist");
+  }
+  PcrSelection selection;
+  for (int i = 0; i < kNumPcrs; ++i) {
+    if ((mask >> i) & 1) {
+      selection.Select(i);
+    }
+  }
+  return selection;
+}
+
+}  // namespace
+
 Bytes SerializeQuote(const TpmQuote& quote) {
   Writer w;
   w.U32(quote.selection.mask());
@@ -23,12 +45,11 @@ Bytes SerializeQuote(const TpmQuote& quote) {
 Result<TpmQuote> DeserializeQuote(const Bytes& data) {
   Reader r(data);
   TpmQuote quote;
-  uint32_t mask = r.U32();
-  for (int i = 0; i < kNumPcrs; ++i) {
-    if ((mask >> i) & 1) {
-      quote.selection.Select(i);
-    }
+  Result<PcrSelection> selection = DecodePcrMask(r.U32());
+  if (!selection.ok()) {
+    return selection.status();
   }
+  quote.selection = selection.value();
   uint32_t count = r.U32();
   if (count > static_cast<uint32_t>(kNumPcrs)) {
     return InvalidArgumentError("quote claims more PCR values than PCRs exist");
@@ -139,15 +160,14 @@ Result<AttestationChallenge> AttestationChallenge::Deserialize(const Bytes& data
   Reader r(data);
   AttestationChallenge challenge;
   challenge.nonce = r.Blob();
-  uint32_t mask = r.U32();
-  for (int i = 0; i < kNumPcrs; ++i) {
-    if ((mask >> i) & 1) {
-      challenge.selection.Select(i);
-    }
-  }
+  Result<PcrSelection> selection = DecodePcrMask(r.U32());
   if (!r.ok() || !r.AtEnd()) {
     return InvalidArgumentError("corrupt attestation challenge");
   }
+  if (!selection.ok()) {
+    return selection.status();
+  }
+  challenge.selection = selection.value();
   return challenge;
 }
 

@@ -1,6 +1,7 @@
 // Wire-level remote attestation (paper §4.4.1): the challenge/response
 // protocol between a verifier and a Flicker platform, with full
-// serialization so both ends exchange only byte strings over a Channel.
+// serialization so both ends exchange only byte strings over a
+// LossyChannel.
 //
 //   verifier                         challenged platform
 //     |--- AttestationChallenge --------->|   (nonce, PCR selection)
@@ -19,7 +20,7 @@
 #include "src/attest/privacy_ca.h"
 #include "src/attest/verifier.h"
 #include "src/core/flicker_platform.h"
-#include "src/net/channel.h"
+#include "src/net/lossy_channel.h"
 
 namespace flicker {
 

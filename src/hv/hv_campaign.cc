@@ -1,7 +1,5 @@
 #include "src/hv/hv_campaign.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -12,6 +10,7 @@
 #include "src/apps/hello.h"
 #include "src/core/flicker_platform.h"
 #include "src/crypto/drbg.h"
+#include "src/sim/campaign.h"
 #include "src/sim/executor.h"
 
 namespace flicker {
@@ -19,40 +18,14 @@ namespace hv {
 
 namespace {
 
-// Fixed-precision float for byte-identical same-seed JSON.
-std::string F3(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
-
-double NearestRank(std::vector<double> sorted_input, double p) {
-  if (sorted_input.empty()) {
-    return 0;
-  }
-  std::sort(sorted_input.begin(), sorted_input.end());
-  double rank = p * static_cast<double>(sorted_input.size() - 1);
-  size_t index = static_cast<size_t>(rank + 0.5);
-  if (index >= sorted_input.size()) {
-    index = sorted_input.size() - 1;
-  }
-  return sorted_input[index];
-}
-
-// The fleet's compact machine image: a relocated 1.5 MB kernel leaves the
-// low megabyte to the PAL slots and the hypervisor loader at 0x140000,
-// with a second PAL slot at 0x150000 so dual-slot rounds fit.
+// The campaigns' compact machine image in concurrent mode: the relocated
+// 1.5 MB kernel leaves the low megabyte to the PAL slots and the hypervisor
+// loader at 0x140000, with a second PAL slot at 0x150000 so dual-slot
+// rounds fit.
 FlickerPlatformConfig CampaignPlatformConfig(const HvCampaignConfig& campaign) {
-  FlickerPlatformConfig config;
+  FlickerPlatformConfig config = CompactPlatformConfig();
   config.mode = SessionMode::kConcurrent;
-  config.machine.memory_bytes = 0x180000;
   config.machine.num_cpus = campaign.num_cpus;
-  config.kernel.text_base = 0x120000;
-  config.kernel.text_size = 64 * 1024;
-  config.kernel.syscall_table_base = 0x134000;
-  config.kernel.syscall_table_size = 4096;
-  config.kernel.modules_base = 0x136000;
-  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
   // µPCR-only sessions: the hello PAL never touches the TPM, so both slots
   // (and both dedicated cores) can hold sessions at once.
   config.hv.mirror_hardware_pcr = false;
@@ -190,9 +163,7 @@ void Campaign::ScheduleRounds() {
     double t_ms = 0;
     uint64_t seq = 0;
     while (true) {
-      const double u = (static_cast<double>(arrivals.UniformUint64(1ULL << 30)) + 1.0) /
-                       static_cast<double>(1ULL << 30);
-      t_ms += -config_.session_mean_interarrival_ms * std::log(u);
+      t_ms += sim::ExponentialGapMs(&arrivals, config_.session_mean_interarrival_ms);
       if (t_ms > config_.duration_ms) {
         break;
       }
@@ -222,9 +193,7 @@ void Campaign::ScheduleAttacks() {
     Drbg attacks(config_.seed * 7777777ULL + static_cast<uint64_t>(m));
     double t_ms = 0;
     while (true) {
-      const double u = (static_cast<double>(attacks.UniformUint64(1ULL << 30)) + 1.0) /
-                       static_cast<double>(1ULL << 30);
-      t_ms += -config_.attack_mean_interarrival_ms * std::log(u);
+      t_ms += sim::ExponentialGapMs(&attacks, config_.attack_mean_interarrival_ms);
       if (t_ms > config_.duration_ms) {
         break;
       }
@@ -477,7 +446,7 @@ double HvCampaignStats::SessionsPerSecond() const {
 }
 
 double HvCampaignStats::LatencyPercentileMs(double p) const {
-  return NearestRank(round_latencies_ms, p);
+  return sim::Percentile(round_latencies_ms, p);
 }
 
 double HvCampaignStats::PauseReduction() const {
@@ -489,13 +458,13 @@ std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
   os << "{\n";
   os << "  \"campaign\": {\"machines\": " << config.num_machines
      << ", \"cpus\": " << config.num_cpus << ", \"seed\": " << config.seed
-     << ", \"duration_ms\": " << F3(config.duration_ms)
+     << ", \"duration_ms\": " << sim::F3(config.duration_ms)
      << ", \"rounds_injected\": " << rounds_injected << ", \"dual_rounds\": " << dual_rounds
      << ", \"attacked_rounds\": " << attacked_rounds << "},\n";
   os << "  \"sessions\": {\"rounds_completed\": " << rounds_completed
      << ", \"rounds_failed\": " << rounds_failed << ", \"hv_sessions\": " << sessions_completed
      << ", \"hv_launches\": " << hv_launches << ", \"exits\": " << exits_handled
-     << ", \"sessions_per_sec\": " << F3(SessionsPerSecond()) << "},\n";
+     << ", \"sessions_per_sec\": " << sim::F3(SessionsPerSecond()) << "},\n";
   os << "  \"attacks\": {\"launched\": " << attacks_launched << ", \"denied\": " << attacks_denied
      << ", \"mistyped\": " << attacks_mistyped << ", \"accepted_wrong\": " << accepted_wrong
      << ", \"dma_blocked\": " << dma_blocked << ", \"npt_blocked\": " << npt_blocked << "},\n";
@@ -505,18 +474,15 @@ std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
        << "\": " << denials[d];
   }
   os << "},\n";
-  os << "  \"latency_ms\": {\"p50\": " << F3(LatencyPercentileMs(0.50))
-     << ", \"p90\": " << F3(LatencyPercentileMs(0.90))
-     << ", \"p99\": " << F3(LatencyPercentileMs(0.99))
-     << ", \"max\": " << F3(LatencyPercentileMs(1.0)) << "},\n";
-  os << "  \"pause\": {\"os_pause_ms\": " << F3(os_pause_ms_total)
-     << ", \"classic_equivalent_ms\": " << F3(classic_equiv_pause_ms_total)
-     << ", \"reduction\": " << F3(PauseReduction()) << "},\n";
+  sim::WriteLatencyJson(os, round_latencies_ms);
+  os << "  \"pause\": {\"os_pause_ms\": " << sim::F3(os_pause_ms_total)
+     << ", \"classic_equivalent_ms\": " << sim::F3(classic_equiv_pause_ms_total)
+     << ", \"reduction\": " << sim::F3(PauseReduction()) << "},\n";
   char digest[32];
   std::snprintf(digest, sizeof(digest), "0x%016llx",
                 static_cast<unsigned long long>(order_digest));
   os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
+     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
      << "\"}\n";
   os << "}\n";
   return os.str();

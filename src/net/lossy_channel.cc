@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "src/common/splitmix64.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -10,16 +11,9 @@ namespace flicker {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 // The exact rounding SimClock::AdvanceMillis applies (µs grain widened to
-// ns), so a fault-free LossyChannel charges byte-identical latencies to the
-// Channel it replaces.
+// ns), so a wire delay lands on the same nanosecond as a charge of the same
+// milliseconds.
 uint64_t NsOfMs(double ms) {
   return ms > 0 ? static_cast<uint64_t>(ms * 1000.0 + 0.5) * 1000 : 0;
 }
@@ -90,9 +84,8 @@ NetFault NetFaultSchedule::Classify(uint64_t msg_index) const {
 }
 
 double LossyChannel::SampleOneWayMs() {
-  // Same triangular jitter as Channel::SampleOneWayMs, so a fault-free
-  // LossyChannel charges byte-identical latencies to the same-seeded
-  // Channel it replaces.
+  // Triangular-ish jitter around the average: avg + U[-1,1] * spread, where
+  // spread keeps samples within [min, max].
   double spread_low = (profile_.avg_rtt_ms - profile_.min_rtt_ms) / 2.0;
   double spread_high = (profile_.max_rtt_ms - profile_.avg_rtt_ms) / 2.0;
   uint64_t draw = jitter_.UniformUint64(1000);

@@ -1,17 +1,20 @@
-// An adversarial, byte-carrying datagram channel.
+// The network: an adversarial, byte-carrying datagram channel between the
+// Flicker platform and a remote verifier.
 //
-// The original Channel models only latency: Deliver() advances the clock and
-// no bytes move, so every protocol above it silently assumes a perfect wire.
-// LossyChannel actually transports datagrams between two endpoints and
-// subjects each one to a seeded, deterministic NetFaultSchedule: per-message
-// drop, duplicate, reorder, corrupt and delay verdicts plus partition
-// windows during which nothing crosses in either direction. The same seed
-// replays the same fault sequence bit-exact, mirroring FaultScheduler's
-// seeded-plan design for power loss.
+// Latency is calibrated to the paper's §7.1 setup: the verifier is 12 hops
+// away with ping times of 9.33 / 9.45 / 10.10 ms (min/avg/max over 50
+// trials), and every datagram draws one deterministic jittered one-way
+// latency from that profile. On top of the latency model each datagram is
+// subject to a seeded, deterministic NetFaultSchedule: per-message drop,
+// duplicate, reorder, corrupt and delay verdicts plus partition windows
+// during which nothing crosses in either direction. The same seed replays
+// the same fault sequence bit-exact, mirroring FaultScheduler's seeded-plan
+// design for power loss.
 //
-// With a disabled (default) schedule the channel is behaviorally identical
-// to Channel: one latency sample per message, no extra deliveries, no
-// overhead - so calibrated benches are unaffected unless a test arms faults.
+// With a disabled (default) schedule the channel is a plain latency-modeled
+// wire: one latency sample per message, no extra deliveries, no overhead -
+// so the calibrated paper benches are unaffected unless a caller arms
+// faults.
 //
 // Each endpoint keeps a fixed-capacity delivery trace ring (like
 // TpmTransport's command trace) so a failing chaos cell can dump exactly
@@ -30,10 +33,18 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/crypto/drbg.h"
 #include "src/hw/clock.h"
-#include "src/net/channel.h"
 
 namespace flicker {
+
+// Round-trip profile of the verifier link (paper §7.1 defaults).
+struct LatencyProfile {
+  double min_rtt_ms = 9.33;
+  double avg_rtt_ms = 9.45;
+  double max_rtt_ms = 10.10;
+  int hops = 12;
+};
 
 enum class NetEndpoint : int { kClient = 0, kServer = 1 };
 

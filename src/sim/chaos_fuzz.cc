@@ -10,17 +10,12 @@
 #include "src/common/fault.h"
 #include "src/crypto/drbg.h"
 #include "src/obs/metrics.h"
+#include "src/sim/campaign.h"
 
 namespace flicker {
 namespace sim {
 
 namespace {
-
-std::string F3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return std::string(buf);
-}
 
 const char* TpmFaultKindName(FaultPlan::Kind kind) {
   switch (kind) {

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
+#include "src/common/splitmix64.h"
+
 namespace flicker {
 namespace sim {
-
-namespace {
-
-// Same mixer the net fault schedule and backoff jitter use: cheap, full
-// avalanche, and a pure function of its input, so the (seed, seq) → tiebreak
-// map replays bit-exact.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 EventId EventQueue::Schedule(uint64_t at_ns, int actor, std::function<void()> fn) {
   uint64_t seq = next_seq_++;

@@ -12,40 +12,11 @@
 #include "src/crypto/sha1.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/sim/campaign.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
 namespace sim {
-
-namespace {
-
-// A fleet machine's memory image. The default 64 MB MachineConfig is
-// infeasible a thousand times over, so the kernel is relocated to a compact
-// layout just above the 64 KB SLB region at kSlbFixedBase (1 MB): text at
-// 1.125 MB, a one-module set, everything inside 1.5 MB.
-FlickerPlatformConfig FleetPlatformConfig(size_t tpm_key_bits) {
-  FlickerPlatformConfig config;
-  config.machine.memory_bytes = 0x180000;  // 1.5 MB.
-  config.machine.tpm.key_bits = tpm_key_bits;
-  // One shared manufacture seed: RSA key material is memoized per
-  // (seed, bits), so machine #2..#N skip keygen entirely. Identity still
-  // differs per machine via its own Privacy CA certificate label.
-  config.kernel.text_base = 0x120000;
-  config.kernel.text_size = 64 * 1024;
-  config.kernel.syscall_table_base = 0x134000;
-  config.kernel.syscall_table_size = 4096;
-  config.kernel.modules_base = 0x136000;
-  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
-  return config;
-}
-
-std::string F3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return std::string(buf);
-}
-
-}  // namespace
 
 // ---- FleetStats ----
 
@@ -57,17 +28,7 @@ double FleetStats::SessionsPerSec() const {
 }
 
 double FleetStats::LatencyPercentileMs(double p) const {
-  if (round_latencies_ms.empty()) {
-    return 0;
-  }
-  std::vector<double> sorted = round_latencies_ms;
-  std::sort(sorted.begin(), sorted.end());
-  double rank = p * static_cast<double>(sorted.size() - 1);
-  size_t index = static_cast<size_t>(rank + 0.5);
-  if (index >= sorted.size()) {
-    index = sorted.size() - 1;
-  }
-  return sorted[index];
+  return Percentile(round_latencies_ms, p);
 }
 
 double FleetStats::VerifierUtilization() const {
@@ -106,10 +67,7 @@ std::string FleetStats::ToJson(const FleetConfig& config) const {
      << ", \"power_cuts\": " << power_cuts << ", \"machines_dead\": " << machines_dead << "},\n";
   os << "  \"throughput\": {\"sim_duration_ms\": " << F3(sim_duration_ms)
      << ", \"sessions_per_sec\": " << F3(SessionsPerSec()) << "},\n";
-  os << "  \"latency_ms\": {\"p50\": " << F3(LatencyPercentileMs(0.50))
-     << ", \"p90\": " << F3(LatencyPercentileMs(0.90))
-     << ", \"p99\": " << F3(LatencyPercentileMs(0.99))
-     << ", \"max\": " << F3(LatencyPercentileMs(1.0)) << "},\n";
+  WriteLatencyJson(os, round_latencies_ms);
   char util[64];
   std::snprintf(util, sizeof(util), "%.4f", VerifierUtilization());
   os << "  \"verifier\": {\"busy_ms\": " << F3(verifier_busy_ms) << ", \"utilization\": " << util
@@ -324,7 +282,11 @@ Status Fleet::Build() {
   }
   binary_ = std::make_unique<PalBinary>(built.take());
 
-  FlickerPlatformConfig platform_config = FleetPlatformConfig(config_.tpm_key_bits);
+  FlickerPlatformConfig platform_config = CompactPlatformConfig();
+  // One shared manufacture seed: RSA key material is memoized per
+  // (seed, bits), so machine #2..#N skip keygen entirely. Identity still
+  // differs per machine via its own Privacy CA certificate label.
+  platform_config.machine.tpm.key_bits = config_.tpm_key_bits;
   platform_config.tqd.max_batch_size = config_.max_batch_size;
   platform_config.tqd.max_batch_wait_ms = config_.max_batch_wait_ms;
 

@@ -1,7 +1,5 @@
 #include "src/vtpm/vtpm_campaign.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -13,6 +11,7 @@
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
 #include "src/obs/metrics.h"
+#include "src/sim/campaign.h"
 #include "src/sim/executor.h"
 #include "src/sim/fleet.h"
 #include "src/vtpm/vtpm_manager.h"
@@ -21,41 +20,6 @@ namespace flicker {
 namespace vtpm {
 
 namespace {
-
-// Fixed-precision float for byte-identical same-seed JSON.
-std::string F3(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
-
-double NearestRank(std::vector<double> sorted_input, double p) {
-  if (sorted_input.empty()) {
-    return 0;
-  }
-  std::sort(sorted_input.begin(), sorted_input.end());
-  double rank = p * static_cast<double>(sorted_input.size() - 1);
-  size_t index = static_cast<size_t>(rank + 0.5);
-  if (index >= sorted_input.size()) {
-    index = sorted_input.size() - 1;
-  }
-  return sorted_input[index];
-}
-
-// The fleet's compact machine image: the default 64 MB is wasteful for a
-// quote-only host, so relocate the kernel into 1.5 MB.
-FlickerPlatformConfig CampaignPlatformConfig(size_t tpm_key_bits) {
-  FlickerPlatformConfig config;
-  config.machine.memory_bytes = 0x180000;
-  config.machine.tpm.key_bits = tpm_key_bits;
-  config.kernel.text_base = 0x120000;
-  config.kernel.text_size = 64 * 1024;
-  config.kernel.syscall_table_base = 0x134000;
-  config.kernel.syscall_table_size = 4096;
-  config.kernel.modules_base = 0x136000;
-  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
-  return config;
-}
 
 struct Round {
   int tenant = 0;
@@ -120,7 +84,9 @@ class Campaign {
 };
 
 Status Campaign::Setup() {
-  platform_ = std::make_unique<FlickerPlatform>(CampaignPlatformConfig(config_.tpm_key_bits));
+  FlickerPlatformConfig platform_config = CompactPlatformConfig();
+  platform_config.machine.tpm.key_bits = config_.tpm_key_bits;
+  platform_ = std::make_unique<FlickerPlatform>(platform_config);
   owner_secret_ = Sha1::Digest(BytesOf("vtpm-owner-" + std::to_string(config_.seed)));
   FLICKER_RETURN_IF_ERROR(platform_->tpm()->TakeOwnership(owner_secret_));
 
@@ -174,9 +140,7 @@ void Campaign::ScheduleArrivals() {
     double t_ms = 0;
     uint64_t seq = 0;
     while (seq < cap) {
-      const double u = (static_cast<double>(arrivals.UniformUint64(1ULL << 30)) + 1.0) /
-                       static_cast<double>(1ULL << 30);
-      t_ms += -mean_ms * std::log(u);
+      t_ms += sim::ExponentialGapMs(&arrivals, mean_ms);
       if (t_ms > config_.duration_ms) {
         break;
       }
@@ -408,7 +372,7 @@ double VtpmCampaignStats::HealthyJainIndex(const VtpmCampaignConfig& config) con
 }
 
 double VtpmCampaignStats::HealthyLatencyPercentileMs(double p) const {
-  return NearestRank(healthy_latencies_ms, p);
+  return sim::Percentile(healthy_latencies_ms, p);
 }
 
 std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
@@ -417,7 +381,7 @@ std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
   os << "  \"campaign\": {\"tenants\": " << config.num_tenants
      << ", \"flooding\": " << config.flooding_tenant
      << ", \"crashloop\": " << config.crashloop_tenant << ", \"seed\": " << config.seed
-     << ", \"duration_ms\": " << F3(config.duration_ms)
+     << ", \"duration_ms\": " << sim::F3(config.duration_ms)
      << ", \"power_cuts\": " << config.power_cut_at_ms.size() << "},\n";
   os << "  \"tenant\": [\n";
   for (size_t i = 0; i < tenants.size(); ++i) {
@@ -425,7 +389,7 @@ std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
     os << "    {\"injected\": " << t.injected << ", \"completed\": " << t.completed
        << ", \"failed\": " << t.failed << ", \"shed\": " << t.shed
        << ", \"breaker_trips\": " << t.breaker_trips
-       << ", \"max_queue_age_ms\": " << F3(t.max_queue_age_ms) << "}"
+       << ", \"max_queue_age_ms\": " << sim::F3(t.max_queue_age_ms) << "}"
        << (i + 1 < tenants.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
@@ -435,10 +399,7 @@ std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
   std::snprintf(jain, sizeof(jain), "%.4f", HealthyJainIndex(config));
   os << "  \"fairness\": {\"healthy_completion_rate\": " << rate
      << ", \"jain_index\": " << jain << "},\n";
-  os << "  \"latency_ms\": {\"p50\": " << F3(HealthyLatencyPercentileMs(0.50))
-     << ", \"p90\": " << F3(HealthyLatencyPercentileMs(0.90))
-     << ", \"p99\": " << F3(HealthyLatencyPercentileMs(0.99))
-     << ", \"max\": " << F3(HealthyLatencyPercentileMs(1.0)) << "},\n";
+  sim::WriteLatencyJson(os, healthy_latencies_ms);
   os << "  \"robustness\": {\"rollbacks_detected\": " << rollbacks_detected
      << ", \"quarantines\": " << quarantines << ", \"shed_total\": " << shed_total
      << ", \"power_cuts\": " << power_cuts << ", \"client_retries\": " << client_retries
@@ -449,7 +410,7 @@ std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
   std::snprintf(digest, sizeof(digest), "0x%016llx",
                 static_cast<unsigned long long>(order_digest));
   os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
+     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
      << "\"}\n";
   os << "}\n";
   return os.str();

@@ -23,7 +23,7 @@ class RootkitTest : public ::testing::Test {
   PrivacyCa ca_;
   AikCertificate cert_;
   RootkitMonitor monitor_;
-  Channel channel_;
+  LossyChannel channel_;
 };
 
 TEST_F(RootkitTest, CleanKernelPasses) {
@@ -31,6 +31,24 @@ TEST_F(RootkitTest, CleanKernelPasses) {
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_TRUE(report.kernel_clean);
   EXPECT_EQ(report.reported_measurement, platform_.kernel()->pristine_measurement());
+}
+
+TEST_F(RootkitTest, HostileWireFailsClosed) {
+  // A lost challenge ends the query as unavailable; a garbled frame can
+  // never pass as a clean kernel.
+  NetFaultMix all_drop;
+  all_drop.drop_bp = 10000;
+  channel_.set_fault_schedule(NetFaultSchedule(3, all_drop));
+  RootkitMonitor::QueryReport lost = monitor_.Query(&platform_, &channel_);
+  EXPECT_EQ(lost.status.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(lost.kernel_clean);
+
+  NetFaultMix all_corrupt;
+  all_corrupt.corrupt_bp = 10000;
+  channel_.set_fault_schedule(NetFaultSchedule(3, all_corrupt));
+  RootkitMonitor::QueryReport garbled = monitor_.Query(&platform_, &channel_);
+  EXPECT_FALSE(garbled.status.ok());
+  EXPECT_FALSE(garbled.kernel_clean);
 }
 
 TEST_F(RootkitTest, SyscallHookDetected) {

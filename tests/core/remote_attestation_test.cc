@@ -1,5 +1,5 @@
 // The wire-level challenge/response protocol: serialization, end-to-end
-// verification over a Channel, and wire-tampering attacks.
+// verification over a LossyChannel, and wire-tampering attacks.
 
 #include "src/core/remote_attestation.h"
 
@@ -24,23 +24,31 @@ class RemoteAttestationTest : public ::testing::Test {
         verifier_(&binary_, ca_.public_key()),
         channel_(platform_.clock()) {}
 
+  // Carries one frame across the wire and returns what arrived.
+  Bytes Carry(NetEndpoint from, const Bytes& frame) {
+    channel_.Send(from, frame);
+    Bytes arrived;
+    EXPECT_TRUE(channel_.Receive(
+        from == NetEndpoint::kClient ? NetEndpoint::kServer : NetEndpoint::kClient, &arrived));
+    return arrived;
+  }
+
   FlickerPlatform platform_;
   PalBinary binary_;
   PrivacyCa ca_;
   AikCertificate cert_;
   AttestationService service_;
   AttestationVerifier verifier_;
-  Channel channel_;
+  LossyChannel channel_;
 };
 
 TEST_F(RemoteAttestationTest, EndToEndOverTheWire) {
-  Bytes challenge = verifier_.MakeChallenge();
-  channel_.Deliver();
+  Bytes challenge = Carry(NetEndpoint::kClient, verifier_.MakeChallenge());
   Result<Bytes> reply = service_.HandleChallenge(challenge, binary_, BytesOf("input"));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  channel_.Deliver();
 
-  AttestationVerifier::Outcome outcome = verifier_.CheckReply(reply.value());
+  AttestationVerifier::Outcome outcome =
+      verifier_.CheckReply(Carry(NetEndpoint::kServer, reply.value()));
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.log.outputs, BytesOf("Hello, world"));
   EXPECT_EQ(outcome.log.inputs, BytesOf("input"));
@@ -227,16 +235,21 @@ TEST_F(RemoteAttestationTest, EveryDeserializerSurvivesHostileBytes) {
     const char* name;
     Bytes valid;
     std::function<Status(const Bytes&)> parse;
+    // Offset of the frame's big-endian PCR-selection mask; -1 when none.
+    long mask_at = -1;
   };
+  const long challenge_mask_at =
+      4 + static_cast<long>(AttestationChallenge::Deserialize(challenge_wire).value().nonce.size());
   const std::vector<Case> cases = {
       {"quote", SerializeQuote(reply.value().quote),
-       [](const Bytes& b) { return DeserializeQuote(b).status(); }},
+       [](const Bytes& b) { return DeserializeQuote(b).status(); }, 0},
       {"aik_certificate", SerializeAikCertificate(reply.value().aik_certificate),
        [](const Bytes& b) { return DeserializeAikCertificate(b).status(); }},
       {"attestation_response", SerializeAttestationResponse(response),
        [](const Bytes& b) { return DeserializeAttestationResponse(b).status(); }},
       {"challenge", challenge_wire,
-       [](const Bytes& b) { return AttestationChallenge::Deserialize(b).status(); }},
+       [](const Bytes& b) { return AttestationChallenge::Deserialize(b).status(); },
+       challenge_mask_at},
       {"reply", reply_wire.value(),
        [](const Bytes& b) { return AttestationReply::Deserialize(b).status(); }},
   };
@@ -259,6 +272,13 @@ TEST_F(RemoteAttestationTest, EveryDeserializerSurvivesHostileBytes) {
       Bytes garbled = c.valid;
       garbled[pos] ^= 0xA5;
       (void)c.parse(garbled);
+    }
+    // Mask bits at or above kNumPcrs name no PCR: refused with a type,
+    // never narrowed to the bits that happen to be valid.
+    if (c.mask_at >= 0) {
+      Bytes high_mask = c.valid;
+      high_mask[static_cast<size_t>(c.mask_at)] = 0x5a;
+      EXPECT_EQ(c.parse(high_mask).code(), StatusCode::kInvalidArgument) << c.name << " high mask";
     }
     // Oversized frame of zeros.
     EXPECT_FALSE(c.parse(Bytes(kMaxReplyWireBytes + 1, 0)).ok()) << c.name << " oversized";

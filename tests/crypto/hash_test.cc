@@ -7,7 +7,6 @@
 #include "src/crypto/md5.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
-#include "src/crypto/sha512.h"
 
 namespace flicker {
 namespace {
@@ -101,38 +100,6 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.Finish(), Sha256::Digest(msg));
 }
 
-TEST(Sha512Test, EmptyString) {
-  EXPECT_EQ(ToHex(Sha512::Digest(BytesOf(""))),
-            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-            "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
-}
-
-TEST(Sha512Test, Abc) {
-  EXPECT_EQ(ToHex(Sha512::Digest(BytesOf("abc"))),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-            "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
-}
-
-TEST(Sha512Test, MillionA) {
-  Sha512 h;
-  Bytes chunk(100000, 'a');
-  for (int i = 0; i < 10; ++i) {
-    h.Update(chunk);
-  }
-  EXPECT_EQ(ToHex(h.Finish()),
-            "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632a803afa973eb"
-            "de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b");
-}
-
-TEST(Sha512Test, IncrementalAcrossBlockBoundary) {
-  Bytes msg(300, 0x7e);
-  Sha512 h;
-  h.Update(msg.data(), 127);
-  h.Update(msg.data() + 127, 2);
-  h.Update(msg.data() + 129, msg.size() - 129);
-  EXPECT_EQ(h.Finish(), Sha512::Digest(msg));
-}
-
 TEST(Md5Test, Rfc1321Vectors) {
   EXPECT_EQ(ToHex(Md5::Digest(BytesOf(""))), "d41d8cd98f00b204e9800998ecf8427e");
   EXPECT_EQ(ToHex(Md5::Digest(BytesOf("a"))), "0cc175b9c0f1b6a831c399e269772661");
@@ -186,12 +153,6 @@ TEST(HashTest, FinishAutoResetsForReuse) {
   sha256.Update(BytesOf("second"));
   EXPECT_EQ(sha256.Finish(), Sha256::Digest(BytesOf("second")));
 
-  Sha512 sha512;
-  sha512.Update(BytesOf("first"));
-  EXPECT_EQ(sha512.Finish(), Sha512::Digest(BytesOf("first")));
-  sha512.Update(BytesOf("second"));
-  EXPECT_EQ(sha512.Finish(), Sha512::Digest(BytesOf("second")));
-
   Md5 md5;
   md5.Update(BytesOf("first"));
   EXPECT_EQ(md5.Finish(), Md5::Digest(BytesOf("first")));
@@ -208,7 +169,6 @@ TEST(HashTest, FinishAutoResetsForReuse) {
 TEST(HashTest, DigestSizesMatchConstants) {
   EXPECT_EQ(Sha1::Digest(BytesOf("x")).size(), Sha1::kDigestSize);
   EXPECT_EQ(Sha256::Digest(BytesOf("x")).size(), Sha256::kDigestSize);
-  EXPECT_EQ(Sha512::Digest(BytesOf("x")).size(), Sha512::kDigestSize);
   EXPECT_EQ(Md5::Digest(BytesOf("x")).size(), Md5::kDigestSize);
 }
 

@@ -193,7 +193,7 @@ TEST_F(HvParityTest, RootkitDetectorQueriesMatch) {
     PrivacyCa ca;
     AikCertificate cert;
     RootkitMonitor monitor;
-    Channel channel;
+    LossyChannel channel;
   };
   Stack classic(&classic_, &binary);
   Stack concurrent(&concurrent_, &binary);

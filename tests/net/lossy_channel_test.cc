@@ -24,22 +24,56 @@ TEST(LossyChannelTest, TransportsBytesIntact) {
   EXPECT_FALSE(channel.Receive(NetEndpoint::kServer, &got));
 }
 
-TEST(LossyChannelTest, DisabledScheduleMatchesChannelLatencies) {
-  // A fault-free LossyChannel must charge byte-identical latencies to the
-  // same-seeded Channel it replaces: one sample per message, no extras.
-  SimClock plain_clock;
-  Channel plain(&plain_clock, LatencyProfile(), 17);
-  SimClock lossy_clock;
-  LossyChannel lossy(&lossy_clock, LatencyProfile(), 17);
+TEST(LossyChannelTest, DisabledScheduleChargesOneSamplePerMessage) {
+  // A fault-free channel draws exactly one latency sample per message and
+  // nothing else. The pinned total is the seed-17 latency stream the paper
+  // tables (Table 1, Fig. 9) are reproduced with, so it must not move.
+  SimClock clock;
+  LossyChannel channel(&clock, LatencyProfile(), 17);
   for (int i = 0; i < 20; ++i) {
-    plain.Deliver();
-    lossy.Send(NetEndpoint::kClient, Msg("x"));
+    channel.Send(NetEndpoint::kClient, Msg("x"));
     Bytes got;
-    ASSERT_TRUE(lossy.Receive(NetEndpoint::kServer, &got));
+    ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &got));
   }
-  EXPECT_DOUBLE_EQ(plain_clock.NowMillis(), lossy_clock.NowMillis());
-  EXPECT_EQ(lossy.messages_delivered(), 20u);
-  EXPECT_EQ(lossy.faults_injected(), 0u);
+  EXPECT_EQ(clock.NowNanos(), 94821000u);
+  EXPECT_EQ(channel.messages_delivered(), 20u);
+  EXPECT_EQ(channel.faults_injected(), 0u);
+}
+
+// One message's one-way latency: the clock delta from Send to Receive.
+double OneWayMs(SimClock* clock, LossyChannel* channel) {
+  const uint64_t sent_ns = clock->NowNanos();
+  channel->Send(NetEndpoint::kClient, Msg("x"));
+  Bytes got;
+  EXPECT_TRUE(channel->Receive(NetEndpoint::kServer, &got));
+  return static_cast<double>(clock->NowNanos() - sent_ns) / 1e6;
+}
+
+TEST(LossyChannelTest, LatencyWithinProfileBounds) {
+  // Latencies land on the clock's microsecond grain.
+  const double grain_ms = 0.0005;
+  const LatencyProfile lan{0.2, 0.3, 0.5, 1};
+  for (const LatencyProfile& profile : {LatencyProfile(), lan}) {
+    SimClock clock;
+    LossyChannel channel(&clock, profile);
+    for (int i = 0; i < 200; ++i) {
+      double one_way = OneWayMs(&clock, &channel);
+      EXPECT_GE(one_way, profile.min_rtt_ms / 2.0 - grain_ms);
+      EXPECT_LE(one_way, profile.max_rtt_ms / 2.0 + grain_ms);
+    }
+  }
+}
+
+TEST(LossyChannelTest, AverageNearProfileAvg) {
+  SimClock clock;
+  LossyChannel channel(&clock);
+  double total = 0;
+  const int kTrials = 500;
+  for (int i = 0; i < kTrials; ++i) {
+    total += OneWayMs(&clock, &channel);
+  }
+  double avg_rtt = 2.0 * total / kTrials;
+  EXPECT_NEAR(avg_rtt, channel.profile().avg_rtt_ms, 0.25);
 }
 
 TEST(LossyChannelTest, DropSwallowsDatagram) {

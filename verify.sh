@@ -60,43 +60,38 @@
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-asan=0
-faults=0
-net=0
-obs=0
-perf=0
-fleet=0
-vtpm=0
-chaosfuzz=0
-hv=0
-if [ "${1:-}" = "--asan" ]; then
-  asan=1
-  shift
-elif [ "${1:-}" = "--faults" ]; then
-  faults=1
-  shift
-elif [ "${1:-}" = "--net" ]; then
-  net=1
-  shift
-elif [ "${1:-}" = "--obs" ]; then
-  obs=1
-  shift
-elif [ "${1:-}" = "--perf" ]; then
-  perf=1
-  shift
-elif [ "${1:-}" = "--fleet" ]; then
-  fleet=1
-  shift
-elif [ "${1:-}" = "--vtpm" ]; then
-  vtpm=1
-  shift
-elif [ "${1:-}" = "--chaos-fuzz" ]; then
-  chaosfuzz=1
-  shift
-elif [ "${1:-}" = "--hv" ]; then
-  hv=1
-  shift
-fi
+usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv] [build-dir]"
+
+# One row per campaign flag:
+#   build      the side build its suites run in: asan (./build-asan,
+#              ASan+UBSan) or noperf (./build-noperf, -DFLICKER_SIMD=OFF)
+#   follow_up  the release-build checks run afterwards (- none)
+#   selection  the ctest selection (-L label or -R regex) of its suites; the
+#              side build compiles exactly the targets `ctest -N` lists for
+#              it (test name == target name, see tests/CMakeLists.txt)
+#   extra      further targets the side build needs (comma list, - none)
+campaigns='
+--asan        asan    -                     -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test)  -
+--faults      asan    faults_follow_up      -L faults  -
+--net         asan    net_follow_up         -L net     -
+--obs         asan    obs_follow_up         -L obs     -
+--perf        noperf  perf_follow_up        -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh
+--fleet       asan    fleet_follow_up       -L fleet   micro_fleet
+--vtpm        asan    vtpm_follow_up        -L vtpm    -
+--chaos-fuzz  asan    chaos_fuzz_follow_up  -R ^sim_chaos_fuzz_test$  micro_fleet
+--hv          asan    hv_follow_up          -L hv      -
+'
+campaign=
+case "${1:-}" in
+  --*)
+    campaign=$(printf '%s\n' "$campaigns" | awk -v flag="$1" '$1 == flag')
+    if [ -z "$campaign" ]; then
+      echo "$usage" >&2
+      exit 2
+    fi
+    shift
+    ;;
+esac
 build_dir=${1:-"$repo_root/build"}
 jobs=$(nproc 2>/dev/null || echo 4)
 
@@ -192,65 +187,98 @@ if [ -n "$uncovered" ]; then
 fi
 echo "verify.sh: crash-point coverage: all $(wc -l < "$build_dir/crash_points.expected" | tr -d ' ') sites exercised"
 
-if [ "$asan" = 1 ]; then
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    tpm_pcr_bank_test tpm_tpm_test tpm_param_test tpm_transport_test \
-    tpm_commands_negative_test core_platform_test core_remote_attestation_test \
-    os_tqd_robustness_test common_serde_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -R \
-    '^(tpm_|core_|os_tqd_robustness_test|common_serde_test)'
-fi
+# ---- Campaign helpers ----
 
-if [ "$faults" = 1 ]; then
-  # Power-loss fault-injection campaign: the crash matrix and the rest of the
-  # `faults`-labeled suite, under ASan+UBSan so torn-state handling is also
-  # memory-clean, plus the recovery-path wall-time budgets.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    tpm_lifecycle_test core_sealed_state_test os_tqd_breaker_test \
-    integration_crash_matrix_test vtpm_crash_matrix_test vtpm_double_fault_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L faults
-  cmake --build "$build_dir" -j "$jobs" --target micro_recovery
-  "$build_dir/bench/micro_recovery" --bench_json="$repo_root/BENCH_robustness.json"
-fi
+# Runs "$@" with its output in FILE: an argument containing '{}' names the
+# file (stdout is discarded), otherwise stdout itself is the output.
+run_to() {
+  file=$1
+  shift
+  names_file=0
+  for arg do
+    shift
+    case $arg in
+      *'{}'*)
+        arg=$(printf '%s' "$arg" | sed "s#{}#$file#")
+        names_file=1
+        ;;
+    esac
+    set -- "$@" "$arg"
+  done
+  if [ "$names_file" = 1 ]; then
+    "$@" > /dev/null
+  else
+    "$@" > "$file"
+  fi
+}
 
-if [ "$net" = 1 ]; then
-  # Adversarial-network campaign: the chaos matrix and the rest of the
-  # `net`-labeled suite, under ASan+UBSan so hostile-frame handling is also
-  # memory-clean, plus the deterministic session-layer loss report.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    net_channel_test net_lossy_channel_test net_session_test \
-    tpm_commands_negative_test integration_net_chaos_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L net
-  cmake --build "$build_dir" -j "$jobs" --target micro_net
-  "$build_dir/bench/micro_net" --bench_json="$repo_root/BENCH_net.json"
-fi
-
-if [ "$obs" = 1 ]; then
-  # Observability campaign. The obs-labeled suites run under ASan+UBSan
-  # (tracer/registry lifetimes must be memory-clean), two same-seed SSH
-  # rounds must export byte-identical Chrome traces, the -DFLICKER_OBS=OFF
-  # configuration must still build and pass its own overhead proof, and the
-  # committed overhead report is refreshed.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    obs_metrics_test obs_trace_test obs_session_test obs_ring_epoch_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L obs
-
-  cmake --build "$build_dir" -j "$jobs" --target micro_obs
-  "$build_dir/bench/micro_obs" --trace_json="$build_dir/trace_a.json" > /dev/null
-  "$build_dir/bench/micro_obs" --trace_json="$build_dir/trace_b.json" > /dev/null
-  if ! cmp -s "$build_dir/trace_a.json" "$build_dir/trace_b.json"; then
-    echo "verify.sh: same-seed trace exports differ (tracing is nondeterministic)" >&2
+# Same-seed determinism: runs the command twice (see run_to) into PREFIX_a
+# and PREFIX_b and fails unless the two are byte-identical.
+same_twice() {
+  what=$1
+  prefix=$2
+  shift 2
+  run_to "${prefix}_a" "$@"
+  run_to "${prefix}_b" "$@"
+  if ! cmp -s "${prefix}_a" "${prefix}_b"; then
+    echo "verify.sh: $what differ between same-seed runs (nondeterministic)" >&2
+    diff -u "${prefix}_a" "${prefix}_b" >&2 || true
     exit 1
   fi
-  echo "verify.sh: same-seed SSH traces byte-identical"
+  echo "verify.sh: $what byte-identical across same-seed runs"
+}
+
+# Configures the side build, compiles exactly the suites the selection
+# names (plus any extra targets), and runs them there.
+side_suites() {
+  side=$1
+  select_flag=$2
+  select_arg=$3
+  extra=$4
+  case $side in
+    asan)
+      side_dir="$repo_root/build-asan"
+      cmake -B "$side_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
+      ;;
+    noperf)
+      side_dir="$repo_root/build-noperf"
+      cmake -B "$side_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
+      ;;
+  esac
+  suites=$(ctest --test-dir "$side_dir" -N "$select_flag" "$select_arg" \
+    | sed -n 's/^ *Test *#[0-9]*: *//p')
+  if [ -z "$suites" ]; then
+    echo "verify.sh: ctest $select_flag '$select_arg' selects no suites" >&2
+    exit 1
+  fi
+  if [ "$extra" != - ]; then
+    suites="$suites $(printf '%s' "$extra" | tr , ' ')"
+  fi
+  cmake --build "$side_dir" -j "$jobs" --target $suites
+  ctest --test-dir "$side_dir" --output-on-failure -j "$jobs" "$select_flag" "$select_arg"
+}
+
+# ---- Campaign follow-ups (release build) ----
+
+faults_follow_up() {
+  # Power-loss campaign: refresh the recovery-path wall-time budgets.
+  cmake --build "$build_dir" -j "$jobs" --target micro_recovery
+  "$build_dir/bench/micro_recovery" --bench_json="$repo_root/BENCH_robustness.json"
+}
+
+net_follow_up() {
+  # Adversarial-network campaign: the deterministic session-layer loss report.
+  cmake --build "$build_dir" -j "$jobs" --target micro_net
+  "$build_dir/bench/micro_net" --bench_json="$repo_root/BENCH_net.json"
+}
+
+obs_follow_up() {
+  # Two same-seed SSH rounds must export byte-identical Chrome traces, the
+  # -DFLICKER_OBS=OFF configuration must still build and pass its own
+  # overhead proof, and the committed overhead report is refreshed.
+  cmake --build "$build_dir" -j "$jobs" --target micro_obs
+  same_twice "SSH trace exports" "$build_dir/trace" \
+    "$build_dir/bench/micro_obs" --trace_json={}
 
   noobs_dir="$repo_root/build-noobs"
   cmake -B "$noobs_dir" -S "$repo_root" -DFLICKER_OBS=OFF
@@ -262,123 +290,68 @@ if [ "$obs" = 1 ]; then
   fi
 
   "$build_dir/bench/micro_obs" --bench_json="$repo_root/BENCH_obs.json"
-fi
+}
 
-if [ "$perf" = 1 ]; then
-  # SIMD differential campaign. The multi-buffer SHA engine's scalar fallback
-  # must be a drop-in replacement: the forced-scalar build re-runs the hash
-  # KAT/differential battery, the Merkle and batch-quote protocol suites, and
-  # every reproduced paper table/figure must come out byte-identical to the
-  # vectorized build's. Any digest divergence shows up as a test failure or
-  # an output diff here.
-  noperf_dir="$repo_root/build-noperf"
-  cmake -B "$noperf_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
-  cmake --build "$noperf_dir" -j "$jobs" --target \
-    crypto_hash_test crypto_sha_multibuf_test crypto_merkle_test \
-    attest_batch_quote_test os_tqd_batch_test \
-    table1_rootkit table2_skinit table4_distributed fig9_ssh
-  ctest --test-dir "$noperf_dir" --output-on-failure -j "$jobs" -R \
-    '^(crypto_hash_test|crypto_sha_multibuf_test|crypto_merkle_test|attest_batch_quote_test|os_tqd_batch_test)$'
-
+perf_follow_up() {
+  # The scalar fallback must be a drop-in replacement for the SIMD engine:
+  # every reproduced paper table/figure comes out byte-identical to the
+  # vectorized build's - speed is the only thing SIMD may change.
   cmake --build "$build_dir" -j "$jobs" --target \
     table1_rootkit table2_skinit table4_distributed fig9_ssh
   for bin in table1_rootkit table2_skinit table4_distributed fig9_ssh; do
     "$build_dir/bench/$bin" > "$build_dir/$bin.perf.out"
-    "$noperf_dir/bench/$bin" > "$noperf_dir/$bin.perf.out"
-    if ! cmp -s "$build_dir/$bin.perf.out" "$noperf_dir/$bin.perf.out"; then
+    "$side_dir/bench/$bin" > "$side_dir/$bin.perf.out"
+    if ! cmp -s "$build_dir/$bin.perf.out" "$side_dir/$bin.perf.out"; then
       echo "verify.sh: $bin output differs between SIMD and scalar builds" >&2
-      diff -u "$build_dir/$bin.perf.out" "$noperf_dir/$bin.perf.out" >&2 || true
+      diff -u "$build_dir/$bin.perf.out" "$side_dir/$bin.perf.out" >&2 || true
       exit 1
     fi
   done
   echo "verify.sh: SIMD and scalar builds byte-identical on Table 1/2/4 + Fig. 9"
-fi
+}
 
-if [ "$fleet" = 1 ]; then
-  # Fleet simulation campaign. The engine and fleet suites run under
-  # ASan+UBSan (the event heap and actor lifetimes must be memory-clean),
-  # including a 1000-machine smoke run; then the release build's flagship
-  # bench runs twice with the same seed and the JSON reports must be
-  # byte-identical; finally a multi-seed 64-machine chaos sweep must keep
-  # accepted_wrong at zero (micro_fleet exits 2 on a violation).
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    sim_event_queue_test sim_executor_test sim_tqd_timer_test \
-    sim_fleet_test sim_fleet_determinism_test sim_fleet_chaos_test \
-    sim_fleet_verifier_fault_test sim_chaos_fuzz_test micro_fleet
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L fleet
-  "$asan_dir/bench/micro_fleet" --machines=1000 --rounds=200 --verifiers=8
+fleet_follow_up() {
+  # A 1000-machine sanitizer smoke run, the flagship bench twice with the
+  # same seed (refreshing BENCH_fleet.json), then a multi-seed 64-machine
+  # chaos sweep (micro_fleet exits 2 if accepted_wrong != 0).
+  "$side_dir/bench/micro_fleet" --machines=1000 --rounds=200 --verifiers=8
 
   cmake --build "$build_dir" -j "$jobs" --target micro_fleet
-  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet_a.json" > /dev/null
-  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet_b.json" > /dev/null
-  if ! cmp -s "$build_dir/fleet_a.json" "$build_dir/fleet_b.json"; then
-    echo "verify.sh: same-seed fleet runs differ (the simulation is nondeterministic)" >&2
-    diff -u "$build_dir/fleet_a.json" "$build_dir/fleet_b.json" >&2 || true
-    exit 1
-  fi
-  echo "verify.sh: same-seed 1000-machine fleet runs byte-identical"
-  cp "$build_dir/fleet_a.json" "$repo_root/BENCH_fleet.json"
+  same_twice "1000-machine fleet reports" "$build_dir/fleet" \
+    "$build_dir/bench/micro_fleet" --bench_json={}
+  cp "$build_dir/fleet_a" "$repo_root/BENCH_fleet.json"
 
   for seed in 1 2 3; do
     "$build_dir/bench/micro_fleet" --chaos --machines=64 --rounds=256 \
       --verifiers=4 --seed="$seed" > /dev/null
   done
   echo "verify.sh: 64-machine chaos sweep clean (accepted_wrong == 0 across seeds)"
-fi
+}
 
-if [ "$vtpm" = 1 ]; then
-  # vTPM multiplexer campaign. The vtpm-labeled suites run under ASan+UBSan
-  # (the wire-hardening battery, the rollback-attack negative test, the
-  # crash matrix and the double-fault sweep must all be memory-clean), then
-  # the release build's noisy-neighbor chaos bench runs twice per seed: the
-  # JSON reports must be byte-identical (micro_vtpm exits 2 if any quote
-  # answered the wrong challenge), and the seed-1 flagship refreshes
-  # BENCH_vtpm.json.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    vtpm_state_test vtpm_wire_test vtpm_manager_test vtpm_mux_test \
-    vtpm_crash_matrix_test vtpm_double_fault_test vtpm_campaign_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L vtpm
-
+vtpm_follow_up() {
+  # The noisy-neighbor chaos bench twice per seed (micro_vtpm exits 2 if any
+  # quote answered the wrong challenge); seed 1 refreshes BENCH_vtpm.json.
   cmake --build "$build_dir" -j "$jobs" --target micro_vtpm
   for seed in 1 7 23; do
-    "$build_dir/bench/micro_vtpm" --seed="$seed" \
-      --bench_json="$build_dir/vtpm_${seed}_a.json" > /dev/null
-    "$build_dir/bench/micro_vtpm" --seed="$seed" \
-      --bench_json="$build_dir/vtpm_${seed}_b.json" > /dev/null
-    if ! cmp -s "$build_dir/vtpm_${seed}_a.json" "$build_dir/vtpm_${seed}_b.json"; then
-      echo "verify.sh: same-seed vtpm campaigns differ (seed $seed is nondeterministic)" >&2
-      diff -u "$build_dir/vtpm_${seed}_a.json" "$build_dir/vtpm_${seed}_b.json" >&2 || true
-      exit 1
-    fi
+    same_twice "seed-$seed vtpm chaos reports" "$build_dir/vtpm_$seed" \
+      "$build_dir/bench/micro_vtpm" --seed="$seed" --bench_json={}
   done
-  echo "verify.sh: multi-seed vtpm chaos double-runs byte-identical, accepted_wrong == 0"
-  cp "$build_dir/vtpm_1_a.json" "$repo_root/BENCH_vtpm.json"
-fi
+  cp "$build_dir/vtpm_1_a" "$repo_root/BENCH_vtpm.json"
+}
 
-if [ "$chaosfuzz" = 1 ]; then
-  # Composite chaos-fuzz campaign. The fuzzer composes every injector the
-  # fleet harness owns (power cuts, partitions, wire-fault mixes, TPM
-  # transport windows, verifier faults) under ASan+UBSan. A clean store must
-  # survive a campaign with zero violations (exit 0); the PR 3 seeded
-  # misordered-commit bug must be found, shrunk by ddmin and written out as
-  # a replay + failure artifact (exit 2). Then the committed minimal replay
-  # is the shrinker's regression gate: two release re-runs must be
-  # byte-identical and reproduce the recorded torn_state signature (exit 0;
-  # 3 would mean signature mismatch).
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target sim_chaos_fuzz_test micro_fleet
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -R sim_chaos_fuzz_test
-  "$asan_dir/bench/micro_fleet" --chaos-fuzz --fuzz-plans=16 > /dev/null
+chaos_fuzz_follow_up() {
+  # A clean store must survive a campaign with zero violations (exit 0);
+  # the seeded misordered-commit bug must be found, shrunk by ddmin and
+  # written out as a replay + failure artifact (exit 2). Then the committed
+  # minimal replay is the shrinker's regression gate: two release re-runs
+  # must be byte-identical and reproduce the recorded torn_state signature
+  # (exit 0; 3 would mean signature mismatch).
+  "$side_dir/bench/micro_fleet" --chaos-fuzz --fuzz-plans=16 > /dev/null
   echo "verify.sh: clean-store chaos-fuzz campaign found no violations"
   rc=0
-  "$asan_dir/bench/micro_fleet" --chaos-fuzz --misordered-commit --fuzz-plans=24 \
-    --replay-out="$asan_dir/fuzz_min.replay" \
-    --artifact-out="$asan_dir/fuzz_artifact.txt" > /dev/null || rc=$?
+  "$side_dir/bench/micro_fleet" --chaos-fuzz --misordered-commit --fuzz-plans=24 \
+    --replay-out="$side_dir/fuzz_min.replay" \
+    --artifact-out="$side_dir/fuzz_artifact.txt" > /dev/null || rc=$?
   if [ "$rc" != 2 ]; then
     echo "verify.sh: chaos fuzzer missed the seeded misordered-commit bug (rc=$rc)" >&2
     exit 1
@@ -386,48 +359,35 @@ if [ "$chaosfuzz" = 1 ]; then
   echo "verify.sh: chaos fuzzer found and shrank the seeded torn_state violation"
 
   cmake --build "$build_dir" -j "$jobs" --target micro_fleet
-  replay="$repo_root/tools/chaos/minimal_torn_state.replay"
-  "$build_dir/bench/micro_fleet" --replay="$replay" > "$build_dir/replay_a.txt"
-  "$build_dir/bench/micro_fleet" --replay="$replay" > "$build_dir/replay_b.txt"
-  if ! cmp -s "$build_dir/replay_a.txt" "$build_dir/replay_b.txt"; then
-    echo "verify.sh: committed chaos replay re-runs differ (nondeterministic replay)" >&2
-    diff -u "$build_dir/replay_a.txt" "$build_dir/replay_b.txt" >&2 || true
-    exit 1
-  fi
-  echo "verify.sh: committed minimal replay reproduces byte-identically"
-fi
+  same_twice "committed minimal replay runs" "$build_dir/replay" \
+    "$build_dir/bench/micro_fleet" --replay="$repo_root/tools/chaos/minimal_torn_state.replay"
+}
 
-if [ "$hv" = 1 ]; then
-  # Concurrent-execution campaign. The hv-labeled suites run under
-  # ASan+UBSan (the multi-core machine model, nested-page walks and VMCB
-  # bookkeeping must be memory-clean): late-launch/protection units, the
-  # classic-vs-concurrent parity battery (every PAL workload byte-identical
-  # across modes), the cross-core adversary battery, and the fleet campaign.
-  # Then the release build's flagship bench runs twice with the same seed -
-  # the JSON reports must be byte-identical (micro_hv exits 2 if any attack
-  # is accepted or mistyped, or the pause-reduction floor is missed) and the
-  # first run refreshes BENCH_hv.json - followed by a multi-seed quiet sweep.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    hv_hypervisor_test hv_parity_test hv_adversary_test hv_campaign_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L hv
-
+hv_follow_up() {
+  # The flagship bench twice with the same seed (micro_hv exits 2 if any
+  # attack is accepted or mistyped, or the pause-reduction floor is missed;
+  # the first run refreshes BENCH_hv.json), then a multi-seed quiet sweep.
   cmake --build "$build_dir" -j "$jobs" --target micro_hv
-  "$build_dir/bench/micro_hv" --bench_json="$build_dir/hv_a.json" > /dev/null
-  "$build_dir/bench/micro_hv" --bench_json="$build_dir/hv_b.json" > /dev/null
-  if ! cmp -s "$build_dir/hv_a.json" "$build_dir/hv_b.json"; then
-    echo "verify.sh: same-seed hv campaigns differ (the simulation is nondeterministic)" >&2
-    diff -u "$build_dir/hv_a.json" "$build_dir/hv_b.json" >&2 || true
-    exit 1
-  fi
-  echo "verify.sh: same-seed hv campaign double-run byte-identical"
-  cp "$build_dir/hv_a.json" "$repo_root/BENCH_hv.json"
+  same_twice "hv campaign reports" "$build_dir/hv" \
+    "$build_dir/bench/micro_hv" --bench_json={}
+  cp "$build_dir/hv_a" "$repo_root/BENCH_hv.json"
 
   for seed in 2 5 11; do
     "$build_dir/bench/micro_hv" --quiet --seed="$seed" > /dev/null
   done
   echo "verify.sh: multi-seed hv adversarial sweep clean (accepted_wrong == 0 across seeds)"
+}
+
+if [ -n "$campaign" ]; then
+  # The row's fields, split on whitespace with globbing off (the selection
+  # regexes contain no spaces).
+  set -f
+  set -- $campaign
+  set +f
+  side_suites "$2" "$4" "$5" "$6"
+  if [ "$3" != - ]; then
+    "$3"
+  fi
 fi
 
 echo "verify.sh: all checks passed"
