@@ -1,22 +1,64 @@
 #include "src/hw/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
+#include <utility>
 
 namespace flicker {
+
+namespace {
+// mmap rejects a zero length; a zero-size memory still maps one byte so
+// data_ is only ever null in a moved-from object.
+size_t MappedLength(size_t size) { return std::max<size_t>(size, 1); }
+}  // namespace
+
+PhysicalMemory::PhysicalMemory(size_t size_bytes) : size_(size_bytes) {
+  void* mapped = mmap(nullptr, MappedLength(size_), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = static_cast<uint8_t*>(mapped);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  if (data_ != nullptr) {
+    munmap(data_, MappedLength(size_));
+  }
+}
+
+PhysicalMemory::PhysicalMemory(PhysicalMemory&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      watches_(std::move(other.watches_)) {}
+
+PhysicalMemory& PhysicalMemory::operator=(PhysicalMemory&& other) noexcept {
+  if (this != &other) {
+    if (data_ != nullptr) {
+      munmap(data_, MappedLength(size_));
+    }
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    watches_ = std::move(other.watches_);
+  }
+  return *this;
+}
 
 Result<Bytes> PhysicalMemory::Read(uint64_t addr, size_t len) const {
   if (!InBounds(addr, len)) {
     return InvalidArgumentError("physical read out of bounds");
   }
-  return Bytes(data_.begin() + static_cast<long>(addr), data_.begin() + static_cast<long>(addr + len));
+  return Bytes(data_ + addr, data_ + addr + len);
 }
 
 Status PhysicalMemory::Write(uint64_t addr, const Bytes& bytes) {
   if (!InBounds(addr, bytes.size())) {
     return InvalidArgumentError("physical write out of bounds");
   }
-  std::copy(bytes.begin(), bytes.end(), data_.begin() + static_cast<long>(addr));
+  std::copy(bytes.begin(), bytes.end(), data_ + addr);
   MarkWatches(addr, bytes.size());
   return Status::Ok();
 }
@@ -25,7 +67,7 @@ Status PhysicalMemory::Erase(uint64_t addr, size_t len) {
   if (!InBounds(addr, len)) {
     return InvalidArgumentError("physical erase out of bounds");
   }
-  std::memset(data_.data() + addr, 0, len);
+  std::memset(data_ + addr, 0, len);
   MarkWatches(addr, len);
   return Status::Ok();
 }

@@ -16,11 +16,19 @@
 
 namespace flicker {
 
+// Backed by an anonymous private mapping, so memory reads as zero from the
+// start and a page costs host RAM only once something writes it: a machine
+// that touches a few hundred KB of its image never pays for the rest.
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(size_t size_bytes) : data_(size_bytes, 0) {}
+  explicit PhysicalMemory(size_t size_bytes);
+  ~PhysicalMemory();
+  PhysicalMemory(PhysicalMemory&& other) noexcept;
+  PhysicalMemory& operator=(PhysicalMemory&& other) noexcept;
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  size_t size() const { return data_.size(); }
+  size_t size() const { return size_; }
 
   Result<Bytes> Read(uint64_t addr, size_t len) const;
   Status Write(uint64_t addr, const Bytes& bytes);
@@ -28,7 +36,7 @@ class PhysicalMemory {
   Status Erase(uint64_t addr, size_t len);
 
   bool InBounds(uint64_t addr, size_t len) const {
-    return addr <= data_.size() && len <= data_.size() - addr;
+    return addr <= size_ && len <= size_ - addr;
   }
 
   // ---- Dirty watches ----
@@ -49,7 +57,8 @@ class PhysicalMemory {
 
   void MarkWatches(uint64_t addr, size_t len);
 
-  std::vector<uint8_t> data_;
+  uint8_t* data_ = nullptr;  // mmap'd; null only once moved from.
+  size_t size_ = 0;
   std::vector<Watch> watches_;
 };
 

@@ -1,14 +1,66 @@
 #include "src/os/kernel.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha1.h"
 
 namespace flicker {
 
+namespace {
+
+// The synthetic kernel image is a pure function of the content seed and the
+// region layout, and a fleet builds the same image on every machine (and
+// again on every RestorePristine). Generate each distinct image once per
+// process: the region bytes, drawn from one DRBG in measurement order, and
+// their SHA-1.
+struct KernelImage {
+  std::vector<Bytes> region_bytes;
+  Bytes measurement;
+  // Overlapping regions make memory disagree with the concatenated bytes, so
+  // `measurement` is only the pristine digest when they are disjoint.
+  bool disjoint = true;
+};
+
+const KernelImage& GetKernelImage(uint64_t content_seed,
+                                  const std::vector<KernelRegion>& regions) {
+  using Layout = std::vector<std::pair<uint64_t, size_t>>;
+  static std::mutex mutex;
+  static std::map<std::pair<uint64_t, Layout>, KernelImage>* cache =
+      new std::map<std::pair<uint64_t, Layout>, KernelImage>();
+  Layout layout;
+  for (const KernelRegion& region : regions) {
+    layout.emplace_back(region.base, region.size);
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  auto key = std::make_pair(content_seed, std::move(layout));
+  auto it = cache->find(key);
+  if (it == cache->end()) {
+    Drbg content(content_seed);
+    Sha1 hash;
+    KernelImage image;
+    for (size_t i = 0; i < regions.size(); ++i) {
+      image.region_bytes.push_back(content.Generate(regions[i].size));
+      hash.Update(image.region_bytes.back());
+      for (size_t j = 0; j < i; ++j) {
+        if (regions[i].base < regions[j].base + regions[j].size &&
+            regions[j].base < regions[i].base + regions[i].size) {
+          image.disjoint = false;
+        }
+      }
+    }
+    image.measurement = hash.Finish();
+    it = cache->emplace(std::move(key), std::move(image)).first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
     : machine_(machine), config_(config) {
-  Drbg content(config.content_seed);
-
   regions_.push_back(KernelRegion{"text", config.text_base, config.text_size});
   regions_.push_back(
       KernelRegion{"syscall_table", config.syscall_table_base, config.syscall_table_size});
@@ -18,11 +70,15 @@ OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
     module_addr += size;
   }
 
-  for (const KernelRegion& region : regions_) {
-    Status st = machine_->memory()->Write(region.base, content.Generate(region.size));
-    (void)st;  // Config addresses are within the machine by construction.
+  // Config addresses are within the machine by construction; a region that
+  // is not simply drops out of the measurement, as CurrentMeasurement reads.
+  const KernelImage& image = GetKernelImage(config_.content_seed, regions_);
+  bool all_written = true;
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    all_written &= machine_->memory()->Write(regions_[i].base, image.region_bytes[i]).ok();
   }
-  pristine_measurement_ = CurrentMeasurement();
+  pristine_measurement_ =
+      all_written && image.disjoint ? image.measurement : CurrentMeasurement();
   machine_->bsp()->cr3 = cr3_;
 }
 
@@ -107,9 +163,9 @@ Status OsKernel::PatchText(uint64_t offset, const Bytes& patch) {
 }
 
 Status OsKernel::RestorePristine() {
-  Drbg content(config_.content_seed);
-  for (const KernelRegion& region : regions_) {
-    FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(region.base, content.Generate(region.size)));
+  const KernelImage& image = GetKernelImage(config_.content_seed, regions_);
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(regions_[i].base, image.region_bytes[i]));
   }
   tampered_ = false;
   return Status::Ok();

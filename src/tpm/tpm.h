@@ -128,7 +128,10 @@ class Tpm {
   // True while an NV/counter journal record is pending (crashed mid-write).
   bool journal_pending() const { return journal_.has_value(); }
 
-  // TPM_GetRandom. Charges get_random_ms per call.
+  // TPM_GetRandom. Charges get_random_ms per call. Returns at most
+  // kMaxRandomBytes: v1.2 lets the device answer with fewer bytes than
+  // requested, so a wire-supplied length never sizes an allocation.
+  static constexpr size_t kMaxRandomBytes = 4096;
   Bytes GetRandom(size_t len);
 
   // TPM_PCRRead / TPM_Extend. Extend requires a 20-byte measurement.
@@ -157,8 +160,9 @@ class Tpm {
   // not match the sealed composite, and kPermissionDenied on bad auth.
   Result<Bytes> Unseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandAuth& auth);
 
-  // TPM_Quote convenience: load the AIK, sign (composite of `selection`,
-  // nonce), flush - charging the full measured quote latency.
+  // TPM_Quote convenience: sign (composite of `selection`, nonce) with the
+  // resident AIK, charging the full measured quote latency - the same
+  // load_key_ms + sign charges as LoadKey2 + QuoteWithKey, with no slot used.
   Result<TpmQuote> Quote(const Bytes& nonce, const PcrSelection& selection);
 
   // ---- Key slots (TPM_LoadKey2 / TPM_FlushSpecific) ----
@@ -317,6 +321,11 @@ class Tpm {
                                        const std::map<int, Bytes>& overrides) const;
 
   const Bytes& EntitySecret(AuthEntity entity) const;
+
+  // The TPM_Quote body both quote paths share: composite of `selection`,
+  // signed with `key` over (fixed tag, composite, nonce). Charges nothing.
+  Result<TpmQuote> SignQuote(const RsaPrivateKey& key, const Bytes& nonce,
+                             const PcrSelection& selection);
 
   // The single checked locality mutator; every transition (software or
   // hardware) funnels through it. `hardware` unlocks localities 3 and 4.

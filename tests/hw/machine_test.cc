@@ -221,6 +221,28 @@ TEST(PhysicalMemoryTest, BoundsChecking) {
   EXPECT_TRUE(memory.Erase(0, 1024).ok());
   EXPECT_FALSE(memory.Erase(1024, 1).ok());
   EXPECT_EQ(memory.Read(0, 4).value(), Bytes(4, 0));
+
+  // Fresh memory reads back zeros over its full range.
+  PhysicalMemory fresh(3 * 4096 + 17);
+  EXPECT_EQ(fresh.Read(0, fresh.size()).value(), Bytes(fresh.size(), 0));
+
+  // Erase zero-fills and dirties only the watches it overlaps.
+  int low = fresh.RegisterWatch(0, 4096);
+  int high = fresh.RegisterWatch(8192, 4096);
+  ASSERT_TRUE(fresh.Write(8190, Bytes(4, 0x5A)).ok());
+  EXPECT_FALSE(fresh.IsWatchDirty(low));
+  EXPECT_TRUE(fresh.IsWatchDirty(high));
+  fresh.ClearWatchDirty(high);
+  ASSERT_TRUE(fresh.Erase(8188, 8).ok());
+  EXPECT_TRUE(fresh.IsWatchDirty(high));
+  EXPECT_FALSE(fresh.IsWatchDirty(low));
+  EXPECT_EQ(fresh.Read(0, fresh.size()).value(), Bytes(fresh.size(), 0));
+
+  // A default 64 MB machine builds, and its memory starts zeroed at the top.
+  Machine machine(MachineConfig{});
+  ASSERT_EQ(machine.memory()->size(), 64u * 1024 * 1024);
+  EXPECT_EQ(machine.memory()->Read(machine.memory()->size() - 4096, 4096).value(),
+            Bytes(4096, 0));
 }
 
 TEST(DevTest, OverlapSemantics) {

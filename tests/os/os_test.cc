@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/drbg.h"
 #include "src/os/devices.h"
 #include "src/os/flicker_module.h"
 #include "src/os/kernel.h"
@@ -56,6 +57,64 @@ TEST_F(OsTest, SyscallHookChangesMeasurement) {
   ASSERT_TRUE(kernel_.RestorePristine().ok());
   EXPECT_EQ(kernel_.CurrentMeasurement(), before);
   EXPECT_FALSE(kernel_.tampered());
+
+  // Text patches and hooks together: RestorePristine undoes both.
+  ASSERT_TRUE(kernel_.PatchText(0x1000, BytesOf("\xcc\xcc\xcc\xcc")).ok());
+  ASSERT_TRUE(kernel_.InstallSyscallHook(7).ok());
+  ASSERT_NE(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
+  ASSERT_TRUE(kernel_.RestorePristine().ok());
+  EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
+}
+
+TEST_F(OsTest, KernelImageIsAFunctionOfSeedAndLayout) {
+  // The image is the content DRBG's output, region after region in
+  // measurement order.
+  Drbg content(KernelConfig().content_seed);
+  for (const KernelRegion& region : kernel_.MeasuredRegions()) {
+    EXPECT_EQ(machine_.memory()->Read(region.base, region.size).value(),
+              content.Generate(region.size))
+        << region.name;
+  }
+
+  // A second machine with the same config holds the same bytes.
+  Machine twin_machine(MachineConfig{});
+  OsKernel twin(&twin_machine);
+  for (const KernelRegion& region : kernel_.MeasuredRegions()) {
+    EXPECT_EQ(twin_machine.memory()->Read(region.base, region.size).value(),
+              machine_.memory()->Read(region.base, region.size).value())
+        << region.name;
+  }
+  EXPECT_EQ(twin.pristine_measurement(), kernel_.pristine_measurement());
+  EXPECT_EQ(twin.CurrentMeasurement(), twin.pristine_measurement());
+
+  // Another seed, or a resized region, is another image.
+  KernelConfig reseeded;
+  reseeded.content_seed += 1;
+  Machine reseeded_machine(MachineConfig{});
+  OsKernel reseeded_kernel(&reseeded_machine, reseeded);
+  EXPECT_NE(reseeded_kernel.pristine_measurement(), kernel_.pristine_measurement());
+
+  KernelConfig resized;
+  resized.syscall_table_size = 8192;
+  Machine resized_machine(MachineConfig{});
+  OsKernel resized_kernel(&resized_machine, resized);
+  EXPECT_NE(resized_kernel.pristine_measurement(), kernel_.pristine_measurement());
+  EXPECT_EQ(resized_kernel.CurrentMeasurement(), resized_kernel.pristine_measurement());
+
+  // A moved region carries its bytes to the new base; the old one stays zero.
+  KernelConfig moved;
+  moved.modules_base += 0x100000;
+  Machine moved_machine(MachineConfig{});
+  OsKernel moved_kernel(&moved_machine, moved);
+  const KernelRegion module = kernel_.MeasuredRegions()[2];
+  EXPECT_EQ(moved_machine.memory()->Read(module.base + 0x100000, module.size).value(),
+            machine_.memory()->Read(module.base, module.size).value());
+  EXPECT_EQ(moved_machine.memory()->Read(module.base, module.size).value(),
+            Bytes(module.size, 0));
+  EXPECT_EQ(moved_kernel.CurrentMeasurement(), moved_kernel.pristine_measurement());
+  ASSERT_TRUE(moved_kernel.PatchText(0, Bytes(4, 0x90)).ok());
+  ASSERT_TRUE(moved_kernel.RestorePristine().ok());
+  EXPECT_EQ(moved_kernel.CurrentMeasurement(), moved_kernel.pristine_measurement());
 }
 
 TEST_F(OsTest, TextPatchChangesMeasurement) {

@@ -160,7 +160,15 @@ TEST(CommandsNegativeTest, DispatchFrameAlwaysAnswersWellFormed) {
   for (const Bytes& frame : hostile) {
     Bytes response = DispatchFrame(&tpm, frame);
     ASSERT_GE(response.size(), kFrameHeaderSize);
-    (void)ParseResponseFrame(response);  // Well-formed enough to decode.
+    Result<Bytes> payload = ParseResponseFrame(response);  // Well-formed enough to decode.
+    // A garbled length field must not size the answer: GetRandom returns at
+    // most the device cap, however many bytes the frame asked for.
+    Result<uint32_t> ordinal = PeekOrdinal(frame);
+    if (payload.ok() && ordinal.ok() && ordinal.value() == kOrdGetRandom) {
+      Result<Bytes> random = ParseBlobPayload(payload.value());
+      ASSERT_TRUE(random.ok());
+      EXPECT_LE(random.value().size(), Tpm::kMaxRandomBytes);
+    }
   }
 }
 

@@ -30,6 +30,8 @@ TEST_F(TpmTest, GetRandomReturnsRequestedLengthAndAdvancesClock) {
   EXPECT_EQ(r.size(), 128u);
   EXPECT_NEAR(clock_.NowMillis() - before, 1.3, 0.01);  // Broadcom GetRandom.
   EXPECT_NE(tpm_.GetRandom(128), r);
+  // An oversized request is answered short, never with the requested size.
+  EXPECT_EQ(tpm_.GetRandom(Tpm::kMaxRandomBytes + 1).size(), Tpm::kMaxRandomBytes);
 }
 
 TEST_F(TpmTest, PcrExtendChargesPaperLatency) {
@@ -342,6 +344,20 @@ TEST_F(TpmTest, GetCapabilityReportsProfile) {
   EXPECT_EQ(caps.profile_name, "Broadcom BCM0102");
 }
 
+// Recomputes TPM_QUOTE_INFO and checks the quote's signature under `aik`.
+bool QuoteVerifies(const RsaPublicKey& aik, const TpmQuote& quote) {
+  Bytes buffer = quote.selection.Serialize();
+  PutUint32(&buffer, static_cast<uint32_t>(quote.pcr_values.size() * kPcrSize));
+  for (const Bytes& value : quote.pcr_values) {
+    buffer.insert(buffer.end(), value.begin(), value.end());
+  }
+  Bytes info = BytesOf("QUOT");
+  Bytes composite = Sha1::Digest(buffer);
+  info.insert(info.end(), composite.begin(), composite.end());
+  info.insert(info.end(), quote.nonce.begin(), quote.nonce.end());
+  return RsaVerifySha1(aik, info, quote.signature);
+}
+
 TEST_F(TpmTest, AikBlobLoadsIntoSlot) {
   Bytes blob = tpm_.GetAikBlob();
   EXPECT_GT(blob.size(), 100u);
@@ -352,15 +368,7 @@ TEST_F(TpmTest, AikBlobLoadsIntoSlot) {
   Result<TpmQuote> quote = tpm_.QuoteWithKey(handle.value(), Bytes(20, 3), PcrSelection({17}));
   ASSERT_TRUE(quote.ok());
   // The signature verifies against the AIK public key.
-  Bytes buffer = quote.value().selection.Serialize();
-  Bytes values = quote.value().pcr_values[0];
-  PutUint32(&buffer, static_cast<uint32_t>(values.size()));
-  buffer.insert(buffer.end(), values.begin(), values.end());
-  Bytes info = BytesOf("QUOT");
-  Bytes composite = Sha1::Digest(buffer);
-  info.insert(info.end(), composite.begin(), composite.end());
-  info.insert(info.end(), quote.value().nonce.begin(), quote.value().nonce.end());
-  EXPECT_TRUE(RsaVerifySha1(tpm_.aik_public(), info, quote.value().signature));
+  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), quote.value()));
 
   ASSERT_TRUE(tpm_.FlushKey(handle.value()).ok());
   EXPECT_EQ(tpm_.loaded_key_count(), 0u);
@@ -383,18 +391,29 @@ TEST_F(TpmTest, FlushUnknownHandleFails) {
 }
 
 TEST_F(TpmTest, ExplicitLoadQuoteFlushCostsSameAsConvenienceQuote) {
-  double t0 = clock_.NowMillis();
-  ASSERT_TRUE(tpm_.Quote(Bytes(20, 1), PcrSelection({17})).ok());
-  double convenience = clock_.NowMillis() - t0;
+  uint64_t t0 = clock_.NowNanos();
+  Result<TpmQuote> resident = tpm_.Quote(Bytes(20, 1), PcrSelection({17}));
+  ASSERT_TRUE(resident.ok());
+  uint64_t convenience_ns = clock_.NowNanos() - t0;
+  // The convenience quote signs with the resident AIK: no slot is used.
+  EXPECT_EQ(tpm_.loaded_key_count(), 0u);
+  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), resident.value()));
 
-  double t1 = clock_.NowMillis();
+  uint64_t t1 = clock_.NowNanos();
   Result<uint32_t> handle = tpm_.LoadKey2(tpm_.GetAikBlob());
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(tpm_.QuoteWithKey(handle.value(), Bytes(20, 1), PcrSelection({17})).ok());
   ASSERT_TRUE(tpm_.FlushKey(handle.value()).ok());
-  double explicit_path = clock_.NowMillis() - t1;
-  EXPECT_NEAR(convenience, explicit_path, 0.01);
-  EXPECT_NEAR(convenience, 972.7, 0.01);  // Calibration preserved.
+  uint64_t explicit_ns = clock_.NowNanos() - t1;
+  EXPECT_EQ(convenience_ns, explicit_ns);  // Same charges, same nanoseconds.
+  EXPECT_NEAR(convenience_ns / 1e6, 972.7, 0.01);  // Calibration preserved.
+
+  // A power cycle clears the key slots; the resident AIK still quotes.
+  tpm_.hardware()->Init();
+  ASSERT_TRUE(tpm_.Startup(TpmStartupType::kClear).ok());
+  Result<TpmQuote> after_reboot = tpm_.Quote(Bytes(20, 2), PcrSelection({17}));
+  ASSERT_TRUE(after_reboot.ok());
+  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), after_reboot.value()));
 }
 
 TEST(TpmProfileTest, InfineonIsFaster) {

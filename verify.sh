@@ -99,6 +99,21 @@ cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
+# ---- Allocation-bomb gate (release builds) ----
+#
+# The hostile-input batteries re-run under a 2 GiB address-space cap, so a
+# wire-supplied length that sizes an allocation fails loudly (bad_alloc)
+# instead of quietly running for a minute. ASan reserves terabytes of shadow
+# memory up front, so a sanitizer build skips this.
+if ! grep -q '^CMAKE_BUILD_TYPE:STRING=Asan$' "$build_dir/CMakeCache.txt"; then
+  (
+    ulimit -v 2097152
+    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -R \
+      '^(tpm_commands_negative_test|integration_robustness_test|common_serde_test|os_tqd_robustness_test)$'
+  )
+  echo "verify.sh: hostile-input batteries pass under a 2 GiB address-space cap"
+fi
+
 # ---- Doc-drift gate (always on) ----
 #
 # docs/METRICS.md is generated from the metric definition tables in
