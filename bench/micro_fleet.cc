@@ -37,6 +37,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/sim/campaign.h"
 #include "src/sim/chaos_fuzz.h"
 #include "src/sim/fleet.h"
 
@@ -154,10 +155,7 @@ int RunReplay(const std::string& path) {
   // signature line is the regression gate.
   std::fputs(sim::SerializeChaosReplay(replay.base, replay.plan, outcome.signature).c_str(),
              stdout);
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx",
-                static_cast<unsigned long long>(outcome.stats.order_digest));
-  std::printf("# order_digest: %s\n", digest);
+  std::printf("# order_digest: %s\n", sim::HexDigest(outcome.stats.order_digest).c_str());
   if (outcome.signature != replay.signature) {
     std::fprintf(stderr, "signature mismatch: file says '%s', run produced '%s'\n",
                  replay.signature.c_str(), outcome.signature.c_str());
@@ -191,9 +189,9 @@ int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
               stats.LatencyPercentileMs(0.99));
   std::printf("  verifiers: %.4f utilization; batch quotes: %llu\n", stats.VerifierUtilization(),
               static_cast<unsigned long long>(stats.batch_quotes));
-  std::printf("  engine: %llu events, max heap %zu, order digest 0x%016llx\n",
+  std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              static_cast<unsigned long long>(stats.order_digest));
+              sim::HexDigest(stats.order_digest).c_str());
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu tampered frames accepted\n",

@@ -155,9 +155,9 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
               static_cast<unsigned long long>(stats.dma_blocked),
               static_cast<unsigned long long>(stats.npt_blocked), stats.os_pause_ms_total,
               stats.classic_equiv_pause_ms_total, stats.PauseReduction());
-  std::printf("  engine: %llu events, max heap %zu, order digest 0x%016llx\n",
+  std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              static_cast<unsigned long long>(stats.order_digest));
+              sim::HexDigest(stats.order_digest).c_str());
 
   bool violated = false;
   if (!cmp.parity_ok) {

@@ -6,9 +6,7 @@
 // The --bench_json mode asserts both properties: the measured wall-clock
 // cost a tracer adds to one full attestation round stays under 1% of the
 // *modeled* round latency, and the simulated duration of the round is
-// exactly identical traced and untraced. Built with -DFLICKER_OBS=OFF the
-// same binary reports obs_compiled_in=false - the instrumentation sites are
-// gone and the overhead is zero by construction.
+// exactly identical traced and untraced.
 //
 // The other modes are the operator surface of the unified stream:
 //   --trace_json=PATH       run one SSH attestation round (both PALs) under
@@ -87,26 +85,23 @@ RunStats MeasureRounds(AttestRig* rig, int rounds) {
 
 int RunJsonBench(const std::string& path) {
   constexpr int kRounds = 12;
-#if defined(FLICKER_OBS_DISABLED)
-  const bool compiled_in = false;
-#else
-  const bool compiled_in = true;
-#endif
 
-  // Untraced: instrumentation compiled in (unless OFF) but no tracer
-  // installed - the per-site cost is one global pointer load + branch.
+  // Untraced: no tracer installed - the per-site cost is one global pointer
+  // load + branch.
   AttestRig untraced_rig;
   RunStats untraced = MeasureRounds(&untraced_rig, kRounds);
 
   // Traced: a live tracer captures the full span stream.
   AttestRig traced_rig;
-  obs::Tracer tracer(traced_rig.platform.clock());
-  obs::InstallGlobalTracer(&tracer);
-  RunStats traced = MeasureRounds(&traced_rig, kRounds);
-  obs::InstallGlobalTracer(nullptr);
+  RunStats traced;
+  size_t spans = 0;
+  {
+    obs::ScopedTracer tracer(traced_rig.platform.clock());
+    traced = MeasureRounds(&traced_rig, kRounds);
+    spans = tracer.spans().size();
+  }
 
-  const double spans_per_round =
-      static_cast<double>(tracer.spans().size()) / (kRounds + 1);
+  const double spans_per_round = static_cast<double>(spans) / (kRounds + 1);
   const double overhead_percent =
       (traced.wall_us_per_round - untraced.wall_us_per_round) /
       (untraced.sim_ms_per_round * 1000.0) * 100.0;
@@ -123,8 +118,7 @@ int RunJsonBench(const std::string& path) {
   }
   std::fprintf(out,
                "{\n"
-               "  \"schema\": \"flicker-bench-obs-v1\",\n"
-               "  \"obs_compiled_in\": %s,\n"
+               "  \"schema\": \"flicker-bench-obs-v2\",\n"
                "  \"overhead_budget_percent\": 1.0,\n"
                "  \"rounds\": %d,\n"
                "  \"untraced\": {\"wall_us_per_round\": %.3f, \"sim_ms_per_round\": %.3f},\n"
@@ -134,7 +128,7 @@ int RunJsonBench(const std::string& path) {
                "  \"sim_time_identical\": %s,\n"
                "  \"within_budget\": %s\n"
                "}\n",
-               compiled_in ? "true" : "false", kRounds, untraced.wall_us_per_round,
+               kRounds, untraced.wall_us_per_round,
                untraced.sim_ms_per_round, traced.wall_us_per_round, traced.sim_ms_per_round,
                spans_per_round, overhead_percent, sim_identical ? "true" : "false",
                within_budget ? "true" : "false");
@@ -169,8 +163,7 @@ bool RunSshRound(std::string* trace, std::string* metrics) {
   AikCertificate cert = ca.Certify(platform.tpm()->aik_public(), "ssh-server");
   SshClient client(&binary, ca.public_key(), cert);
 
-  obs::Tracer tracer(platform.clock());
-  obs::InstallGlobalTracer(&tracer);
+  obs::ScopedTracer tracer(platform.clock());
 
   Bytes setup_nonce = client.MakeNonce();
   Result<SshServer::SetupResult> setup = server.Setup(setup_nonce);
@@ -190,7 +183,6 @@ bool RunSshRound(std::string* trace, std::string* metrics) {
     }
   }
 
-  obs::InstallGlobalTracer(nullptr);
   if (trace != nullptr) {
     *trace = tracer.ExportChromeTrace();
   }

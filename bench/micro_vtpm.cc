@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/sim/campaign.h"
 #include "src/vtpm/vtpm_campaign.h"
 
 namespace flicker {
@@ -73,9 +74,9 @@ int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_
               static_cast<unsigned long long>(stats.responses_verified),
               static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(stats.accepted_wrong));
-  std::printf("  engine: %llu events, max heap %zu, order digest 0x%016llx\n",
+  std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              static_cast<unsigned long long>(stats.order_digest));
+              sim::HexDigest(stats.order_digest).c_str());
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu quotes answered the wrong challenge\n",

@@ -87,7 +87,7 @@ class FaultScheduler {
   // The process-wide crash-point census (every CRASH_POINT site that has
   // executed, fault injection armed or not), one name per line with a '*'
   // marker and hit count for the sites this scheduler observed. Failing-test
-  // fixtures print it alongside TpmTransport::DumpTrace; the verify.sh
+  // fixtures print it alongside the cell's exported trace; the verify.sh
   // crash-point coverage gate consumes the same census via
   // WriteCrashPointCensus().
   void DumpCrashPoints(std::ostream& os) const;

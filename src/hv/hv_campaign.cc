@@ -1,6 +1,5 @@
 #include "src/hv/hv_campaign.h"
 
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -478,12 +477,9 @@ std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
   os << "  \"pause\": {\"os_pause_ms\": " << sim::F3(os_pause_ms_total)
      << ", \"classic_equivalent_ms\": " << sim::F3(classic_equiv_pause_ms_total)
      << ", \"reduction\": " << sim::F3(PauseReduction()) << "},\n";
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx",
-                static_cast<unsigned long long>(order_digest));
   os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
-     << "\"}\n";
+     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \""
+     << sim::HexDigest(order_digest) << "\"}\n";
   os << "}\n";
   return os.str();
 }

@@ -6,11 +6,11 @@
 // tables regardless of host speed.
 //
 // Time is kept in integer nanoseconds, the same unit and epoch the unified
-// trace stream (obs::NowNs), the TpmTransport command ring and the
-// LossyChannel delivery rings report in - there is no second epoch to
-// convert to. AdvanceMillis rounds each charge to the microsecond (the
-// resolution the calibrated tables were captured at) before widening to ns,
-// so the migration to a ns epoch did not move any bench number.
+// trace stream (obs::NowNs) reports in - TPM command spans and wire records
+// included - so there is no second epoch to convert to. AdvanceMillis
+// rounds each charge to the microsecond (the resolution the calibrated
+// tables were captured at) before widening to ns, so the migration to a ns
+// epoch did not move any bench number.
 //
 // Time discipline: a SimClock may only move forward through the advancement
 // verbs below, and only from the discrete-event engine (src/sim/) or one of

@@ -1,7 +1,7 @@
 #include "src/net/lossy_channel.h"
 
 #include <algorithm>
-#include <ostream>
+#include <string>
 
 #include "src/common/splitmix64.h"
 #include "src/obs/metrics.h"
@@ -111,17 +111,6 @@ void LossyChannel::Enqueue(NetEndpoint dest, uint64_t seq, uint64_t arrival_ns, 
   in_flight_.push_back(std::move(entry));
 }
 
-void LossyChannel::Record(NetEndpoint dest, const NetTraceEntry& entry) {
-  std::vector<NetTraceEntry>& ring = ring_[static_cast<int>(dest)];
-  size_t& next = ring_next_[static_cast<int>(dest)];
-  if (ring.size() < kTraceCapacity) {
-    ring.push_back(entry);
-  } else {
-    ring[next] = entry;
-    next = (next + 1) % kTraceCapacity;
-  }
-}
-
 void LossyChannel::Send(NetEndpoint from, const Bytes& datagram) {
   SendAt(from, clock_->NowNanos(), datagram);
 }
@@ -135,19 +124,10 @@ void LossyChannel::SendAt(NetEndpoint from, uint64_t send_ns, const Bytes& datag
   // Scheduled arrival on the wire; fault verdicts below may push it out.
   uint64_t arrival_ns = send_ns + NsOfMs(one_way_ms);
 
-  NetTraceEntry trace;
-  trace.seq = seq;
-  trace.from = from;
-  trace.bytes = datagram.size();
-  trace.fault = fault;
-  trace.sent_at_ns = send_ns;
-
   obs::Count(obs::Ctr::kNetMessagesSent);
   if (fault != NetFault::kNone) {
     ++faults_injected_;
     obs::Count(obs::Ctr::kNetFaultsInjected);
-    obs::Instant("net", NetFaultName(fault),
-                 {{"seq", std::to_string(seq)}, {"from", NetEndpointName(from)}});
   }
   switch (fault) {
     case NetFault::kDrop:
@@ -185,9 +165,17 @@ void LossyChannel::SendAt(NetEndpoint from, uint64_t send_ns, const Bytes& datag
       break;
   }
   // The traced arrival is the same nanosecond the in-flight queue carries,
-  // so the ring and a later Receive() agree exactly.
-  trace.arrival_ns = arrival_ns;
-  Record(dest, trace);
+  // so the record and a later Receive() agree exactly. A dropped message
+  // keeps the arrival it would have had.
+  if (obs::Tracer* tracer = obs::GlobalTracer()) {
+    tracer->EmitComplete("net", "net.send", send_ns, arrival_ns,
+                         {{"seq", std::to_string(seq)},
+                          {"from", NetEndpointName(from)},
+                          {"bytes", std::to_string(datagram.size())},
+                          {"fault", NetFaultName(fault)},
+                          {"sent_ns", std::to_string(send_ns)},
+                          {"arrival_ns", std::to_string(arrival_ns)}});
+  }
 }
 
 int LossyChannel::EarliestFor(NetEndpoint at) const {
@@ -252,29 +240,6 @@ bool LossyChannel::ReceiveScheduled(NetEndpoint at, uint64_t seq, uint64_t arriv
     return true;
   }
   return false;
-}
-
-std::vector<NetTraceEntry> LossyChannel::TraceSnapshot(NetEndpoint at) const {
-  const std::vector<NetTraceEntry>& ring = ring_[static_cast<int>(at)];
-  const size_t next = ring_next_[static_cast<int>(at)];
-  std::vector<NetTraceEntry> out;
-  out.reserve(ring.size());
-  for (size_t i = 0; i < ring.size(); ++i) {
-    out.push_back(ring[(next + i) % ring.size()]);
-  }
-  return out;
-}
-
-void LossyChannel::DumpTrace(std::ostream& os) const {
-  os << "LossyChannel trace (" << messages_sent_ << " sent, " << messages_delivered_
-     << " delivered, " << faults_injected_ << " faulted):\n";
-  for (NetEndpoint at : {NetEndpoint::kClient, NetEndpoint::kServer}) {
-    for (const NetTraceEntry& entry : TraceSnapshot(at)) {
-      os << "  #" << entry.seq << " " << NetEndpointName(entry.from) << "->"
-         << NetEndpointName(at) << " " << entry.bytes << "B " << NetFaultName(entry.fault)
-         << " sent@" << entry.sent_at_ns << "ns arrive@" << entry.arrival_ns << "ns\n";
-    }
-  }
 }
 
 }  // namespace flicker

@@ -16,20 +16,19 @@
 // so the calibrated paper benches are unaffected unless a caller arms
 // faults.
 //
-// Each endpoint keeps a fixed-capacity delivery trace ring (like
-// TpmTransport's command trace) so a failing chaos cell can dump exactly
-// what the wire did to every frame. Ring timestamps sit on the shared
-// sim-clock nanosecond epoch (obs::NowNs), and every send/delivery/fault is
-// also counted in the global metrics registry and surfaced as an instant
-// event on the unified trace stream: the rings are bounded dump-on-failure
-// views, not a parallel truth.
+// Every send, delivery and fault is counted in the global metrics registry.
+// While a tracer is installed each Send also records one `net.send` span on
+// the unified trace stream (src/obs/trace.h), running from the send instant
+// to the scheduled arrival on the shared sim-clock nanosecond epoch and
+// carrying the message's seq, sender, size, fault verdict and both
+// timestamps - so a failing chaos cell's exported trace shows exactly what
+// the wire did to every frame, next to the TPM commands it triggered.
 
 #ifndef FLICKER_SRC_NET_LOSSY_CHANNEL_H_
 #define FLICKER_SRC_NET_LOSSY_CHANNEL_H_
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -98,24 +97,8 @@ class NetFaultSchedule {
   std::vector<PartitionWindow> partitions_;
 };
 
-// One delivery-trace record: what happened to one Send at one endpoint.
-// Timestamps are sim-clock nanoseconds on the shared trace epoch
-// (obs::NowNs) - the same unit the TpmTransport command ring and the
-// unified span stream use, so a dumped frame lines up against the TPM
-// command it triggered.
-struct NetTraceEntry {
-  uint64_t seq = 0;          // Global Send() index (1-based).
-  NetEndpoint from = NetEndpoint::kClient;
-  size_t bytes = 0;
-  NetFault fault = NetFault::kNone;
-  uint64_t sent_at_ns = 0;   // Simulated send time (shared ns epoch).
-  uint64_t arrival_ns = 0;   // Scheduled arrival (dropped: never delivered).
-};
-
 class LossyChannel {
  public:
-  static constexpr size_t kTraceCapacity = 256;
-
   explicit LossyChannel(SimClock* clock, LatencyProfile profile = LatencyProfile(),
                         uint64_t jitter_seed = 17)
       : clock_(clock), profile_(profile), jitter_(jitter_seed) {}
@@ -172,11 +155,6 @@ class LossyChannel {
   uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t faults_injected() const { return faults_injected_; }
 
-  // Delivery trace for one endpoint's inbound direction, oldest-first.
-  std::vector<NetTraceEntry> TraceSnapshot(NetEndpoint at) const;
-  // Dumps both directions' traces, for chaos-test fixtures on failure.
-  void DumpTrace(std::ostream& os) const;
-
  private:
   struct InFlight {
     uint64_t arrival_ns = 0;
@@ -187,7 +165,6 @@ class LossyChannel {
 
   double SampleOneWayMs();
   void Enqueue(NetEndpoint dest, uint64_t seq, uint64_t arrival_ns, Bytes payload);
-  void Record(NetEndpoint dest, const NetTraceEntry& entry);
   // Index into in_flight_ of the earliest pending datagram for `at`, or -1.
   int EarliestFor(NetEndpoint at) const;
 
@@ -201,10 +178,6 @@ class LossyChannel {
   uint64_t messages_sent_ = 0;
   uint64_t messages_delivered_ = 0;
   uint64_t faults_injected_ = 0;
-
-  // One inbound trace ring per endpoint.
-  std::vector<NetTraceEntry> ring_[2];
-  size_t ring_next_[2] = {0, 0};
 };
 
 }  // namespace flicker

@@ -205,14 +205,9 @@ class MetricsRegistry {
 };
 
 // Shorthand for instrumentation sites: bump a standard counter in the
-// global registry. Compiled to nothing when observability is compiled out.
-#if defined(FLICKER_OBS_DISABLED)
-inline void Count(Ctr, uint64_t = 1) {}
-inline void ObserveMs(Hist, double) {}
-#else
+// global registry.
 inline void Count(Ctr c, uint64_t n = 1) { MetricsRegistry::Global()->Inc(c, n); }
 inline void ObserveMs(Hist h, double value_ms) { MetricsRegistry::Global()->Observe(h, value_ms); }
-#endif
 
 }  // namespace obs
 }  // namespace flicker

@@ -120,7 +120,7 @@ void Tracer::AddSpanArg(uint64_t id, std::string key, std::string value) {
 }
 
 uint64_t Tracer::EmitComplete(const char* category, std::string name, uint64_t start_ns,
-                              uint64_t end_ns) {
+                              uint64_t end_ns, std::vector<SpanArg> args) {
   SpanRecord span;
   span.id = spans_.size() + instants_.size() + 1;
   span.parent_id = stack_.empty() ? 0 : stack_.back();
@@ -131,6 +131,7 @@ uint64_t Tracer::EmitComplete(const char* category, std::string name, uint64_t s
   span.open = false;
   span.category = category;
   span.name = std::move(name);
+  span.args = std::move(args);
   spans_.push_back(std::move(span));
   return spans_.back().id;
 }

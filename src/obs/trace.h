@@ -24,10 +24,11 @@
 //       TPM_ORD_Quote                  (the 972 ms the paper measures)
 //
 // Instrumentation sites use ScopedSpan / Instant, which no-op (one global
-// pointer load + branch) while no tracer is installed, and compile to
-// nothing under -DFLICKER_OBS=OFF. Installing a tracer never advances the
-// simulated clock, so Table 1/2/4 and Fig. 9 outputs are bit-identical with
-// tracing on or off.
+// pointer load + branch) while no tracer is installed; sites whose records
+// carry formatted args (the TPM transport, the lossy wire) check
+// GlobalTracer() themselves so the untraced path formats nothing.
+// Installing a tracer never advances the simulated clock, so Table 1/2/4
+// and Fig. 9 outputs are bit-identical with tracing on or off.
 //
 // Export format: Chrome trace_event JSON ("X" complete events + "i"
 // instants), loadable in chrome://tracing or https://ui.perfetto.dev. The
@@ -49,10 +50,10 @@ namespace flicker {
 namespace obs {
 
 // The shared trace epoch: sim-clock nanoseconds since platform construction.
-// Every trace timestamp in the tree - tracer spans, the TpmTransport command
-// ring, the LossyChannel delivery rings - reports in this unit and epoch.
+// Every trace timestamp in the tree - spans, instants, the `tpm` command
+// spans and the `net` wire records - reports in this unit and epoch.
 // SimClock itself keeps nanoseconds, so this is the clock's native reading;
-// there is no longer a µs→ns upscale hiding sub-microsecond charges.
+// there is no µs→ns upscale hiding sub-microsecond charges.
 inline uint64_t NowNs(const SimClock* clock) { return clock->NowNanos(); }
 
 struct SpanArg {
@@ -94,7 +95,7 @@ class Tracer {
   // charged latency only after dispatch); parented under the innermost open
   // span like any other child.
   uint64_t EmitComplete(const char* category, std::string name, uint64_t start_ns,
-                        uint64_t end_ns);
+                        uint64_t end_ns, std::vector<SpanArg> args = {});
   void Instant(const char* category, std::string name, std::vector<SpanArg> args = {});
 
   // ---- Flicker session annotation ----
@@ -143,28 +144,20 @@ class Tracer {
 Tracer* GlobalTracer();
 void InstallGlobalTracer(Tracer* tracer);  // Pass nullptr to uninstall.
 
-#if defined(FLICKER_OBS_DISABLED)
+// A tracer installed as the global one for exactly its own lifetime; the
+// previously installed tracer (usually none) comes back on destruction.
+class ScopedTracer : public Tracer {
+ public:
+  explicit ScopedTracer(const SimClock* clock) : Tracer(clock), previous_(GlobalTracer()) {
+    InstallGlobalTracer(this);
+  }
+  ScopedTracer(const ScopedTracer&) = delete;
+  ScopedTracer& operator=(const ScopedTracer&) = delete;
+  ~ScopedTracer() { InstallGlobalTracer(previous_); }
 
-// Compiled-out variants: every instrumentation site elides to nothing.
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, const char*) {}
-  ScopedSpan(const char*, std::string) {}
-  void Arg(const char*, const std::string&) {}
-  void Arg(const char*, uint64_t) {}
+ private:
+  Tracer* previous_;
 };
-class ScopedSession {
- public:
-  explicit ScopedSession(uint64_t) {}
-};
-class ScopedProcess {
- public:
-  explicit ScopedProcess(uint64_t) {}
-};
-inline void Instant(const char*, const char*, std::vector<SpanArg> = {}) {}
-inline void EmitComplete(const char*, std::string, uint64_t, uint64_t) {}
-
-#else
 
 // RAII span against the global tracer; a no-op when none is installed.
 class ScopedSpan {
@@ -253,16 +246,6 @@ inline void Instant(const char* category, const char* name, std::vector<SpanArg>
     tracer->Instant(category, name, std::move(args));
   }
 }
-
-inline void EmitComplete(const char* category, std::string name, uint64_t start_ns,
-                         uint64_t end_ns) {
-  Tracer* tracer = GlobalTracer();
-  if (tracer != nullptr) {
-    tracer->EmitComplete(category, std::move(name), start_ns, end_ns);
-  }
-}
-
-#endif  // FLICKER_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flicker

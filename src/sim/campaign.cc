@@ -30,6 +30,12 @@ std::string F3(double value) {
   return buf;
 }
 
+std::string HexDigest(uint64_t digest) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(digest));
+  return buf;
+}
+
 double Percentile(std::vector<double> samples, double p) {
   std::sort(samples.begin(), samples.end());
   return PercentileOfSorted(samples, p);

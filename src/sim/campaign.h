@@ -3,6 +3,7 @@
 // same-seed reports stay byte-comparable.
 //
 //   * F3 - the fixed three-decimal float every report and replay file uses.
+//   * HexDigest - the `0x%016llx` form every report prints an order digest in.
 //   * Percentile - one latency percentile: index round(p * (n - 1)) into the
 //     sorted samples, clamped to the last one.
 //   * WriteLatencyJson - the `"latency_ms": {p50, p90, p99, max}` report
@@ -13,6 +14,7 @@
 #ifndef FLICKER_SRC_SIM_CAMPAIGN_H_
 #define FLICKER_SRC_SIM_CAMPAIGN_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -24,6 +26,9 @@ namespace sim {
 
 // Fixed-precision float for byte-identical same-seed output.
 std::string F3(double value);
+
+// A 64-bit digest as 0x plus 16 lowercase hex digits.
+std::string HexDigest(uint64_t digest);
 
 // The p-quantile (p in [0, 1]) of `samples`; 0 when there are none.
 double Percentile(std::vector<double> samples, double p);

@@ -1,7 +1,6 @@
 #include "src/sim/chaos_fuzz.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -558,10 +557,7 @@ std::string ChaosFailureArtifact(const FleetConfig& base, const ChaosPlan& plan,
   for (const ChaosEvent& event : plan.events) {
     os << "  " << EventLine(event) << "\n";
   }
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx",
-                static_cast<unsigned long long>(outcome.stats.order_digest));
-  os << "order_digest: " << digest << " (" << outcome.stats.events_processed
+  os << "order_digest: " << HexDigest(outcome.stats.order_digest) << " (" << outcome.stats.events_processed
      << " events processed)\n";
   os << "oracles: accepted_wrong=" << outcome.stats.accepted_wrong
      << " torn_states=" << outcome.stats.torn_states

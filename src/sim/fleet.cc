@@ -111,10 +111,9 @@ std::string FleetStats::ToJson(const FleetConfig& config) const {
        << ", \"checkpoint_recoveries\": " << checkpoint_recoveries
        << ", \"starved_machines\": " << starved_machines << "},\n";
   }
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx", static_cast<unsigned long long>(order_digest));
   os << "  \"engine\": {\"events\": " << events_processed << ", \"cancelled\": " << events_cancelled
-     << ", \"max_heap\": " << max_heap << ", \"order_digest\": \"" << digest << "\"}\n";
+     << ", \"max_heap\": " << max_heap << ", \"order_digest\": \"" << sim::HexDigest(order_digest)
+     << "\"}\n";
   os << "}\n";
   return os.str();
 }

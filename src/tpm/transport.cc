@@ -1,7 +1,6 @@
 #include "src/tpm/transport.h"
 
-#include <iomanip>
-#include <ostream>
+#include <cstdio>
 #include <string>
 
 #include "src/crypto/sha1.h"
@@ -11,64 +10,25 @@
 
 namespace flicker {
 
-TpmTransport::TpmTransport(Tpm* tpm) : tpm_(tpm), hardware_(this) {
-  ring_.reserve(kTraceCapacity);
-}
+TpmTransport::TpmTransport(Tpm* tpm) : tpm_(tpm), hardware_(this) {}
 
 void TpmTransport::Record(uint32_t ordinal, int locality, double latency_ms,
                           uint32_t result_code) {
-  TraceEntry entry;
-  entry.seq = seq_++;
-  entry.ordinal = ordinal;
-  entry.locality = locality;
-  entry.at_ns = obs::NowNs(tpm_->sim_clock());
-  entry.latency_ms = latency_ms;
-  entry.result_code = result_code;
-  // The ring is a bounded view; the unified stream gets the same record as
-  // a completed span (the charged latency ends exactly at `at_ns`), plus
-  // the command count the metrics dump reports.
   obs::Count(obs::Ctr::kTpmCommands);
-  obs::EmitComplete("tpm", TpmOrdinalName(ordinal),
-                    entry.at_ns - static_cast<uint64_t>(latency_ms * 1e6 + 0.5), entry.at_ns);
-  if (ring_.size() < kTraceCapacity) {
-    ring_.push_back(entry);
-  } else {
-    ring_[ring_next_] = entry;
-    ring_next_ = (ring_next_ + 1) % kTraceCapacity;
+  obs::Tracer* tracer = obs::GlobalTracer();
+  if (tracer == nullptr) {
+    return;
   }
-}
-
-std::vector<TraceEntry> TpmTransport::TraceSnapshot() const {
-  std::vector<TraceEntry> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kTraceCapacity) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < kTraceCapacity; ++i) {
-      out.push_back(ring_[(ring_next_ + i) % kTraceCapacity]);
-    }
-  }
-  return out;
-}
-
-void TpmTransport::ClearTrace() {
-  ring_.clear();
-  ring_next_ = 0;
-}
-
-void TpmTransport::DumpTrace(std::ostream& os) const {
-  std::vector<TraceEntry> entries = TraceSnapshot();
-  os << "TPM command trace (" << entries.size() << " of " << total_commands_
-     << " commands retained):\n";
-  for (const TraceEntry& e : entries) {
-    os << "  #" << std::setw(4) << e.seq << "  @" << e.at_ns << "ns  L" << e.locality << "  "
-       << TpmOrdinalName(e.ordinal) << "  rc=0x" << std::hex << e.result_code << std::dec
-       << "  " << e.latency_ms << "ms\n";
-  }
+  // Dispatch completed now; the span covers exactly the charged latency.
+  const uint64_t end_ns = obs::NowNs(tpm_->sim_clock());
+  char rc[16];
+  std::snprintf(rc, sizeof(rc), "0x%x", result_code);
+  tracer->EmitComplete("tpm", TpmOrdinalName(ordinal),
+                       end_ns - static_cast<uint64_t>(latency_ms * 1e6 + 0.5), end_ns,
+                       {{"locality", std::to_string(locality)}, {"rc", rc}});
 }
 
 Result<Bytes> TpmTransport::Transmit(const Bytes& request_frame) {
-  ++transmit_count_;
   ++total_commands_;
   const int at_locality = tpm_->locality();
 
@@ -79,7 +39,7 @@ Result<Bytes> TpmTransport::Transmit(const Bytes& request_frame) {
   // handing the frame off and the device consuming it.
   Bytes frame = request_frame;
   if (plan_.kind != FaultPlan::Kind::kNone && plan_.every_n > 0 &&
-      transmit_count_ % plan_.every_n == 0) {
+      total_commands_ % plan_.every_n == 0) {
     ++faults_injected_;
     obs::Count(obs::Ctr::kTpmTransportFaults);
     switch (plan_.kind) {

@@ -5,15 +5,15 @@
 // software may request localities 0-2; locality 4 is reachable only through
 // the hardware facade that wraps Tpm::HardwareInterface (the SKINIT path).
 // The transport rejects locality-inappropriate commands before they reach
-// the device, records every command in a fixed-capacity trace ring (ordinal,
-// locality, simulated latency, result code), and can inject faults - drop,
-// garble or delay every Nth frame - so upper layers' retry logic is testable.
+// the device and can inject faults - drop, garble or delay every Nth frame -
+// so upper layers' retry logic is testable.
 //
-// Every ring record is also forwarded to the unified observability stream
-// (src/obs/trace.h) as a completed span and counted in the global metrics
-// registry: the ring is a bounded dump-on-failure view over that stream,
-// not a parallel truth, and both report timestamps on the shared sim-clock
-// nanosecond epoch.
+// Every command is counted in the global metrics registry and, while a
+// tracer is installed, recorded on the unified observability stream
+// (src/obs/trace.h) as one completed `tpm` span: named by ordinal, lasting
+// exactly the simulated latency charged, with `locality` and `rc` (wire
+// return code) args. That stream is the command history a failing test
+// prints.
 //
 // TpmClient is the driver built on top: it mirrors the Tpm software API
 // method-for-method so call sites keep their shape, but every operation is
@@ -25,7 +25,6 @@
 #define FLICKER_SRC_TPM_TRANSPORT_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -36,20 +35,6 @@
 #include "src/tpm/tpm.h"
 
 namespace flicker {
-
-// One traced command (or TIS/hardware pseudo-command). `at_ns` is the
-// sim-clock timestamp when dispatch completed, on the same nanosecond epoch
-// as every other trace in the tree (obs::NowNs) - the LossyChannel delivery
-// rings and the unified span stream report in the identical unit, so a TPM
-// command can be lined up against the network frame that caused it.
-struct TraceEntry {
-  uint64_t seq = 0;
-  uint32_t ordinal = 0;
-  int locality = 0;
-  uint64_t at_ns = 0;        // Sim-clock completion time (shared ns epoch).
-  double latency_ms = 0;     // Simulated time charged while dispatching.
-  uint32_t result_code = 0;  // Wire return code (0 = TPM_SUCCESS).
-};
 
 // Fault-injection plan applied to transmitted frames. `every_n` selects
 // every Nth frame (1-based count of Transmit calls); 0 disables injection.
@@ -63,8 +48,6 @@ struct FaultPlan {
 
 class TpmTransport {
  public:
-  static constexpr size_t kTraceCapacity = 256;
-
   explicit TpmTransport(Tpm* tpm);
 
   // Sends one request frame to the device and returns the response frame.
@@ -112,15 +95,9 @@ class TpmTransport {
   const FaultPlan& fault_plan() const { return plan_; }
   uint64_t faults_injected() const { return faults_injected_; }
 
-  // ---- Trace ring ----
+  // Transmit calls so far (TIS and hardware pseudo-commands excluded); the
+  // 1-based count FaultPlan::every_n selects on.
   uint64_t total_commands() const { return total_commands_; }
-  // Entries oldest-first; at most kTraceCapacity are retained.
-  std::vector<TraceEntry> TraceSnapshot() const;
-  void ClearTrace();
-  // Human-readable dump of the trace ring (one line per entry), for test
-  // fixtures to emit on failure so the command history leading up to a
-  // crash/recovery bug is visible.
-  void DumpTrace(std::ostream& os) const;
 
  private:
   friend class Hardware;
@@ -130,12 +107,7 @@ class TpmTransport {
   Tpm* tpm_;
   Hardware hardware_;
 
-  std::vector<TraceEntry> ring_;
-  size_t ring_next_ = 0;
-  uint64_t seq_ = 0;
-
   FaultPlan plan_;
-  uint64_t transmit_count_ = 0;
   uint64_t total_commands_ = 0;
   uint64_t faults_injected_ = 0;
 

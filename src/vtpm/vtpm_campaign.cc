@@ -406,12 +406,9 @@ std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
      << "},\n";
   os << "  \"verifier\": {\"verified\": " << responses_verified << ", \"rejected\": " << rejected
      << ", \"accepted_wrong\": " << accepted_wrong << "},\n";
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx",
-                static_cast<unsigned long long>(order_digest));
   os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \"" << digest
-     << "\"}\n";
+     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \""
+     << sim::HexDigest(order_digest) << "\"}\n";
   os << "}\n";
   return os.str();
 }

@@ -12,6 +12,7 @@
 #include "src/core/flicker_platform.h"
 #include "src/core/sealed_state.h"
 #include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
@@ -29,9 +30,11 @@ class CrashStoreTest : public ::testing::Test {
     release_pcr_ = platform_.tpm()->PcrRead(kSkinitPcr).value();
   }
 
+  // A failing assertion prints the run's trace: every TPM command with its
+  // locality and return code.
   void TearDown() override {
     if (HasFailure()) {
-      platform_.machine()->tpm_transport()->DumpTrace(std::cerr);
+      std::cerr << tracer_.ExportChromeTrace();
     }
   }
 
@@ -63,6 +66,7 @@ class CrashStoreTest : public ::testing::Test {
   }
 
   FlickerPlatform platform_;
+  obs::ScopedTracer tracer_{platform_.clock()};
   Bytes owner_auth_;
   Bytes blob_auth_;
   Bytes counter_auth_;
@@ -157,15 +161,18 @@ class NvFaultTest : public ::testing::Test {
     EXPECT_TRUE(provisioned.ok());
   }
 
+  // A failing assertion prints the run's trace: every TPM command with its
+  // locality and return code.
   void TearDown() override {
     if (HasFailure()) {
-      platform_.machine()->tpm_transport()->DumpTrace(std::cerr);
+      std::cerr << tracer_.ExportChromeTrace();
     }
   }
 
   static constexpr uint32_t kNvIndex = 51;
 
   FlickerPlatform platform_;
+  obs::ScopedTracer tracer_{platform_.clock()};
   Bytes owner_auth_;
   Bytes blob_auth_;
   Bytes current_pcr_;

@@ -35,6 +35,7 @@
 #include "src/core/flicker_platform.h"
 #include "src/core/sealed_state.h"
 #include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
@@ -245,6 +246,9 @@ TEST_F(CrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
   for (ResetKind kind : {ResetKind::kPowerCut, ResetKind::kWarmReset}) {
     for (size_t i = 1; i <= hits.size(); ++i) {
       std::unique_ptr<Rig> rig = MakeRig();
+      // The cell's trace: every TPM command from the armed run through
+      // recovery, printed if the cell fails.
+      obs::ScopedTracer tracer(rig->platform->clock());
       FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
       CrashPlan plan;
       plan.crash_at_hit = i;
@@ -269,7 +273,7 @@ TEST_F(CrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
         std::cerr << "crash matrix cell failed: crash at hit " << i << " ('" << point << "') + "
                   << ResetKindName(kind) << "\n";
         scheduler->DumpCrashPoints(std::cerr);
-        rig->platform->machine()->tpm_transport()->DumpTrace(std::cerr);
+        std::cerr << tracer.ExportChromeTrace();
         FAIL() << "invariant violated at '" << point << "' x " << ResetKindName(kind);
       }
     }

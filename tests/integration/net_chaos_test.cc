@@ -28,6 +28,7 @@
 #include "src/core/remote_attestation.h"
 #include "src/crypto/sha1.h"
 #include "src/net/session.h"
+#include "src/obs/trace.h"
 
 namespace flicker {
 namespace {
@@ -131,6 +132,9 @@ class NetChaosTest : public ::testing::Test {
   CellVerdict RunCell(uint64_t schedule_seed, const MixSpec& spec, const Bytes& request,
                       const SessionServer::Handler& handler,
                       const std::function<CellVerdict(const Bytes&)>& classify) {
+    // The cell's trace: every frame on the wire (seq, verdict, arrival) and
+    // every TPM command the handler ran, printed on a wrong answer.
+    obs::ScopedTracer tracer(platform_.clock());
     LossyChannel channel(platform_.clock());
     channel.set_fault_schedule(NetFaultSchedule(schedule_seed, spec.mix, spec.partitions));
     SessionClient client(&channel, NetEndpoint::kClient, ChaosSessionConfig());
@@ -148,7 +152,7 @@ class NetChaosTest : public ::testing::Test {
     CellVerdict verdict = classify(reply.value());
     if (verdict == CellVerdict::kWrongAnswer) {
       std::cerr << "WRONG ANSWER in mix " << spec.name << " seed " << schedule_seed << "\n";
-      channel.DumpTrace(std::cerr);
+      std::cerr << tracer.ExportChromeTrace();
     }
     return verdict;
   }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/bytes.h"
+#include "src/obs/trace.h"
 
 namespace flicker {
 namespace {
@@ -226,39 +229,111 @@ TEST(LossyChannelTest, ReceiveUntilLeavesLateDatagramInFlight) {
   EXPECT_EQ(got, Msg("late"));
 }
 
+// The `net.send` records a traced channel puts on the stream, in send order.
+std::vector<obs::SpanRecord> NetSends(const obs::Tracer& tracer) {
+  std::vector<obs::SpanRecord> out;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (span.name == "net.send") {
+      out.push_back(span);
+    }
+  }
+  return out;
+}
+
+std::string Arg(const obs::SpanRecord& span, const std::string& key) {
+  for (const obs::SpanArg& arg : span.args) {
+    if (arg.key == key) {
+      return arg.value;
+    }
+  }
+  return "<missing>";
+}
+
 TEST(LossyChannelTest, TraceRecordsVerdictPerMessage) {
   SimClock clock;
+  obs::ScopedTracer tracer(&clock);
   LossyChannel channel(&clock);
   NetFaultMix all_drop;
   all_drop.drop_bp = 10000;
   channel.set_fault_schedule(NetFaultSchedule(7, all_drop));
   channel.Send(NetEndpoint::kClient, Msg("gone"));
   channel.set_fault_schedule(NetFaultSchedule());
-  channel.Send(NetEndpoint::kClient, Msg("fine"));
-  std::vector<NetTraceEntry> trace = channel.TraceSnapshot(NetEndpoint::kServer);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].seq, 1u);
-  EXPECT_EQ(trace[0].fault, NetFault::kDrop);
-  EXPECT_EQ(trace[1].seq, 2u);
-  EXPECT_EQ(trace[1].fault, NetFault::kNone);
-  std::ostringstream os;
-  channel.DumpTrace(os);
-  EXPECT_NE(os.str().find("drop"), std::string::npos);
+  channel.Send(NetEndpoint::kServer, Msg("fine!"));
+  Bytes got;
+  ASSERT_TRUE(channel.Receive(NetEndpoint::kClient, &got));
+
+  std::vector<obs::SpanRecord> sends = NetSends(tracer);
+  ASSERT_EQ(sends.size(), 2u);
+  EXPECT_EQ(Arg(sends[0], "seq"), "1");
+  EXPECT_EQ(Arg(sends[0], "from"), "client");
+  EXPECT_EQ(Arg(sends[0], "bytes"), "4");
+  EXPECT_EQ(Arg(sends[0], "fault"), "drop");
+  EXPECT_EQ(Arg(sends[1], "seq"), "2");
+  EXPECT_EQ(Arg(sends[1], "from"), "server");
+  EXPECT_EQ(Arg(sends[1], "fault"), "none");
+  // The record spans the wire: sent at its start, arriving at its end - the
+  // same nanosecond Receive() advanced the clock to.
+  EXPECT_EQ(Arg(sends[1], "sent_ns"), std::to_string(sends[1].start_ns));
+  EXPECT_EQ(Arg(sends[1], "arrival_ns"), std::to_string(sends[1].end_ns));
+  EXPECT_EQ(sends[1].end_ns, clock.NowNanos());
 }
 
-TEST(LossyChannelTest, TraceRingBoundsMemory) {
-  SimClock clock;
-  LossyChannel channel(&clock);
-  Bytes got;
-  for (int i = 0; i < 600; ++i) {
-    channel.Send(NetEndpoint::kClient, Msg("m"));
-    ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &got));
+using Deliveries = std::vector<std::pair<uint64_t, Bytes>>;
+
+// One seeded run over an armed schedule (every verdict kind plus a
+// partition) on `clock`: sends in both directions, drains both endpoints,
+// and returns every delivery as (arrival ns, payload).
+Deliveries RunArmedWire(SimClock* clock) {
+  LossyChannel channel(clock);
+  NetFaultMix mix;
+  mix.drop_bp = 1000;
+  mix.duplicate_bp = 1000;
+  mix.reorder_bp = 1000;
+  mix.corrupt_bp = 1000;
+  mix.delay_bp = 1000;
+  channel.set_fault_schedule(NetFaultSchedule(99, mix, {{20, 24}}));
+  Deliveries deliveries;
+  for (int i = 0; i < 40; ++i) {
+    channel.Send(NetEndpoint::kClient, Msg(("request " + std::to_string(i)).c_str()));
+    channel.Send(NetEndpoint::kServer, Msg(("reply " + std::to_string(i)).c_str()));
+    for (NetEndpoint at : {NetEndpoint::kServer, NetEndpoint::kClient}) {
+      Bytes got;
+      while (channel.Receive(at, &got)) {
+        deliveries.emplace_back(clock->NowNanos(), got);
+      }
+    }
   }
-  std::vector<NetTraceEntry> trace = channel.TraceSnapshot(NetEndpoint::kServer);
-  ASSERT_EQ(trace.size(), LossyChannel::kTraceCapacity);
-  // Oldest-first: the ring holds the most recent 256 sends.
-  EXPECT_EQ(trace.front().seq, 600u - LossyChannel::kTraceCapacity + 1);
-  EXPECT_EQ(trace.back().seq, 600u);
+  return deliveries;
+}
+
+std::string TracedArmedWire(Deliveries* deliveries) {
+  SimClock clock;
+  obs::ScopedTracer tracer(&clock);
+  *deliveries = RunArmedWire(&clock);
+  EXPECT_EQ(NetSends(tracer).size(), 80u);
+  return tracer.ExportChromeTrace();
+}
+
+TEST(LossyChannelTest, SameSeedArmedRunsExportIdenticalTraces) {
+  Deliveries unused;
+  const std::string first = TracedArmedWire(&unused);
+  const std::string second = TracedArmedWire(&unused);
+  EXPECT_EQ(first, second);
+  // The mix is armed hard enough that the export shows every verdict, not
+  // just clean sends.
+  for (const char* fault : {"drop", "duplicate", "reorder", "corrupt", "delay", "partition"}) {
+    EXPECT_NE(first.find("\"fault\":\"" + std::string(fault) + "\""), std::string::npos)
+        << fault;
+  }
+}
+
+TEST(LossyChannelTest, TracingLeavesDeliveriesUntouched) {
+  Deliveries traced;
+  TracedArmedWire(&traced);
+  SimClock clock;
+  const Deliveries untraced = RunArmedWire(&clock);
+  ASSERT_FALSE(untraced.empty());
+  EXPECT_EQ(traced, untraced);
 }
 
 }  // namespace

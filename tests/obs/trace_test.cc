@@ -1,5 +1,7 @@
 // Tracer mechanics: span nesting, session tagging, the EmitComplete path
-// the TPM transport uses, and the deterministic Chrome trace_event export.
+// the TPM transport and the lossy wire use, the shared sim-clock nanosecond
+// epoch their records sit on, and the deterministic Chrome trace_event
+// export.
 
 #include "src/obs/trace.h"
 
@@ -9,18 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "src/hw/clock.h"
+#include "src/hw/timing.h"
+#include "src/net/lossy_channel.h"
+#include "src/tpm/transport.h"
 
 namespace flicker {
 namespace obs {
 namespace {
-
-// Installs a tracer for the test body and guarantees removal on exit, so no
-// test leaks a dangling global tracer into its neighbors.
-class ScopedInstall {
- public:
-  explicit ScopedInstall(Tracer* tracer) { InstallGlobalTracer(tracer); }
-  ~ScopedInstall() { InstallGlobalTracer(nullptr); }
-};
 
 TEST(TracerTest, SpansNestByStackDiscipline) {
   SimClock clock;
@@ -84,6 +81,14 @@ TEST(TracerTest, EmitCompleteClampsBackwardsIntervals) {
   EXPECT_EQ(tracer.spans()[0].end_ns, 500u);
 }
 
+TEST(TracerTest, EmitCompleteKeepsItsArgs) {
+  SimClock clock;
+  Tracer tracer(&clock);
+  tracer.EmitComplete("tpm", "TPM_ORD_PcrRead", 0, 400'000, {{"locality", "0"}, {"rc", "0x0"}});
+  const std::string json = tracer.ExportChromeTrace();
+  EXPECT_NE(json.find("\"locality\":\"0\",\"rc\":\"0x0\""), std::string::npos) << json;
+}
+
 TEST(TracerTest, SessionTagsOnlySpansInsideTheScope) {
   SimClock clock;
   Tracer tracer(&clock);
@@ -107,7 +112,6 @@ TEST(TracerTest, ScopedHelpersNoOpWithoutGlobalTracer) {
     ScopedSpan span("test", "orphan");
     span.Arg("key", std::string("value"));
     Instant("test", "orphan_instant");
-    EmitComplete("test", "orphan_complete", 0, 1);
     ScopedSession session(7);
   }
   // Nothing crashed, nothing recorded anywhere: that is the whole contract.
@@ -115,8 +119,7 @@ TEST(TracerTest, ScopedHelpersNoOpWithoutGlobalTracer) {
 
 TEST(TracerTest, ScopedHelpersRecordAgainstInstalledTracer) {
   SimClock clock;
-  Tracer tracer(&clock);
-  ScopedInstall install(&tracer);
+  ScopedTracer tracer(&clock);
   {
     ScopedSession session(4);
     ScopedSpan span("test", "scoped");
@@ -133,6 +136,16 @@ TEST(TracerTest, ScopedHelpersRecordAgainstInstalledTracer) {
   ASSERT_EQ(tracer.instants().size(), 1u);
   EXPECT_EQ(tracer.instants()[0].session_id, 4u);
   EXPECT_EQ(tracer.current_session(), 0u);  // ScopedSession restored.
+}
+
+TEST(TracerTest, ScopedTracerRestoresThePreviousTracer) {
+  SimClock clock;
+  ScopedTracer outer(&clock);
+  {
+    ScopedTracer inner(&clock);
+    EXPECT_EQ(GlobalTracer(), &inner);
+  }
+  EXPECT_EQ(GlobalTracer(), &outer);
 }
 
 TEST(TracerTest, ExportIsByteIdenticalForIdenticalHistories) {
@@ -184,6 +197,80 @@ TEST(TracerTest, SessionIdBecomesChromeTid) {
   tracer.EndSpan(span);
   const std::string json = tracer.ExportChromeTrace();
   EXPECT_NE(json.find("\"tid\":12"), std::string::npos) << json;
+}
+
+// ---- The shared epoch: TPM and wire records on one nanosecond clock ----
+
+const SpanRecord* LastSpanNamed(const Tracer& tracer, const std::string& name) {
+  const SpanRecord* last = nullptr;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (span.name == name) {
+      last = &span;
+    }
+  }
+  return last;
+}
+
+TEST(TracerTest, TpmSpansSitOnTheSimClockNanosecondEpoch) {
+  SimClock clock;
+  Tpm tpm(&clock, BroadcomBcm0102Profile());
+  TpmTransport transport(&tpm);
+  TpmClient client(&transport);
+  ScopedTracer tracer(&clock);
+
+  clock.AdvanceMicros(2500);  // A non-zero epoch offset the span must carry.
+  ASSERT_TRUE(client.PcrRead(0).ok());
+  const SpanRecord* read = LastSpanNamed(tracer, "TPM_ORD_PcrRead");
+  ASSERT_NE(read, nullptr);
+  // Dispatch completed exactly now, and the charged latency began after the
+  // pre-advance epoch.
+  EXPECT_EQ(read->end_ns, NowNs(&clock));
+  EXPECT_EQ(read->start_ns, 2'500'000u);
+}
+
+TEST(TracerTest, WireRecordsSitOnTheSimClockNanosecondEpoch) {
+  SimClock clock;
+  LossyChannel channel(&clock);
+  ScopedTracer tracer(&clock);
+
+  clock.AdvanceMicros(1200);
+  const uint64_t sent_ns = NowNs(&clock);
+  channel.Send(NetEndpoint::kClient, BytesOf("hello"));
+  Bytes out;
+  ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &out));
+
+  const SpanRecord* send = LastSpanNamed(tracer, "net.send");
+  ASSERT_NE(send, nullptr);
+  EXPECT_EQ(send->start_ns, sent_ns);
+  // Receive() advanced the clock exactly to the scheduled arrival.
+  EXPECT_EQ(send->end_ns, NowNs(&clock));
+  EXPECT_GT(send->end_ns, send->start_ns);
+}
+
+TEST(TracerTest, CrossLayerRecordsOrderOnTheSharedEpoch) {
+  // One clock drives both layers, as on the simulated platform: a network
+  // frame arrives, then the TPM command it triggered runs. The export lists
+  // the frame first, and its arrival precedes the command's completion.
+  SimClock clock;
+  Tpm tpm(&clock, BroadcomBcm0102Profile());
+  TpmTransport transport(&tpm);
+  TpmClient client(&transport);
+  LossyChannel channel(&clock);
+  ScopedTracer tracer(&clock);
+
+  channel.Send(NetEndpoint::kClient, BytesOf("challenge"));
+  Bytes frame;
+  ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &frame));
+  ASSERT_TRUE(client.PcrRead(0).ok());
+
+  const SpanRecord* send = LastSpanNamed(tracer, "net.send");
+  const SpanRecord* read = LastSpanNamed(tracer, "TPM_ORD_PcrRead");
+  ASSERT_NE(send, nullptr);
+  ASSERT_NE(read, nullptr);
+  EXPECT_LE(send->start_ns, send->end_ns);
+  EXPECT_LE(send->end_ns, read->start_ns);
+  const std::string json = tracer.ExportChromeTrace();
+  EXPECT_LT(json.find("net.send"), json.find("TPM_ORD_PcrRead")) << json;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "src/common/fault.h"
 #include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/tpm/pcr_bank.h"
 #include "src/tpm/tpm.h"
 #include "src/tpm/tpm_util.h"
@@ -22,11 +23,12 @@ class TpmLifecycleTest : public ::testing::Test {
  protected:
   TpmLifecycleTest() : tpm_(&clock_, BroadcomBcm0102Profile()), transport_(&tpm_), client_(&transport_) {}
 
-  // A failing lifecycle assertion is easiest to debug from the wire: dump
-  // the transport's command trace alongside the gtest failure.
+  // A failing lifecycle assertion is easiest to debug from the wire: print
+  // the run's trace (every command with its locality and return code)
+  // alongside the gtest failure.
   void TearDown() override {
     if (HasFailure()) {
-      transport_.DumpTrace(std::cerr);
+      std::cerr << tracer_.ExportChromeTrace();
     }
   }
 
@@ -61,6 +63,7 @@ class TpmLifecycleTest : public ::testing::Test {
   Tpm tpm_;
   TpmTransport transport_;
   TpmClient client_;
+  obs::ScopedTracer tracer_{&clock_};
 };
 
 TEST_F(TpmLifecycleTest, StartupWithoutInitRejected) {

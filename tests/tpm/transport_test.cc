@@ -1,14 +1,19 @@
 // The wire-level TPM transport: frame marshalling, the TIS locality rules,
-// the command trace ring, fault injection, and the authorization-session
+// the `tpm` command spans, fault injection, and the authorization-session
 // negative paths (replayed nonces, garbled frames, stale handles) that must
 // fail for cryptographic reasons once commands cross a real wire.
 
 #include "src/tpm/transport.h"
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/crypto/sha1.h"
 #include "src/hw/timing.h"
+#include "src/obs/trace.h"
 #include "src/tpm/commands.h"
 #include "src/tpm/tpm_util.h"
 
@@ -18,16 +23,41 @@ namespace {
 class TransportTest : public ::testing::Test {
  protected:
   TransportTest()
-      : tpm_(&clock_, BroadcomBcm0102Profile()), transport_(&tpm_), client_(&transport_) {
-    // The client constructor fetches the AIK/SRK public keys over the wire;
-    // start each test with a clean trace.
-    transport_.ClearTrace();
+      : tpm_(&clock_, BroadcomBcm0102Profile()), transport_(&tpm_), client_(&transport_) {}
+
+  // The `tpm` spans recorded so far, in command order.
+  std::vector<obs::SpanRecord> TpmSpans() const {
+    std::vector<obs::SpanRecord> out;
+    for (const obs::SpanRecord& span : tracer_.spans()) {
+      if (std::string(span.category) == "tpm") {
+        out.push_back(span);
+      }
+    }
+    return out;
+  }
+
+  static std::string Arg(const obs::SpanRecord& span, const std::string& key) {
+    for (const obs::SpanArg& arg : span.args) {
+      if (arg.key == key) {
+        return arg.value;
+      }
+    }
+    return "<missing>";
+  }
+
+  static std::string Rc(StatusCode code) {
+    char rc[16];
+    std::snprintf(rc, sizeof(rc), "0x%x", ReturnCodeFor(code));
+    return rc;
   }
 
   SimClock clock_;
   Tpm tpm_;
   TpmTransport transport_;
   TpmClient client_;
+  // Installed after client_ fetched the AIK/SRK public keys over the wire,
+  // so each test sees only its own commands.
+  obs::ScopedTracer tracer_{&clock_};
 };
 
 // ---- Frame marshalling ----
@@ -79,38 +109,36 @@ TEST_F(TransportTest, ClientChargesExactlyTheDeviceLatency) {
   EXPECT_NEAR(clock_.NowMillis() - before, 0.4, 0.001);  // Broadcom PCR Read.
 }
 
-// ---- Trace ring ----
+// ---- Command spans on the trace stream ----
 
-TEST_F(TransportTest, TraceRecordsOrdinalLocalityLatencyAndResult) {
+TEST_F(TransportTest, SpansRecordOrdinalLocalityLatencyAndResult) {
   client_.GetRandom(16);
   ASSERT_TRUE(client_.PcrExtend(0, Bytes(kPcrSize, 0xAB)).ok());
 
-  std::vector<TraceEntry> trace = transport_.TraceSnapshot();
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].ordinal, static_cast<uint32_t>(kOrdGetRandom));
-  EXPECT_EQ(trace[0].locality, 0);
-  EXPECT_NEAR(trace[0].latency_ms, 1.3, 0.001);
-  EXPECT_EQ(trace[0].result_code, 0u);
-  EXPECT_EQ(trace[1].ordinal, static_cast<uint32_t>(kOrdExtend));
-  EXPECT_NEAR(trace[1].latency_ms, 1.2, 0.001);
-  EXPECT_EQ(trace[1].result_code, 0u);
-  EXPECT_STREQ(TpmOrdinalName(trace[1].ordinal), "TPM_ORD_Extend");
+  std::vector<obs::SpanRecord> spans = TpmSpans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "TPM_ORD_GetRandom");
+  EXPECT_EQ(Arg(spans[0], "locality"), "0");
+  EXPECT_EQ(spans[0].end_ns - spans[0].start_ns, 1'300'000u);
+  EXPECT_EQ(Arg(spans[0], "rc"), "0x0");
+  EXPECT_EQ(spans[1].name, "TPM_ORD_Extend");
+  EXPECT_EQ(spans[1].end_ns - spans[1].start_ns, 1'200'000u);
+  EXPECT_EQ(Arg(spans[1], "rc"), "0x0");
+  // The span ends where dispatch completed, on the shared ns epoch.
+  EXPECT_EQ(spans[1].end_ns, obs::NowNs(&clock_));
 }
 
-TEST_F(TransportTest, TraceRingRetainsTheMostRecentCapacityEntries) {
-  const size_t total = TpmTransport::kTraceCapacity + 10;
-  for (size_t i = 0; i < total; ++i) {
+TEST_F(TransportTest, EveryTransmitRecordsExactlyOneSpan) {
+  const uint64_t before = transport_.total_commands();
+  for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client_.PcrRead(0).ok());
   }
-  std::vector<TraceEntry> trace = transport_.TraceSnapshot();
-  ASSERT_EQ(trace.size(), TpmTransport::kTraceCapacity);
-  // Oldest-first, ending at the last command issued.
-  for (size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_EQ(trace[i].seq, trace[i - 1].seq + 1);
+  EXPECT_EQ(transport_.total_commands() - before, 10u);
+  std::vector<obs::SpanRecord> spans = TpmSpans();
+  ASSERT_EQ(spans.size(), 10u);
+  for (size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].start_ns, spans[i - 1].end_ns);
   }
-  // Every transmit records exactly one entry (the ctor's two key fetches
-  // included), so the last sequence number tracks the command total.
-  EXPECT_EQ(trace.back().seq + 1, transport_.total_commands());
 }
 
 // ---- Locality enforcement (§2.3: software extends, hardware resets) ----
@@ -166,10 +194,12 @@ TEST_F(TransportTest, TransportRefusesGatedExtendBeforeTheDeviceSeesIt) {
   // Refused at the interface: the device never charged extend latency.
   EXPECT_NEAR(clock_.NowMillis() - before, 0.0, 1e-9);
 
-  std::vector<TraceEntry> trace = transport_.TraceSnapshot();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].ordinal, static_cast<uint32_t>(kOrdExtend));
-  EXPECT_EQ(trace[0].result_code, ReturnCodeFor(StatusCode::kPermissionDenied));
+  std::vector<obs::SpanRecord> spans = TpmSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "TPM_ORD_Extend");
+  EXPECT_EQ(Arg(spans[0], "locality"), "0");
+  EXPECT_EQ(Arg(spans[0], "rc"), Rc(StatusCode::kPermissionDenied));
+  EXPECT_EQ(spans[0].end_ns, spans[0].start_ns);
 }
 
 TEST_F(TransportTest, ClientNegotiatesLocalityForDynamicPcrExtends) {
@@ -180,12 +210,14 @@ TEST_F(TransportTest, ClientNegotiatesLocalityForDynamicPcrExtends) {
   ASSERT_TRUE(client_.PcrExtend(kSkinitPcr, Bytes(kPcrSize, 0x33)).ok());
   EXPECT_EQ(client_.locality(), 0);
 
-  std::vector<TraceEntry> trace = transport_.TraceSnapshot();
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0].ordinal, static_cast<uint32_t>(kOrdTisRequestLocality));
-  EXPECT_EQ(trace[1].ordinal, static_cast<uint32_t>(kOrdExtend));
-  EXPECT_EQ(trace[1].locality, 2);
-  EXPECT_EQ(trace[2].ordinal, static_cast<uint32_t>(kOrdTisReleaseLocality));
+  std::vector<obs::SpanRecord> spans = TpmSpans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, TpmOrdinalName(kOrdTisRequestLocality));
+  EXPECT_EQ(Arg(spans[0], "locality"), "2");
+  EXPECT_EQ(spans[1].name, "TPM_ORD_Extend");
+  EXPECT_EQ(Arg(spans[1], "locality"), "2");
+  EXPECT_EQ(spans[2].name, TpmOrdinalName(kOrdTisReleaseLocality));
+  EXPECT_EQ(Arg(spans[2], "locality"), "0");
 }
 
 // ---- Authorization sessions over the wire: negative paths ----
@@ -292,9 +324,12 @@ TEST_F(TransportTest, DropFaultBurnsTheReceiveTimeoutAndSurfacesUnavailable) {
   EXPECT_NEAR(clock_.NowMillis() - before, 7.5, 0.001);
   EXPECT_EQ(transport_.faults_injected(), 1u);
 
-  std::vector<TraceEntry> trace = transport_.TraceSnapshot();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].result_code, ReturnCodeFor(StatusCode::kUnavailable));
+  std::vector<obs::SpanRecord> spans = TpmSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "TPM_ORD_PcrRead");
+  EXPECT_EQ(Arg(spans[0], "rc"), Rc(StatusCode::kUnavailable));
+  // The dropped frame's span covers the receive timeout the driver burned.
+  EXPECT_EQ(spans[0].end_ns - spans[0].start_ns, 7'500'000u);
 }
 
 TEST_F(TransportTest, GarbleFaultIsRejectedCryptographically) {

@@ -27,6 +27,7 @@
 #include "src/common/fault.h"
 #include "src/core/flicker_platform.h"
 #include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/vtpm/vtpm_mux.h"
 
 namespace flicker {
@@ -195,6 +196,9 @@ TEST_F(VtpmCrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
   for (ResetKind kind : {ResetKind::kPowerCut, ResetKind::kWarmReset}) {
     for (size_t i = 1; i <= hits.size(); ++i) {
       std::unique_ptr<Rig> rig = MakeRig();
+      // The cell's trace: every TPM command from the armed run through
+      // recovery, printed if the cell fails.
+      obs::ScopedTracer tracer(rig->platform->clock());
       FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
       CrashPlan plan;
       plan.crash_at_hit = i;
@@ -219,7 +223,7 @@ TEST_F(VtpmCrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
         std::cerr << "vtpm crash matrix cell failed: crash at hit " << i << " ('" << point
                   << "') + " << ResetKindName(kind) << "\n";
         scheduler->DumpCrashPoints(std::cerr);
-        rig->platform->machine()->tpm_transport()->DumpTrace(std::cerr);
+        std::cerr << tracer.ExportChromeTrace();
         FAIL() << "invariant violated at '" << point << "' x " << ResetKindName(kind);
       }
     }

@@ -16,9 +16,8 @@
 #                        ASan+UBSan and refresh BENCH_net.json
 #   verify.sh --obs      additionally run the observability campaign:
 #                        obs-labeled suites under ASan+UBSan, two same-seed
-#                        SSH trace exports diffed byte-for-byte, a
-#                        -DFLICKER_OBS=OFF build proving the instrumentation
-#                        compiles out, and a BENCH_obs.json refresh
+#                        SSH trace exports diffed byte-for-byte, and a
+#                        BENCH_obs.json refresh
 #   verify.sh --perf     additionally run the SIMD differential campaign: a
 #                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf whose
 #                        hash/batch-quote suites must pass and whose paper
@@ -288,21 +287,11 @@ net_follow_up() {
 }
 
 obs_follow_up() {
-  # Two same-seed SSH rounds must export byte-identical Chrome traces, the
-  # -DFLICKER_OBS=OFF configuration must still build and pass its own
-  # overhead proof, and the committed overhead report is refreshed.
+  # Two same-seed SSH rounds must export byte-identical Chrome traces, and
+  # the committed overhead report is refreshed.
   cmake --build "$build_dir" -j "$jobs" --target micro_obs
   same_twice "SSH trace exports" "$build_dir/trace" \
     "$build_dir/bench/micro_obs" --trace_json={}
-
-  noobs_dir="$repo_root/build-noobs"
-  cmake -B "$noobs_dir" -S "$repo_root" -DFLICKER_OBS=OFF
-  cmake --build "$noobs_dir" -j "$jobs" --target micro_obs
-  "$noobs_dir/bench/micro_obs" --bench_json="$noobs_dir/BENCH_obs_off.json"
-  if ! grep -q '"obs_compiled_in": false' "$noobs_dir/BENCH_obs_off.json"; then
-    echo "verify.sh: FLICKER_OBS=OFF build still has instrumentation compiled in" >&2
-    exit 1
-  fi
 
   "$build_dir/bench/micro_obs" --bench_json="$repo_root/BENCH_obs.json"
 }
