@@ -33,6 +33,10 @@ enum class StatusCode {
   kOverloaded,         // server shed the request under load; retry after backoff
 };
 
+// The highest code; wire decoders map anything above it to an error. Keep it
+// on the last enumerator when adding a code.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kOverloaded;
+
 // Human-readable name for a code ("kIntegrityFailure" -> "integrity failure").
 const char* StatusCodeName(StatusCode code);
 

@@ -29,9 +29,10 @@ struct TpmTimingProfile {
   double nv_write_ms;
   double counter_ms;
   double session_start_ms;
-  // TPM_LoadKey2: unwrapping a key blob (e.g. the AIK) into a key slot.
-  // quote_ms is the *total* measured quote latency including this load, so
-  // the signing step alone costs quote_ms - load_key_ms.
+  // The AIK load inside a measured quote: the calibrated device loads the
+  // AIK before signing. quote_ms is the *total* measured quote latency
+  // including this load, so Tpm::Quote charges load_key_ms and then the
+  // signing step, quote_ms - load_key_ms.
   double load_key_ms;
   // SKINIT's dominant cost: streaming the SLB to the TPM for hashing.
   double skinit_transfer_ms_per_kb;

@@ -69,7 +69,7 @@ Result<SessionFrame> SessionFrame::Deserialize(const Bytes& data) {
   if (frame.type != kRequest && frame.type != kResponse) {
     return InvalidArgumentError("unknown session frame type");
   }
-  if (frame.status_code > static_cast<uint8_t>(StatusCode::kOverloaded)) {
+  if (frame.status_code > static_cast<uint8_t>(kLastStatusCode)) {
     return InvalidArgumentError("session frame carries unknown status code");
   }
   return frame;

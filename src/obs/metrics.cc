@@ -198,51 +198,6 @@ uint64_t MetricsRegistry::HistogramBucket(Hist h, int bucket) const {
       std::memory_order_relaxed);
 }
 
-Result<int> MetricsRegistry::RegisterCounter(const std::string& name, const std::string& unit,
-                                             const std::string& help) {
-  for (const MetricDef& def : kCounterDefs) {
-    if (name == def.name) {
-      return InvalidArgumentError("metric name collides with standard counter: " + name);
-    }
-  }
-  for (const MetricDef& def : kHistogramDefs) {
-    if (name == def.name) {
-      return InvalidArgumentError("metric name collides with standard histogram: " + name);
-    }
-  }
-  std::lock_guard<std::mutex> lock(dynamic_mu_);
-  auto it = dynamic_by_name_.find(name);
-  if (it != dynamic_by_name_.end()) {
-    const DynamicCounter& existing = dynamic_[static_cast<size_t>(it->second)];
-    if (existing.unit != unit || existing.help != help) {
-      return InvalidArgumentError("metric re-registered with conflicting metadata: " + name);
-    }
-    return it->second;  // Idempotent: same definition, same id.
-  }
-  int id = static_cast<int>(dynamic_.size());
-  DynamicCounter& counter = dynamic_.emplace_back();
-  counter.name = name;
-  counter.unit = unit;
-  counter.help = help;
-  dynamic_by_name_.emplace(name, id);
-  return id;
-}
-
-void MetricsRegistry::IncDynamic(int id, uint64_t n) {
-  std::lock_guard<std::mutex> lock(dynamic_mu_);
-  if (id >= 0 && static_cast<size_t>(id) < dynamic_.size()) {
-    dynamic_[static_cast<size_t>(id)].value.fetch_add(n, std::memory_order_relaxed);
-  }
-}
-
-uint64_t MetricsRegistry::GetDynamic(int id) const {
-  std::lock_guard<std::mutex> lock(dynamic_mu_);
-  if (id < 0 || static_cast<size_t>(id) >= dynamic_.size()) {
-    return 0;
-  }
-  return dynamic_[static_cast<size_t>(id)].value.load(std::memory_order_relaxed);
-}
-
 void MetricsRegistry::DumpText(std::ostream& os) const {
   os << "# flicker metrics dump\n";
   for (size_t i = 0; i < static_cast<size_t>(Ctr::kCount); ++i) {
@@ -269,10 +224,6 @@ void MetricsRegistry::DumpText(std::ostream& os) const {
         os << kHistogramDefs[i].name << "_bucket{le=\"+inf\"} " << count << "\n";
       }
     }
-  }
-  std::lock_guard<std::mutex> lock(dynamic_mu_);
-  for (const DynamicCounter& counter : dynamic_) {
-    os << counter.name << " " << counter.value.load(std::memory_order_relaxed) << "\n";
   }
 }
 
@@ -315,10 +266,6 @@ void MetricsRegistry::ResetValuesForTesting() {
     }
     state.count.store(0, std::memory_order_relaxed);
     state.sum_us.store(0, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(dynamic_mu_);
-  for (DynamicCounter& counter : dynamic_) {
-    counter.value.store(0, std::memory_order_relaxed);
   }
 }
 

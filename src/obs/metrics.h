@@ -16,10 +16,9 @@
 // so the global totals and the local counts can never tell different
 // stories.
 //
-// Thread safety: counters and histogram buckets are atomics; dynamic
-// registration takes a mutex. The simulation itself is single-threaded, but
-// the registry must not be the reason a future multi-platform harness
-// races.
+// Thread safety: counters and histogram buckets are atomics. The simulation
+// itself is single-threaded, but the registry must not be the reason a
+// future multi-platform harness races.
 
 #ifndef FLICKER_SRC_OBS_METRICS_H_
 #define FLICKER_SRC_OBS_METRICS_H_
@@ -27,13 +26,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
-#include <mutex>
-#include <string>
-
-#include "src/common/status.h"
 
 namespace flicker {
 namespace obs {
@@ -157,39 +150,19 @@ class MetricsRegistry {
   double HistogramSumMs(Hist h) const;
   uint64_t HistogramBucket(Hist h, int bucket) const;
 
-  // ---- Dynamic extension metrics ----
-  //
-  // For counters that are not part of the standard set (one-off experiment
-  // knobs, app-specific counts). Registration is idempotent: registering the
-  // same name with identical unit+help returns the existing id; the same
-  // name with different metadata (or a name colliding with a standard
-  // metric) is an error - two sites cannot silently disagree about what a
-  // metric means.
-  Result<int> RegisterCounter(const std::string& name, const std::string& unit,
-                              const std::string& help);
-  void IncDynamic(int id, uint64_t n = 1);
-  uint64_t GetDynamic(int id) const;
-
   // ---- Exports ----
   //
   // Plain-text operator dump: every metric with its current value, counters
   // first, then histograms with per-bucket counts. Deterministic order
-  // (definition table order, then dynamic registration order).
+  // (definition table order).
   void DumpText(std::ostream& os) const;
-  // The generated docs/METRICS.md: the canonical name/type/unit/help table
-  // for the standard set (dynamic metrics are run-scoped, not documented).
+  // The generated docs/METRICS.md: the canonical name/type/unit/help table.
   static void DumpMarkdown(std::ostream& os);
 
-  // Zeroes every value (standard and dynamic) without invalidating ids.
+  // Zeroes every value.
   void ResetValuesForTesting();
 
  private:
-  struct DynamicCounter {
-    std::string name;
-    std::string unit;
-    std::string help;
-    std::atomic<uint64_t> value{0};
-  };
   struct HistogramState {
     std::array<std::atomic<uint64_t>, kHistogramBucketCount> buckets{};
     std::atomic<uint64_t> count{0};
@@ -198,10 +171,6 @@ class MetricsRegistry {
 
   std::array<std::atomic<uint64_t>, static_cast<size_t>(Ctr::kCount)> counters_{};
   std::array<HistogramState, static_cast<size_t>(Hist::kCount)> histograms_{};
-
-  mutable std::mutex dynamic_mu_;
-  std::deque<DynamicCounter> dynamic_;  // Deque: ids stay stable as it grows.
-  std::map<std::string, int> dynamic_by_name_;
 };
 
 // Shorthand for instrumentation sites: bump a standard counter in the

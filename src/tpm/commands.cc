@@ -63,8 +63,6 @@ CommandAuth ReadAuthTrailer(Reader* r) {
 void WriteSessionPayload(Writer* w, const AuthSessionInfo& session) {
   w->U32(session.handle);
   w->Blob(session.nonce_even);
-  w->U8(session.osap ? 1 : 0);
-  w->Blob(session.shared_secret);
 }
 
 void WriteQuotePayload(Writer* w, const TpmQuote& quote) {
@@ -84,7 +82,6 @@ Status MalformedBody() { return InvalidArgumentError("malformed TPM command body
 const char* TpmOrdinalName(uint32_t ordinal) {
   switch (ordinal) {
     case kOrdOiap: return "TPM_ORD_OIAP";
-    case kOrdOsap: return "TPM_ORD_OSAP";
     case kOrdTakeOwnership: return "TPM_ORD_TakeOwnership";
     case kOrdExtend: return "TPM_ORD_Extend";
     case kOrdSelfTestFull: return "TPM_ORD_SelfTestFull";
@@ -95,18 +92,14 @@ const char* TpmOrdinalName(uint32_t ordinal) {
     case kOrdQuote: return "TPM_ORD_Quote";
     case kOrdSeal: return "TPM_ORD_Seal";
     case kOrdUnseal: return "TPM_ORD_Unseal";
-    case kOrdLoadKey2: return "TPM_ORD_LoadKey2";
     case kOrdGetRandom: return "TPM_ORD_GetRandom";
-    case kOrdGetCapability: return "TPM_ORD_GetCapability";
     case kOrdTerminateHandle: return "TPM_ORD_Terminate_Handle";
-    case kOrdFlushSpecific: return "TPM_ORD_FlushSpecific";
     case kOrdNvDefineSpace: return "TPM_ORD_NV_DefineSpace";
     case kOrdNvWriteValue: return "TPM_ORD_NV_WriteValue";
     case kOrdNvReadValue: return "TPM_ORD_NV_ReadValue";
     case kOrdCreateCounter: return "TPM_ORD_CreateCounter";
     case kOrdIncrementCounter: return "TPM_ORD_IncrementCounter";
     case kOrdReadCounter: return "TPM_ORD_ReadCounter";
-    case kOrdGetAikBlob: return "TPM_VENDOR_GetAikBlob";
     case kOrdGetPubKey: return "TPM_VENDOR_GetPubKey";
     case kOrdTisRequestLocality: return "TIS_RequestLocality";
     case kOrdTisReleaseLocality: return "TIS_ReleaseLocality";
@@ -133,7 +126,7 @@ StatusCode StatusCodeFromReturnCode(uint32_t return_code) {
     return StatusCode::kOk;
   }
   uint32_t raw = return_code - kVendorErrorBase;
-  if (raw >= 1 && raw <= static_cast<uint32_t>(StatusCode::kRollbackDetected)) {
+  if (raw >= 1 && raw <= static_cast<uint32_t>(kLastStatusCode)) {
     return static_cast<StatusCode>(raw);
   }
   return StatusCode::kInternal;
@@ -258,13 +251,6 @@ Bytes BuildPcrExtend(int index, const Bytes& measurement) {
 
 Bytes BuildOiap() { return BuildCommandFrame(kTagRequest, kOrdOiap, Bytes()); }
 
-Bytes BuildOsap(AuthEntity entity, const Bytes& nonce_odd_osap) {
-  Writer w;
-  w.U16(entity == AuthEntity::kOwner ? 1 : 0);
-  w.Blob(nonce_odd_osap);
-  return BuildCommandFrame(kTagRequest, kOrdOsap, w.Take());
-}
-
 Bytes BuildTerminateHandle(uint32_t handle) {
   Writer w;
   w.U32(handle);
@@ -291,24 +277,12 @@ Bytes BuildUnseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandA
   return BuildCommandFrame(kTagRequestAuth1, kOrdUnseal, w.Take());
 }
 
-Bytes BuildQuote(uint32_t key_handle, const Bytes& nonce, const PcrSelection& selection) {
+Bytes BuildQuote(const Bytes& nonce, const PcrSelection& selection) {
   Writer w;
-  w.U32(key_handle);
+  w.U32(0);  // keyHandle: the resident AIK.
   w.Blob(nonce);
   w.U32(SelectionMask(selection));
   return BuildCommandFrame(kTagRequest, kOrdQuote, w.Take());
-}
-
-Bytes BuildLoadKey2(const Bytes& blob) {
-  Writer w;
-  w.Blob(blob);
-  return BuildCommandFrame(kTagRequest, kOrdLoadKey2, w.Take());
-}
-
-Bytes BuildFlushSpecific(uint32_t handle) {
-  Writer w;
-  w.U32(handle);
-  return BuildCommandFrame(kTagRequest, kOrdFlushSpecific, w.Take());
 }
 
 Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
@@ -377,10 +351,6 @@ Bytes BuildSelfTestFull() { return BuildCommandFrame(kTagRequest, kOrdSelfTestFu
 
 Bytes BuildGetTestResult() { return BuildCommandFrame(kTagRequest, kOrdGetTestResult, Bytes()); }
 
-Bytes BuildGetCapability() { return BuildCommandFrame(kTagRequest, kOrdGetCapability, Bytes()); }
-
-Bytes BuildGetAikBlob() { return BuildCommandFrame(kTagRequest, kOrdGetAikBlob, Bytes()); }
-
 Bytes BuildGetPubKey(bool srk) {
   Writer w;
   w.U8(srk ? 1 : 0);
@@ -394,8 +364,6 @@ Result<AuthSessionInfo> ParseSessionPayload(const Bytes& payload) {
   AuthSessionInfo session;
   session.handle = r.U32();
   session.nonce_even = r.Blob();
-  session.osap = r.U8() != 0;
-  session.shared_secret = r.Blob();
   if (!r.ok() || !r.AtEnd()) {
     return InvalidArgumentError("malformed TPM session payload");
   }
@@ -460,18 +428,6 @@ Result<TpmStartupReport> ParseStartupPayload(const Bytes& payload) {
   return report;
 }
 
-Result<Tpm::Capabilities> ParseCapabilityPayload(const Bytes& payload) {
-  Reader r(payload);
-  Tpm::Capabilities caps;
-  caps.num_pcrs = static_cast<int>(r.U32());
-  caps.key_bits = static_cast<size_t>(r.U64());
-  caps.profile_name = r.Str();
-  if (!r.ok() || !r.AtEnd()) {
-    return InvalidArgumentError("malformed TPM capability payload");
-  }
-  return caps;
-}
-
 // ---- Device side ----
 
 namespace {
@@ -522,16 +478,6 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
       WriteSessionPayload(&payload, tpm->StartOiap());
       return respond(Status::Ok());
     }
-    case kOrdOsap: {
-      uint16_t entity = r.U16();
-      Bytes nonce_odd_osap = r.Blob();
-      if (!r.ok() || !r.AtEnd() || entity > 1) {
-        return malformed();
-      }
-      WriteSessionPayload(&payload, tpm->StartOsap(
-          entity == 1 ? AuthEntity::kOwner : AuthEntity::kSrk, nonce_odd_osap));
-      return respond(Status::Ok());
-    }
     case kOrdTerminateHandle: {
       uint32_t handle = r.U32();
       if (!r.ok() || !r.AtEnd()) {
@@ -577,33 +523,16 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
       if (!r.ok() || !r.AtEnd()) {
         return malformed();
       }
-      Result<TpmQuote> quote = key_handle == 0
-                                   ? tpm->Quote(nonce, selection)
-                                   : tpm->QuoteWithKey(key_handle, nonce, selection);
+      if (key_handle != 0) {
+        // No key slots: the resident AIK (handle 0) is the only signing key.
+        return respond(NotFoundError("quote requires the resident AIK (keyHandle 0)"));
+      }
+      Result<TpmQuote> quote = tpm->Quote(nonce, selection);
       if (!quote.ok()) {
         return respond(quote.status());
       }
       WriteQuotePayload(&payload, quote.value());
       return respond(Status::Ok());
-    }
-    case kOrdLoadKey2: {
-      Bytes blob = r.Blob();
-      if (!r.ok() || !r.AtEnd()) {
-        return malformed();
-      }
-      Result<uint32_t> handle = tpm->LoadKey2(blob);
-      if (!handle.ok()) {
-        return respond(handle.status());
-      }
-      payload.U32(handle.value());
-      return respond(Status::Ok());
-    }
-    case kOrdFlushSpecific: {
-      uint32_t handle = r.U32();
-      if (!r.ok() || !r.AtEnd()) {
-        return malformed();
-      }
-      return respond(tpm->FlushKey(handle));
     }
     case kOrdNvDefineSpace: {
       uint32_t index = r.U32();
@@ -716,23 +645,6 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
         return malformed();
       }
       payload.U32(tpm->GetTestResult());
-      return respond(Status::Ok());
-    }
-    case kOrdGetCapability: {
-      if (!r.AtEnd()) {
-        return malformed();
-      }
-      Tpm::Capabilities caps = tpm->GetCapability();
-      payload.U32(static_cast<uint32_t>(caps.num_pcrs));
-      payload.U64(caps.key_bits);
-      payload.Str(caps.profile_name);
-      return respond(Status::Ok());
-    }
-    case kOrdGetAikBlob: {
-      if (!r.AtEnd()) {
-        return malformed();
-      }
-      payload.Blob(tpm->GetAikBlob());
       return respond(Status::Ok());
     }
     case kOrdGetPubKey: {

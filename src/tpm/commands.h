@@ -8,10 +8,12 @@
 // frame is caught by exactly the checks a real TPM applies (parse failure or
 // authorization-HMAC mismatch).
 //
-// Ordinals use the real TPM 1.2 values; simulator-only reads (AIK blob,
-// public-key export) live in the vendor-specific range, and TIS events that
-// are register writes rather than commands (locality changes, the SKINIT
+// Ordinals use the real TPM 1.2 values; the simulator-only public-key
+// export lives in the vendor-specific range, and TIS events that are
+// register writes rather than commands (locality changes, the SKINIT
 // hardware path) get pseudo-ordinals that exist only in the command trace.
+// The device implements only the commands a Flicker platform sends: any
+// other ordinal is answered with kInvalidArgument "unknown TPM ordinal".
 
 #ifndef FLICKER_SRC_TPM_COMMANDS_H_
 #define FLICKER_SRC_TPM_COMMANDS_H_
@@ -38,22 +40,18 @@ constexpr size_t kFrameHeaderSize = 10;
 // ---- Ordinals (TPM_ORD_*, v1.2 values) ----
 enum TpmOrdinal : uint32_t {
   kOrdOiap = 0x0000000A,
-  kOrdOsap = 0x0000000B,
   kOrdTakeOwnership = 0x0000000D,
   kOrdExtend = 0x00000014,
   kOrdPcrRead = 0x00000015,
   kOrdQuote = 0x00000016,
   kOrdSeal = 0x00000017,
   kOrdUnseal = 0x00000018,
-  kOrdLoadKey2 = 0x00000041,
   kOrdGetRandom = 0x00000046,
   kOrdSelfTestFull = 0x00000050,
   kOrdGetTestResult = 0x00000054,
-  kOrdGetCapability = 0x00000065,
   kOrdTerminateHandle = 0x00000096,
   kOrdSaveState = 0x00000098,
   kOrdStartup = 0x00000099,
-  kOrdFlushSpecific = 0x000000BA,
   kOrdNvDefineSpace = 0x000000CC,
   kOrdNvWriteValue = 0x000000CD,
   kOrdNvReadValue = 0x000000CF,
@@ -61,8 +59,7 @@ enum TpmOrdinal : uint32_t {
   kOrdIncrementCounter = 0x000000DD,
   kOrdReadCounter = 0x000000DE,
 
-  // Vendor-specific range (TPM_VENDOR_COMMAND bit): simulator-only reads.
-  kOrdGetAikBlob = 0x20000001,
+  // Vendor-specific range (TPM_VENDOR_COMMAND bit): simulator-only read.
   kOrdGetPubKey = 0x20000002,
 
   // TIS pseudo-ordinals: locality register writes and the hardware-side
@@ -119,17 +116,15 @@ Bytes BuildGetRandom(size_t len);
 Bytes BuildPcrRead(int index);
 Bytes BuildPcrExtend(int index, const Bytes& measurement);
 Bytes BuildOiap();
-Bytes BuildOsap(AuthEntity entity, const Bytes& nonce_odd_osap);
 Bytes BuildTerminateHandle(uint32_t handle);
 Bytes BuildSeal(const Bytes& data, const PcrSelection& selection,
                 const std::map<int, Bytes>& release_pcrs, const Bytes& blob_auth,
                 const CommandAuth& auth);
 Bytes BuildUnseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandAuth& auth);
-// key_handle 0 requests the convenience load-sign-flush quote; a nonzero
-// handle quotes with an explicitly loaded key (TPM_ORD_Quote's keyHandle).
-Bytes BuildQuote(uint32_t key_handle, const Bytes& nonce, const PcrSelection& selection);
-Bytes BuildLoadKey2(const Bytes& blob);
-Bytes BuildFlushSpecific(uint32_t handle);
+// Quotes with the resident AIK. The frame keeps TPM_ORD_Quote's v1.2
+// keyHandle field, always written as 0; the device answers any other handle
+// with kNotFound, since it has no key slots to load a key into.
+Bytes BuildQuote(const Bytes& nonce, const PcrSelection& selection);
 Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
                          const std::map<int, Bytes>& read_pcrs,
                          const PcrSelection& write_selection,
@@ -144,8 +139,6 @@ Bytes BuildStartup(TpmStartupType type);
 Bytes BuildSaveState();
 Bytes BuildSelfTestFull();
 Bytes BuildGetTestResult();
-Bytes BuildGetCapability();
-Bytes BuildGetAikBlob();
 Bytes BuildGetPubKey(bool srk);
 
 // ---- Response payload codecs ----
@@ -155,7 +148,6 @@ Result<TpmQuote> ParseQuotePayload(const Bytes& payload);
 Result<uint32_t> ParseHandlePayload(const Bytes& payload);
 Result<uint64_t> ParseCounterPayload(const Bytes& payload);
 Result<Bytes> ParseBlobPayload(const Bytes& payload);
-Result<Tpm::Capabilities> ParseCapabilityPayload(const Bytes& payload);
 Result<TpmStartupReport> ParseStartupPayload(const Bytes& payload);
 
 // ---- Device side ----

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "src/common/fault.h"
@@ -54,7 +55,6 @@ Bytes QuoteInfoDigestInput(const Bytes& composite, const Bytes& nonce) {
 Tpm::Tpm(SimClock* clock, TpmTimingProfile profile, TpmConfig config)
     : clock_(clock),
       profile_(std::move(profile)),
-      config_(config),
       hardware_(this),
       rng_(config.manufacture_seed ^ 0x54504d21ULL),  // "TPM!"
       srk_usage_auth_(WellKnownSecret()) {
@@ -217,35 +217,12 @@ Status Tpm::PcrExtend(int index, const Bytes& measurement) {
   return pcrs_.Extend(index, measurement);
 }
 
-Status Tpm::PcrExtendData(int index, const Bytes& data) {
-  return PcrExtend(index, Sha1::Digest(data));
-}
-
 AuthSessionInfo Tpm::StartOiap() {
   Charge(profile_.session_start_ms);
   AuthSessionInfo session;
   session.handle = next_session_handle_++;
   session.nonce_even = rng_.Generate(kPcrSize);
-  session.osap = false;
   sessions_[session.handle] = session;
-  return session;
-}
-
-AuthSessionInfo Tpm::StartOsap(AuthEntity entity, const Bytes& nonce_odd_osap) {
-  Charge(profile_.session_start_ms);
-  AuthSessionInfo session;
-  session.handle = next_session_handle_++;
-  session.nonce_even = rng_.Generate(kPcrSize);
-  session.osap = true;
-  Bytes nonce_even_osap = rng_.Generate(kPcrSize);
-  session.shared_secret = HmacSha1(EntitySecret(entity), Concat(nonce_even_osap, nonce_odd_osap));
-  sessions_[session.handle] = session;
-  // The caller derives the same shared secret; hand back nonce_even_osap via
-  // the nonce_even field convention is wrong, so expose it in shared_secret
-  // for the simulator's driver (which is trusted to model the handshake).
-  // To keep both sides honest we return the derived secret directly: the
-  // driver-side helper recomputes nothing but uses this value, exactly as a
-  // real driver ends up holding the same secret after the handshake.
   return session;
 }
 
@@ -274,8 +251,8 @@ Status Tpm::CheckAuth(AuthEntity entity, const Bytes& param_digest, const Comman
     return PermissionDeniedError("unknown authorization session");
   }
   AuthSessionInfo& session = it->second;
-  const Bytes& secret = session.osap ? session.shared_secret : EntitySecret(entity);
-  Bytes expected = ComputeCommandAuth(secret, param_digest, session.nonce_even, auth.nonce_odd);
+  Bytes expected =
+      ComputeCommandAuth(EntitySecret(entity), param_digest, session.nonce_even, auth.nonce_odd);
   if (!ConstantTimeEquals(expected, auth.auth)) {
     // A real TPM terminates the session on auth failure (defense against
     // online guessing); model that.
@@ -466,129 +443,11 @@ Result<Bytes> Tpm::Unseal(const SealedBlob& blob, const Bytes& blob_auth, const 
   return Bytes(in.begin() + static_cast<long>(pos), in.end());
 }
 
-namespace {
-constexpr char kAikWrapMagic[] = "TPM-AIKWRAP-v1";
-}  // namespace
-
-Bytes Tpm::GetAikBlob() {
-  // Hybrid envelope under the SRK: the same construction as sealed storage
-  // but without a PCR binding (the AIK is loadable in any platform state).
-  Bytes inner = BytesOf(kAikWrapMagic);
-  Bytes serialized = aik_.Serialize();
-  PutUint32(&inner, static_cast<uint32_t>(serialized.size()));
-  inner.insert(inner.end(), serialized.begin(), serialized.end());
-
-  Bytes aes_key = rng_.Generate(16);
-  Bytes mac_key = rng_.Generate(20);
-  Bytes iv = rng_.Generate(16);
-  Aes aes(aes_key);
-  Bytes body = aes.EncryptCbc(inner, iv);
-  Result<Bytes> wrapped = RsaEncryptPkcs1(srk_.pub, Concat(aes_key, mac_key), &rng_);
-
-  Bytes blob;
-  PutUint32(&blob, static_cast<uint32_t>(wrapped.value().size()));
-  blob.insert(blob.end(), wrapped.value().begin(), wrapped.value().end());
-  blob.insert(blob.end(), iv.begin(), iv.end());
-  PutUint32(&blob, static_cast<uint32_t>(body.size()));
-  blob.insert(blob.end(), body.begin(), body.end());
-  Bytes tag = HmacSha1(mac_key, Concat(iv, body));
-  blob.insert(blob.end(), tag.begin(), tag.end());
-  SecureErase(&aes_key);
-  SecureErase(&mac_key);
-  return blob;
-}
-
-Result<uint32_t> Tpm::LoadKey2(const Bytes& blob) {
-  Charge(profile_.load_key_ms);
-  if (blob.size() < 4) {
-    return InvalidArgumentError("key blob truncated");
-  }
-  size_t offset = 0;
-  uint32_t wrapped_len = GetUint32(blob, offset);
-  offset += 4;
-  if (offset + wrapped_len + 16 + 4 > blob.size()) {
-    return InvalidArgumentError("key blob truncated");
-  }
-  Bytes wrapped(blob.begin() + static_cast<long>(offset),
-                blob.begin() + static_cast<long>(offset + wrapped_len));
-  offset += wrapped_len;
-  Bytes iv(blob.begin() + static_cast<long>(offset), blob.begin() + static_cast<long>(offset + 16));
-  offset += 16;
-  uint32_t body_len = GetUint32(blob, offset);
-  offset += 4;
-  if (offset + body_len + kPcrSize != blob.size()) {
-    return InvalidArgumentError("key blob truncated");
-  }
-  Bytes body(blob.begin() + static_cast<long>(offset),
-             blob.begin() + static_cast<long>(offset + body_len));
-  offset += body_len;
-  Bytes tag(blob.begin() + static_cast<long>(offset), blob.end());
-
-  Result<Bytes> keys = RsaDecryptPkcs1(srk_, wrapped);
-  if (!keys.ok() || keys.value().size() != 36) {
-    return IntegrityFailureError("key blob unwrap failed");
-  }
-  Bytes aes_key(keys.value().begin(), keys.value().begin() + 16);
-  Bytes mac_key(keys.value().begin() + 16, keys.value().end());
-  if (!HmacSha1Verify(mac_key, Concat(iv, body), tag)) {
-    return IntegrityFailureError("key blob MAC mismatch");
-  }
-  Aes aes(aes_key);
-  Result<Bytes> inner = aes.DecryptCbc(body, iv);
-  if (!inner.ok()) {
-    return IntegrityFailureError("key blob decryption failed");
-  }
-  size_t magic_len = BytesOf(kAikWrapMagic).size();
-  const Bytes& in = inner.value();
-  if (in.size() < magic_len + 4 ||
-      !std::equal(in.begin(), in.begin() + static_cast<long>(magic_len),
-                  BytesOf(kAikWrapMagic).begin())) {
-    return IntegrityFailureError("key blob magic mismatch");
-  }
-  uint32_t key_len = GetUint32(in, magic_len);
-  if (magic_len + 4 + key_len != in.size()) {
-    return IntegrityFailureError("key blob inner structure truncated");
-  }
-  Result<RsaPrivateKey> key =
-      RsaPrivateKey::Deserialize(Bytes(in.begin() + static_cast<long>(magic_len + 4), in.end()));
-  if (!key.ok()) {
-    return key.status();
-  }
-  uint32_t handle = next_key_handle_++;
-  key_slots_[handle] = key.take();
-  return handle;
-}
-
-Status Tpm::FlushKey(uint32_t handle) {
-  if (key_slots_.erase(handle) == 0) {
-    return NotFoundError("no key loaded at that handle");
-  }
-  return Status::Ok();
-}
-
-Result<TpmQuote> Tpm::QuoteWithKey(uint32_t key_handle, const Bytes& nonce,
-                                   const PcrSelection& selection) {
-  double sign_ms = profile_.quote_ms - profile_.load_key_ms;
-  Charge(sign_ms > 0 ? sign_ms : profile_.quote_ms);
-  auto slot = key_slots_.find(key_handle);
-  if (slot == key_slots_.end()) {
-    return NotFoundError("quote requires a loaded signing key");
-  }
-  return SignQuote(slot->second, nonce, selection);
-}
-
 Result<TpmQuote> Tpm::Quote(const Bytes& nonce, const PcrSelection& selection) {
-  // Signs with the resident AIK, charging what load + sign + flush costs on
-  // the calibrated device: load_key_ms, then the sign share of quote_ms. Two
-  // charges, as on the explicit path, so the SimClock lands on the same ns.
+  // Load, then sign: two charges, as the calibrated device spends them.
   Charge(profile_.load_key_ms);
   double sign_ms = profile_.quote_ms - profile_.load_key_ms;
   Charge(sign_ms > 0 ? sign_ms : profile_.quote_ms);
-  return SignQuote(aik_, nonce, selection);
-}
-
-Result<TpmQuote> Tpm::SignQuote(const RsaPrivateKey& key, const Bytes& nonce,
-                                const PcrSelection& selection) {
   if (selection.Empty()) {
     return InvalidArgumentError("quote requires a PCR selection");
   }
@@ -603,7 +462,7 @@ Result<TpmQuote> Tpm::SignQuote(const RsaPrivateKey& key, const Bytes& nonce,
   for (int index : selection.Indices()) {
     quote.pcr_values.push_back(pcrs_.Read(index).value());
   }
-  quote.signature = RsaSignSha1(key, QuoteInfoDigestInput(composite.value(), nonce));
+  quote.signature = RsaSignSha1(aik_, QuoteInfoDigestInput(composite.value(), nonce));
   return quote;
 }
 
@@ -774,10 +633,6 @@ Status Tpm::TakeOwnership(const Bytes& owner_auth) {
   return Status::Ok();
 }
 
-Tpm::Capabilities Tpm::GetCapability() const {
-  return Capabilities{kNumPcrs, config_.key_bits, profile_.name};
-}
-
 Status Tpm::TransitionLocality(int locality, bool hardware) {
   if (locality < 0 || locality > 4) {
     return InvalidArgumentError("locality must be 0-4");
@@ -822,7 +677,6 @@ void Tpm::HardwareInterface::Init() {
   // counters, the journal, the SaveState snapshot, the fault latch) stays.
   tpm_->pcrs_.PowerCycleReset();
   tpm_->sessions_.clear();
-  tpm_->key_slots_.clear();
   Status st = tpm_->TransitionLocality(0, /*hardware=*/true);
   (void)st;
   tpm_->lifecycle_ = TpmLifecycleState::kNeedStartup;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -37,12 +36,10 @@ struct TpmConfig {
   size_t key_bits = 2048;
 };
 
-// Authorization session state (TPM_OIAP / TPM_OSAP).
+// Authorization session state (TPM_OIAP).
 struct AuthSessionInfo {
   uint32_t handle = 0;
-  Bytes nonce_even;       // TPM-chosen rolling nonce.
-  bool osap = false;
-  Bytes shared_secret;    // OSAP only: HMAC(entity secret, nonceEvenOSAP||nonceOddOSAP).
+  Bytes nonce_even;  // TPM-chosen rolling nonce.
 };
 
 // Authorization data a caller attaches to an authorized command.
@@ -137,14 +134,9 @@ class Tpm {
   // TPM_PCRRead / TPM_Extend. Extend requires a 20-byte measurement.
   Result<Bytes> PcrRead(int index);
   Status PcrExtend(int index, const Bytes& measurement);
-  // Convenience used throughout: extend with SHA1(data).
-  Status PcrExtendData(int index, const Bytes& data);
 
   // TPM_OIAP: start an object-independent session.
   AuthSessionInfo StartOiap();
-  // TPM_OSAP: start an object-specific session bound to `entity`. The caller
-  // supplies nonce_odd_osap; the shared secret is derived on both sides.
-  AuthSessionInfo StartOsap(AuthEntity entity, const Bytes& nonce_odd_osap);
   void TerminateSession(uint32_t handle);
 
   // TPM_Seal (authorized by SRK usage secret). Encrypts `data` so it can only
@@ -160,28 +152,13 @@ class Tpm {
   // not match the sealed composite, and kPermissionDenied on bad auth.
   Result<Bytes> Unseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandAuth& auth);
 
-  // TPM_Quote convenience: sign (composite of `selection`, nonce) with the
-  // resident AIK, charging the full measured quote latency - the same
-  // load_key_ms + sign charges as LoadKey2 + QuoteWithKey, with no slot used.
+  // TPM_Quote: sign (composite of `selection`, nonce) with the resident AIK,
+  // charging the full measured quote latency. quote_ms is calibrated on a
+  // device that loads the AIK before signing (§6: "the OS causes the TPM to
+  // load its AIK"), so the charge is two steps - load_key_ms, then the
+  // remaining quote_ms - load_key_ms - keeping the SimClock on the same
+  // nanosecond as the calibrated load-then-sign sequence.
   Result<TpmQuote> Quote(const Bytes& nonce, const PcrSelection& selection);
-
-  // ---- Key slots (TPM_LoadKey2 / TPM_FlushSpecific) ----
-  //
-  // Real TPMs hold the AIK private key wrapped under the SRK; the OS stores
-  // the blob and must load it into a (scarce) key slot before quoting -
-  // "the OS causes the TPM to load its AIK" (§6). The wrapped blob is
-  // opaque to software; tampering is detected at load time.
-
-  // The wrapped AIK blob the OS keeps on disk.
-  Bytes GetAikBlob();
-  // Unwraps a key blob into a slot; charges load_key_ms.
-  Result<uint32_t> LoadKey2(const Bytes& blob);
-  Status FlushKey(uint32_t handle);
-  // Quote with an explicitly loaded key; charges quote_ms - load_key_ms
-  // (quote_ms is calibrated as the total including the load).
-  Result<TpmQuote> QuoteWithKey(uint32_t key_handle, const Bytes& nonce,
-                                const PcrSelection& selection);
-  size_t loaded_key_count() const { return key_slots_.size(); }
 
   // ---- NV storage (§4.3.2) ----
 
@@ -205,20 +182,11 @@ class Tpm {
 
   // Installs the 20-byte owner authorization secret (TPM_TakeOwnership).
   Status TakeOwnership(const Bytes& owner_auth);
-  const Bytes& owner_auth_digest() const { return owner_auth_; }  // Test hook.
 
   const RsaPublicKey& aik_public() const { return aik_.pub; }
   const RsaPublicKey& srk_public() const { return srk_.pub; }
   // Usage secret of the SRK (the TCG "well-known secret" of 20 zero bytes).
   static Bytes WellKnownSecret() { return Bytes(kPcrSize, 0x00); }
-
-  // TPM_GetCapability subset.
-  struct Capabilities {
-    int num_pcrs;
-    size_t key_bits;
-    std::string profile_name;
-  };
-  Capabilities GetCapability() const;
 
   // Current locality (0 = legacy software, 4 = CPU during SKINIT).
   int locality() const { return locality_; }
@@ -250,8 +218,8 @@ class Tpm {
     // by the TXT model for the post-ACM MLE measurement.
     void ExtendIdentityPcr(const Bytes& measurement);
 
-    // TPM_Init: the reset line. Drops volatile state (sessions, key slots,
-    // locality), resets PCRs to power-cycle defaults and leaves the device
+    // TPM_Init: the reset line. Drops volatile state (sessions, locality),
+    // resets PCRs to power-cycle defaults and leaves the device
     // awaiting TPM_Startup. Persistent state (NV, counters, journal, saved
     // state, fault flag) survives.
     void Init();
@@ -322,11 +290,6 @@ class Tpm {
 
   const Bytes& EntitySecret(AuthEntity entity) const;
 
-  // The TPM_Quote body both quote paths share: composite of `selection`,
-  // signed with `key` over (fixed tag, composite, nonce). Charges nothing.
-  Result<TpmQuote> SignQuote(const RsaPrivateKey& key, const Bytes& nonce,
-                             const PcrSelection& selection);
-
   // The single checked locality mutator; every transition (software or
   // hardware) funnels through it. `hardware` unlocks localities 3 and 4.
   Status TransitionLocality(int locality, bool hardware);
@@ -335,7 +298,6 @@ class Tpm {
 
   SimClock* clock_;
   TpmTimingProfile profile_;
-  TpmConfig config_;
   HardwareInterface hardware_;
 
   // ---- Volatile state: lost on TPM_Init / power cut ----
@@ -350,9 +312,6 @@ class Tpm {
 
   std::map<uint32_t, AuthSessionInfo> sessions_;
   uint32_t next_session_handle_ = 0x1000;
-
-  std::map<uint32_t, RsaPrivateKey> key_slots_;
-  uint32_t next_key_handle_ = 0x2000;
 
   // ---- Persistent state: survives TPM_Init (battery-backed NVRAM) ----
   RsaPrivateKey srk_;

@@ -1,40 +1,33 @@
-// Driver-side TPM utilities: the authorization-session handshakes (OIAP /
-// OSAP) needed to call Seal, Unseal, NV definition and counter creation.
+// Driver-side TPM utilities: the OIAP authorization-session handshake needed
+// to call Seal, Unseal, NV definition and counter creation.
 //
 // This is the paper's "TPM Utilities" PAL module (Fig. 6): PAL code links it
 // to perform TPM operations without hand-rolling the session HMACs. Each
 // helper starts a session, computes the same parameter digest the TPM
-// checks, presents the HMAC, and terminates the session.
-//
-// The helpers are templates over the device handle so they run identically
-// against the raw device model (`Tpm`, in device-level tests) and against
-// the byte-marshalled transport client (`TpmClient`, everywhere else).
+// checks, presents the HMAC, and terminates the session. Every helper drives
+// the device through the one driver, TpmClient, so each step is a real wire
+// command.
 
 #ifndef FLICKER_SRC_TPM_TPM_UTIL_H_
 #define FLICKER_SRC_TPM_TPM_UTIL_H_
 
+#include <cstdint>
 #include <map>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
-#include "src/crypto/sha1.h"
 #include "src/tpm/tpm.h"
 
 namespace flicker {
 
+class TpmClient;
+
 namespace tpm_util_internal {
 
 // Builds the CommandAuth for a command whose parameters hash to
-// `param_digest`, under an OIAP session.
-template <typename Device>
-CommandAuth MakeAuth(Device* tpm, const AuthSessionInfo& session, const Bytes& secret,
-                     const Bytes& param_digest) {
-  CommandAuth auth;
-  auth.session_handle = session.handle;
-  auth.nonce_odd = tpm->GetRandom(kPcrSize);
-  auth.auth = Tpm::ComputeCommandAuth(secret, param_digest, session.nonce_even, auth.nonce_odd);
-  return auth;
-}
+// `param_digest`, under the OIAP `session`.
+CommandAuth MakeAuth(TpmClient* tpm, const AuthSessionInfo& session, const Bytes& secret,
+                     const Bytes& param_digest);
 
 }  // namespace tpm_util_internal
 
@@ -42,57 +35,22 @@ CommandAuth MakeAuth(Device* tpm, const AuthSessionInfo& session, const Bytes& s
 // `release_pcrs` (current values where omitted) and the caller knows
 // `blob_auth`. `srk_secret` is the SRK usage secret (the well-known secret
 // unless changed).
-template <typename Device>
-Result<SealedBlob> TpmSealData(Device* tpm, const Bytes& data, const PcrSelection& selection,
+Result<SealedBlob> TpmSealData(TpmClient* tpm, const Bytes& data, const PcrSelection& selection,
                                const std::map<int, Bytes>& release_pcrs, const Bytes& blob_auth,
-                               const Bytes& srk_secret = Tpm::WellKnownSecret()) {
-  AuthSessionInfo session = tpm->StartOiap();
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_Seal"), data, selection.Serialize()));
-  CommandAuth auth = tpm_util_internal::MakeAuth(tpm, session, srk_secret, param_digest);
-  Result<SealedBlob> blob = tpm->Seal(data, selection, release_pcrs, blob_auth, auth);
-  tpm->TerminateSession(session.handle);
-  return blob;
-}
+                               const Bytes& srk_secret = Tpm::WellKnownSecret());
 
-template <typename Device>
-Result<Bytes> TpmUnsealData(Device* tpm, const SealedBlob& blob, const Bytes& blob_auth,
-                            const Bytes& srk_secret = Tpm::WellKnownSecret()) {
-  AuthSessionInfo session = tpm->StartOiap();
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_Unseal"), blob.ciphertext));
-  CommandAuth auth = tpm_util_internal::MakeAuth(tpm, session, srk_secret, param_digest);
-  Result<Bytes> data = tpm->Unseal(blob, blob_auth, auth);
-  tpm->TerminateSession(session.handle);
-  return data;
-}
+Result<Bytes> TpmUnsealData(TpmClient* tpm, const SealedBlob& blob, const Bytes& blob_auth,
+                            const Bytes& srk_secret = Tpm::WellKnownSecret());
 
 // Owner-authorized NV space definition.
-template <typename Device>
-Status TpmDefineNvSpace(Device* tpm, uint32_t index, size_t size,
+Status TpmDefineNvSpace(TpmClient* tpm, uint32_t index, size_t size,
                         const PcrSelection& read_selection, const std::map<int, Bytes>& read_pcrs,
                         const PcrSelection& write_selection, const std::map<int, Bytes>& write_pcrs,
-                        const Bytes& owner_secret) {
-  AuthSessionInfo session = tpm->StartOiap();
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_NV_DefineSpace"),
-                                           read_selection.Serialize(),
-                                           write_selection.Serialize()));
-  CommandAuth auth = tpm_util_internal::MakeAuth(tpm, session, owner_secret, param_digest);
-  Status st =
-      tpm->NvDefineSpace(index, size, read_selection, read_pcrs, write_selection, write_pcrs, auth);
-  tpm->TerminateSession(session.handle);
-  return st;
-}
+                        const Bytes& owner_secret);
 
 // Owner-authorized monotonic-counter creation.
-template <typename Device>
-Result<uint32_t> TpmCreateCounter(Device* tpm, const Bytes& counter_auth,
-                                  const Bytes& owner_secret) {
-  AuthSessionInfo session = tpm->StartOiap();
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_CreateCounter"), counter_auth));
-  CommandAuth auth = tpm_util_internal::MakeAuth(tpm, session, owner_secret, param_digest);
-  Result<uint32_t> id = tpm->CreateCounter(counter_auth, auth);
-  tpm->TerminateSession(session.handle);
-  return id;
-}
+Result<uint32_t> TpmCreateCounter(TpmClient* tpm, const Bytes& counter_auth,
+                                  const Bytes& owner_secret);
 
 }  // namespace flicker
 

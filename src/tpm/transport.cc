@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/crypto/sha1.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tpm/commands.h"
@@ -221,21 +220,8 @@ Status TpmClient::PcrExtend(int index, const Bytes& measurement) {
   return payload.ok() ? Status::Ok() : payload.status();
 }
 
-Status TpmClient::PcrExtendData(int index, const Bytes& data) {
-  return PcrExtend(index, Sha1::Digest(data));
-}
-
 AuthSessionInfo TpmClient::StartOiap() {
   Result<Bytes> payload = Roundtrip(BuildOiap());
-  if (!payload.ok()) {
-    return AuthSessionInfo();
-  }
-  Result<AuthSessionInfo> session = ParseSessionPayload(payload.value());
-  return session.ok() ? session.take() : AuthSessionInfo();
-}
-
-AuthSessionInfo TpmClient::StartOsap(AuthEntity entity, const Bytes& nonce_odd_osap) {
-  Result<Bytes> payload = Roundtrip(BuildOsap(entity, nonce_odd_osap));
   if (!payload.ok()) {
     return AuthSessionInfo();
   }
@@ -272,38 +258,7 @@ Result<Bytes> TpmClient::Unseal(const SealedBlob& blob, const Bytes& blob_auth,
 }
 
 Result<TpmQuote> TpmClient::Quote(const Bytes& nonce, const PcrSelection& selection) {
-  Result<Bytes> payload = Roundtrip(BuildQuote(/*key_handle=*/0, nonce, selection));
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  return ParseQuotePayload(payload.value());
-}
-
-Bytes TpmClient::GetAikBlob() {
-  Result<Bytes> payload = Roundtrip(BuildGetAikBlob());
-  if (!payload.ok()) {
-    return Bytes();
-  }
-  Result<Bytes> blob = ParseBlobPayload(payload.value());
-  return blob.ok() ? blob.take() : Bytes();
-}
-
-Result<uint32_t> TpmClient::LoadKey2(const Bytes& blob) {
-  Result<Bytes> payload = Roundtrip(BuildLoadKey2(blob));
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  return ParseHandlePayload(payload.value());
-}
-
-Status TpmClient::FlushKey(uint32_t handle) {
-  Result<Bytes> payload = Roundtrip(BuildFlushSpecific(handle));
-  return payload.ok() ? Status::Ok() : payload.status();
-}
-
-Result<TpmQuote> TpmClient::QuoteWithKey(uint32_t key_handle, const Bytes& nonce,
-                                         const PcrSelection& selection) {
-  Result<Bytes> payload = Roundtrip(BuildQuote(key_handle, nonce, selection));
+  Result<Bytes> payload = Roundtrip(BuildQuote(nonce, selection));
   if (!payload.ok()) {
     return payload.status();
   }
@@ -359,14 +314,6 @@ Result<uint64_t> TpmClient::ReadCounter(uint32_t id) {
 Status TpmClient::TakeOwnership(const Bytes& owner_auth) {
   Result<Bytes> payload = Roundtrip(BuildTakeOwnership(owner_auth));
   return payload.ok() ? Status::Ok() : payload.status();
-}
-
-Result<Tpm::Capabilities> TpmClient::GetCapability() {
-  Result<Bytes> payload = Roundtrip(BuildGetCapability());
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  return ParseCapabilityPayload(payload.value());
 }
 
 Result<TpmStartupReport> TpmClient::Startup(TpmStartupType type) {

@@ -15,9 +15,10 @@
 // return code) args. That stream is the command history a failing test
 // prints.
 //
-// TpmClient is the driver built on top: it mirrors the Tpm software API
-// method-for-method so call sites keep their shape, but every operation is
-// marshalled, transmitted, policy-checked and unmarshalled. Timing is
+// TpmClient is the one driver built on top, and the handle every caller
+// (including the TPM utilities in tpm_util.h) holds: it mirrors the Tpm
+// software API method-for-method so call sites keep their shape, but every
+// operation is marshalled, transmitted, policy-checked and unmarshalled. Timing is
 // unchanged by construction: the device model charges the calibrated
 // latencies exactly as before, and the transport adds none of its own.
 
@@ -126,10 +127,8 @@ class TpmClient {
   // Extends of dynamic PCRs auto-negotiate locality 2 when the current
   // locality would be rejected, as a real driver's TIS handshake does.
   Status PcrExtend(int index, const Bytes& measurement);
-  Status PcrExtendData(int index, const Bytes& data);
 
   AuthSessionInfo StartOiap();  // handle == 0 on transport failure.
-  AuthSessionInfo StartOsap(AuthEntity entity, const Bytes& nonce_odd_osap);
   void TerminateSession(uint32_t handle);
 
   Result<SealedBlob> Seal(const Bytes& data, const PcrSelection& selection,
@@ -137,15 +136,9 @@ class TpmClient {
                           const CommandAuth& auth);
   Result<Bytes> Unseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandAuth& auth);
 
-  // Single-frame convenience quote (TPM_ORD_Quote with keyHandle 0: the
-  // device loads, signs with and flushes the AIK at the calibrated cost).
+  // One TPM_ORD_Quote frame, signed by the resident AIK at the calibrated
+  // quote latency.
   Result<TpmQuote> Quote(const Bytes& nonce, const PcrSelection& selection);
-
-  Bytes GetAikBlob();
-  Result<uint32_t> LoadKey2(const Bytes& blob);
-  Status FlushKey(uint32_t handle);
-  Result<TpmQuote> QuoteWithKey(uint32_t key_handle, const Bytes& nonce,
-                                const PcrSelection& selection);
 
   Status NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
                        const std::map<int, Bytes>& read_pcrs, const PcrSelection& write_selection,
@@ -158,7 +151,6 @@ class TpmClient {
   Result<uint64_t> ReadCounter(uint32_t id);
 
   Status TakeOwnership(const Bytes& owner_auth);
-  Result<Tpm::Capabilities> GetCapability();
 
   // ---- Lifecycle (TPM_Startup family) ----
   Result<TpmStartupReport> Startup(TpmStartupType type);

@@ -14,6 +14,7 @@
 #include "src/os/kernel.h"
 #include "src/tpm/tpm.h"
 #include "src/tpm/tpm_util.h"
+#include "src/tpm/transport.h"
 
 namespace flicker {
 namespace {
@@ -60,21 +61,13 @@ TEST(RobustnessTest, RandomInputNeverParsesAsValidKey) {
 TEST(RobustnessTest, UnsealSurvivesRandomBlobs) {
   SimClock clock;
   Tpm tpm(&clock, InfineonProfile());
+  TpmTransport transport(&tpm);
+  TpmClient client(&transport);
   Bytes auth = Bytes(20, 7);
   for (const Bytes& input : RandomInputs(0xcafe)) {
-    Result<Bytes> out = TpmUnsealData(&tpm, SealedBlob{input}, auth);
+    Result<Bytes> out = TpmUnsealData(&client, SealedBlob{input}, auth);
     EXPECT_FALSE(out.ok());
   }
-}
-
-TEST(RobustnessTest, LoadKey2SurvivesRandomBlobs) {
-  SimClock clock;
-  Tpm tpm(&clock, InfineonProfile());
-  for (const Bytes& input : RandomInputs(0xdead)) {
-    Result<uint32_t> handle = tpm.LoadKey2(input);
-    EXPECT_FALSE(handle.ok());
-  }
-  EXPECT_EQ(tpm.loaded_key_count(), 0u);
 }
 
 // Single-byte mutations of *valid* wire forms must be rejected or parse to

@@ -1,6 +1,6 @@
 // MetricsRegistry: the process-wide home for counters and histograms.
-// Exactness under concurrency, idempotent dynamic registration, fixed
-// histogram bucketing, and deterministic text export.
+// Exactness under concurrency, fixed histogram bucketing, and deterministic
+// text export.
 
 #include "src/obs/metrics.h"
 
@@ -95,68 +95,10 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsRegistryTest, DynamicRegistrationIsIdempotent) {
-  MetricsRegistry registry;
-  Result<int> first = registry.RegisterCounter("bench_rounds_total", "count", "bench rounds");
-  ASSERT_TRUE(first.ok());
-  Result<int> again = registry.RegisterCounter("bench_rounds_total", "count", "bench rounds");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(first.value(), again.value());
-
-  registry.IncDynamic(first.value(), 3);
-  registry.IncDynamic(again.value(), 4);
-  EXPECT_EQ(registry.GetDynamic(first.value()), 7u);
-}
-
-TEST(MetricsRegistryTest, ConflictingReRegistrationIsAnError) {
-  MetricsRegistry registry;
-  ASSERT_TRUE(registry.RegisterCounter("widget_total", "count", "widgets").ok());
-  // Same name, different metadata: two sites disagree about the meaning.
-  EXPECT_FALSE(registry.RegisterCounter("widget_total", "ms", "widgets").ok());
-  EXPECT_FALSE(registry.RegisterCounter("widget_total", "count", "different help").ok());
-}
-
-TEST(MetricsRegistryTest, DynamicNameMayNotShadowStandardMetrics) {
-  MetricsRegistry registry;
-  EXPECT_FALSE(registry.RegisterCounter("tpm_commands_total", "count", "shadow").ok());
-  EXPECT_FALSE(registry.RegisterCounter("tpm_command_latency_ms", "ms", "shadow").ok());
-}
-
-TEST(MetricsRegistryTest, ConcurrentRegistrationOfSameNameYieldsOneId) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<int> ids(kThreads, -1);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, &ids, t] {
-      Result<int> id = registry.RegisterCounter("raced_total", "count", "raced");
-      ids[static_cast<size_t>(t)] = id.ok() ? id.value() : -1;
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (int id : ids) {
-    EXPECT_EQ(id, ids[0]);
-    EXPECT_GE(id, 0);
-  }
-}
-
-TEST(MetricsRegistryTest, OutOfRangeDynamicIdsAreHarmless) {
-  MetricsRegistry registry;
-  registry.IncDynamic(-1);
-  registry.IncDynamic(999);
-  EXPECT_EQ(registry.GetDynamic(-1), 0u);
-  EXPECT_EQ(registry.GetDynamic(999), 0u);
-}
-
 TEST(MetricsRegistryTest, DumpTextIsDeterministicAndSparse) {
   MetricsRegistry registry;
   registry.Inc(Ctr::kFlickerSessions, 2);
   registry.Observe(Hist::kSkinitLatencyMs, 14.3);
-  Result<int> dyn = registry.RegisterCounter("extra_total", "count", "extra");
-  ASSERT_TRUE(dyn.ok());
-  registry.IncDynamic(dyn.value(), 5);
 
   std::ostringstream a;
   registry.DumpText(a);
@@ -168,7 +110,6 @@ TEST(MetricsRegistryTest, DumpTextIsDeterministicAndSparse) {
   EXPECT_NE(dump.find("flicker_sessions_total 2"), std::string::npos);
   EXPECT_NE(dump.find("skinit_latency_ms_count 1"), std::string::npos);
   EXPECT_NE(dump.find("skinit_latency_ms_bucket{le=\"20\"} 1"), std::string::npos);
-  EXPECT_NE(dump.find("extra_total 5"), std::string::npos);
   // Sparse: empty buckets never print.
   EXPECT_EQ(dump.find("skinit_latency_ms_bucket{le=\"0.1\"}"), std::string::npos);
 }
@@ -186,22 +127,14 @@ TEST(MetricsRegistryTest, MarkdownReferenceListsEveryStandardMetric) {
   EXPECT_NE(md.find("Do not edit by hand"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsDynamicIds) {
+TEST(MetricsRegistryTest, ResetZeroesValues) {
   MetricsRegistry registry;
   registry.Inc(Ctr::kPowerCuts, 7);
   registry.Observe(Hist::kFlickerSessionTotalMs, 100.0);
-  Result<int> dyn = registry.RegisterCounter("reset_me_total", "count", "reset");
-  ASSERT_TRUE(dyn.ok());
-  registry.IncDynamic(dyn.value(), 9);
 
   registry.ResetValuesForTesting();
   EXPECT_EQ(registry.Get(Ctr::kPowerCuts), 0u);
   EXPECT_EQ(registry.HistogramCount(Hist::kFlickerSessionTotalMs), 0u);
-  EXPECT_EQ(registry.GetDynamic(dyn.value()), 0u);
-  // The id survives: re-registration still resolves to it.
-  Result<int> again = registry.RegisterCounter("reset_me_total", "count", "reset");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value(), dyn.value());
 }
 
 }  // namespace

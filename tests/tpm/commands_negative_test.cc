@@ -6,11 +6,13 @@
 #include "src/tpm/commands.h"
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/common/serde.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
@@ -113,8 +115,6 @@ TEST(CommandsNegativeTest, PayloadCodecsSurviveHostileBytes) {
       {"ParseHandlePayload", [](const Bytes& b) { return ParseHandlePayload(b).status(); }},
       {"ParseCounterPayload", [](const Bytes& b) { return ParseCounterPayload(b).status(); }},
       {"ParseBlobPayload", [](const Bytes& b) { return ParseBlobPayload(b).status(); }},
-      {"ParseCapabilityPayload",
-       [](const Bytes& b) { return ParseCapabilityPayload(b).status(); }},
       {"ParseStartupPayload",
        [](const Bytes& b) { return ParseStartupPayload(b).status(); }},
   };
@@ -170,6 +170,66 @@ TEST(CommandsNegativeTest, DispatchFrameAlwaysAnswersWellFormed) {
       EXPECT_LE(random.value().size(), Tpm::kMaxRandomBytes);
     }
   }
+}
+
+TEST(CommandsNegativeTest, DeletedOrdinalsFailClosed) {
+  // The device implements only what a Flicker platform sends. Well-formed
+  // frames for commands it does not implement - including v1.2 ordinals a
+  // real TPM accepts - get a typed kInvalidArgument, cost no simulated time
+  // and leave no state behind.
+  SimClock clock;
+  Tpm tpm(&clock, BroadcomBcm0102Profile());
+
+  Writer osap;
+  osap.U16(0);  // entityType: SRK
+  osap.Blob(Bytes(kPcrSize, 0x31));
+  Writer load_key;
+  load_key.Blob(Bytes(256, 0x42));
+  Writer flush;
+  flush.U32(0x2000);
+  struct Case {
+    std::string name;
+    uint32_t ordinal;
+    Bytes body;
+  };
+  const std::vector<Case> cases = {
+      {"TPM_ORD_OSAP", 0x0000000B, osap.Take()},
+      {"TPM_ORD_LoadKey2", 0x00000041, load_key.Take()},
+      {"TPM_ORD_FlushSpecific", 0x000000BA, flush.Take()},
+      {"TPM_ORD_GetCapability", 0x00000065, Bytes()},
+      {"vendor 0x20000001", 0x20000001, Bytes()},
+  };
+
+  const uint32_t first_handle = tpm.StartOiap().handle;
+  for (const Case& c : cases) {
+    const uint64_t before_ns = clock.NowNanos();
+    Bytes response = DispatchFrame(&tpm, BuildCommandFrame(kTagRequest, c.ordinal, c.body));
+    Result<Bytes> verdict = ParseResponseFrame(response);
+    ASSERT_FALSE(verdict.ok()) << c.name;
+    EXPECT_EQ(verdict.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_EQ(verdict.status().message(), "unknown TPM ordinal") << c.name;
+    EXPECT_EQ(clock.NowNanos(), before_ns) << c.name << " charged simulated time";
+  }
+  // No session was opened in between: the next OIAP handle is the next one.
+  EXPECT_EQ(tpm.StartOiap().handle, first_handle + 1);
+
+  // TPM_ORD_Quote keeps its v1.2 keyHandle field, but the resident AIK
+  // (handle 0) is the only signing key: any other handle is kNotFound,
+  // answered before the quote latency is charged.
+  Writer quote;
+  quote.U32(0x2000);
+  quote.Blob(Bytes(kPcrSize, 0x07));
+  quote.U32(PcrSelection({17}).mask());
+  const uint64_t before_ns = clock.NowNanos();
+  Result<Bytes> verdict = ParseResponseFrame(
+      DispatchFrame(&tpm, BuildCommandFrame(kTagRequest, kOrdQuote, quote.Take())));
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(clock.NowNanos(), before_ns);
+
+  // The same frame with keyHandle 0 is the quote every caller sends.
+  Bytes resident = BuildQuote(Bytes(kPcrSize, 0x07), PcrSelection({17}));
+  EXPECT_TRUE(ParseResponseFrame(DispatchFrame(&tpm, resident)).ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "src/tpm/pcr_bank.h"
 #include "src/tpm/tpm.h"
 #include "src/tpm/tpm_util.h"
+#include "src/tpm/transport.h"
 
 namespace flicker {
 namespace {
@@ -72,18 +73,20 @@ TEST_P(SealSelectionTest, UnsealGatedOnExactSelection) {
   SelectionCase test_case = Case(GetParam());
   SimClock clock;
   Tpm tpm(&clock, BroadcomBcm0102Profile());
+  TpmTransport transport(&tpm);
+  TpmClient client(&transport);
   PcrSelection selection;
   for (int i : test_case.indices) {
     selection.Select(i);
   }
   Bytes auth = Sha1::Digest(BytesOf("sweep auth"));
-  Result<SealedBlob> blob = TpmSealData(&tpm, BytesOf("payload"), selection, {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client, BytesOf("payload"), selection, {}, auth);
   ASSERT_TRUE(blob.ok());
-  ASSERT_TRUE(TpmUnsealData(&tpm, blob.value(), auth).ok());
+  ASSERT_TRUE(TpmUnsealData(&client, blob.value(), auth).ok());
 
   ASSERT_TRUE(tpm.RequestLocality(2).ok());  // Dynamic PCRs are locality-gated.
   ASSERT_TRUE(tpm.PcrExtend(test_case.disturb, Bytes(kPcrSize, 0x44)).ok());
-  Result<Bytes> after = TpmUnsealData(&tpm, blob.value(), auth);
+  Result<Bytes> after = TpmUnsealData(&client, blob.value(), auth);
   EXPECT_EQ(after.ok(), !test_case.expect_break);
 }
 
@@ -96,12 +99,14 @@ class SealSizeTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(SealSizeTest, RoundTripsAtAllSizes) {
   SimClock clock;
   Tpm tpm(&clock, BroadcomBcm0102Profile());
+  TpmTransport transport(&tpm);
+  TpmClient client(&transport);
   Drbg rng(GetParam());
   Bytes payload = rng.Generate(GetParam());
   Bytes auth = Sha1::Digest(BytesOf("size auth"));
-  Result<SealedBlob> blob = TpmSealData(&tpm, payload, PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client, payload, PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
-  Result<Bytes> back = TpmUnsealData(&tpm, blob.value(), auth);
+  Result<Bytes> back = TpmUnsealData(&client, blob.value(), auth);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), payload);
 }

@@ -1,5 +1,7 @@
 // The TPM device model: sessions, seal/unseal PCR binding, quotes, NV
-// storage, monotonic counters, ownership, and command timing.
+// storage, monotonic counters, ownership, and command timing. The
+// authorized commands go through the TPM utilities, which drive the same
+// device over a TpmClient; the transport adds no simulated time.
 
 #include "src/tpm/tpm.h"
 
@@ -8,13 +10,15 @@
 #include "src/crypto/sha1.h"
 #include "src/tpm/pcr_bank.h"
 #include "src/tpm/tpm_util.h"
+#include "src/tpm/transport.h"
 
 namespace flicker {
 namespace {
 
 class TpmTest : public ::testing::Test {
  protected:
-  TpmTest() : tpm_(&clock_, BroadcomBcm0102Profile()) {}
+  TpmTest()
+      : tpm_(&clock_, BroadcomBcm0102Profile()), transport_(&tpm_), client_(&transport_) {}
 
   Bytes OwnerAuth() { return Sha1::Digest(BytesOf("owner")); }
 
@@ -22,6 +26,8 @@ class TpmTest : public ::testing::Test {
 
   SimClock clock_;
   Tpm tpm_;
+  TpmTransport transport_;
+  TpmClient client_;
 };
 
 TEST_F(TpmTest, GetRandomReturnsRequestedLengthAndAdvancesClock) {
@@ -45,9 +51,9 @@ TEST_F(TpmTest, SealUnsealRoundTripCurrentPcrs) {
   Bytes secret = BytesOf("the CA's private key");
   Bytes auth = Sha1::Digest(BytesOf("blob auth"));
   Result<SealedBlob> blob =
-      TpmSealData(&tpm_, secret, PcrSelection({17}), {}, auth);
+      TpmSealData(&client_, secret, PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
-  Result<Bytes> back = TpmUnsealData(&tpm_, blob.value(), auth);
+  Result<Bytes> back = TpmUnsealData(&client_, blob.value(), auth);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), secret);
 }
@@ -55,13 +61,13 @@ TEST_F(TpmTest, SealUnsealRoundTripCurrentPcrs) {
 TEST_F(TpmTest, UnsealFailsAfterPcrChanges) {
   Bytes auth = Sha1::Digest(BytesOf("blob auth"));
   Result<SealedBlob> blob =
-      TpmSealData(&tpm_, BytesOf("secret"), PcrSelection({17}), {}, auth);
+      TpmSealData(&client_, BytesOf("secret"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
 
   // Extending PCR 17 revokes access - the termination-constant mechanism.
   ASSERT_TRUE(tpm_.RequestLocality(2).ok());
   ASSERT_TRUE(tpm_.PcrExtend(17, Bytes(kPcrSize, 0x77)).ok());
-  Result<Bytes> back = TpmUnsealData(&tpm_, blob.value(), auth);
+  Result<Bytes> back = TpmUnsealData(&client_, blob.value(), auth);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kIntegrityFailure);
 }
@@ -71,11 +77,11 @@ TEST_F(TpmTest, SealToExplicitTargetPcrValue) {
   // §4.3.1): unseal must fail now and succeed once PCR 17 holds the target.
   Bytes target = Sha1::Digest(BytesOf("the other PAL's V"));
   Bytes auth = Sha1::Digest(BytesOf("auth"));
-  Result<SealedBlob> blob = TpmSealData(&tpm_, BytesOf("for P' only"), PcrSelection({17}),
+  Result<SealedBlob> blob = TpmSealData(&client_, BytesOf("for P' only"), PcrSelection({17}),
                                         {{17, target}}, auth);
   ASSERT_TRUE(blob.ok());
 
-  EXPECT_FALSE(TpmUnsealData(&tpm_, blob.value(), auth).ok());
+  EXPECT_FALSE(TpmUnsealData(&client_, blob.value(), auth).ok());
 
   // Force PCR 17 to the target via hardware reset + extend chain:
   // target = SHA1(0^20 || m) for m = the extend below.
@@ -85,46 +91,46 @@ TEST_F(TpmTest, SealToExplicitTargetPcrValue) {
   Bytes m = Sha1::Digest(BytesOf("slb"));
   Bytes v = Sha1::Digest(Concat(Bytes(kPcrSize, 0x00), m));
   Result<SealedBlob> blob2 =
-      TpmSealData(&tpm_, BytesOf("for P' only"), PcrSelection({17}), {{17, v}}, auth);
+      TpmSealData(&client_, BytesOf("for P' only"), PcrSelection({17}), {{17, v}}, auth);
   ASSERT_TRUE(blob2.ok());
   tpm_.hardware()->SkinitReset(m);  // PCR17 = H(0^20 || m) = v.
-  Result<Bytes> back = TpmUnsealData(&tpm_, blob2.value(), auth);
+  Result<Bytes> back = TpmUnsealData(&client_, blob2.value(), auth);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), BytesOf("for P' only"));
 }
 
 TEST_F(TpmTest, UnsealRejectsWrongBlobAuth) {
   Bytes auth = Sha1::Digest(BytesOf("right"));
-  Result<SealedBlob> blob = TpmSealData(&tpm_, BytesOf("s"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client_, BytesOf("s"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
-  Result<Bytes> back = TpmUnsealData(&tpm_, blob.value(), Sha1::Digest(BytesOf("wrong")));
+  Result<Bytes> back = TpmUnsealData(&client_, blob.value(), Sha1::Digest(BytesOf("wrong")));
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kPermissionDenied);
 }
 
 TEST_F(TpmTest, UnsealRejectsTamperedBlob) {
   Bytes auth = Sha1::Digest(BytesOf("auth"));
-  Result<SealedBlob> blob = TpmSealData(&tpm_, BytesOf("s"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client_, BytesOf("s"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
   SealedBlob tampered = blob.value();
   tampered.ciphertext[tampered.ciphertext.size() / 2] ^= 1;
-  EXPECT_FALSE(TpmUnsealData(&tpm_, tampered, auth).ok());
+  EXPECT_FALSE(TpmUnsealData(&client_, tampered, auth).ok());
 }
 
 TEST_F(TpmTest, UnsealRejectsTruncatedBlob) {
   Bytes auth = Sha1::Digest(BytesOf("auth"));
-  Result<SealedBlob> blob = TpmSealData(&tpm_, BytesOf("s"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client_, BytesOf("s"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
   SealedBlob truncated = blob.value();
   truncated.ciphertext.resize(truncated.ciphertext.size() / 2);
-  EXPECT_FALSE(TpmUnsealData(&tpm_, truncated, auth).ok());
-  EXPECT_FALSE(TpmUnsealData(&tpm_, SealedBlob{Bytes(3, 0)}, auth).ok());
+  EXPECT_FALSE(TpmUnsealData(&client_, truncated, auth).ok());
+  EXPECT_FALSE(TpmUnsealData(&client_, SealedBlob{Bytes(3, 0)}, auth).ok());
 }
 
 TEST_F(TpmTest, SealedBlobsAreRandomized) {
   Bytes auth = Sha1::Digest(BytesOf("auth"));
-  Result<SealedBlob> b1 = TpmSealData(&tpm_, BytesOf("same"), PcrSelection({17}), {}, auth);
-  Result<SealedBlob> b2 = TpmSealData(&tpm_, BytesOf("same"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> b1 = TpmSealData(&client_, BytesOf("same"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> b2 = TpmSealData(&client_, BytesOf("same"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(b1.ok());
   ASSERT_TRUE(b2.ok());
   EXPECT_FALSE(b1.value() == b2.value());
@@ -133,9 +139,9 @@ TEST_F(TpmTest, SealedBlobsAreRandomized) {
 TEST_F(TpmTest, SealLargePayloadUsesHybridEnvelope) {
   Bytes auth = Sha1::Digest(BytesOf("auth"));
   Bytes big(3000, 0x5c);  // Far beyond an RSA block.
-  Result<SealedBlob> blob = TpmSealData(&tpm_, big, PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client_, big, PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
-  Result<Bytes> back = TpmUnsealData(&tpm_, blob.value(), auth);
+  Result<Bytes> back = TpmUnsealData(&client_, blob.value(), auth);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), big);
 }
@@ -143,7 +149,7 @@ TEST_F(TpmTest, SealLargePayloadUsesHybridEnvelope) {
 TEST_F(TpmTest, SealUnsealTimingMatchesBroadcom) {
   Bytes auth = Sha1::Digest(BytesOf("auth"));
   double t0 = clock_.NowMillis();
-  Result<SealedBlob> blob = TpmSealData(&tpm_, BytesOf("x"), PcrSelection({17}), {}, auth);
+  Result<SealedBlob> blob = TpmSealData(&client_, BytesOf("x"), PcrSelection({17}), {}, auth);
   ASSERT_TRUE(blob.ok());
   double seal_elapsed = clock_.NowMillis() - t0;
   // Seal itself is 10.2 ms; the OIAP session start and GetRandom add a few.
@@ -151,7 +157,7 @@ TEST_F(TpmTest, SealUnsealTimingMatchesBroadcom) {
   EXPECT_LT(seal_elapsed, 25.0);
 
   double t1 = clock_.NowMillis();
-  ASSERT_TRUE(TpmUnsealData(&tpm_, blob.value(), auth).ok());
+  ASSERT_TRUE(TpmUnsealData(&client_, blob.value(), auth).ok());
   double unseal_elapsed = clock_.NowMillis() - t1;
   EXPECT_GT(unseal_elapsed, 898.0);  // Table 4: 898.3 ms.
   EXPECT_LT(unseal_elapsed, 915.0);
@@ -172,25 +178,6 @@ TEST_F(TpmTest, AuthFailureTerminatesSession) {
   Result<SealedBlob> blob2 = tpm_.Seal(BytesOf("x"), PcrSelection({17}), {},
                                        Sha1::Digest(BytesOf("a")), bad);
   ASSERT_FALSE(blob2.ok());
-}
-
-TEST_F(TpmTest, OsapSessionSealWorks) {
-  Bytes nonce_odd_osap = Bytes(kPcrSize, 0x31);
-  AuthSessionInfo session = tpm_.StartOsap(AuthEntity::kSrk, nonce_odd_osap);
-  EXPECT_TRUE(session.osap);
-  EXPECT_FALSE(session.shared_secret.empty());
-
-  Bytes data = BytesOf("osap sealed");
-  Bytes param_digest =
-      Sha1::Digest(Concat(BytesOf("TPM_Seal"), data, PcrSelection({17}).Serialize()));
-  CommandAuth auth;
-  auth.session_handle = session.handle;
-  auth.nonce_odd = Bytes(kPcrSize, 0x32);
-  auth.auth = Tpm::ComputeCommandAuth(session.shared_secret, param_digest, session.nonce_even,
-                                      auth.nonce_odd);
-  Result<SealedBlob> blob =
-      tpm_.Seal(data, PcrSelection({17}), {}, Sha1::Digest(BytesOf("a")), auth);
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
 }
 
 TEST_F(TpmTest, QuoteVerifiesAndCoversNonce) {
@@ -226,14 +213,15 @@ TEST_F(TpmTest, QuoteEmptySelectionRejected) {
 }
 
 TEST_F(TpmTest, NvRequiresOwnership) {
-  Status st = TpmDefineNvSpace(&tpm_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth());
+  Status st =
+      TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(TpmTest, NvDefineWriteRead) {
   TakeOwnership();
   ASSERT_TRUE(
-      TpmDefineNvSpace(&tpm_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
+      TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
   ASSERT_TRUE(tpm_.NvWrite(1, BytesOf("nv payload")).ok());
   Result<Bytes> back = tpm_.NvRead(1);
   ASSERT_TRUE(back.ok());
@@ -242,7 +230,7 @@ TEST_F(TpmTest, NvDefineWriteRead) {
 
 TEST_F(TpmTest, NvDefineRejectsWrongOwnerAuth) {
   TakeOwnership();
-  Status st = TpmDefineNvSpace(&tpm_, 1, 64, PcrSelection(), {}, PcrSelection(), {},
+  Status st = TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {},
                                Sha1::Digest(BytesOf("not the owner")));
   EXPECT_EQ(st.code(), StatusCode::kPermissionDenied);
 }
@@ -250,7 +238,7 @@ TEST_F(TpmTest, NvDefineRejectsWrongOwnerAuth) {
 TEST_F(TpmTest, NvPcrGatingEnforced) {
   TakeOwnership();
   // Gate reads on the current PCR 17 value.
-  ASSERT_TRUE(TpmDefineNvSpace(&tpm_, 2, 64, PcrSelection({17}), {}, PcrSelection(), {},
+  ASSERT_TRUE(TpmDefineNvSpace(&client_, 2, 64, PcrSelection({17}), {}, PcrSelection(), {},
                                OwnerAuth())
                   .ok());
   ASSERT_TRUE(tpm_.NvWrite(2, BytesOf("gated")).ok());
@@ -266,7 +254,7 @@ TEST_F(TpmTest, NvPcrGatingEnforced) {
 
 TEST_F(TpmTest, NvWriteGatingEnforced) {
   TakeOwnership();
-  ASSERT_TRUE(TpmDefineNvSpace(&tpm_, 3, 64, PcrSelection(), {}, PcrSelection({17}), {},
+  ASSERT_TRUE(TpmDefineNvSpace(&client_, 3, 64, PcrSelection(), {}, PcrSelection({17}), {},
                                OwnerAuth())
                   .ok());
   ASSERT_TRUE(tpm_.NvWrite(3, BytesOf("v1")).ok());
@@ -279,9 +267,9 @@ TEST_F(TpmTest, NvWriteGatingEnforced) {
 TEST_F(TpmTest, NvBoundsAndDuplicates) {
   TakeOwnership();
   ASSERT_TRUE(
-      TpmDefineNvSpace(&tpm_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
+      TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
   EXPECT_EQ(tpm_.NvWrite(4, Bytes(9, 0)).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(TpmDefineNvSpace(&tpm_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth())
+  EXPECT_EQ(TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth())
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(tpm_.NvRead(99).status().code(), StatusCode::kNotFound);
@@ -291,7 +279,7 @@ TEST_F(TpmTest, NvBoundsAndDuplicates) {
 TEST_F(TpmTest, MonotonicCounterLifecycle) {
   TakeOwnership();
   Bytes counter_auth = Sha1::Digest(BytesOf("counter"));
-  Result<uint32_t> id = TpmCreateCounter(&tpm_, counter_auth, OwnerAuth());
+  Result<uint32_t> id = TpmCreateCounter(&client_, counter_auth, OwnerAuth());
   ASSERT_TRUE(id.ok());
 
   EXPECT_EQ(tpm_.ReadCounter(id.value()).value(), 0u);
@@ -303,7 +291,7 @@ TEST_F(TpmTest, MonotonicCounterLifecycle) {
 TEST_F(TpmTest, CounterRejectsWrongAuth) {
   TakeOwnership();
   Bytes counter_auth = Sha1::Digest(BytesOf("counter"));
-  Result<uint32_t> id = TpmCreateCounter(&tpm_, counter_auth, OwnerAuth());
+  Result<uint32_t> id = TpmCreateCounter(&client_, counter_auth, OwnerAuth());
   ASSERT_TRUE(id.ok());
   Result<uint64_t> r = tpm_.IncrementCounter(id.value(), Sha1::Digest(BytesOf("wrong")));
   ASSERT_FALSE(r.ok());
@@ -337,13 +325,6 @@ TEST_F(TpmTest, PowerCycleRestoresBootState) {
   EXPECT_EQ(tpm_.PcrRead(17).value(), Bytes(kPcrSize, 0xff));
 }
 
-TEST_F(TpmTest, GetCapabilityReportsProfile) {
-  Tpm::Capabilities caps = tpm_.GetCapability();
-  EXPECT_EQ(caps.num_pcrs, 24);
-  EXPECT_EQ(caps.key_bits, 2048u);
-  EXPECT_EQ(caps.profile_name, "Broadcom BCM0102");
-}
-
 // Recomputes TPM_QUOTE_INFO and checks the quote's signature under `aik`.
 bool QuoteVerifies(const RsaPublicKey& aik, const TpmQuote& quote) {
   Bytes buffer = quote.selection.Serialize();
@@ -358,62 +339,14 @@ bool QuoteVerifies(const RsaPublicKey& aik, const TpmQuote& quote) {
   return RsaVerifySha1(aik, info, quote.signature);
 }
 
-TEST_F(TpmTest, AikBlobLoadsIntoSlot) {
-  Bytes blob = tpm_.GetAikBlob();
-  EXPECT_GT(blob.size(), 100u);
-  Result<uint32_t> handle = tpm_.LoadKey2(blob);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_EQ(tpm_.loaded_key_count(), 1u);
-
-  Result<TpmQuote> quote = tpm_.QuoteWithKey(handle.value(), Bytes(20, 3), PcrSelection({17}));
-  ASSERT_TRUE(quote.ok());
-  // The signature verifies against the AIK public key.
-  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), quote.value()));
-
-  ASSERT_TRUE(tpm_.FlushKey(handle.value()).ok());
-  EXPECT_EQ(tpm_.loaded_key_count(), 0u);
-  // A flushed handle no longer quotes.
-  EXPECT_FALSE(tpm_.QuoteWithKey(handle.value(), Bytes(20, 3), PcrSelection({17})).ok());
-}
-
-TEST_F(TpmTest, TamperedAikBlobRejected) {
-  Bytes blob = tpm_.GetAikBlob();
-  blob[blob.size() / 2] ^= 1;
-  Result<uint32_t> handle = tpm_.LoadKey2(blob);
-  ASSERT_FALSE(handle.ok());
-  EXPECT_EQ(handle.status().code(), StatusCode::kIntegrityFailure);
-  EXPECT_FALSE(tpm_.LoadKey2(Bytes(3, 0)).ok());
-  EXPECT_FALSE(tpm_.LoadKey2(Bytes()).ok());
-}
-
-TEST_F(TpmTest, FlushUnknownHandleFails) {
-  EXPECT_EQ(tpm_.FlushKey(0x9999).code(), StatusCode::kNotFound);
-}
-
-TEST_F(TpmTest, ExplicitLoadQuoteFlushCostsSameAsConvenienceQuote) {
-  uint64_t t0 = clock_.NowNanos();
-  Result<TpmQuote> resident = tpm_.Quote(Bytes(20, 1), PcrSelection({17}));
-  ASSERT_TRUE(resident.ok());
-  uint64_t convenience_ns = clock_.NowNanos() - t0;
-  // The convenience quote signs with the resident AIK: no slot is used.
-  EXPECT_EQ(tpm_.loaded_key_count(), 0u);
-  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), resident.value()));
-
-  uint64_t t1 = clock_.NowNanos();
-  Result<uint32_t> handle = tpm_.LoadKey2(tpm_.GetAikBlob());
-  ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(tpm_.QuoteWithKey(handle.value(), Bytes(20, 1), PcrSelection({17})).ok());
-  ASSERT_TRUE(tpm_.FlushKey(handle.value()).ok());
-  uint64_t explicit_ns = clock_.NowNanos() - t1;
-  EXPECT_EQ(convenience_ns, explicit_ns);  // Same charges, same nanoseconds.
-  EXPECT_NEAR(convenience_ns / 1e6, 972.7, 0.01);  // Calibration preserved.
-
-  // A power cycle clears the key slots; the resident AIK still quotes.
+TEST_F(TpmTest, ResidentAikStillQuotesAfterTpmInit) {
+  // The AIK is persistent state: the reset line drops sessions and PCRs,
+  // never the key the quotes are signed with.
   tpm_.hardware()->Init();
   ASSERT_TRUE(tpm_.Startup(TpmStartupType::kClear).ok());
-  Result<TpmQuote> after_reboot = tpm_.Quote(Bytes(20, 2), PcrSelection({17}));
-  ASSERT_TRUE(after_reboot.ok());
-  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), after_reboot.value()));
+  Result<TpmQuote> quote = tpm_.Quote(Bytes(20, 2), PcrSelection({17}));
+  ASSERT_TRUE(quote.ok());
+  EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), quote.value()));
 }
 
 TEST(TpmProfileTest, InfineonIsFaster) {

@@ -5,6 +5,7 @@
 
 #include "src/tpm/transport.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -94,6 +95,25 @@ TEST_F(TransportTest, ResponseFrameCarriesStatusInBand) {
   EXPECT_EQ(err.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(err.status().message(), "authorization HMAC mismatch");
   EXPECT_EQ(PeekReturnCode(err_frame), ReturnCodeFor(StatusCode::kPermissionDenied));
+}
+
+TEST_F(TransportTest, EveryStatusCodeRoundTripsThroughAResponseFrame) {
+  // A denial must keep its type across the wire: the decoder may not fold a
+  // newer code into kInternal.
+  for (int raw = 1; raw <= static_cast<int>(kLastStatusCode); ++raw) {
+    const StatusCode code = static_cast<StatusCode>(raw);
+    Result<Bytes> back =
+        ParseResponseFrame(BuildResponseFrame(false, Status(code, "denied"), Bytes()));
+    ASSERT_FALSE(back.ok()) << StatusCodeName(code);
+    EXPECT_EQ(back.status().code(), code) << StatusCodeName(code);
+    EXPECT_EQ(back.status().message(), "denied");
+  }
+  // One past the last code is not a code.
+  Bytes unknown = BuildResponseFrame(false, Status(StatusCode::kInternal, "x"), Bytes());
+  Bytes rc;
+  PutUint32(&rc, ReturnCodeFor(kLastStatusCode) + 1);
+  std::copy(rc.begin(), rc.end(), unknown.begin() + 6);  // The returnCode field.
+  EXPECT_EQ(ParseResponseFrame(unknown).status().code(), StatusCode::kInternal);
 }
 
 // ---- Timing neutrality: marshalling adds no simulated time ----
@@ -281,31 +301,6 @@ TEST_F(TransportTest, StaleSessionHandleIsRejected) {
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(stale.status().message(), "unknown authorization session");
-}
-
-TEST_F(TransportTest, OsapSharedSecretAuthorizesAndWrongSecretFails) {
-  Bytes data = BytesOf("osap-sealed");
-  PcrSelection selection({0});
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_Seal"), data, selection.Serialize()));
-  Bytes blob_auth = Sha1::Digest(BytesOf("blob auth"));
-
-  AuthSessionInfo session = client_.StartOsap(AuthEntity::kSrk, client_.GetRandom(kPcrSize));
-  ASSERT_NE(session.handle, 0u);
-  ASSERT_TRUE(session.osap);
-  ASSERT_FALSE(session.shared_secret.empty());
-
-  // OSAP commands authorize under the session's shared secret, not the
-  // entity secret: the entity secret never crosses the wire again.
-  CommandAuth wrong = tpm_util_internal::MakeAuth(&client_, session, Tpm::WellKnownSecret(),
-                                                  param_digest);
-  Result<SealedBlob> denied = client_.Seal(data, selection, {}, blob_auth, wrong);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
-
-  session = client_.StartOsap(AuthEntity::kSrk, client_.GetRandom(kPcrSize));
-  CommandAuth good = tpm_util_internal::MakeAuth(&client_, session, session.shared_secret,
-                                                 param_digest);
-  EXPECT_TRUE(client_.Seal(data, selection, {}, blob_auth, good).ok());
 }
 
 // ---- Fault injection ----

@@ -7,7 +7,8 @@
 #                        its regenerated form; DESIGN.md must keep its
 #                        numbered sections)
 #   verify.sh --asan     additionally build with ASan+UBSan in ./build-asan
-#                        and run the TPM and core suites under the sanitizers
+#                        and run the TPM and core suites plus the
+#                        random-input parser battery under the sanitizers
 #   verify.sh --faults   additionally run the fault-injection campaign
 #                        (ctest -L faults, crash matrix included) under
 #                        ASan+UBSan and refresh BENCH_robustness.json
@@ -70,7 +71,7 @@ usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--cha
 #              it (test name == target name, see tests/CMakeLists.txt)
 #   extra      further targets the side build needs (comma list, - none)
 campaigns='
---asan        asan    -                     -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test)  -
+--asan        asan    -                     -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|integration_robustness_test)  -
 --faults      asan    faults_follow_up      -L faults  -
 --net         asan    net_follow_up         -L net     -
 --obs         asan    obs_follow_up         -L obs     -
