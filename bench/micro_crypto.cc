@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-
+#include <utility>
 #include <vector>
 
 #include "src/attest/verifier.h"
@@ -343,6 +343,21 @@ int RunJsonBench(const std::string& path) {
   double sign_ops =
       MeasureOpsPerSec([&] { benchmark::DoNotOptimize(RsaSignSha1(key, msg)); }, 1.0, 2000);
 
+  // The fleet's widths: a 512-bit AIK signs every quote and a 1024-bit
+  // Privacy CA key signs every AIK certificate; a verifier checks both.
+  auto rsa_sign_verify_ops = [&](size_t bits, uint64_t seed) {
+    Drbg key_rng(seed);
+    const RsaPrivateKey small_key = RsaGenerateKey(bits, &key_rng);
+    const Bytes sig = RsaSignSha1(small_key, msg);
+    const double sign = MeasureOpsPerSec(
+        [&] { benchmark::DoNotOptimize(RsaSignSha1(small_key, msg)); }, 1.0, 200000);
+    const double verify = MeasureOpsPerSec(
+        [&] { benchmark::DoNotOptimize(RsaVerifySha1(small_key.pub, msg, sig)); }, 1.0, 200000);
+    return std::make_pair(sign, verify);
+  };
+  const auto [rsa512_sign_ops, rsa512_verify_ops] = rsa_sign_verify_ops(512, 512);
+  const auto [rsa1024_sign_ops, rsa1024_verify_ops] = rsa_sign_verify_ops(1024, 1024);
+
   Drbg sha_rng(1);
   Bytes block = sha_rng.Generate(65536);
   double sha_ops =
@@ -407,13 +422,17 @@ int RunJsonBench(const std::string& path) {
 
   std::fprintf(out,
                "{\n"
-               "  \"schema\": \"flicker-bench-crypto-v2\",\n"
+               "  \"schema\": \"flicker-bench-crypto-v3\",\n"
                "  \"unit\": \"ops_per_sec\",\n"
                "  \"modexp2048_montgomery\": %.3f,\n"
                "  \"modexp2048_reference\": %.3f,\n"
                "  \"modexp2048_speedup\": %.2f,\n"
                "  \"modexp2048_bit_exact\": %s,\n"
                "  \"rsa2048_crt_sign\": %.3f,\n"
+               "  \"rsa512_crt_sign\": %.3f,\n"
+               "  \"rsa512_verify\": %.3f,\n"
+               "  \"rsa1024_crt_sign\": %.3f,\n"
+               "  \"rsa1024_verify\": %.3f,\n"
                "  \"sha1_64kb\": %.3f,\n"
                "  \"sha256_64kb\": %.3f,\n"
                "  \"sha_multibuf_engine\": \"%s\",\n"
@@ -430,16 +449,19 @@ int RunJsonBench(const std::string& path) {
                "  \"batch_quote_speedup_vs_serial\": %.2f\n"
                "}\n",
                mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false", sign_ops,
-               sha_ops, sha256_ops, ShaMultiBufEngine(), lanes,
-               multibuf_exact ? "true" : "false", sha1_mb_msgs, sha1_mb_msgs / sha_ops,
-               sha256_mb_msgs, sha256_mb_msgs / sha256_ops, quote_ops, kBatchChallenges,
-               batch_ok ? "true" : "false", batch_verified_per_sec,
+               rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops, sha_ops,
+               sha256_ops, ShaMultiBufEngine(), lanes, multibuf_exact ? "true" : "false",
+               sha1_mb_msgs, sha1_mb_msgs / sha_ops, sha256_mb_msgs, sha256_mb_msgs / sha256_ops,
+               quote_ops, kBatchChallenges, batch_ok ? "true" : "false", batch_verified_per_sec,
                batch_verified_per_sec / quote_ops);
   std::fclose(out);
   std::printf("modexp2048: montgomery %.1f ops/s, reference %.1f ops/s (%.1fx, bit_exact=%s)\n",
               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false");
   std::printf("rsa2048 CRT sign: %.1f ops/s; sha1 64KB: %.1f ops/s; quote: %.1f ops/s\n",
               sign_ops, sha_ops, quote_ops);
+  std::printf("rsa512 CRT sign %.1f / verify %.1f ops/s; rsa1024 CRT sign %.1f / verify %.1f "
+              "ops/s\n",
+              rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops);
   std::printf("sha multibuf (%s, %zu lanes): sha1 %.1f msgs/s (%.1fx), sha256 %.1f msgs/s "
               "(%.1fx), bit_exact=%s\n",
               ShaMultiBufEngine(), lanes, sha1_mb_msgs, sha1_mb_msgs / sha_ops, sha256_mb_msgs,

@@ -52,20 +52,24 @@ Bytes RecomputeQuoteComposite(const TpmQuote& quote) {
   return Sha1::Digest(buffer);
 }
 
-Status VerifyAttestation(const SessionExpectation& expectation,
-                         const AttestationResponse& response, const AikCertificate& aik_cert,
-                         const RsaPublicKey& privacy_ca_public, const Bytes& expected_nonce) {
-  // 1. Certificate chain: the AIK must be certified by a trusted Privacy CA
-  //    and match the key shipped with the response.
+Result<CertifiedAik> VerifyAikCertificate(const AikCertificate& aik_cert,
+                                          const RsaPublicKey& privacy_ca_public) {
   if (!PrivacyCa::Verify(privacy_ca_public, aik_cert)) {
     return IntegrityFailureError("AIK certificate signature invalid");
   }
-  if (aik_cert.aik_public != response.aik_public) {
-    return IntegrityFailureError("AIK in response does not match certificate");
-  }
-  Result<RsaPublicKey> aik = RsaPublicKey::Deserialize(response.aik_public);
+  Result<RsaPublicKey> aik = RsaPublicKey::Deserialize(aik_cert.aik_public);
   if (!aik.ok()) {
     return aik.status();
+  }
+  return CertifiedAik{aik_cert.aik_public, aik.take()};
+}
+
+Status VerifyAttestation(const SessionExpectation& expectation,
+                         const AttestationResponse& response, const CertifiedAik& aik,
+                         const Bytes& expected_nonce) {
+  // 1. The AIK shipped with the response must be the certified one.
+  if (aik.serialized != response.aik_public) {
+    return IntegrityFailureError("AIK in response does not match certificate");
   }
 
   // 2. Nonce freshness.
@@ -78,7 +82,7 @@ Status VerifyAttestation(const SessionExpectation& expectation,
   Bytes info = BytesOf("QUOT");
   info.insert(info.end(), composite.begin(), composite.end());
   info.insert(info.end(), response.quote.nonce.begin(), response.quote.nonce.end());
-  if (!RsaVerifySha1(aik.value(), info, response.quote.signature)) {
+  if (!RsaVerifySha1(aik.key, info, response.quote.signature)) {
     return IntegrityFailureError("quote signature invalid");
   }
 
@@ -105,9 +109,18 @@ Status VerifyAttestation(const SessionExpectation& expectation,
   return Status::Ok();
 }
 
+Status VerifyAttestation(const SessionExpectation& expectation,
+                         const AttestationResponse& response, const AikCertificate& aik_cert,
+                         const RsaPublicKey& privacy_ca_public, const Bytes& expected_nonce) {
+  Result<CertifiedAik> aik = VerifyAikCertificate(aik_cert, privacy_ca_public);
+  if (!aik.ok()) {
+    return aik.status();
+  }
+  return VerifyAttestation(expectation, response, aik.value(), expected_nonce);
+}
+
 Status VerifyBatchQuote(const SessionExpectation& expectation, const BatchQuoteResponse& response,
-                        const AikCertificate& aik_cert, const RsaPublicKey& privacy_ca_public,
-                        const Bytes& expected_nonce) {
+                        const CertifiedAik& aik, const Bytes& expected_nonce) {
   // The response's own nonce field is advisory; the proof must hold for the
   // nonce this challenger actually issued.
   if (response.nonce != expected_nonce) {
@@ -120,7 +133,50 @@ Status VerifyBatchQuote(const SessionExpectation& expectation, const BatchQuoteR
   // VerifyAttestation's nonce-freshness check now pins the quote's
   // externalData to the recomputed root: a quote from any other batch - or a
   // path for any other leaf - yields a different root and fails there.
-  return VerifyAttestation(expectation, response.response, aik_cert, privacy_ca_public, root);
+  return VerifyAttestation(expectation, response.response, aik, root);
+}
+
+Status VerifyBatchQuote(const SessionExpectation& expectation, const BatchQuoteResponse& response,
+                        const AikCertificate& aik_cert, const RsaPublicKey& privacy_ca_public,
+                        const Bytes& expected_nonce) {
+  Result<CertifiedAik> aik = VerifyAikCertificate(aik_cert, privacy_ca_public);
+  if (!aik.ok()) {
+    return aik.status();
+  }
+  return VerifyBatchQuote(expectation, response, aik.value(), expected_nonce);
+}
+
+Result<const CertifiedAik*> VerifiedAikCache::Certify(const AikCertificate& aik_cert,
+                                                      const RsaPublicKey& privacy_ca_public) {
+  // Every field length-prefixed, so distinct (certificate, CA) pairs never
+  // share a key.
+  std::string key;
+  auto append = [&key](const void* data, size_t size) {
+    const uint32_t length = static_cast<uint32_t>(size);
+    key.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    key.append(static_cast<const char*>(data), size);
+  };
+  const Bytes ca = privacy_ca_public.Serialize();
+  append(aik_cert.aik_public.data(), aik_cert.aik_public.size());
+  append(aik_cert.tpm_label.data(), aik_cert.tpm_label.size());
+  append(aik_cert.signature.data(), aik_cert.signature.size());
+  append(ca.data(), ca.size());
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    return &it->second;
+  }
+
+  Result<CertifiedAik> aik = VerifyAikCertificate(aik_cert, privacy_ca_public);
+  if (!aik.ok()) {
+    return aik.status();
+  }
+  if (entries_.size() >= kCapacity) {
+    entries_.erase(*insertion_order_.front());
+    insertion_order_.pop_front();
+  }
+  it = entries_.emplace(std::move(key), aik.take()).first;
+  insertion_order_.push_back(&it->first);
+  return &it->second;
 }
 
 }  // namespace flicker

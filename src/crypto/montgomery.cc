@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(FLICKER_SIMD_DISABLED)
 #define FLICKER_MONT_IFMA 1
 #include <immintrin.h>
 #endif
@@ -67,11 +67,14 @@ void CiosFixed(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t
   CiosBody(a, b, n, n0inv, K, t);
 }
 
-// Dispatch to a fully unrolled kernel for the RSA-relevant widths (512/1024/
-// 1536/2048 bits); anything else takes the generic loop.
+// Dispatch to a fully unrolled kernel for the RSA-relevant widths (256/512/
+// 1024/1536/2048 bits; 256 is the CRT half of a 512-bit AIK); anything else
+// takes the generic loop.
 void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv, size_t k,
           uint64_t* t) {
   switch (k) {
+    case 4:
+      return CiosFixed<4>(a, b, n, n0inv, t);
     case 8:
       return CiosFixed<8>(a, b, n, n0inv, t);
     case 16:
@@ -304,6 +307,68 @@ void CondReduce(uint64_t* t, const uint64_t* n, size_t k) {
   t[k] -= borrow;
 }
 
+// Left-to-right sliding-window exponentiation, shared by the scalar and IFMA
+// engines. `base` is the base in the engine's Montgomery form (its size is the
+// operand width, padding included), `exponent` is nonzero, and
+// `mul(a, b, out)` is the engine's Montgomery product (out may alias a or b).
+// Returns base^exponent, still in Montgomery form.
+//
+// Exponents of at most 32 bits - e = 65537 on every RSA verify - run plain
+// square-and-multiply over a one-entry table (the base itself): they are
+// almost all squarings, so the 4-bit table's 8 products would never pay back.
+// Longer exponents use 4-bit windows over an 8-entry odd-power table. The
+// scan starts from the first window's table entry, so no product is spent
+// squaring a Montgomery one.
+template <typename Mul>
+std::vector<uint64_t> SlidingWindowExp(std::vector<uint64_t> base, const BigInt& exponent,
+                                       const Mul& mul) {
+  const size_t width = base.size();
+  const size_t bits = exponent.BitLength();
+  const ptrdiff_t window_bits = bits <= 32 ? 1 : 4;
+  const size_t entries = size_t{1} << (window_bits - 1);
+
+  // table[i] = base^(2i+1), entries laid end to end.
+  std::vector<uint64_t> table = std::move(base);
+  table.resize(entries * width, 0);
+  if (entries > 1) {
+    std::vector<uint64_t> b2(width, 0);
+    mul(table.data(), table.data(), b2.data());
+    for (size_t i = 1; i < entries; ++i) {
+      mul(table.data() + (i - 1) * width, b2.data(), table.data() + i * width);
+    }
+  }
+
+  // Windows always end on a set bit, so only odd powers are multiplied in.
+  std::vector<uint64_t> result;
+  ptrdiff_t i = static_cast<ptrdiff_t>(bits) - 1;
+  while (i >= 0) {
+    if (!exponent.GetBit(static_cast<size_t>(i))) {
+      mul(result.data(), result.data(), result.data());
+      --i;
+      continue;
+    }
+    ptrdiff_t l = std::max<ptrdiff_t>(i - (window_bits - 1), 0);
+    while (!exponent.GetBit(static_cast<size_t>(l))) {
+      ++l;
+    }
+    size_t window = 0;
+    for (ptrdiff_t bit = i; bit >= l; --bit) {
+      window = (window << 1) | (exponent.GetBit(static_cast<size_t>(bit)) ? 1u : 0u);
+    }
+    const uint64_t* entry = table.data() + (window >> 1) * width;
+    if (result.empty()) {
+      result.assign(entry, entry + width);
+    } else {
+      for (ptrdiff_t s = 0; s <= i - l; ++s) {
+        mul(result.data(), result.data(), result.data());
+      }
+      mul(result.data(), entry, result.data());
+    }
+    i = l - 1;
+  }
+  return result;
+}
+
 }  // namespace
 
 Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
@@ -322,10 +387,12 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
   ctx.rr_.resize(k, 0);
 
 #ifdef FLICKER_MONT_IFMA
-  // Radix-2^52 engine for RSA-sized moduli on AVX512-IFMA hosts. Below ~16
-  // digits the conversion overhead eats the vector win, so stay scalar.
+  // Radix-2^52 engine on AVX512-IFMA hosts from 10 digits (~469 bits) up,
+  // so 512-bit moduli - the AIK verify and the CA key's CRT halves - run
+  // vectorized. Below that the scalar kernel wins: moving the 256-bit CRT
+  // halves of a 512-bit sign to IFMA measured ~44 -> ~104 us.
   const size_t nd = (modulus.BitLength() + 51) / 52;
-  if (nd >= 16 && IfmaSupported()) {
+  if (nd >= 10 && IfmaSupported()) {
     const size_t pad = ((nd + 7) / 8) * 8;
     ctx.nd52_ = nd;
     ctx.n0inv52_ = ctx.n0inv_ & kMask52;
@@ -337,11 +404,12 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
   return ctx;
 }
 
-void MontgomeryContext::MontMul(const Limbs& a, const Limbs& b, Limbs* out, Limbs* scratch) const {
+void MontgomeryContext::MontMul(const uint64_t* a, const uint64_t* b, uint64_t* out,
+                                uint64_t* scratch) const {
   const size_t k = n_.size();
-  Cios(a.data(), b.data(), n_.data(), n0inv_, k, scratch->data());
-  CondReduce(scratch->data(), n_.data(), k);
-  out->assign(scratch->begin(), scratch->begin() + static_cast<long>(k));
+  Cios(a, b, n_.data(), n0inv_, k, scratch);
+  CondReduce(scratch, n_.data(), k);
+  std::copy(scratch, scratch + k, out);
 }
 
 MontgomeryContext::Limbs MontgomeryContext::ToLimbs(const BigInt& value) const {
@@ -367,11 +435,11 @@ BigInt MontgomeryContext::ModMul(const BigInt& a, const BigInt& b) const {
   const size_t k = n_.size();
   Limbs scratch(k + 2);
   Limbs am = ToLimbs(a);
+  Limbs bm = ToLimbs(b);
   // MontMul(aR^0, R^2) = aR; MontMul(aR, b) = a*b.
-  MontMul(am, rr_, &am, &scratch);
-  Limbs result(k);
-  MontMul(am, ToLimbs(b), &result, &scratch);
-  return FromLimbs(result);
+  MontMul(am.data(), rr_.data(), am.data(), scratch.data());
+  MontMul(am.data(), bm.data(), bm.data(), scratch.data());
+  return FromLimbs(bm);
 }
 
 BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exponent) const {
@@ -383,57 +451,19 @@ BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exponent) con
   }
   const size_t k = n_.size();
   Limbs scratch(k + 2);
+  auto mul = [&](const uint64_t* a, const uint64_t* b, uint64_t* out) {
+    MontMul(a, b, out, scratch.data());
+  };
 
-  // Montgomery form of the (reduced) base and of 1.
+  // Montgomery form of the (reduced) base.
   Limbs bm = ToLimbs(base);
-  MontMul(bm, rr_, &bm, &scratch);
-  Limbs one(k, 0);
-  one[0] = 1;
-  Limbs mont_one(k);
-  MontMul(one, rr_, &mont_one, &scratch);
-
-  // Odd-power table for 4-bit windows: table[i] = base^(2i+1) in Montgomery
-  // form.
-  constexpr int kWindowBits = 4;
-  Limbs table[1 << (kWindowBits - 1)];
-  table[0] = bm;
-  Limbs b2(k);
-  MontMul(bm, bm, &b2, &scratch);
-  for (size_t i = 1; i < (1u << (kWindowBits - 1)); ++i) {
-    table[i].resize(k);
-    MontMul(table[i - 1], b2, &table[i], &scratch);
-  }
-
-  // Left-to-right sliding-window scan. Windows always end on a set bit, so
-  // only odd powers are ever multiplied in.
-  Limbs result = mont_one;
-  ptrdiff_t i = static_cast<ptrdiff_t>(exponent.BitLength()) - 1;
-  while (i >= 0) {
-    if (!exponent.GetBit(static_cast<size_t>(i))) {
-      MontMul(result, result, &result, &scratch);
-      --i;
-      continue;
-    }
-    ptrdiff_t l = i - (kWindowBits - 1);
-    if (l < 0) {
-      l = 0;
-    }
-    while (!exponent.GetBit(static_cast<size_t>(l))) {
-      ++l;
-    }
-    unsigned window = 0;
-    for (ptrdiff_t bit = i; bit >= l; --bit) {
-      window = (window << 1) | (exponent.GetBit(static_cast<size_t>(bit)) ? 1u : 0u);
-    }
-    for (ptrdiff_t s = 0; s <= i - l; ++s) {
-      MontMul(result, result, &result, &scratch);
-    }
-    MontMul(result, table[window >> 1], &result, &scratch);
-    i = l - 1;
-  }
+  mul(bm.data(), rr_.data(), bm.data());
+  Limbs result = SlidingWindowExp(std::move(bm), exponent, mul);
 
   // Leave Montgomery form.
-  MontMul(result, one, &result, &scratch);
+  Limbs one(k, 0);
+  one[0] = 1;
+  mul(result.data(), one.data(), result.data());
   return FromLimbs(result);
 }
 
@@ -443,9 +473,9 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent)
   const size_t nd = nd52_;
   const size_t nc = (nd + 7) / 8;
   const size_t pad = nc * 8;
-  // Sliding accumulator for the generic (memory-based) kernel; the common
-  // RSA widths dispatch to the register-resident kernel instead.
-  Limbs t(2 * nd + 8);
+  // Sliding accumulator for the generic (memory-based) kernel only; the
+  // common RSA widths (2..5 vectors) dispatch to the register-resident kernel.
+  Limbs t(nc >= 2 && nc <= 5 ? 0 : 2 * nd + 8);
   auto mul = [&](const uint64_t* a, const uint64_t* b, uint64_t* out) {
     switch (nc) {
       case 2:
@@ -462,55 +492,17 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent)
     }
   };
 
-  // Montgomery form of the (reduced) base and of 1.
+  // Montgomery form of the (reduced) base.
   Limbs bm = LimbsToDigits52(ToLimbs(base), nd, pad);
   mul(bm.data(), rr52_.data(), bm.data());
-  Limbs one(pad, 0);
-  one[0] = 1;
-  Limbs mont_one(pad, 0);
-  mul(one.data(), rr52_.data(), mont_one.data());
-
-  constexpr int kWindowBits = 4;
-  Limbs table[1 << (kWindowBits - 1)];
-  table[0] = bm;
-  Limbs b2(pad, 0);
-  mul(bm.data(), bm.data(), b2.data());
-  for (size_t i = 1; i < (1u << (kWindowBits - 1)); ++i) {
-    table[i].assign(pad, 0);
-    mul(table[i - 1].data(), b2.data(), table[i].data());
-  }
-
-  Limbs result = mont_one;
-  ptrdiff_t i = static_cast<ptrdiff_t>(exponent.BitLength()) - 1;
-  while (i >= 0) {
-    if (!exponent.GetBit(static_cast<size_t>(i))) {
-      mul(result.data(), result.data(), result.data());
-      --i;
-      continue;
-    }
-    ptrdiff_t l = i - (kWindowBits - 1);
-    if (l < 0) {
-      l = 0;
-    }
-    while (!exponent.GetBit(static_cast<size_t>(l))) {
-      ++l;
-    }
-    unsigned window = 0;
-    for (ptrdiff_t bit = i; bit >= l; --bit) {
-      window = (window << 1) | (exponent.GetBit(static_cast<size_t>(bit)) ? 1u : 0u);
-    }
-    for (ptrdiff_t s = 0; s <= i - l; ++s) {
-      mul(result.data(), result.data(), result.data());
-    }
-    mul(result.data(), table[window >> 1].data(), result.data());
-    i = l - 1;
-  }
+  Limbs result = SlidingWindowExp(std::move(bm), exponent, mul);
 
   // Leave Montgomery form.
+  Limbs one(pad, 0);
+  one[0] = 1;
   mul(result.data(), one.data(), result.data());
-  Limbs limbs = Digits52ToLimbs(result.data(), nd);
   BigInt out;
-  out.limbs_ = limbs;
+  out.limbs_ = Digits52ToLimbs(result.data(), nd);
   out.Normalize();
   return out;
 }

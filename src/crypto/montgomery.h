@@ -12,9 +12,10 @@
 // square-and-multiply path for even moduli.
 //
 // On x86-64 hosts with AVX512-IFMA the context additionally precomputes a
-// radix-2^52 representation and runs exponentiation through a vpmadd52
-// kernel (8 products per instruction); everything else falls back to the
-// scalar FIOS kernel, which is also the correctness oracle in tests.
+// radix-2^52 representation for moduli of 10 or more 52-bit digits and runs
+// exponentiation through a vpmadd52 kernel (8 products per instruction);
+// everything else - smaller moduli, other hosts, -DFLICKER_SIMD=OFF builds -
+// runs the scalar FIOS kernel, which is also the correctness oracle in tests.
 
 #ifndef FLICKER_SRC_CRYPTO_MONTGOMERY_H_
 #define FLICKER_SRC_CRYPTO_MONTGOMERY_H_
@@ -35,9 +36,10 @@ class MontgomeryContext {
 
   const BigInt& modulus() const { return modulus_; }
 
-  // (base ^ exponent) mod modulus. Fixed 4-bit-window exponentiation over a
-  // precomputed odd-power table, entirely in Montgomery form: ~bits
-  // squarings plus one table multiply per nonzero window.
+  // (base ^ exponent) mod modulus, entirely in Montgomery form: ~bits
+  // squarings plus one table multiply per nonzero window. Exponents of at
+  // most 32 bits (e = 65537) use plain square-and-multiply; longer ones use
+  // 4-bit windows over an odd-power table.
   BigInt ModExp(const BigInt& base, const BigInt& exponent) const;
 
   // (a * b) mod modulus without long division (two Montgomery products).
@@ -48,9 +50,10 @@ class MontgomeryContext {
 
   MontgomeryContext() = default;
 
-  // out = a * b * R^-1 mod n via CIOS; a, b, out hold exactly k limbs and
-  // must be < n. `scratch` provides k + 2 limbs of working space.
-  void MontMul(const Limbs& a, const Limbs& b, Limbs* out, Limbs* scratch) const;
+  // out = a * b * R^-1 mod n via CIOS; a, b, out hold exactly k limbs (out
+  // may alias a or b) and a, b must be < n. `scratch` provides k + 2 limbs
+  // of working space.
+  void MontMul(const uint64_t* a, const uint64_t* b, uint64_t* out, uint64_t* scratch) const;
 
   // Value reduced mod n, widened to k limbs.
   Limbs ToLimbs(const BigInt& value) const;
@@ -65,8 +68,8 @@ class MontgomeryContext {
   uint64_t n0inv_ = 0;  // -n^{-1} mod 2^64.
 
   // AVX512-IFMA engine state (radix 2^52); nd52_ == 0 when the host lacks
-  // the ISA, the build is not x86-64, or the modulus is small enough that
-  // the scalar kernel wins.
+  // the ISA, the build is not x86-64 or has SIMD off, or the modulus is
+  // small enough that the scalar kernel wins.
   size_t nd52_ = 0;        // 52-bit digit count of the modulus.
   uint64_t n0inv52_ = 0;   // -n^{-1} mod 2^52.
   Limbs n52_;              // Modulus digits, zero-padded to 8-lane multiple.

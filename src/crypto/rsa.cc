@@ -248,12 +248,8 @@ BigInt RsaPrivateOp(const RsaPrivateKey& key, const BigInt& c) {
   }
   BigInt m1 = mont_p.value().ModExp(c % key.p, key.dp);
   BigInt m2 = mont_q.value().ModExp(c % key.q, key.dq);
-  BigInt diff;
-  if (m1 >= m2 % key.p) {
-    diff = m1 - (m2 % key.p);
-  } else {
-    diff = (m1 + key.p) - (m2 % key.p);
-  }
+  const BigInt m2_mod_p = m2 % key.p;
+  BigInt diff = m1 >= m2_mod_p ? m1 - m2_mod_p : (m1 + key.p) - m2_mod_p;
   BigInt h = mont_p.value().ModMul(key.qinv, diff);
   return m2 + h * key.q;
 }

@@ -8,8 +8,9 @@
 // either the direct HandleChallenge path or the tqd's Merkle batch window
 // (timer-driven under the executor), ships the response across its own
 // LossyChannel wire, and a farm verifier runs the full cryptographic
-// VerifyAttestation / VerifyBatchQuote chain before acking back across the
-// same wire. Round latency is arrival-to-ack at the machine; a round whose
+// VerifyAttestation / VerifyBatchQuote chain (the CA certificate step through
+// the farm's shared VerifiedAikCache) before acking back across the same
+// wire. Round latency is arrival-to-ack at the machine; a round whose
 // frames are dropped, partitioned or lost to a power cut times out.
 //
 // Chaos is first-class: partition windows cut a contiguous rack of machines
@@ -362,6 +363,10 @@ class Fleet {
   std::unique_ptr<PalBinary> binary_;
   std::vector<std::unique_ptr<FleetMachine>> machines_;
   std::vector<FarmVerifier> verifiers_;
+  // One verified-AIK cache for the whole farm: frames go round-robin (or by
+  // health) over the verifiers, so per-verifier caches would each re-check
+  // every certificate once more.
+  VerifiedAikCache aik_cache_;
   std::vector<RoundState> rounds_;
   std::map<Bytes, size_t> nonce_to_round_;
   uint64_t next_verifier_ = 0;  // Round-robin farm dispatch (legacy mode).

@@ -1,7 +1,8 @@
-// Attestation: Privacy CA certificates and full quote verification,
-// including the attacks the verifier must catch.
+// Attestation: Privacy CA certificates, the verified-AIK cache and full quote
+// verification, including the attacks the verifier must catch.
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,82 @@ TEST_F(AttestationTest, CorruptAikSerializationRejected) {
   // Signature now invalid -> integrity failure path also acceptable.
   Status st = VerifyAttestation(Expectation(), response_, cert2, ca2.public_key(), nonce_);
   EXPECT_FALSE(st.ok());
+}
+
+// Verification is step 1 (certificate) then step 2 (quote); the five-argument
+// entry point and the two steps run by hand must agree.
+TEST_F(AttestationTest, TwoStepVerificationMatchesFullChain) {
+  RunSession();
+  Result<CertifiedAik> aik = VerifyAikCertificate(cert_, ca_.public_key());
+  ASSERT_TRUE(aik.ok());
+  EXPECT_EQ(cert_.aik_public, aik.value().serialized);
+  EXPECT_TRUE(VerifyAttestation(Expectation(), response_, aik.value(), nonce_).ok());
+
+  AttestationResponse tampered = response_;
+  tampered.quote.signature[10] ^= 1;
+  EXPECT_EQ(StatusCode::kIntegrityFailure,
+            VerifyAttestation(Expectation(), tampered, aik.value(), nonce_).code());
+}
+
+// Once the genuine certificate is cached, each forgery is still checked -
+// and rejected - on every call, and no rejected certificate enters the cache.
+TEST_F(AttestationTest, AikCacheRejectsForgedCertificatesOnEveryCall) {
+  RunSession();
+  VerifiedAikCache cache;
+  Result<const CertifiedAik*> genuine = cache.Certify(cert_, ca_.public_key());
+  ASSERT_TRUE(genuine.ok());
+  EXPECT_EQ(1u, cache.size());
+  EXPECT_TRUE(VerifyAttestation(Expectation(), response_, *genuine.value(), nonce_).ok());
+
+  AikCertificate relabelled = cert_;  // Keeps the genuine signature.
+  relabelled.tpm_label = "evil-machine";
+  AikCertificate flipped = cert_;
+  flipped.signature[7] ^= 0x01;
+  PrivacyCa other_ca(0xbad);
+  AikCertificate other_signed = other_ca.Certify(platform_.tpm()->aik_public(), "test-host");
+
+  for (int call = 0; call < 3; ++call) {
+    for (const AikCertificate* forged : {&relabelled, &flipped, &other_signed}) {
+      EXPECT_EQ(StatusCode::kIntegrityFailure,
+                cache.Certify(*forged, ca_.public_key()).status().code())
+          << "label " << forged->tpm_label << ", call " << call;
+    }
+    EXPECT_EQ(1u, cache.size()) << "a rejected certificate entered the cache";
+    EXPECT_TRUE(cache.Certify(cert_, ca_.public_key()).ok());
+  }
+
+  // The same certificate bytes under the CA that did sign them are a
+  // separate, genuine entry.
+  EXPECT_TRUE(cache.Certify(other_signed, other_ca.public_key()).ok());
+  EXPECT_EQ(2u, cache.size());
+}
+
+TEST(VerifiedAikCacheTest, EntryCountNeverExceedsCapacity) {
+  // A 512-bit CA key keeps minting kCapacity + 8 certificates cheap.
+  Drbg rng(0xcace);
+  const RsaPrivateKey ca_key = RsaGenerateKey(512, &rng);
+  const RsaPrivateKey aik = RsaGenerateKey(512, &rng);
+  auto certify = [&](size_t machine) {
+    AikCertificate cert;
+    cert.aik_public = aik.pub.Serialize();
+    cert.tpm_label = "machine-" + std::to_string(machine);
+    cert.signature = RsaSignSha1(ca_key, cert.SignedPayload());
+    return cert;
+  };
+
+  VerifiedAikCache cache;
+  for (size_t machine = 0; machine < VerifiedAikCache::kCapacity + 8; ++machine) {
+    ASSERT_TRUE(cache.Certify(certify(machine), ca_key.pub).ok());
+    ASSERT_LE(cache.size(), VerifiedAikCache::kCapacity);
+  }
+  EXPECT_EQ(VerifiedAikCache::kCapacity, cache.size());
+
+  // The oldest entries were evicted: certifying one again re-verifies it,
+  // still succeeds, and evicts another to stay within the bound.
+  Result<const CertifiedAik*> evicted = cache.Certify(certify(0), ca_key.pub);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(aik.pub.n, evicted.value()->key.n);
+  EXPECT_EQ(VerifiedAikCache::kCapacity, cache.size());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // reference implementation, including the even-modulus fallback, and must
 // reproduce an externally computed RSA-2048 PKCS#1 v1.5 signature.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/crypto/bigint.h"
@@ -21,10 +23,11 @@ BigInt RandomBigInt(Drbg* rng, size_t bytes) {
 TEST(MontgomeryTest, DifferentialAgainstReference) {
   Drbg rng(0xf11c4e5);
   for (int i = 0; i < 1000; ++i) {
-    // Sizes sweep 1..48 bytes (scalar kernel) with sprinkles of 1024-, 1536-
-    // and 2048-bit operands (AVX512-IFMA kernel widths where available);
-    // every third modulus is forced even to exercise the fallback path.
-    size_t size = static_cast<size_t>(i % 48) + 1;
+    // Sizes sweep 1..64 bytes (the scalar kernels, the unrolled 4-limb one
+    // included, up to the 10-digit IFMA crossover at 59..64 bytes) with
+    // sprinkles of 1024-, 1536- and 2048-bit operands; every third modulus is
+    // forced even to exercise the fallback path.
+    size_t size = static_cast<size_t>(i % 64) + 1;
     if (i % 25 == 0) {
       size = 128;
     } else if (i % 100 == 13) {
@@ -47,6 +50,43 @@ TEST(MontgomeryTest, DifferentialAgainstReference) {
     BigInt actual = BigInt::ModExp(base, exp, mod);
     ASSERT_EQ(expected, actual) << "triple " << i << ": base=" << base.ToHex()
                                 << " exp=" << exp.ToHex() << " mod=" << mod.ToHex();
+  }
+}
+
+// Every width from 1 to 64 bytes plus the 1024/1536/2048-bit kernels, with a
+// random odd modulus and one whose top limb is all ones, against exponents
+// that straddle the window-width switch at 32 bits.
+TEST(MontgomeryTest, WindowBoundaryExponentsAtEveryWidth) {
+  const BigInt two32 = BigInt(1) << 32;
+  const BigInt exponents[] = {BigInt(0),     BigInt(1),         BigInt(2), BigInt(3),
+                              BigInt(65537), two32 - BigInt(1), two32,     (two32 << 1) + BigInt(1)};
+  std::vector<size_t> sizes;
+  for (size_t size = 1; size <= 64; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.insert(sizes.end(), {128, 192, 256});
+
+  Drbg rng(0x3d6e);
+  for (size_t size : sizes) {
+    Bytes random_bytes = rng.Generate(size);
+    random_bytes[0] |= 0x80;
+    Bytes top_ones = rng.Generate(size);
+    // The most significant limb holds (size - 1) % 8 + 1 of the bytes.
+    for (size_t b = 0; b < (size - 1) % 8 + 1; ++b) {
+      top_ones[b] = 0xff;
+    }
+    for (Bytes mod_bytes : {random_bytes, top_ones}) {
+      mod_bytes.back() |= 0x01;
+      const BigInt mod = BigInt::FromBytesBe(mod_bytes);
+      const BigInt base = RandomBigInt(&rng, size + 1);  // Often >= mod.
+      for (const BigInt& exp : exponents) {
+        ASSERT_EQ(BigInt::ModExpReference(base, exp, mod), BigInt::ModExp(base, exp, mod))
+            << size << "-byte mod=" << mod.ToHex() << " exp=" << exp.ToHex();
+        ASSERT_EQ(BigInt::ModExpReference(mod - BigInt(1), exp, mod),
+                  BigInt::ModExp(mod - BigInt(1), exp, mod))
+            << size << "-byte mod=" << mod.ToHex() << " base=mod-1 exp=" << exp.ToHex();
+      }
+    }
   }
 }
 

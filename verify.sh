@@ -21,10 +21,11 @@
 #                        BENCH_obs.json refresh
 #   verify.sh --perf     additionally run the SIMD differential campaign: a
 #                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf whose
-#                        hash/batch-quote suites must pass and whose paper
-#                        tables/figures (Table 1/2/4, Fig. 9) must be
-#                        byte-identical to the vectorized build's - speed is
-#                        the only thing SIMD may change
+#                        hash/Montgomery/RSA/batch-quote suites must pass and
+#                        whose paper tables/figures (Table 1/2/4, Fig. 9) and
+#                        flagship fleet report must be byte-identical to the
+#                        vectorized build's - speed is the only thing SIMD
+#                        may change
 #   verify.sh --fleet    additionally run the fleet simulation campaign:
 #                        fleet-labeled suites under ASan+UBSan, a
 #                        1000-machine sanitizer smoke run, a same-seed
@@ -75,7 +76,7 @@ campaigns='
 --faults      asan    faults_follow_up      -L faults  -
 --net         asan    net_follow_up         -L net     -
 --obs         asan    obs_follow_up         -L obs     -
---perf        noperf  perf_follow_up        -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh
+--perf        noperf  perf_follow_up        -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh,micro_fleet
 --fleet       asan    fleet_follow_up       -L fleet   micro_fleet
 --vtpm        asan    vtpm_follow_up        -L vtpm    -
 --chaos-fuzz  asan    chaos_fuzz_follow_up  -R ^sim_chaos_fuzz_test$  micro_fleet
@@ -298,11 +299,12 @@ obs_follow_up() {
 }
 
 perf_follow_up() {
-  # The scalar fallback must be a drop-in replacement for the SIMD engine:
-  # every reproduced paper table/figure comes out byte-identical to the
-  # vectorized build's - speed is the only thing SIMD may change.
+  # The scalar fallback must be a drop-in replacement for the SIMD engines
+  # (multi-buffer SHA, Montgomery IFMA): every reproduced paper table/figure
+  # and the flagship fleet report come out byte-identical to the vectorized
+  # build's - speed is the only thing SIMD may change.
   cmake --build "$build_dir" -j "$jobs" --target \
-    table1_rootkit table2_skinit table4_distributed fig9_ssh
+    table1_rootkit table2_skinit table4_distributed fig9_ssh micro_fleet
   for bin in table1_rootkit table2_skinit table4_distributed fig9_ssh; do
     "$build_dir/bench/$bin" > "$build_dir/$bin.perf.out"
     "$side_dir/bench/$bin" > "$side_dir/$bin.perf.out"
@@ -312,7 +314,14 @@ perf_follow_up() {
       exit 1
     fi
   done
-  echo "verify.sh: SIMD and scalar builds byte-identical on Table 1/2/4 + Fig. 9"
+  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet.perf.json" > /dev/null
+  "$side_dir/bench/micro_fleet" --bench_json="$side_dir/fleet.perf.json" > /dev/null
+  if ! cmp -s "$build_dir/fleet.perf.json" "$side_dir/fleet.perf.json"; then
+    echo "verify.sh: flagship fleet report differs between SIMD and scalar builds" >&2
+    diff -u "$build_dir/fleet.perf.json" "$side_dir/fleet.perf.json" >&2 || true
+    exit 1
+  fi
+  echo "verify.sh: SIMD and scalar builds byte-identical on Table 1/2/4 + Fig. 9 + fleet"
 }
 
 fleet_follow_up() {
