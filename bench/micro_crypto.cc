@@ -24,7 +24,6 @@
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
-#include "src/crypto/sha_multibuf.h"
 #include "src/hw/clock.h"
 #include "src/os/tqd.h"
 #include "src/tpm/transport.h"
@@ -59,35 +58,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
-
-// Lane scaling of the multi-buffer engine: batch size 1 degenerates to the
-// scalar path; 4/8 fill one SSE2/AVX2 vector; 32 shows steady-state
-// throughput over several passes.
-void BM_Sha1MultiBuf64Kb(benchmark::State& state) {
-  Drbg rng(21);
-  std::vector<Bytes> messages;
-  for (int i = 0; i < state.range(0); ++i) {
-    messages.push_back(rng.Generate(65536));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha1DigestMany(messages));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0) * 65536);
-}
-BENCHMARK(BM_Sha1MultiBuf64Kb)->Arg(1)->Arg(4)->Arg(8)->Arg(32);
-
-void BM_Sha256MultiBuf64Kb(benchmark::State& state) {
-  Drbg rng(22);
-  std::vector<Bytes> messages;
-  for (int i = 0; i < state.range(0); ++i) {
-    messages.push_back(rng.Generate(65536));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256DigestMany(messages));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0) * 65536);
-}
-BENCHMARK(BM_Sha256MultiBuf64Kb)->Arg(1)->Arg(4)->Arg(8)->Arg(32);
 
 void BM_Md5(benchmark::State& state) {
   Drbg rng(4);
@@ -194,9 +164,9 @@ BENCHMARK(BM_TpmQuoteEndToEnd)->Unit(benchmark::kMillisecond);
 
 // One full batch-quote round: K challenges coalesced by the daemon, ONE TPM
 // quote over the batch's Merkle root, then the verifier-side crypto for all
-// K slices - a root recomputation per auth path and one multi-buffer batched
-// RSA verify. Returns false if any slice fails to verify, so a bench run
-// doubles as a correctness check.
+// K slices - a root recomputation per auth path and an RSA verify per slice.
+// Returns false if any slice fails to verify, so a bench run doubles as a
+// correctness check.
 bool RunBatchQuoteRound(TpmQuoteDaemon* tqd, const std::vector<Bytes>& nonces) {
   PcrSelection selection({17});
   for (const Bytes& nonce : nonces) {
@@ -212,20 +182,13 @@ bool RunBatchQuoteRound(TpmQuoteDaemon* tqd, const std::vector<Bytes>& nonces) {
   if (!aik.ok()) {
     return false;
   }
-  std::vector<Bytes> messages;
-  std::vector<Bytes> signatures;
   for (const BatchQuoteResponse& slice : slices) {
     Bytes root = MerkleTree::RootFromPath(slice.nonce, slice.path);
     Bytes composite = RecomputeQuoteComposite(slice.response.quote);
     Bytes info = BytesOf("QUOT");
     info.insert(info.end(), composite.begin(), composite.end());
     info.insert(info.end(), root.begin(), root.end());
-    messages.push_back(std::move(info));
-    signatures.push_back(slice.response.quote.signature);
-  }
-  std::vector<bool> verdicts = RsaVerifySha1Batch(aik.value(), messages, signatures);
-  for (bool verdict : verdicts) {
-    if (!verdict) {
+    if (!RsaVerifySha1(aik.value(), info, slice.response.quote.signature)) {
       return false;
     }
   }
@@ -365,33 +328,6 @@ int RunJsonBench(const std::string& path) {
   double sha256_ops =
       MeasureOpsPerSec([&] { benchmark::DoNotOptimize(Sha256::Digest(block)); }, 1.0, 20000);
 
-  // Multi-buffer lane scaling: a full vector of 64 KB messages per call.
-  // Messages/sec divided by the scalar one-shot rate is the SIMD speedup
-  // (1.0 by construction when the dispatcher fell back to scalar code).
-  const size_t lanes = ShaMultiBufLanes();
-  std::vector<Bytes> lane_msgs;
-  Drbg lane_rng(0x1a11e5);
-  for (size_t i = 0; i < lanes; ++i) {
-    lane_msgs.push_back(lane_rng.Generate(65536));
-  }
-  // Bit-exactness of the multi-buffer engine on the benchmarked inputs.
-  bool multibuf_exact = true;
-  {
-    std::vector<Bytes> digests = Sha1DigestMany(lane_msgs);
-    std::vector<Bytes> digests256 = Sha256DigestMany(lane_msgs);
-    for (size_t i = 0; i < lanes; ++i) {
-      multibuf_exact = multibuf_exact && digests[i] == Sha1::Digest(lane_msgs[i]) &&
-                       digests256[i] == Sha256::Digest(lane_msgs[i]);
-    }
-  }
-  double sha1_mb_msgs =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(Sha1DigestMany(lane_msgs)); }, 1.0, 20000) *
-      static_cast<double>(lanes);
-  double sha256_mb_msgs =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(Sha256DigestMany(lane_msgs)); }, 1.0,
-                       20000) *
-      static_cast<double>(lanes);
-
   SimClock clock;
   Tpm tpm(&clock, BroadcomBcm0102Profile());
   TpmTransport transport(&tpm);
@@ -402,7 +338,7 @@ int RunJsonBench(const std::string& path) {
       MeasureOpsPerSec([&] { benchmark::DoNotOptimize(client.Quote(nonce, selection)); }, 1.0, 2000);
 
   // The headline: one TPM quote amortized over a 32-challenge batch, with
-  // the full verifier-side crypto (Merkle roots + batched RSA verify) on
+  // the full verifier-side crypto (Merkle root + RSA verify per slice) on
   // the clock. Verified quotes/sec vs the serialized quote path above.
   constexpr size_t kBatchChallenges = 32;
   Machine machine;
@@ -422,7 +358,7 @@ int RunJsonBench(const std::string& path) {
 
   std::fprintf(out,
                "{\n"
-               "  \"schema\": \"flicker-bench-crypto-v3\",\n"
+               "  \"schema\": \"flicker-bench-crypto-v4\",\n"
                "  \"unit\": \"ops_per_sec\",\n"
                "  \"modexp2048_montgomery\": %.3f,\n"
                "  \"modexp2048_reference\": %.3f,\n"
@@ -435,13 +371,6 @@ int RunJsonBench(const std::string& path) {
                "  \"rsa1024_verify\": %.3f,\n"
                "  \"sha1_64kb\": %.3f,\n"
                "  \"sha256_64kb\": %.3f,\n"
-               "  \"sha_multibuf_engine\": \"%s\",\n"
-               "  \"sha_multibuf_lanes\": %zu,\n"
-               "  \"sha_multibuf_bit_exact\": %s,\n"
-               "  \"sha1_multibuf_64kb_msgs_per_sec\": %.3f,\n"
-               "  \"sha1_multibuf_speedup\": %.2f,\n"
-               "  \"sha256_multibuf_64kb_msgs_per_sec\": %.3f,\n"
-               "  \"sha256_multibuf_speedup\": %.2f,\n"
                "  \"tpm_quote_end_to_end\": %.3f,\n"
                "  \"batch_quote_challenges\": %zu,\n"
                "  \"batch_quote_all_verified\": %s,\n"
@@ -450,10 +379,8 @@ int RunJsonBench(const std::string& path) {
                "}\n",
                mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false", sign_ops,
                rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops, sha_ops,
-               sha256_ops, ShaMultiBufEngine(), lanes, multibuf_exact ? "true" : "false",
-               sha1_mb_msgs, sha1_mb_msgs / sha_ops, sha256_mb_msgs, sha256_mb_msgs / sha256_ops,
-               quote_ops, kBatchChallenges, batch_ok ? "true" : "false", batch_verified_per_sec,
-               batch_verified_per_sec / quote_ops);
+               sha256_ops, quote_ops, kBatchChallenges, batch_ok ? "true" : "false",
+               batch_verified_per_sec, batch_verified_per_sec / quote_ops);
   std::fclose(out);
   std::printf("modexp2048: montgomery %.1f ops/s, reference %.1f ops/s (%.1fx, bit_exact=%s)\n",
               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false");
@@ -462,16 +389,12 @@ int RunJsonBench(const std::string& path) {
   std::printf("rsa512 CRT sign %.1f / verify %.1f ops/s; rsa1024 CRT sign %.1f / verify %.1f "
               "ops/s\n",
               rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops);
-  std::printf("sha multibuf (%s, %zu lanes): sha1 %.1f msgs/s (%.1fx), sha256 %.1f msgs/s "
-              "(%.1fx), bit_exact=%s\n",
-              ShaMultiBufEngine(), lanes, sha1_mb_msgs, sha1_mb_msgs / sha_ops, sha256_mb_msgs,
-              sha256_mb_msgs / sha256_ops, multibuf_exact ? "true" : "false");
   std::printf("batch quote (32 challenges): %.1f verified quotes/s (%.1fx vs serialized, "
               "all_verified=%s)\n",
               batch_verified_per_sec, batch_verified_per_sec / quote_ops,
               batch_ok ? "true" : "false");
   std::printf("wrote %s\n", path.c_str());
-  return (bit_exact && multibuf_exact && batch_ok) ? 0 : 2;
+  return (bit_exact && batch_ok) ? 0 : 2;
 }
 
 }  // namespace

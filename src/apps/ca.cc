@@ -357,47 +357,4 @@ bool CertificateAuthorityHost::VerifyCertificate(const Bytes& ca_public_key,
   return RsaVerifySha1(key.value(), certificate.SignedPayload(), certificate.signature);
 }
 
-Bytes CaSignRequest::Serialize() const {
-  Writer w;
-  w.Blob(csr.Serialize());
-  w.Blob(policy.Serialize());
-  return w.Take();
-}
-
-Result<CaSignRequest> CaSignRequest::Deserialize(const Bytes& data) {
-  if (data.size() > kMaxCaFrameBytes) {
-    return InvalidArgumentError("signing frame exceeds wire bound");
-  }
-  Reader r(data);
-  Bytes csr_wire = r.Blob();
-  Bytes policy_wire = r.Blob();
-  if (!r.ok() || !r.AtEnd()) {
-    return InvalidArgumentError("corrupt signing frame");
-  }
-  Result<CertificateSigningRequest> csr = CertificateSigningRequest::Deserialize(csr_wire);
-  if (!csr.ok()) {
-    return csr.status();
-  }
-  Result<CaPolicy> policy = CaPolicy::Deserialize(policy_wire);
-  if (!policy.ok()) {
-    return policy.status();
-  }
-  CaSignRequest request;
-  request.csr = csr.take();
-  request.policy = policy.take();
-  return request;
-}
-
-Result<Bytes> CertificateAuthorityHost::HandleSignFrame(const Bytes& frame) {
-  Result<CaSignRequest> request = CaSignRequest::Deserialize(frame);
-  if (!request.ok()) {
-    return request.status();
-  }
-  SignReport report = SignCertificate(request.value().csr, request.value().policy);
-  if (!report.status.ok()) {
-    return report.status;
-  }
-  return report.certificate.Serialize();
-}
-
 }  // namespace flicker

@@ -55,18 +55,6 @@ struct CaPolicy {
   static Result<CaPolicy> Deserialize(const Bytes& data);
 };
 
-// Bound on any signing frame crossing the network.
-inline constexpr size_t kMaxCaFrameBytes = 64 * 1024;
-
-// Wire frame bundling a CSR with the policy that should gate it.
-struct CaSignRequest {
-  CertificateSigningRequest csr;
-  CaPolicy policy;
-
-  Bytes Serialize() const;
-  static Result<CaSignRequest> Deserialize(const Bytes& data);
-};
-
 class CaPal : public Pal {
  public:
   std::string name() const override { return "certificate-authority"; }
@@ -101,11 +89,6 @@ class CertificateAuthorityHost {
     double session_ms = 0;
   };
   SignReport SignCertificate(const CertificateSigningRequest& csr, const CaPolicy& policy);
-
-  // Wire entry point: parses a hostile signing frame, runs the signing
-  // session, returns the serialized certificate. Parse failures and policy
-  // denials are Status errors - the CA never emits a bogus certificate.
-  Result<Bytes> HandleSignFrame(const Bytes& frame);
 
   const Bytes& ca_public_key() const { return ca_public_key_; }
   const Bytes& sealed_state() const { return sealed_state_; }

@@ -42,11 +42,15 @@ Result<FactorState> FactorState::Deserialize(const Bytes& data) {
   FactorState state;
   state.next_divisor = r.U64();
   uint32_t count = r.U32();
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    state.found.push_back(r.U64());
-  }
-  if (!r.ok() || !r.AtEnd()) {
+  // A 12-byte header, then 8 bytes per factor. Checking the count against
+  // the frame length before sizing the vector keeps a hostile count from
+  // driving the allocation.
+  if (!r.ok() || data.size() != 12 + size_t{count} * 8) {
     return InvalidArgumentError("corrupt factor state");
+  }
+  state.found.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    state.found.push_back(r.U64());
   }
   return state;
 }

@@ -1,7 +1,6 @@
 #include "src/core/secure_channel.h"
 
 #include "src/core/sealed_state.h"
-#include "src/obs/metrics.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
@@ -88,55 +87,6 @@ Result<Bytes> SecureChannelEncrypt(const Bytes& serialized_public_key, const Byt
     return key.status();
   }
   return RsaEncryptPkcs1(key.value(), message, rng);
-}
-
-uint64_t AttestedSessionCache::Establish(const Bytes& session_key, bool is_initiator) {
-  if (sessions_.size() >= config_.capacity && !sessions_.empty()) {
-    sessions_.erase(sessions_.begin());  // Ids are monotonic: begin() is oldest.
-  }
-  uint64_t id = next_id_++;
-  Entry entry{MacSessionEndpoint(id, session_key, is_initiator), clock_->NowMicros()};
-  sessions_.emplace(id, std::move(entry));
-  return id;
-}
-
-AttestedSessionCache::Entry* AttestedSessionCache::Lookup(uint64_t session_id) {
-  auto it = sessions_.find(session_id);
-  if (it != sessions_.end()) {
-    double age_ms =
-        static_cast<double>(clock_->NowMicros() - it->second.established_at_us) / 1000.0;
-    if (age_ms > config_.ttl_ms || it->second.endpoint.uses() >= config_.max_uses) {
-      sessions_.erase(it);
-      it = sessions_.end();
-    }
-  }
-  if (it == sessions_.end()) {
-    ++misses_;
-    obs::Count(obs::Ctr::kAttestSessionMisses);
-    return nullptr;
-  }
-  return &it->second;
-}
-
-Result<AuthedFrame> AttestedSessionCache::Seal(uint64_t session_id, const Bytes& payload) {
-  Entry* entry = Lookup(session_id);
-  if (entry == nullptr) {
-    return NotFoundError("no live attested session; re-attest");
-  }
-  return entry->endpoint.Seal(payload);
-}
-
-Result<Bytes> AttestedSessionCache::Open(const AuthedFrame& frame) {
-  Entry* entry = Lookup(frame.session_id);
-  if (entry == nullptr) {
-    return NotFoundError("no live attested session; fall back to a fresh quote");
-  }
-  Result<Bytes> payload = entry->endpoint.Open(frame);
-  if (payload.ok()) {
-    ++hits_;
-    obs::Count(obs::Ctr::kAttestSessionHits);
-  }
-  return payload;
 }
 
 }  // namespace flicker

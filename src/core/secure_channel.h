@@ -9,13 +9,9 @@
 #ifndef FLICKER_SRC_CORE_SECURE_CHANNEL_H_
 #define FLICKER_SRC_CORE_SECURE_CHANNEL_H_
 
-#include <map>
-
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/crypto/rsa.h"
-#include "src/hw/clock.h"
-#include "src/net/session.h"
 #include "src/slb/pal.h"
 #include "src/tpm/structures.h"
 
@@ -52,65 +48,6 @@ class SecureChannelModule {
 // Remote-party side: encrypt a message under an attested PAL public key.
 Result<Bytes> SecureChannelEncrypt(const Bytes& serialized_public_key, const Bytes& message,
                                    Drbg* rng);
-
-// ---- Attested-session cache (quote amortization, paper §6 SSH design) ----
-//
-// One verified quote is expensive (a full TPM Quote plus RSA verify); the
-// trust it establishes is durable for as long as the attested key stays
-// sealed to the PAL. So after a challenger verifies one (batch) quote over
-// the secure-channel public key, it ships a fresh session key under K_PAL
-// (SecureChannelEncrypt) and both ends register it here. Until the session
-// expires or its use budget runs out, attestation traffic rides HMAC-keyed
-// AuthedFrames (net/session.h) and never touches the TPM.
-
-struct AttestedSessionConfig {
-  double ttl_ms = 60000.0;   // Simulated lifetime from establishment.
-  uint64_t max_uses = 1024;  // Frames sealed+opened before re-attestation.
-  size_t capacity = 64;      // Live sessions; oldest evicted beyond this.
-};
-
-class AttestedSessionCache {
- public:
-  explicit AttestedSessionCache(SimClock* clock,
-                                AttestedSessionConfig config = AttestedSessionConfig())
-      : clock_(clock), config_(config) {}
-
-  // Registers a session around the secret both ends derived from one
-  // verified quote. `is_initiator` names this side's role (the challenger
-  // that established the session is the initiator on its end).
-  uint64_t Establish(const Bytes& session_key, bool is_initiator);
-
-  // Seals a payload under a live session with this side's next counter.
-  // A dead session is a kNotFound miss: re-attest and re-establish.
-  Result<AuthedFrame> Seal(uint64_t session_id, const Bytes& payload);
-
-  // Authenticates one inbound frame. An unknown, expired, or exhausted
-  // session is a kNotFound miss - the caller falls back to a fresh TPM
-  // quote. A bad MAC or replayed counter on a LIVE session is a hard
-  // integrity failure, never a silent fallback.
-  Result<Bytes> Open(const AuthedFrame& frame);
-
-  size_t live_sessions() const { return sessions_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    MacSessionEndpoint endpoint;
-    uint64_t established_at_us = 0;
-  };
-
-  // Finds a live entry, retiring it first if TTL or use budget expired.
-  // Returns nullptr (and counts the miss) when nothing usable remains.
-  Entry* Lookup(uint64_t session_id);
-
-  SimClock* clock_;
-  AttestedSessionConfig config_;
-  std::map<uint64_t, Entry> sessions_;
-  uint64_t next_id_ = 1;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
 
 }  // namespace flicker
 

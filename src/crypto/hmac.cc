@@ -1,7 +1,6 @@
 #include "src/crypto/hmac.h"
 
 #include "src/crypto/sha1.h"
-#include "src/crypto/sha256.h"
 
 namespace flicker {
 
@@ -9,16 +8,8 @@ Bytes HmacSha1(const Bytes& key, const Bytes& message) {
   return HmacDigest<Sha1>(key, message);
 }
 
-Bytes HmacSha256(const Bytes& key, const Bytes& message) {
-  return HmacDigest<Sha256>(key, message);
-}
-
 bool HmacSha1Verify(const Bytes& key, const Bytes& message, const Bytes& tag) {
   return ConstantTimeEquals(HmacSha1(key, message), tag);
-}
-
-bool HmacSha256Verify(const Bytes& key, const Bytes& message, const Bytes& tag) {
-  return ConstantTimeEquals(HmacSha256(key, message), tag);
 }
 
 }  // namespace flicker

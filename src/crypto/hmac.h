@@ -38,13 +38,11 @@ Bytes HmacDigest(const Bytes& key, const Bytes& message) {
   return outer.Finish();
 }
 
-// The concrete instantiations used across the tree.
+// The concrete instantiation used across the tree.
 Bytes HmacSha1(const Bytes& key, const Bytes& message);
-Bytes HmacSha256(const Bytes& key, const Bytes& message);
 
 // Verifies in constant time.
 bool HmacSha1Verify(const Bytes& key, const Bytes& message, const Bytes& tag);
-bool HmacSha256Verify(const Bytes& key, const Bytes& message, const Bytes& tag);
 
 }  // namespace flicker
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "src/crypto/sha1.h"
-#include "src/crypto/sha_multibuf.h"
 
 namespace flicker {
 
@@ -38,16 +37,11 @@ Result<MerkleTree> MerkleTree::Build(const std::vector<Bytes>& nonces) {
   if (nonces.empty()) {
     return InvalidArgumentError("cannot build a Merkle tree over zero nonces");
   }
-  std::vector<Bytes> messages;
-  messages.reserve(nonces.size());
+  std::vector<Bytes> leaves;
+  leaves.reserve(nonces.size());
   for (const Bytes& nonce : nonces) {
-    Bytes m;
-    m.reserve(1 + nonce.size());
-    m.push_back(kLeafPrefix);
-    m.insert(m.end(), nonce.begin(), nonce.end());
-    messages.push_back(std::move(m));
+    leaves.push_back(LeafDigest(nonce));
   }
-  std::vector<Bytes> leaves = Sha1DigestMany(messages);
 
   // Sort leaves by digest (ties by original index keep the order stable) so
   // the root does not depend on challenge arrival order.
@@ -72,17 +66,11 @@ Result<MerkleTree> MerkleTree::Build(const std::vector<Bytes>& nonces) {
 
   while (tree.levels_.back().size() > 1) {
     const std::vector<Bytes>& level = tree.levels_.back();
-    std::vector<Bytes> pair_messages;
-    pair_messages.reserve(level.size() / 2);
+    std::vector<Bytes> next;
+    next.reserve((level.size() + 1) / 2);
     for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      Bytes m;
-      m.reserve(1 + 2 * kDigestSize);
-      m.push_back(kInteriorPrefix);
-      m.insert(m.end(), level[i].begin(), level[i].end());
-      m.insert(m.end(), level[i + 1].begin(), level[i + 1].end());
-      pair_messages.push_back(std::move(m));
+      next.push_back(InteriorDigest(level[i], level[i + 1]));
     }
-    std::vector<Bytes> next = Sha1DigestMany(pair_messages);
     if (level.size() % 2 != 0) {
       next.push_back(level.back());  // Odd node: promote unchanged.
     }

@@ -12,8 +12,9 @@
 // a leaf (or vice versa). Leaves are sorted by digest before the tree is
 // built, making the root independent of challenge arrival order. An odd node
 // at any level is promoted unchanged rather than paired with a duplicate,
-// which closes the classic duplicate-leaf malleability. Level hashing runs
-// through the multi-buffer SHA engine (sha_multibuf.h).
+// which closes the classic duplicate-leaf malleability. Build and
+// RootFromPath share one definition of each hash (LeafDigest,
+// InteriorDigest).
 
 #ifndef FLICKER_SRC_CRYPTO_MERKLE_H_
 #define FLICKER_SRC_CRYPTO_MERKLE_H_

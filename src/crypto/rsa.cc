@@ -4,7 +4,6 @@
 
 #include "src/crypto/montgomery.h"
 #include "src/crypto/sha1.h"
-#include "src/crypto/sha_multibuf.h"
 
 namespace flicker {
 
@@ -344,7 +343,9 @@ Bytes EmsaPkcs1Sha1(const Bytes& digest, size_t k) {
   return expected;
 }
 
-bool RsaVerifySha1Digest(const RsaPublicKey& key, const Bytes& digest, const Bytes& signature) {
+}  // namespace
+
+bool RsaVerifySha1(const RsaPublicKey& key, const Bytes& message, const Bytes& signature) {
   size_t k = key.ModulusBytes();
   if (signature.size() != k) {
     return false;
@@ -354,26 +355,7 @@ bool RsaVerifySha1Digest(const RsaPublicKey& key, const Bytes& digest, const Byt
     return false;
   }
   Bytes em = RsaPublicOp(key, s).ToBytesBe(k);
-  return ConstantTimeEquals(em, EmsaPkcs1Sha1(digest, k));
-}
-
-}  // namespace
-
-bool RsaVerifySha1(const RsaPublicKey& key, const Bytes& message, const Bytes& signature) {
-  return RsaVerifySha1Digest(key, Sha1::Digest(message), signature);
-}
-
-std::vector<bool> RsaVerifySha1Batch(const RsaPublicKey& key, const std::vector<Bytes>& messages,
-                                     const std::vector<Bytes>& signatures) {
-  std::vector<bool> verdicts(messages.size(), false);
-  if (messages.size() != signatures.size()) {
-    return verdicts;
-  }
-  std::vector<Bytes> digests = Sha1DigestMany(messages);
-  for (size_t i = 0; i < messages.size(); ++i) {
-    verdicts[i] = RsaVerifySha1Digest(key, digests[i], signatures[i]);
-  }
-  return verdicts;
+  return ConstantTimeEquals(em, EmsaPkcs1Sha1(Sha1::Digest(message), k));
 }
 
 }  // namespace flicker

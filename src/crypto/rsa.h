@@ -11,7 +11,6 @@
 #define FLICKER_SRC_CRYPTO_RSA_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -68,13 +67,6 @@ Result<Bytes> RsaDecryptPkcs1(const RsaPrivateKey& key, const Bytes& ciphertext)
 // DigestInfo encoding.
 Bytes RsaSignSha1(const RsaPrivateKey& key, const Bytes& message);
 bool RsaVerifySha1(const RsaPublicKey& key, const Bytes& message, const Bytes& signature);
-
-// Verifies many (message, signature) pairs under one key; result[i] holds
-// for messages[i]/signatures[i]. The message digests are computed in one
-// multi-buffer SHA-1 pass; the public-key operations (cheap with e = 65537)
-// run serially. The vectors must be the same length.
-std::vector<bool> RsaVerifySha1Batch(const RsaPublicKey& key, const std::vector<Bytes>& messages,
-                                     const std::vector<Bytes>& signatures);
 
 }  // namespace flicker
 

@@ -33,7 +33,6 @@ class SimClock {
   uint64_t NowNanos() const { return now_ns_; }
   uint64_t NowMicros() const { return now_ns_ / 1000; }
   double NowMillis() const { return static_cast<double>(now_ns_) / 1e6; }
-  double NowSeconds() const { return static_cast<double>(now_ns_) / 1e9; }
 
   void AdvanceNanos(uint64_t nanos) { now_ns_ += nanos; }
   void AdvanceMicros(uint64_t micros) { now_ns_ += micros * 1000; }
@@ -67,8 +66,6 @@ class SimStopwatch {
   double ElapsedMillis() const {
     return static_cast<double>(clock_->NowNanos() - start_ns_) / 1e6;
   }
-
-  void Restart() { start_ns_ = clock_->NowNanos(); }
 
  private:
   const SimClock* clock_;

@@ -1,7 +1,6 @@
 #include "src/net/session.h"
 
 #include "src/common/serde.h"
-#include "src/crypto/hmac.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -232,86 +231,6 @@ size_t SessionServer::ServePending(double deadline_ms, const Handler& handler) {
     channel_->Send(side_, response_wire);
   }
   return processed;
-}
-
-namespace {
-
-// The bytes the session MAC commits to: everything in the frame except the
-// tag itself.
-Bytes AuthedFrameMacInput(const AuthedFrame& frame) {
-  Writer w;
-  w.U32(AuthedFrame::kMagic);
-  w.U64(frame.session_id);
-  w.U8(frame.sender);
-  w.U64(frame.counter);
-  w.Blob(frame.payload);
-  return w.Take();
-}
-
-}  // namespace
-
-Bytes AuthedFrame::Serialize() const {
-  Writer w;
-  w.U32(kMagic);
-  w.U64(session_id);
-  w.U8(sender);
-  w.U64(counter);
-  w.Blob(payload);
-  w.Blob(tag);
-  return w.Take();
-}
-
-Result<AuthedFrame> AuthedFrame::Deserialize(const Bytes& data) {
-  if (data.size() > kMaxSessionFrameBytes) {
-    return InvalidArgumentError("authed frame exceeds size bound");
-  }
-  Reader r(data);
-  AuthedFrame frame;
-  if (r.U32() != kMagic) {
-    return InvalidArgumentError("bad authed frame magic");
-  }
-  frame.session_id = r.U64();
-  frame.sender = r.U8();
-  frame.counter = r.U64();
-  frame.payload = r.Blob();
-  frame.tag = r.Blob();
-  if (!r.ok() || !r.AtEnd()) {
-    return InvalidArgumentError("corrupt authed frame");
-  }
-  if (frame.sender != kInitiator && frame.sender != kResponder) {
-    return InvalidArgumentError("unknown authed frame sender role");
-  }
-  return frame;
-}
-
-AuthedFrame MacSessionEndpoint::Seal(const Bytes& payload) {
-  AuthedFrame frame;
-  frame.session_id = session_id_;
-  frame.sender = is_initiator_ ? AuthedFrame::kInitiator : AuthedFrame::kResponder;
-  frame.counter = next_counter_++;
-  frame.payload = payload;
-  frame.tag = HmacSha256(key_, AuthedFrameMacInput(frame));
-  ++uses_;
-  return frame;
-}
-
-Result<Bytes> MacSessionEndpoint::Open(const AuthedFrame& frame) {
-  if (frame.session_id != session_id_) {
-    return InvalidArgumentError("authed frame names a different session");
-  }
-  uint8_t peer_role = is_initiator_ ? AuthedFrame::kResponder : AuthedFrame::kInitiator;
-  if (frame.sender != peer_role) {
-    return IntegrityFailureError("authed frame reflected back at its sender");
-  }
-  if (!HmacSha256Verify(key_, AuthedFrameMacInput(frame), frame.tag)) {
-    return IntegrityFailureError("authed frame MAC invalid");
-  }
-  if (frame.counter <= peer_high_water_) {
-    return ReplayDetectedError("authed frame counter replayed");
-  }
-  peer_high_water_ = frame.counter;
-  ++uses_;
-  return frame.payload;
 }
 
 }  // namespace flicker

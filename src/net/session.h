@@ -109,56 +109,6 @@ class SessionClient {
   uint64_t overload_retries_ = 0;
 };
 
-// ---- Attested-session amortization (wire layer) ----
-//
-// A TPM quote is the expensive way to authenticate a platform: ~1 s of TPM
-// time per challenge (Table 1). Once one quote has been verified, both ends
-// hold a shared session key (shipped under the attested K_PAL; see
-// secure_channel.h) and further exchanges ride HMAC-SHA256-authenticated
-// frames instead - the paper's SSH design (§6) applied to attestation
-// traffic. The MAC covers a strictly-increasing counter and the sender's
-// role, so replayed and reflected frames both fail closed.
-
-struct AuthedFrame {
-  static constexpr uint32_t kMagic = 0x46415331;  // "FAS1"
-  static constexpr uint8_t kInitiator = 0;  // The side that established the session.
-  static constexpr uint8_t kResponder = 1;
-
-  uint64_t session_id = 0;
-  uint8_t sender = kInitiator;
-  uint64_t counter = 0;  // Strictly increasing per sender within a session.
-  Bytes payload;
-  Bytes tag;  // HMAC-SHA256(key, magic || session_id || sender || counter || payload).
-
-  Bytes Serialize() const;
-  static Result<AuthedFrame> Deserialize(const Bytes& data);
-};
-
-// One side of an established MAC session. Seal() stamps this side's next
-// counter and tags the frame; Open() verifies the peer's tag in constant
-// time and enforces counter monotonicity, so a recorded frame can never be
-// accepted twice (or reflected back at its sender).
-class MacSessionEndpoint {
- public:
-  MacSessionEndpoint(uint64_t session_id, Bytes key, bool is_initiator)
-      : session_id_(session_id), key_(std::move(key)), is_initiator_(is_initiator) {}
-
-  AuthedFrame Seal(const Bytes& payload);
-  Result<Bytes> Open(const AuthedFrame& frame);
-
-  uint64_t session_id() const { return session_id_; }
-  // Frames sealed plus frames accepted: the cache's use-count bound.
-  uint64_t uses() const { return uses_; }
-
- private:
-  uint64_t session_id_;
-  Bytes key_;
-  bool is_initiator_;
-  uint64_t next_counter_ = 1;
-  uint64_t peer_high_water_ = 0;
-  uint64_t uses_ = 0;
-};
-
 class SessionServer {
  public:
   using Handler = std::function<Result<Bytes>(const Bytes&)>;

@@ -30,10 +30,6 @@ constexpr MetricDef kCounterDefs[static_cast<size_t>(Ctr::kCount)] = {
      "Merkle-aggregated batch quotes issued (one TPM quote per flushed window)"},
     {"tqd_batched_challenges_total", "count",
      "Attestation challenges answered through a coalesced batch quote"},
-    {"attest_session_hits_total", "count",
-     "Attested-session calls authenticated by session MAC, skipping the TPM quote"},
-    {"attest_session_misses_total", "count",
-     "Attested-session lookups that found no live session (fresh quote required)"},
     {"net_messages_sent_total", "count", "Datagrams handed to LossyChannel::Send"},
     {"net_messages_delivered_total", "count", "Datagrams delivered to a receiving endpoint"},
     {"net_faults_injected_total", "count",

@@ -44,8 +44,6 @@ enum class Ctr : int {
   kTqdChallengesQueued,
   kTqdBatchQuotes,
   kTqdBatchedChallenges,
-  kAttestSessionHits,
-  kAttestSessionMisses,
   kNetMessagesSent,
   kNetMessagesDelivered,
   kNetFaultsInjected,

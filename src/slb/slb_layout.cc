@@ -5,7 +5,6 @@
 
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha1.h"
-#include "src/crypto/sha_multibuf.h"
 #include "src/hw/machine.h"
 
 namespace flicker {
@@ -134,16 +133,9 @@ Result<PalBinary> BuildPal(std::shared_ptr<Pal> pal, const PalBuildOptions& opti
   // address.
   Bytes patched = binary.image;
   PatchSlbImage(&patched, kSlbFixedBase);
+  binary.skinit_measurement = MeasureSlbPrefix(patched, binary.measured_length);
   if (options.measurement_stub) {
-    // The SKINIT prefix and the stub's full-image hash share the patched
-    // image, so hash both in one multi-buffer pass.
-    size_t prefix_len = std::min<size_t>(binary.measured_length, patched.size());
-    std::vector<Bytes> hashed = Sha1DigestMany(
-        {Bytes(patched.begin(), patched.begin() + static_cast<long>(prefix_len)), patched});
-    binary.skinit_measurement = std::move(hashed[0]);
-    binary.stub_body_measurement = std::move(hashed[1]);
-  } else {
-    binary.skinit_measurement = MeasureSlbPrefix(patched, binary.measured_length);
+    binary.stub_body_measurement = Sha1::Digest(patched);
   }
   return binary;
 }

@@ -33,15 +33,6 @@ size_t VtpmManager::resident_count() const {
   return count;
 }
 
-std::vector<std::string> VtpmManager::TenantNames() const {
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, record] : tenants_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 CrashConsistentSealedStore* VtpmManager::StoreForTest(const std::string& tenant) {
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? nullptr : it->second.store.get();

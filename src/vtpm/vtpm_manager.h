@@ -88,7 +88,6 @@ class VtpmManager {
   bool TenantQuarantined(const std::string& tenant) const;
   bool TenantResident(const std::string& tenant) const;
   size_t resident_count() const;
-  std::vector<std::string> TenantNames() const;
   uint64_t rollbacks_detected() const { return rollbacks_detected_; }
 
   Machine* machine() { return machine_; }

@@ -173,8 +173,8 @@ TEST_F(BatchQuoteTest, BatchedVerificationSharesOneRsaCheck) {
   ASSERT_EQ(slices.size(), 6u);
 
   // The amortization claim behind VerifyBatchQuote: all six slices carry the
-  // same TPM_QUOTE_INFO message, so one RsaVerifySha1Batch lane settles them
-  // all. Build the signed messages and check the batch verifier agrees.
+  // same TPM_QUOTE_INFO message under the same signature, so one RSA check
+  // settles them all. Build the signed messages and check that they agree.
   Result<RsaPublicKey> aik = RsaPublicKey::Deserialize(slices[0].response.aik_public);
   ASSERT_TRUE(aik.ok());
   std::vector<Bytes> messages;
@@ -188,9 +188,10 @@ TEST_F(BatchQuoteTest, BatchedVerificationSharesOneRsaCheck) {
     messages.push_back(info);
     signatures.push_back(slice.response.quote.signature);
   }
-  std::vector<bool> verdicts = RsaVerifySha1Batch(aik.value(), messages, signatures);
-  for (size_t i = 0; i < verdicts.size(); ++i) {
-    EXPECT_TRUE(verdicts[i]) << "slice " << i;
+  for (size_t i = 0; i < slices.size(); ++i) {
+    EXPECT_EQ(messages[i], messages[0]) << "slice " << i;
+    EXPECT_EQ(signatures[i], signatures[0]) << "slice " << i;
+    EXPECT_TRUE(RsaVerifySha1(aik.value(), messages[i], signatures[i])) << "slice " << i;
   }
 }
 

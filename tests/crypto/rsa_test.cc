@@ -182,46 +182,6 @@ TEST_F(RsaTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(RsaPublicKey::Deserialize(Bytes()).ok());
 }
 
-TEST_F(RsaTest, BatchVerifyMatchesScalarVerify) {
-  // The batch entry point hashes all messages through the multi-buffer
-  // engine, so its verdicts must match RsaVerifySha1 bit for bit - good,
-  // bad-signature, bad-message and wrong-key lanes mixed in one call.
-  std::vector<Bytes> messages;
-  std::vector<Bytes> signatures;
-  for (int i = 0; i < 5; ++i) {
-    messages.push_back(BytesOf("batch message " + std::to_string(i)));
-    signatures.push_back(RsaSignSha1(*key_, messages.back()));
-  }
-  // Lane 1: valid signature over a DIFFERENT message.
-  messages[1] = BytesOf("substituted message");
-  // Lane 3: corrupted signature.
-  signatures[3][0] ^= 0x80;
-  Drbg rng(99);
-  RsaPrivateKey other = RsaGenerateKey(1024, &rng);
-  // Lane 4: signed by the wrong key.
-  signatures[4] = RsaSignSha1(other, messages[4]);
-
-  std::vector<bool> verdicts = RsaVerifySha1Batch(key_->pub, messages, signatures);
-  ASSERT_EQ(verdicts.size(), 5u);
-  for (size_t i = 0; i < verdicts.size(); ++i) {
-    EXPECT_EQ(verdicts[i], RsaVerifySha1(key_->pub, messages[i], signatures[i])) << "lane " << i;
-  }
-  EXPECT_TRUE(verdicts[0]);
-  EXPECT_FALSE(verdicts[1]);
-  EXPECT_TRUE(verdicts[2]);
-  EXPECT_FALSE(verdicts[3]);
-  EXPECT_FALSE(verdicts[4]);
-}
-
-TEST_F(RsaTest, BatchVerifyRejectsShapeMismatchAndEmpty) {
-  EXPECT_TRUE(RsaVerifySha1Batch(key_->pub, {}, {}).empty());
-  Bytes msg = BytesOf("m");
-  std::vector<bool> verdicts = RsaVerifySha1Batch(key_->pub, {msg, msg}, {RsaSignSha1(*key_, msg)});
-  ASSERT_EQ(verdicts.size(), 2u);
-  EXPECT_FALSE(verdicts[0]);
-  EXPECT_FALSE(verdicts[1]);
-}
-
 TEST(RsaPrimality, KnownPrimesAndComposites) {
   Drbg rng(5);
   EXPECT_TRUE(IsProbablePrime(BigInt(2), &rng));

@@ -1,9 +1,19 @@
 // Robustness sweep: every wire-format parser in the tree is fed random and
 // mutated inputs. Parsers guard the PAL/TCB boundary (the untrusted OS
 // supplies all of these buffers), so the property is: never crash, never
-// accept garbage as valid, always return a clean error.
+// accept garbage as valid, always return a clean error - and never let a
+// length field size an allocation: each decode allocates at most
+// kAllocPerInputByte x input size + kAllocSlackBytes.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/apps/ca.h"
 #include "src/apps/distributed.h"
@@ -16,8 +26,44 @@
 #include "src/tpm/tpm_util.h"
 #include "src/tpm/transport.h"
 
+// Counting global allocator: every operator new in this binary adds its
+// request to g_allocated_bytes. Backed by malloc/free, so a sanitizer build
+// still checks every block.
+namespace {
+size_t g_allocated_bytes = 0;
+
+void* CountedAlloc(size_t size) {
+  g_allocated_bytes += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(size_t size) {
+  if (void* p = CountedAlloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return operator new(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
+void* operator new[](size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 namespace flicker {
 namespace {
+
+// The allocation bound every decoder must keep (ROADMAP item 5): a decode
+// may copy its input into its fields (twice for a string field: the blob,
+// then the string), plus a fixed slack for error-message strings, but a
+// length or count field must never size an allocation on its own. The
+// largest decode measured on these inputs is 50 bytes.
+constexpr size_t kAllocPerInputByte = 2;
+constexpr size_t kAllocSlackBytes = 256;
 
 // Random buffers of assorted sizes.
 std::vector<Bytes> RandomInputs(uint64_t seed) {
@@ -31,18 +77,28 @@ std::vector<Bytes> RandomInputs(uint64_t seed) {
 }
 
 TEST(RobustnessTest, AllParsersSurviveRandomInput) {
+  const std::vector<std::pair<std::string, std::function<void(const Bytes&)>>> decoders = {
+      {"FactorState", [](const Bytes& in) { (void)FactorState::Deserialize(in); }},
+      {"CertificateSigningRequest",
+       [](const Bytes& in) { (void)CertificateSigningRequest::Deserialize(in); }},
+      {"Certificate", [](const Bytes& in) { (void)Certificate::Deserialize(in); }},
+      {"CaPolicy", [](const Bytes& in) { (void)CaPolicy::Deserialize(in); }},
+      {"SecureChannelKeyMaterial",
+       [](const Bytes& in) { (void)SecureChannelKeyMaterial::Deserialize(in); }},
+      {"FlickerEventLog", [](const Bytes& in) { (void)FlickerEventLog::Deserialize(in); }},
+      {"RsaPublicKey", [](const Bytes& in) { (void)RsaPublicKey::Deserialize(in); }},
+      {"RsaPrivateKey", [](const Bytes& in) { (void)RsaPrivateKey::Deserialize(in); }},
+      {"OsKernel regions", [](const Bytes& in) { (void)OsKernel::DeserializeRegions(in); }},
+  };
   for (const Bytes& input : RandomInputs(0xfade)) {
-    (void)FactorState::Deserialize(input);
-    (void)CertificateSigningRequest::Deserialize(input);
-    (void)Certificate::Deserialize(input);
-    (void)CaPolicy::Deserialize(input);
-    (void)SecureChannelKeyMaterial::Deserialize(input);
-    (void)FlickerEventLog::Deserialize(input);
-    (void)RsaPublicKey::Deserialize(input);
-    (void)RsaPrivateKey::Deserialize(input);
-    (void)OsKernel::DeserializeRegions(input);
+    for (const auto& [name, decode] : decoders) {
+      size_t before = g_allocated_bytes;
+      decode(input);
+      size_t allocated = g_allocated_bytes - before;
+      EXPECT_LE(allocated, kAllocPerInputByte * input.size() + kAllocSlackBytes)
+          << name << " on " << input.size() << " input bytes";
+    }
   }
-  SUCCEED();  // The property is "no crash / no UB".
 }
 
 TEST(RobustnessTest, RandomInputNeverParsesAsValidKey) {

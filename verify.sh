@@ -20,12 +20,13 @@
 #                        SSH trace exports diffed byte-for-byte, and a
 #                        BENCH_obs.json refresh
 #   verify.sh --perf     additionally run the SIMD differential campaign: a
-#                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf whose
-#                        hash/Montgomery/RSA/batch-quote suites must pass and
-#                        whose paper tables/figures (Table 1/2/4, Fig. 9) and
+#                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf, whose
+#                        Montgomery kernels are scalar only, must pass the
+#                        hash/Montgomery/RSA/batch-quote suites, and its
+#                        paper tables/figures (Table 1/2/4, Fig. 9) and
 #                        flagship fleet report must be byte-identical to the
-#                        vectorized build's - speed is the only thing SIMD
-#                        may change
+#                        IFMA build's - the diff covers the Montgomery
+#                        kernels, and speed is the only thing they may change
 #   verify.sh --fleet    additionally run the fleet simulation campaign:
 #                        fleet-labeled suites under ASan+UBSan, a
 #                        1000-machine sanitizer smoke run, a same-seed
@@ -130,8 +131,8 @@ fi
 # DESIGN.md must keep its numbered sections; a refactor that silently drops
 # the observability/robustness design record fails here.
 for heading in \
-  '## 5\.' '## 8\.' '## 9\.' '## 10\.' '## 11\.' '## 13\.' '## 14\.' '## 15\.' \
-  '## 16\.'; do
+  '## 5\.' '## 8\.' '## 9\.' '## 10\.' '## 11\.' '## 12\.' '## 13\.' '## 14\.' \
+  '## 15\.' '## 16\.'; do
   if ! grep -q "^$heading" "$repo_root/DESIGN.md"; then
     echo "verify.sh: DESIGN.md is missing section heading '$heading'" >&2
     exit 1
@@ -299,10 +300,10 @@ obs_follow_up() {
 }
 
 perf_follow_up() {
-  # The scalar fallback must be a drop-in replacement for the SIMD engines
-  # (multi-buffer SHA, Montgomery IFMA): every reproduced paper table/figure
-  # and the flagship fleet report come out byte-identical to the vectorized
-  # build's - speed is the only thing SIMD may change.
+  # The scalar Montgomery kernel must be a drop-in replacement for the IFMA
+  # one: every reproduced paper table/figure and the flagship fleet report
+  # come out byte-identical to the IFMA build's - speed is the only thing
+  # SIMD may change.
   cmake --build "$build_dir" -j "$jobs" --target \
     table1_rootkit table2_skinit table4_distributed fig9_ssh micro_fleet
   for bin in table1_rootkit table2_skinit table4_distributed fig9_ssh; do
@@ -321,7 +322,7 @@ perf_follow_up() {
     diff -u "$build_dir/fleet.perf.json" "$side_dir/fleet.perf.json" >&2 || true
     exit 1
   fi
-  echo "verify.sh: SIMD and scalar builds byte-identical on Table 1/2/4 + Fig. 9 + fleet"
+  echo "verify.sh: scalar and IFMA Montgomery kernels byte-identical on Table 1/2/4 + Fig. 9 + fleet"
 }
 
 fleet_follow_up() {
