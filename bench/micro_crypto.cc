@@ -1,25 +1,26 @@
-// Host-side microbenchmarks (google-benchmark) of the from-scratch crypto
-// substrate. These measure real wall time of the primitives every simulated
-// TPM/PAL operation executes, complementing the calibrated simulated-time
-// benches.
+// Host wall time of the from-scratch crypto substrate and the quote paths
+// built on it: 2048-bit modexp (Montgomery vs the schoolbook reference, with
+// a bit-exactness sweep), RSA CRT sign at 2048 bits and sign/verify at the
+// fleet's 512/1024-bit widths, SHA-1/SHA-256 over 64 KB, one end-to-end TPM
+// quote, and a 32-challenge batch quote verified slice by slice. These
+// complement the calibrated simulated-time benches.
+//
+//   micro_crypto                    run, summary to stdout
+//   micro_crypto --bench_json=PATH  also write the report (BENCH_crypto.json)
+//
+// Exits 2 if the modexp kernels disagree (bit_exact) or a batch slice fails
+// to verify (batch_ok).
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/attest/verifier.h"
 #include "src/common/bytes.h"
-#include "src/crypto/aes.h"
 #include "src/crypto/bigint.h"
 #include "src/crypto/drbg.h"
-#include "src/crypto/hmac.h"
-#include "src/crypto/md5.h"
-#include "src/crypto/md5crypt.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
@@ -30,137 +31,6 @@
 
 namespace flicker {
 namespace {
-
-const RsaPrivateKey& Rsa2048Key() {
-  static const RsaPrivateKey key = [] {
-    Drbg rng(20260805);
-    return RsaGenerateKey(2048, &rng);
-  }();
-  return key;
-}
-
-void BM_Sha1(benchmark::State& state) {
-  Drbg rng(1);
-  Bytes data = rng.Generate(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha1::Digest(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_Sha256(benchmark::State& state) {
-  Drbg rng(2);
-  Bytes data = rng.Generate(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Digest(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
-
-void BM_Md5(benchmark::State& state) {
-  Drbg rng(4);
-  Bytes data = rng.Generate(4096);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Md5::Digest(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_Md5);
-
-void BM_Md5Crypt(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Md5Crypt("correct horse battery staple", "a1b2c3d4"));
-  }
-}
-BENCHMARK(BM_Md5Crypt);
-
-void BM_HmacSha1(benchmark::State& state) {
-  Drbg rng(5);
-  Bytes key = rng.Generate(20);
-  Bytes data = rng.Generate(1024);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HmacSha1(key, data));
-  }
-}
-BENCHMARK(BM_HmacSha1);
-
-void BM_AesCbcEncrypt(benchmark::State& state) {
-  Drbg rng(6);
-  Aes aes(rng.Generate(16));
-  Bytes iv = rng.Generate(16);
-  Bytes data = rng.Generate(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(aes.EncryptCbc(data, iv));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_AesCbcEncrypt)->Arg(1024)->Arg(16384);
-
-void BM_BigIntModExp1024(benchmark::State& state) {
-  Drbg rng(7);
-  BigInt base = BigInt::FromBytesBe(rng.Generate(128));
-  BigInt exp = BigInt::FromBytesBe(rng.Generate(128));
-  BigInt mod = BigInt::FromBytesBe(rng.Generate(128));
-  if (!mod.IsOdd()) {
-    mod = mod + BigInt(1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigInt::ModExp(base, exp, mod));
-  }
-}
-BENCHMARK(BM_BigIntModExp1024);
-
-void BM_ModExp2048_Montgomery(benchmark::State& state) {
-  Drbg rng(11);
-  BigInt base = BigInt::FromBytesBe(rng.Generate(256));
-  BigInt exp = BigInt::FromBytesBe(rng.Generate(256));
-  BigInt mod = BigInt::FromBytesBe(rng.Generate(256));
-  if (!mod.IsOdd()) {
-    mod = mod + BigInt(1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigInt::ModExp(base, exp, mod));
-  }
-}
-BENCHMARK(BM_ModExp2048_Montgomery)->Unit(benchmark::kMillisecond);
-
-void BM_ModExp2048_Reference(benchmark::State& state) {
-  Drbg rng(11);
-  BigInt base = BigInt::FromBytesBe(rng.Generate(256));
-  BigInt exp = BigInt::FromBytesBe(rng.Generate(256));
-  BigInt mod = BigInt::FromBytesBe(rng.Generate(256));
-  if (!mod.IsOdd()) {
-    mod = mod + BigInt(1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigInt::ModExpReference(base, exp, mod));
-  }
-}
-BENCHMARK(BM_ModExp2048_Reference)->Unit(benchmark::kMillisecond);
-
-void BM_RsaSignSha1_2048(benchmark::State& state) {
-  const RsaPrivateKey& key = Rsa2048Key();
-  Bytes msg = BytesOf("certificate payload");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaSignSha1(key, msg));
-  }
-}
-BENCHMARK(BM_RsaSignSha1_2048)->Unit(benchmark::kMillisecond);
-
-void BM_TpmQuoteEndToEnd(benchmark::State& state) {
-  SimClock clock;
-  Tpm tpm(&clock, BroadcomBcm0102Profile());
-  TpmTransport transport(&tpm);
-  TpmClient client(&transport);
-  Bytes nonce(20, 1);
-  PcrSelection selection({17});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(client.Quote(nonce, selection));
-  }
-}
-BENCHMARK(BM_TpmQuoteEndToEnd)->Unit(benchmark::kMillisecond);
 
 // One full batch-quote round: K challenges coalesced by the daemon, ONE TPM
 // quote over the batch's Merkle root, then the verifier-side crypto for all
@@ -195,86 +65,14 @@ bool RunBatchQuoteRound(TpmQuoteDaemon* tqd, const std::vector<Bytes>& nonces) {
   return true;
 }
 
-void BM_BatchQuote32Verified(benchmark::State& state) {
-  Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 32;
-  TpmQuoteDaemon tqd(&machine, config);
-  Drbg rng(23);
-  std::vector<Bytes> nonces;
-  for (int i = 0; i < 32; ++i) {
-    nonces.push_back(rng.Generate(20));
-  }
-  for (auto _ : state) {
-    if (!RunBatchQuoteRound(&tqd, nonces)) {
-      state.SkipWithError("batch quote round failed verification");
-      break;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_BatchQuote32Verified)->Unit(benchmark::kMillisecond);
-
-void BM_RsaKeygen1024(benchmark::State& state) {
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    Drbg rng(seed++);
-    benchmark::DoNotOptimize(RsaGenerateKey(1024, &rng));
-  }
-}
-BENCHMARK(BM_RsaKeygen1024)->Unit(benchmark::kMillisecond);
-
-void BM_RsaDecrypt1024(benchmark::State& state) {
-  Drbg rng(9);
-  RsaPrivateKey key = RsaGenerateKey(1024, &rng);
-  Bytes ct = RsaEncryptPkcs1(key.pub, BytesOf("payload"), &rng).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaDecryptPkcs1(key, ct));
-  }
-}
-BENCHMARK(BM_RsaDecrypt1024);
-
-void BM_RsaSignSha1_1024(benchmark::State& state) {
-  Drbg rng(10);
-  RsaPrivateKey key = RsaGenerateKey(1024, &rng);
-  Bytes msg = BytesOf("certificate payload");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaSignSha1(key, msg));
-  }
-}
-BENCHMARK(BM_RsaSignSha1_1024);
-
-// --- machine-readable mode -------------------------------------------------
-//
-// `micro_crypto --bench_json=PATH` skips google-benchmark and writes a small
-// fixed-schema JSON report (ops/sec for the PR-relevant hot paths plus the
-// Montgomery-vs-reference speedup and a bit-exactness check) that CI and the
-// bench_json CMake target consume.
-
-// Runs `fn` until `min_seconds` of wall time or `max_iters` iterations have
-// elapsed (whichever comes first, but always at least one), returns ops/sec.
-template <typename Fn>
-double MeasureOpsPerSec(Fn&& fn, double min_seconds, int max_iters) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // Warm-up iteration, untimed.
-  int iters = 0;
-  Clock::time_point start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds && iters < max_iters);
-  return iters / elapsed;
-}
-
-int RunJsonBench(const std::string& path) {
-  // Open up front so a bad path fails before minutes of measurement.
-  std::FILE* out = std::fopen(path.c_str(), "w");
+int RunBench(const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_crypto", json_path);
   if (out == nullptr) {
-    std::fprintf(stderr, "micro_crypto: cannot open %s for writing\n", path.c_str());
     return 1;
   }
+  auto ops_per_sec = [](auto&& fn, double min_seconds, int max_iters) {
+    return 1.0 / MeasureSecondsPerOp(fn, min_seconds, max_iters);
+  };
   Drbg rng(11);
   BigInt base = BigInt::FromBytesBe(rng.Generate(256));
   BigInt exp = BigInt::FromBytesBe(rng.Generate(256));
@@ -296,15 +94,14 @@ int RunJsonBench(const std::string& path) {
     bit_exact = BigInt::ModExp(b, e, m) == BigInt::ModExpReference(b, e, m);
   }
 
-  double mont_ops = MeasureOpsPerSec(
-      [&] { benchmark::DoNotOptimize(BigInt::ModExp(base, exp, mod)); }, 1.0, 2000);
-  double ref_ops = MeasureOpsPerSec(
-      [&] { benchmark::DoNotOptimize(BigInt::ModExpReference(base, exp, mod)); }, 2.0, 200);
+  double mont_ops = ops_per_sec([&] { DoNotOptimize(BigInt::ModExp(base, exp, mod)); }, 1.0, 2000);
+  double ref_ops = ops_per_sec(
+      [&] { DoNotOptimize(BigInt::ModExpReference(base, exp, mod)); }, 2.0, 200);
 
-  const RsaPrivateKey& key = Rsa2048Key();
+  Drbg rsa2048_rng(20260805);
+  const RsaPrivateKey key = RsaGenerateKey(2048, &rsa2048_rng);
   Bytes msg = BytesOf("certificate payload");
-  double sign_ops =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(RsaSignSha1(key, msg)); }, 1.0, 2000);
+  double sign_ops = ops_per_sec([&] { DoNotOptimize(RsaSignSha1(key, msg)); }, 1.0, 2000);
 
   // The fleet's widths: a 512-bit AIK signs every quote and a 1024-bit
   // Privacy CA key signs every AIK certificate; a verifier checks both.
@@ -312,10 +109,10 @@ int RunJsonBench(const std::string& path) {
     Drbg key_rng(seed);
     const RsaPrivateKey small_key = RsaGenerateKey(bits, &key_rng);
     const Bytes sig = RsaSignSha1(small_key, msg);
-    const double sign = MeasureOpsPerSec(
-        [&] { benchmark::DoNotOptimize(RsaSignSha1(small_key, msg)); }, 1.0, 200000);
-    const double verify = MeasureOpsPerSec(
-        [&] { benchmark::DoNotOptimize(RsaVerifySha1(small_key.pub, msg, sig)); }, 1.0, 200000);
+    const double sign =
+        ops_per_sec([&] { DoNotOptimize(RsaSignSha1(small_key, msg)); }, 1.0, 200000);
+    const double verify = ops_per_sec(
+        [&] { DoNotOptimize(RsaVerifySha1(small_key.pub, msg, sig)); }, 1.0, 200000);
     return std::make_pair(sign, verify);
   };
   const auto [rsa512_sign_ops, rsa512_verify_ops] = rsa_sign_verify_ops(512, 512);
@@ -323,10 +120,8 @@ int RunJsonBench(const std::string& path) {
 
   Drbg sha_rng(1);
   Bytes block = sha_rng.Generate(65536);
-  double sha_ops =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(Sha1::Digest(block)); }, 1.0, 20000);
-  double sha256_ops =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(Sha256::Digest(block)); }, 1.0, 20000);
+  double sha_ops = ops_per_sec([&] { DoNotOptimize(Sha1::Digest(block)); }, 1.0, 20000);
+  double sha256_ops = ops_per_sec([&] { DoNotOptimize(Sha256::Digest(block)); }, 1.0, 20000);
 
   SimClock clock;
   Tpm tpm(&clock, BroadcomBcm0102Profile());
@@ -335,7 +130,7 @@ int RunJsonBench(const std::string& path) {
   Bytes nonce(20, 1);
   PcrSelection selection({17});
   double quote_ops =
-      MeasureOpsPerSec([&] { benchmark::DoNotOptimize(client.Quote(nonce, selection)); }, 1.0, 2000);
+      ops_per_sec([&] { DoNotOptimize(client.Quote(nonce, selection)); }, 1.0, 2000);
 
   // The headline: one TPM quote amortized over a 32-challenge batch, with
   // the full verifier-side crypto (Merkle root + RSA verify per slice) on
@@ -352,8 +147,8 @@ int RunJsonBench(const std::string& path) {
   }
   bool batch_ok = RunBatchQuoteRound(&tqd, batch_nonces);
   double batch_verified_per_sec =
-      MeasureOpsPerSec([&] { batch_ok = batch_ok && RunBatchQuoteRound(&tqd, batch_nonces); },
-                       1.0, 2000) *
+      ops_per_sec([&] { batch_ok = batch_ok && RunBatchQuoteRound(&tqd, batch_nonces); }, 1.0,
+                  2000) *
       static_cast<double>(kBatchChallenges);
 
   std::fprintf(out,
@@ -381,7 +176,6 @@ int RunJsonBench(const std::string& path) {
                rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops, sha_ops,
                sha256_ops, quote_ops, kBatchChallenges, batch_ok ? "true" : "false",
                batch_verified_per_sec, batch_verified_per_sec / quote_ops);
-  std::fclose(out);
   std::printf("modexp2048: montgomery %.1f ops/s, reference %.1f ops/s (%.1fx, bit_exact=%s)\n",
               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false");
   std::printf("rsa2048 CRT sign: %.1f ops/s; sha1 64KB: %.1f ops/s; quote: %.1f ops/s\n",
@@ -393,7 +187,7 @@ int RunJsonBench(const std::string& path) {
               "all_verified=%s)\n",
               batch_verified_per_sec, batch_verified_per_sec / quote_ops,
               batch_ok ? "true" : "false");
-  std::printf("wrote %s\n", path.c_str());
+  CloseReport(out, json_path);
   return (bit_exact && batch_ok) ? 0 : 2;
 }
 
@@ -401,17 +195,9 @@ int RunJsonBench(const std::string& path) {
 }  // namespace flicker
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char kFlag[] = "--bench_json=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return flicker::RunJsonBench(argv[i] + sizeof(kFlag) - 1);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  std::string json_path;
+  if (!flicker::ParseBenchJsonFlag(argc, argv, &json_path)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return flicker::RunBench(json_path);
 }

@@ -187,6 +187,7 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
       return 1;
     }
     std::string json = "{\n";
+    json += "  \"schema\": \"flicker-bench-hv-v1\",\n";
     json += "  \"comparison\": {\"sessions_per_mode\": " + std::to_string(cmp.sessions);
     json += ", \"classic_pause_ms\": " + F3(cmp.classic_pause_ms_mean);
     json += ", \"concurrent_pause_ms\": " + F3(cmp.concurrent_pause_ms_mean);

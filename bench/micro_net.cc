@@ -1,7 +1,7 @@
 // Session-layer behavior under loss: what does the reliable-session machinery
 // cost, and what does it deliver, when the wire starts eating datagrams?
 //
-// The --bench_json mode (BENCH_net.json) runs 200 request/response exchanges
+// The bench (report: BENCH_net.json) runs 200 request/response exchanges
 // (256-byte payloads, default SessionConfig) at 0 / 1 / 5 / 20 % drop rates
 // on seeded schedules and reports the completion-time distribution (p50 /
 // p95 / max, simulated milliseconds), the retransmit count, the goodput in
@@ -12,16 +12,17 @@
 // The within_budget verdict asserts the headline claims: a clean wire
 // completes every call with zero retransmits at ~1 RTT, and 20 % loss still
 // completes the overwhelming majority inside the deadline - the rest fail
-// CLOSED, never hang, never return garbage.
-
-#include <benchmark/benchmark.h>
+// CLOSED, never hang, never return garbage (exit 2 otherwise).
+//
+//   micro_net                    run, summary to stdout
+//   micro_net --bench_json=PATH  also write the report
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/net/session.h"
 
 namespace flicker {
@@ -87,25 +88,11 @@ RateReport RunAtLossRate(uint32_t loss_bp) {
   return report;
 }
 
-// ---- google-benchmark section (host wall time of the whole machinery) ----
+// ---- Fixed-schema, deterministic (simulated-time) report ----
 
-void BM_SessionEchoAtLoss(benchmark::State& state) {
-  const uint32_t loss_bp = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    RateReport report = RunAtLossRate(loss_bp);
-    benchmark::DoNotOptimize(report.completed);
-  }
-  state.SetLabel(std::to_string(state.range(0)) + "bp drop, " +
-                 std::to_string(kCallsPerRate) + " calls");
-}
-BENCHMARK(BM_SessionEchoAtLoss)->Arg(0)->Arg(100)->Arg(500)->Arg(2000);
-
-// ---- JSON mode: fixed-schema, deterministic (simulated-time) report ----
-
-int RunJsonBench(const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
+int RunBench(const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_net", json_path);
   if (out == nullptr) {
-    std::fprintf(stderr, "micro_net: cannot open %s for writing\n", path.c_str());
     return 1;
   }
 
@@ -154,8 +141,8 @@ int RunJsonBench(const std::string& path) {
                "  \"within_budget\": %s\n"
                "}\n",
                within_budget ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s (within_budget=%s)\n", path.c_str(), within_budget ? "true" : "false");
+  CloseReport(out, json_path);
+  std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }
 
@@ -163,17 +150,9 @@ int RunJsonBench(const std::string& path) {
 }  // namespace flicker
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char kFlag[] = "--bench_json=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return flicker::RunJsonBench(argv[i] + sizeof(kFlag) - 1);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  std::string json_path;
+  if (!flicker::ParseBenchJsonFlag(argc, argv, &json_path)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return flicker::RunBench(json_path);
 }

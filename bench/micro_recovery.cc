@@ -2,7 +2,7 @@
 // back from a power loss cost in real wall time?
 //
 // Robustness machinery must be cheap enough that nobody is tempted to skip
-// it. The --bench_json mode (BENCH_robustness.json) asserts absolute budgets:
+// it. The bench (report: BENCH_robustness.json) asserts absolute budgets:
 // the TPM_Init + TPM_Startup(ST_CLEAR) recovery path, a Startup that has to
 // roll a torn NV write forward from the journal, TPM_SaveState, and a
 // CrashConsistentSealedStore::Recover() classification each stay under a
@@ -17,14 +17,14 @@
 // Acceptance: hedged completion stays >= 99% with p99 <= 3x the fault-free
 // p99 while the unhedged control demonstrably degrades, and accepted_wrong
 // stays zero everywhere (exit 2 otherwise).
+//
+//   micro_recovery                    run, summary to stdout
+//   micro_recovery --bench_json=PATH  also write the report
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/common/fault.h"
 #include "src/crypto/sha1.h"
 #include "src/hw/clock.h"
@@ -83,40 +83,6 @@ void HitCrashPoints(int n) {
     CRASH_POINT("bench.noop");
   }
 }
-
-// ---- google-benchmark section (table mode) ----
-
-void BM_InitStartupClear(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    rig.PowerCycle();
-  }
-}
-BENCHMARK(BM_InitStartupClear);
-
-void BM_StartupJournalReplay(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    rig.TearNvWrite();
-    rig.PowerCycle();
-  }
-}
-BENCHMARK(BM_StartupJournalReplay);
-
-void BM_SaveState(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.client.SaveState());
-  }
-}
-BENCHMARK(BM_SaveState);
-
-void BM_DisabledCrashPoint(benchmark::State& state) {
-  for (auto _ : state) {
-    HitCrashPoints(1024);
-  }
-}
-BENCHMARK(BM_DisabledCrashPoint);
 
 // ---- Verifier-farm gray-failure campaign (simulated time) ----
 
@@ -250,29 +216,16 @@ int RunFarmCampaign(std::FILE* out, bool* accepted) {
   return 0;
 }
 
-// ---- JSON mode: fixed-schema report + absolute wall-time budgets ----
+// ---- Fixed-schema report + absolute wall-time budgets ----
 
-template <typename Fn>
-double MeasureMicrosPerOp(Fn&& fn, double min_seconds, int max_iters) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // Warm-up iteration, untimed.
-  int iters = 0;
-  Clock::time_point start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds && iters < max_iters);
-  return elapsed / iters * 1e6;
-}
-
-int RunJsonBench(const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
+int RunBench(const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_recovery", json_path);
   if (out == nullptr) {
-    std::fprintf(stderr, "micro_recovery: cannot open %s for writing\n", path.c_str());
     return 1;
   }
+  auto micros_per_op = [](auto&& fn, double min_seconds) {
+    return MeasureSecondsPerOp(fn, min_seconds, 200000) * 1e6;
+  };
 
   Rig rig;
   Result<CrashConsistentSealedStore> created = CrashConsistentSealedStore::Create(
@@ -291,25 +244,18 @@ int RunJsonBench(const std::string& path) {
     double budget_us;  // Absolute ceiling; exceeding it fails the bench.
   };
   Row rows[] = {
-      {"init_startup_clear",
-       MeasureMicrosPerOp([&] { rig.PowerCycle(); }, 0.5, 200000), 1000.0},
+      {"init_startup_clear", micros_per_op([&] { rig.PowerCycle(); }, 0.5), 1000.0},
       {"startup_journal_replay",
-       MeasureMicrosPerOp(
+       micros_per_op(
            [&] {
              rig.TearNvWrite();
              rig.PowerCycle();
            },
-           0.5, 200000),
+           0.5),
        1500.0},
-      {"save_state",
-       MeasureMicrosPerOp([&] { benchmark::DoNotOptimize(rig.client.SaveState()); }, 0.5,
-                          200000),
-       1000.0},
-      {"store_recover",
-       MeasureMicrosPerOp([&] { benchmark::DoNotOptimize(store.Recover()); }, 0.5, 200000),
-       1000.0},
-      {"crash_point_disabled",
-       MeasureMicrosPerOp([&] { HitCrashPoints(1024); }, 0.2, 200000) / 1024.0, 0.05},
+      {"save_state", micros_per_op([&] { DoNotOptimize(rig.client.SaveState()); }, 0.5), 1000.0},
+      {"store_recover", micros_per_op([&] { DoNotOptimize(store.Recover()); }, 0.5), 1000.0},
+      {"crash_point_disabled", micros_per_op([&] { HitCrashPoints(1024); }, 0.2) / 1024.0, 0.05},
   };
 
   bool within_budget = true;
@@ -338,9 +284,9 @@ int RunJsonBench(const std::string& path) {
                "  \"within_budget\": %s\n"
                "}\n",
                within_budget ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s (within_budget=%s, farm_accepted=%s)\n", path.c_str(),
-              within_budget ? "true" : "false", farm_accepted ? "true" : "false");
+  CloseReport(out, json_path);
+  std::printf("within_budget=%s, farm_accepted=%s\n", within_budget ? "true" : "false",
+              farm_accepted ? "true" : "false");
   return within_budget && farm_accepted ? 0 : 2;
 }
 
@@ -348,17 +294,9 @@ int RunJsonBench(const std::string& path) {
 }  // namespace flicker
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char kFlag[] = "--bench_json=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return flicker::RunJsonBench(argv[i] + sizeof(kFlag) - 1);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  std::string json_path;
+  if (!flicker::ParseBenchJsonFlag(argc, argv, &json_path)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return flicker::RunBench(json_path);
 }

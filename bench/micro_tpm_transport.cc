@@ -4,25 +4,24 @@
 //
 // The transport exists to centralize locality policy, tracing and fault
 // injection - it must be free at the timescale the simulation models. The
-// --bench_json mode asserts exactly that: the measured wall-clock cost of a
-// full driver round trip stays under 1% of the *modeled* Broadcom latency of
-// the same command (Table 1), for every command benchmarked. A regression
-// that makes the choke point expensive fails the bench, not just a number.
+// bench asserts exactly that: the measured wall-clock cost of a full driver
+// round trip stays under 1% of the *modeled* Broadcom latency of the same
+// command (Table 1), for every command benchmarked. A regression that makes
+// the choke point expensive fails the bench (exit 2), not just a number.
+//
+//   micro_tpm_transport                    run, summary to stdout
+//   micro_tpm_transport --bench_json=PATH  also write the report
+//                                          (BENCH_tpm.json)
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/common/bytes.h"
-#include "src/crypto/sha1.h"
 #include "src/hw/clock.h"
 #include "src/hw/timing.h"
-#include "src/tpm/commands.h"
+#include "src/tpm/structures.h"
 #include "src/tpm/tpm.h"
-#include "src/tpm/tpm_util.h"
 #include "src/tpm/transport.h"
 
 namespace flicker {
@@ -37,73 +36,14 @@ struct Rig {
   Rig() : tpm(&clock, BroadcomBcm0102Profile()), transport(&tpm), client(&transport) {}
 };
 
-// ---- google-benchmark section (table mode) ----
+// ---- Fixed-schema report + <1% overhead assertion ----
 
-void BM_BuildParseGetRandomFrame(benchmark::State& state) {
-  for (auto _ : state) {
-    Bytes frame = BuildGetRandom(20);
-    benchmark::DoNotOptimize(ParseCommandFrame(frame));
-  }
-}
-BENCHMARK(BM_BuildParseGetRandomFrame);
-
-void BM_BuildParseExtendFrame(benchmark::State& state) {
-  Bytes measurement(kPcrSize, 0xAB);
-  for (auto _ : state) {
-    Bytes frame = BuildPcrExtend(17, measurement);
-    benchmark::DoNotOptimize(ParseCommandFrame(frame));
-  }
-}
-BENCHMARK(BM_BuildParseExtendFrame);
-
-void BM_TransportPcrRead(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.client.PcrRead(0));
-  }
-}
-BENCHMARK(BM_TransportPcrRead);
-
-void BM_TransportPcrExtend(benchmark::State& state) {
-  Rig rig;
-  Bytes measurement(kPcrSize, 0xCD);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.client.PcrExtend(0, measurement));
-  }
-}
-BENCHMARK(BM_TransportPcrExtend);
-
-void BM_TransportGetRandom(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.client.GetRandom(20));
-  }
-}
-BENCHMARK(BM_TransportGetRandom);
-
-// ---- JSON mode: fixed-schema report + <1% overhead assertion ----
-
-template <typename Fn>
-double MeasureMicrosPerOp(Fn&& fn, double min_seconds, int max_iters) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // Warm-up iteration, untimed.
-  int iters = 0;
-  Clock::time_point start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds && iters < max_iters);
-  return elapsed / iters * 1e6;
-}
-
-int RunJsonBench(const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
+int RunBench(const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_tpm_transport", json_path);
   if (out == nullptr) {
-    std::fprintf(stderr, "micro_tpm_transport: cannot open %s for writing\n", path.c_str());
     return 1;
   }
+  auto micros_per_op = [](auto&& fn) { return MeasureSecondsPerOp(fn, 0.5, 200000) * 1e6; };
 
   Rig rig;
   const TpmTimingProfile profile = BroadcomBcm0102Profile();
@@ -115,16 +55,11 @@ int RunJsonBench(const std::string& path) {
     double modeled_ms;  // Calibrated Broadcom command latency.
   };
   Row rows[] = {
-      {"pcr_read",
-       MeasureMicrosPerOp([&] { benchmark::DoNotOptimize(rig.client.PcrRead(0)); }, 0.5, 200000),
+      {"pcr_read", micros_per_op([&] { DoNotOptimize(rig.client.PcrRead(0)); }),
        profile.pcr_read_ms},
-      {"pcr_extend",
-       MeasureMicrosPerOp(
-           [&] { benchmark::DoNotOptimize(rig.client.PcrExtend(0, measurement)); }, 0.5, 200000),
+      {"pcr_extend", micros_per_op([&] { DoNotOptimize(rig.client.PcrExtend(0, measurement)); }),
        profile.pcr_extend_ms},
-      {"get_random",
-       MeasureMicrosPerOp([&] { benchmark::DoNotOptimize(rig.client.GetRandom(20)); }, 0.5,
-                          200000),
+      {"get_random", micros_per_op([&] { DoNotOptimize(rig.client.GetRandom(20)); }),
        profile.get_random_ms},
   };
 
@@ -153,8 +88,8 @@ int RunJsonBench(const std::string& path) {
                "  \"within_budget\": %s\n"
                "}\n",
                within_budget ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s (within_budget=%s)\n", path.c_str(), within_budget ? "true" : "false");
+  CloseReport(out, json_path);
+  std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }
 
@@ -162,17 +97,9 @@ int RunJsonBench(const std::string& path) {
 }  // namespace flicker
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char kFlag[] = "--bench_json=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return flicker::RunJsonBench(argv[i] + sizeof(kFlag) - 1);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  std::string json_path;
+  if (!flicker::ParseBenchJsonFlag(argc, argv, &json_path)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return flicker::RunBench(json_path);
 }

@@ -132,10 +132,4 @@ double VerifierHealthTracker::HedgeDelayMs() const {
   return std::min(std::max(p95, config_.hedge_min_ms), config_.hedge_max_ms);
 }
 
-bool VerifierHealthTracker::BreakerOpen(int verifier, double now_ms) const {
-  const VerifierState& s = state_[verifier];
-  (void)now_ms;
-  return s.open;
-}
-
 }  // namespace flicker

@@ -84,7 +84,6 @@ class VerifierHealthTracker {
 
   // ---- Derived views ----
   double HedgeDelayMs() const;  // p95-derived, clamped; default until warm.
-  bool BreakerOpen(int verifier, double now_ms) const;
   int outstanding(int verifier) const { return state_[verifier].outstanding; }
   uint64_t breaker_trips() const { return breaker_trips_; }
   const std::vector<double>& mttr_samples_ms() const { return mttr_samples_ms_; }

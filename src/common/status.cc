@@ -79,8 +79,5 @@ Status TpmFailedError(std::string message) {
 Status RollbackDetectedError(std::string message) {
   return Status(StatusCode::kRollbackDetected, std::move(message));
 }
-Status OverloadedError(std::string message) {
-  return Status(StatusCode::kOverloaded, std::move(message));
-}
 
 }  // namespace flicker

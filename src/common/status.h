@@ -114,7 +114,6 @@ Status UnavailableError(std::string message);
 Status InternalError(std::string message);
 Status TpmFailedError(std::string message);
 Status RollbackDetectedError(std::string message);
-Status OverloadedError(std::string message);
 
 #define FLICKER_RETURN_IF_ERROR(expr)       \
   do {                                      \

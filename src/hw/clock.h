@@ -34,7 +34,6 @@ class SimClock {
   uint64_t NowMicros() const { return now_ns_ / 1000; }
   double NowMillis() const { return static_cast<double>(now_ns_) / 1e6; }
 
-  void AdvanceNanos(uint64_t nanos) { now_ns_ += nanos; }
   void AdvanceMicros(uint64_t micros) { now_ns_ += micros * 1000; }
   // Quantized to the microsecond grain (then widened to ns): fractional-µs
   // charges accumulate exactly as they did when the clock counted µs, which

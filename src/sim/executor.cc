@@ -29,10 +29,6 @@ EventId SimExecutor::ScheduleAt(ActorId actor, uint64_t at_ns, std::function<voi
   return queue_.Schedule(at_ns, actor, std::move(fn));
 }
 
-EventId SimExecutor::ScheduleAfter(ActorId actor, uint64_t delta_ns, std::function<void()> fn) {
-  return queue_.Schedule(now_ns_ + delta_ns, actor, std::move(fn));
-}
-
 EventId SimExecutor::ScheduleAfterLocal(ActorId actor, uint64_t delta_ns,
                                         std::function<void()> fn) {
   SimClock* clock = actors_[static_cast<size_t>(actor)].clock;

@@ -61,8 +61,6 @@ class SimExecutor {
   // Schedules at an absolute sim time, clamped to now (events never fire in
   // the past).
   EventId ScheduleAt(ActorId actor, uint64_t at_ns, std::function<void()> fn);
-  // Schedules relative to the executor's now.
-  EventId ScheduleAfter(ActorId actor, uint64_t delta_ns, std::function<void()> fn);
   // Schedules relative to an actor's local clock: the verb for timers that
   // belong to an activity in progress (e.g. a batch window deadline).
   EventId ScheduleAfterLocal(ActorId actor, uint64_t delta_ns, std::function<void()> fn);

@@ -54,6 +54,7 @@ double JainFairnessIndex(const std::vector<double>& allocations) {
 std::string FleetStats::ToJson(const FleetConfig& config) const {
   std::ostringstream os;
   os << "{\n";
+  os << "  \"schema\": \"flicker-bench-fleet-v1\",\n";
   os << "  \"fleet\": {\"machines\": " << config.num_machines
      << ", \"verifiers\": " << config.num_verifiers << ", \"rounds\": " << config.rounds
      << ", \"seed\": " << config.seed << ", \"batched_machines_bp\": " << config.batched_machines_bp

@@ -378,6 +378,7 @@ double VtpmCampaignStats::HealthyLatencyPercentileMs(double p) const {
 std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
   std::ostringstream os;
   os << "{\n";
+  os << "  \"schema\": \"flicker-bench-vtpm-v1\",\n";
   os << "  \"campaign\": {\"tenants\": " << config.num_tenants
      << ", \"flooding\": " << config.flooding_tenant
      << ", \"crashloop\": " << config.crashloop_tenant << ", \"seed\": " << config.seed

@@ -104,7 +104,7 @@ TEST(FleetTest, JsonCarriesTheBenchContract) {
   for (const char* key :
        {"\"machines\"", "\"verifiers\"", "\"seed\"", "\"completed\"",
         "\"accepted_wrong\"", "\"sessions_per_sec\"", "\"p50\"", "\"p99\"",
-        "\"utilization\"", "\"order_digest\"", "\"events\""}) {
+        "\"utilization\"", "\"order_digest\"", "\"events\"", "\"schema\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in:\n" << json;
   }
 }

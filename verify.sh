@@ -5,7 +5,8 @@
 #   verify.sh            build + ctest in ./build (Release by default),
 #                        then the doc-drift gate (docs/METRICS.md must match
 #                        its regenerated form; DESIGN.md must keep its
-#                        numbered sections)
+#                        numbered sections) and the report-schema gate
+#                        (every BENCH_*.json carries a "schema" key)
 #   verify.sh --asan     additionally build with ASan+UBSan in ./build-asan
 #                        and run the TPM and core suites plus the
 #                        random-input parser battery under the sanitizers
@@ -153,6 +154,17 @@ if ! grep -q '^## Build-flag matrix' "$repo_root/README.md"; then
   echo "verify.sh: README.md is missing the '## Build-flag matrix' section" >&2
   exit 1
 fi
+
+# ---- Report-schema gate (always on) ----
+#
+# Every committed BENCH_*.json names its format in a "schema" key, so a
+# reader can tell a report's version before trusting its fields.
+for report in "$repo_root"/BENCH_*.json; do
+  if ! grep -q '"schema":' "$report"; then
+    echo "verify.sh: $(basename "$report") has no \"schema\" key" >&2
+    exit 1
+  fi
+done
 
 # ---- Time-discipline gate (always on) ----
 #
