@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(FLICKER_SIMD_DISABLED)
-#define FLICKER_MONT_IFMA 1
+#if defined(__x86_64__) && defined(__GNUC__)
+// The 4-limb kernel runs on the baseline x86-64 carry intrinsics
+// (_addcarry_u64/_subborrow_u64 are adc/sbb: no ISA flag, no dispatch).
+#define FLICKER_MONT_ADC 1
 #include <immintrin.h>
+#if !defined(FLICKER_SIMD_DISABLED)
+#define FLICKER_MONT_IFMA 1
+#endif
 #endif
 
 namespace flicker {
@@ -67,14 +72,13 @@ void CiosFixed(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t
   CiosBody(a, b, n, n0inv, K, t);
 }
 
-// Dispatch to a fully unrolled kernel for the RSA-relevant widths (256/512/
-// 1024/1536/2048 bits; 256 is the CRT half of a 512-bit AIK); anything else
-// takes the generic loop.
+// Dispatch to a fully unrolled kernel for the RSA-relevant widths (512/1024/
+// 1536/2048 bits); anything else takes the generic loop. On x86-64 the
+// 256-bit CRT halves of a 512-bit AIK never get here: they run the 4-limb
+// carry-chain kernel below.
 void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv, size_t k,
           uint64_t* t) {
   switch (k) {
-    case 4:
-      return CiosFixed<4>(a, b, n, n0inv, t);
     case 8:
       return CiosFixed<8>(a, b, n, n0inv, t);
     case 16:
@@ -87,6 +91,110 @@ void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0in
       return CiosBody(a, b, n, n0inv, k, t);
   }
 }
+
+#ifdef FLICKER_MONT_ADC
+
+// The 4-limb (256-bit) kernel: both CRT halves of every 512-bit AIK quote
+// signature, so the hottest code of a fleet round. Operands live in named
+// scalar limbs and every carry runs through an adc/sbb chain. The product
+// builds the full 8-limb value and then reduces it word by word (the
+// separated operand scanning of Koc, Acar and Kaliski, IEEE Micro 1996);
+// squarings are products of a value with itself. Nothing branches on the
+// data.
+
+using Limb = unsigned long long;  // The carry intrinsics' operand type.
+
+struct Modulus4 {
+  Limb n0, n1, n2, n3;
+  Limb n0inv;  // -n^{-1} mod 2^64.
+};
+
+struct Wide {
+  Limb lo, hi;
+};
+
+inline __attribute__((always_inline)) Wide MulWide(Limb a, Limb b) {
+  const uint128 p = static_cast<uint128>(a) * b;
+  return {static_cast<Limb>(p), static_cast<Limb>(p >> 64)};
+}
+
+// (a0..a3) * b -> (r0..r4). The top limb never wraps: the row is below 2^320.
+inline __attribute__((always_inline)) void Mul4(Limb a0, Limb a1, Limb a2, Limb a3, Limb b,
+                                                Limb& r0, Limb& r1, Limb& r2, Limb& r3,
+                                                Limb& r4) {
+  const Wide p0 = MulWide(a0, b), p1 = MulWide(a1, b), p2 = MulWide(a2, b), p3 = MulWide(a3, b);
+  r0 = p0.lo;
+  unsigned char c = _addcarry_u64(0, p0.hi, p1.lo, &r1);
+  c = _addcarry_u64(c, p1.hi, p2.lo, &r2);
+  c = _addcarry_u64(c, p2.hi, p3.lo, &r3);
+  r4 = p3.hi + c;
+}
+
+// (t0..t3) + (a0..a3) * b -> (t0..t4); t4 is only written. One chain adds
+// the low product halves at their own limbs, a second the high halves one
+// limb up. The sum is below 2^256 + (2^256 - 1)(2^64 - 1) < 2^320, so the
+// second chain's last carry is always zero.
+inline __attribute__((always_inline)) void MulAdd4(Limb a0, Limb a1, Limb a2, Limb a3, Limb b,
+                                                   Limb& t0, Limb& t1, Limb& t2, Limb& t3,
+                                                   Limb& t4) {
+  const Wide p0 = MulWide(a0, b), p1 = MulWide(a1, b), p2 = MulWide(a2, b), p3 = MulWide(a3, b);
+  unsigned char c = _addcarry_u64(0, t0, p0.lo, &t0);
+  c = _addcarry_u64(c, t1, p1.lo, &t1);
+  c = _addcarry_u64(c, t2, p2.lo, &t2);
+  c = _addcarry_u64(c, t3, p3.lo, &t3);
+  const Limb top = c;
+  c = _addcarry_u64(0, t1, p0.hi, &t1);
+  c = _addcarry_u64(c, t2, p1.hi, &t2);
+  c = _addcarry_u64(c, t3, p2.hi, &t3);
+  _addcarry_u64(c, top, p3.hi, &t4);
+}
+
+// out = (t0..t7) * 2^-256 mod n, fully reduced, for t < n * 2^256. Each row
+// adds m * n with m chosen to clear the low limb; the carry out of the row
+// (one bit: the row total stays below 2^65) rides into the next row's top
+// limb, and the last one is the bit above t7. The result is then below 2n,
+// and one sbb chain plus a mask picks t or t - n without a branch.
+inline __attribute__((always_inline)) void Redc4(const Modulus4& n, Limb t0, Limb t1, Limb t2,
+                                                 Limb t3, Limb t4, Limb t5, Limb t6, Limb t7,
+                                                 uint64_t* out) {
+  Limb x = 0;
+  MulAdd4(n.n0, n.n1, n.n2, n.n3, t0 * n.n0inv, t0, t1, t2, t3, x);
+  unsigned char top = _addcarry_u64(0, t4, x, &t4);
+  MulAdd4(n.n0, n.n1, n.n2, n.n3, t1 * n.n0inv, t1, t2, t3, t4, x);
+  top = _addcarry_u64(top, t5, x, &t5);
+  MulAdd4(n.n0, n.n1, n.n2, n.n3, t2 * n.n0inv, t2, t3, t4, t5, x);
+  top = _addcarry_u64(top, t6, x, &t6);
+  MulAdd4(n.n0, n.n1, n.n2, n.n3, t3 * n.n0inv, t3, t4, t5, t6, x);
+  top = _addcarry_u64(top, t7, x, &t7);
+
+  // (top, t4..t7) < 2n. With d = t - n and borrow b: top = 1 forces b = 1,
+  // so "keep t" is exactly top = 0, b = 1, i.e. top - b = all ones.
+  Limb d0 = 0, d1 = 0, d2 = 0, d3 = 0, keep = 0;
+  unsigned char b = _subborrow_u64(0, t4, n.n0, &d0);
+  b = _subborrow_u64(b, t5, n.n1, &d1);
+  b = _subborrow_u64(b, t6, n.n2, &d2);
+  b = _subborrow_u64(b, t7, n.n3, &d3);
+  _subborrow_u64(b, top, 0, &keep);
+  out[0] = (t4 & keep) | (d0 & ~keep);
+  out[1] = (t5 & keep) | (d1 & ~keep);
+  out[2] = (t6 & keep) | (d2 & ~keep);
+  out[3] = (t7 & keep) | (d3 & ~keep);
+}
+
+// out = a * b * 2^-256 mod n for a, b < n; out may alias a or b.
+inline __attribute__((always_inline)) void MontMul4(const uint64_t* a, const uint64_t* b,
+                                                    const Modulus4& n, uint64_t* out) {
+  const Limb a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
+  const Limb b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+  Limb t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0, t5 = 0, t6 = 0, t7 = 0;
+  Mul4(a0, a1, a2, a3, b0, t0, t1, t2, t3, t4);
+  MulAdd4(a0, a1, a2, a3, b1, t1, t2, t3, t4, t5);
+  MulAdd4(a0, a1, a2, a3, b2, t2, t3, t4, t5, t6);
+  MulAdd4(a0, a1, a2, a3, b3, t3, t4, t5, t6, t7);
+  Redc4(n, t0, t1, t2, t3, t4, t5, t6, t7, out);
+}
+
+#endif  // FLICKER_MONT_ADC
 
 #ifdef FLICKER_MONT_IFMA
 
@@ -307,11 +415,13 @@ void CondReduce(uint64_t* t, const uint64_t* n, size_t k) {
   t[k] -= borrow;
 }
 
-// Left-to-right sliding-window exponentiation, shared by the scalar and IFMA
-// engines. `base` is the base in the engine's Montgomery form (its size is the
-// operand width, padding included), `exponent` is nonzero, and
-// `mul(a, b, out)` is the engine's Montgomery product (out may alias a or b).
-// Returns base^exponent, still in Montgomery form.
+// Left-to-right sliding-window exponentiation, shared by every engine. The
+// exponent is nonzero: `exp` holds its limbs and `bits` its bit length.
+// `table` has room for 8 entries of `width` limbs (the engine's operand
+// width, padding included) and holds the base in the engine's Montgomery
+// form in entry 0. `mul(a, b, out)` is the engine's Montgomery product (out
+// may alias a or b). Leaves base^exponent, still in Montgomery form, in
+// `result` (width limbs).
 //
 // Exponents of at most 32 bits - e = 65537 on every RSA verify - run plain
 // square-and-multiply over a one-entry table (the base itself): they are
@@ -320,53 +430,52 @@ void CondReduce(uint64_t* t, const uint64_t* n, size_t k) {
 // scan starts from the first window's table entry, so no product is spent
 // squaring a Montgomery one.
 template <typename Mul>
-std::vector<uint64_t> SlidingWindowExp(std::vector<uint64_t> base, const BigInt& exponent,
-                                       const Mul& mul) {
-  const size_t width = base.size();
-  const size_t bits = exponent.BitLength();
+void SlidingWindowExp(const uint64_t* exp, size_t bits, size_t width, uint64_t* table,
+                      uint64_t* result, const Mul& mul) {
+  const auto bit = [exp](ptrdiff_t i) {
+    return (exp[static_cast<size_t>(i) / 64] >> (static_cast<size_t>(i) % 64)) & 1;
+  };
   const ptrdiff_t window_bits = bits <= 32 ? 1 : 4;
   const size_t entries = size_t{1} << (window_bits - 1);
 
-  // table[i] = base^(2i+1), entries laid end to end.
-  std::vector<uint64_t> table = std::move(base);
-  table.resize(entries * width, 0);
+  // table[i] = base^(2i+1); `result` holds base^2 until the scan starts.
   if (entries > 1) {
-    std::vector<uint64_t> b2(width, 0);
-    mul(table.data(), table.data(), b2.data());
+    mul(table, table, result);
     for (size_t i = 1; i < entries; ++i) {
-      mul(table.data() + (i - 1) * width, b2.data(), table.data() + i * width);
+      mul(table + (i - 1) * width, result, table + i * width);
     }
   }
 
   // Windows always end on a set bit, so only odd powers are multiplied in.
-  std::vector<uint64_t> result;
+  // The top bit is set, so the first window starts the scan.
+  bool started = false;
   ptrdiff_t i = static_cast<ptrdiff_t>(bits) - 1;
   while (i >= 0) {
-    if (!exponent.GetBit(static_cast<size_t>(i))) {
-      mul(result.data(), result.data(), result.data());
+    if (!bit(i)) {
+      mul(result, result, result);
       --i;
       continue;
     }
     ptrdiff_t l = std::max<ptrdiff_t>(i - (window_bits - 1), 0);
-    while (!exponent.GetBit(static_cast<size_t>(l))) {
+    while (!bit(l)) {
       ++l;
     }
     size_t window = 0;
-    for (ptrdiff_t bit = i; bit >= l; --bit) {
-      window = (window << 1) | (exponent.GetBit(static_cast<size_t>(bit)) ? 1u : 0u);
+    for (ptrdiff_t b = i; b >= l; --b) {
+      window = (window << 1) | bit(b);
     }
-    const uint64_t* entry = table.data() + (window >> 1) * width;
-    if (result.empty()) {
-      result.assign(entry, entry + width);
+    const uint64_t* entry = table + (window >> 1) * width;
+    if (!started) {
+      std::copy(entry, entry + width, result);
+      started = true;
     } else {
       for (ptrdiff_t s = 0; s <= i - l; ++s) {
-        mul(result.data(), result.data(), result.data());
+        mul(result, result, result);
       }
-      mul(result.data(), entry, result.data());
+      mul(result, entry, result);
     }
     i = l - 1;
   }
-  return result;
 }
 
 }  // namespace
@@ -407,6 +516,11 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
 void MontgomeryContext::MontMul(const uint64_t* a, const uint64_t* b, uint64_t* out,
                                 uint64_t* scratch) const {
   const size_t k = n_.size();
+#ifdef FLICKER_MONT_ADC
+  if (k == 4) {
+    return MontMul4(a, b, Modulus4{n_[0], n_[1], n_[2], n_[3], n0inv_}, out);
+  }
+#endif
   Cios(a, b, n_.data(), n0inv_, k, scratch);
   CondReduce(scratch, n_.data(), k);
   std::copy(scratch, scratch + k, out);
@@ -450,21 +564,42 @@ BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exponent) con
     return ModExpIfma(base, exponent);
   }
   const size_t k = n_.size();
+  const uint64_t* exp = exponent.limbs_.data();
+  const size_t bits = exponent.BitLength();
+  Limbs x = ToLimbs(base);  // The reduced base; then the result.
+
+#ifdef FLICKER_MONT_ADC
+  if (k == 4) {
+    // The 256-bit CRT halves: the inlined carry-chain kernel over a stack
+    // table. Running them through the generic body below (each product
+    // dispatched by MontMul, heap table and scratch) lost 9 of 10
+    // alternating fleet-steady pairs, -7% host rounds/s at the median.
+    const Modulus4 n{n_[0], n_[1], n_[2], n_[3], n0inv_};
+    const auto mul = [&n](const uint64_t* a, const uint64_t* b, uint64_t* out) {
+      MontMul4(a, b, n, out);
+    };
+    uint64_t table[8 * 4];
+    mul(x.data(), rr_.data(), table);
+    SlidingWindowExp(exp, bits, 4, table, x.data(), mul);
+    // Leave Montgomery form: reduce (x, 0).
+    Redc4(n, x[0], x[1], x[2], x[3], 0, 0, 0, 0, x.data());
+    return FromLimbs(x);
+  }
+#endif
+
   Limbs scratch(k + 2);
-  auto mul = [&](const uint64_t* a, const uint64_t* b, uint64_t* out) {
+  const auto mul = [&](const uint64_t* a, const uint64_t* b, uint64_t* out) {
     MontMul(a, b, out, scratch.data());
   };
-
-  // Montgomery form of the (reduced) base.
-  Limbs bm = ToLimbs(base);
-  mul(bm.data(), rr_.data(), bm.data());
-  Limbs result = SlidingWindowExp(std::move(bm), exponent, mul);
+  Limbs table(8 * k);
+  mul(x.data(), rr_.data(), table.data());
+  SlidingWindowExp(exp, bits, k, table.data(), x.data(), mul);
 
   // Leave Montgomery form.
   Limbs one(k, 0);
   one[0] = 1;
-  mul(result.data(), one.data(), result.data());
-  return FromLimbs(result);
+  mul(x.data(), one.data(), x.data());
+  return FromLimbs(x);
 }
 
 #ifdef FLICKER_MONT_IFMA
@@ -492,17 +627,17 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent)
     }
   };
 
-  // Montgomery form of the (reduced) base.
-  Limbs bm = LimbsToDigits52(ToLimbs(base), nd, pad);
-  mul(bm.data(), rr52_.data(), bm.data());
-  Limbs result = SlidingWindowExp(std::move(bm), exponent, mul);
+  Limbs x = LimbsToDigits52(ToLimbs(base), nd, pad);  // The reduced base; then the result.
+  Limbs table(8 * pad, 0);
+  mul(x.data(), rr52_.data(), table.data());
+  SlidingWindowExp(exponent.limbs_.data(), exponent.BitLength(), pad, table.data(), x.data(), mul);
 
   // Leave Montgomery form.
   Limbs one(pad, 0);
   one[0] = 1;
-  mul(result.data(), one.data(), result.data());
+  mul(x.data(), one.data(), x.data());
   BigInt out;
-  out.limbs_ = Digits52ToLimbs(result.data(), nd);
+  out.limbs_ = Digits52ToLimbs(x.data(), nd);
   out.Normalize();
   return out;
 }

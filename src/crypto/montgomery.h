@@ -13,9 +13,11 @@
 //
 // On x86-64 hosts with AVX512-IFMA the context additionally precomputes a
 // radix-2^52 representation for moduli of 10 or more 52-bit digits and runs
-// exponentiation through a vpmadd52 kernel (8 products per instruction);
-// everything else - smaller moduli, other hosts, -DFLICKER_SIMD=OFF builds -
-// runs the scalar FIOS kernel, which is also the correctness oracle in tests.
+// exponentiation through a vpmadd52 kernel (8 products per instruction).
+// 4-limb (193..256-bit) moduli - the CRT halves of every 512-bit AIK quote -
+// run a fixed-width carry-chain kernel on any x86-64 host. Everything else -
+// other widths, other hosts, -DFLICKER_SIMD=OFF builds - runs the scalar
+// FIOS kernel.
 
 #ifndef FLICKER_SRC_CRYPTO_MONTGOMERY_H_
 #define FLICKER_SRC_CRYPTO_MONTGOMERY_H_
@@ -50,9 +52,9 @@ class MontgomeryContext {
 
   MontgomeryContext() = default;
 
-  // out = a * b * R^-1 mod n via CIOS; a, b, out hold exactly k limbs (out
-  // may alias a or b) and a, b must be < n. `scratch` provides k + 2 limbs
-  // of working space.
+  // out = a * b * R^-1 mod n; a, b, out hold exactly k limbs (out may alias
+  // a or b) and a, b must be < n. `scratch` provides k + 2 limbs of working
+  // space for the FIOS kernel.
   void MontMul(const uint64_t* a, const uint64_t* b, uint64_t* out, uint64_t* scratch) const;
 
   // Value reduced mod n, widened to k limbs.

@@ -99,18 +99,21 @@ void Sha1::Update(const void* data, size_t len) {
 }
 
 Bytes Sha1::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
+  // into a second block when fewer than 9 bytes are free), then the 64-bit
+  // big-endian bit length.
+  const uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_bytes, 8);
+  ProcessBlock(buffer_);
 
   Bytes digest(kDigestSize);
   for (int i = 0; i < 5; ++i) {

@@ -1,6 +1,8 @@
 // FIPS / RFC test vectors plus incremental-update properties for the four
 // hash functions.
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
@@ -10,6 +12,38 @@
 
 namespace flicker {
 namespace {
+
+// The message of `len` bytes (i * 7 + 3) mod 256 that the padding
+// known-answer tests below hash.
+Bytes PatternMessage(size_t len) {
+  Bytes msg(len);
+  for (size_t i = 0; i < len; ++i) {
+    msg[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  return msg;
+}
+
+// Lengths that put the 0x80 pad byte and the 64-bit length at every edge of
+// the 64-byte block: 55 and 119 leave exactly room for both in the last
+// block, 56, 63 and 120 spill them into one more block, and 64 pads in a
+// block of its own.
+constexpr size_t kPaddingEdgeLengths[] = {0, 55, 56, 63, 64, 119, 120};
+
+// Checks Hash over PatternMessage at each padding-edge length, one-shot and
+// fed a byte at a time, against digests computed offline with Python's
+// hashlib.
+template <typename Hash>
+void ExpectPaddingEdgeDigests(const char* const (&expected)[std::size(kPaddingEdgeLengths)]) {
+  for (size_t i = 0; i < std::size(kPaddingEdgeLengths); ++i) {
+    const Bytes msg = PatternMessage(kPaddingEdgeLengths[i]);
+    EXPECT_EQ(ToHex(Hash::Digest(msg)), expected[i]) << "len " << msg.size();
+    Hash incremental;
+    for (uint8_t byte : msg) {
+      incremental.Update(&byte, 1);
+    }
+    EXPECT_EQ(ToHex(incremental.Finish()), expected[i]) << "len " << msg.size();
+  }
+}
 
 TEST(Sha1Test, EmptyString) {
   EXPECT_EQ(ToHex(Sha1::Digest(BytesOf(""))), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
@@ -63,6 +97,16 @@ TEST(Sha1Test, BlockBoundaryLengths) {
   }
 }
 
+TEST(Sha1Test, PaddingEdgeKnownAnswers) {
+  const char* const expected[] = {
+      "da39a3ee5e6b4b0d3255bfef95601890afd80709", "ddf57317ef34bfee3b6df83d359098930eb278bc",
+      "a0d492bb0fc889d0eca3bc137066ab6f4f74f369", "c55856749bef509bdfe6bfebfc7bf4e793e82132",
+      "bede92be29c3874e1b54ddc77988d606fc857a8e", "504e27376a6e0f0dba8295b85cb25dc4dfa17d23",
+      "82134b02fb3f702491be9bed581eeab59334acb2",
+  };
+  ExpectPaddingEdgeDigests<Sha1>(expected);
+}
+
 TEST(Sha256Test, EmptyString) {
   EXPECT_EQ(ToHex(Sha256::Digest(BytesOf(""))),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -86,6 +130,30 @@ TEST(Sha256Test, MillionA) {
     h.Update(chunk);
   }
   EXPECT_EQ(ToHex(h.Finish()), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Test, BlockBoundaryLengths) {
+  for (size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 127u, 128u}) {
+    Bytes msg(len, 0x5a);
+    Sha256 incremental;
+    for (size_t i = 0; i < len; ++i) {
+      incremental.Update(msg.data() + i, 1);
+    }
+    EXPECT_EQ(incremental.Finish(), Sha256::Digest(msg)) << "len " << len;
+  }
+}
+
+TEST(Sha256Test, PaddingEdgeKnownAnswers) {
+  const char* const expected[] = {
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+      "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+      "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+      "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+      "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+      "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+      "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+  };
+  ExpectPaddingEdgeDigests<Sha256>(expected);
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {

@@ -109,6 +109,96 @@ TEST(MontgomeryTest, ModMulMatchesSchoolbook) {
   }
 }
 
+// The value a 4-limb Montgomery product of x and y holds before its final
+// subtraction: (x * y + m * n) / 2^256 with m = -x * y / n mod 2^256.
+BigInt PreSubtraction256(const BigInt& x, const BigInt& y, const BigInt& n) {
+  const BigInt r = BigInt(1) << 256;
+  const BigInt neg_ninv = r - BigInt::ModInverse(n, r);
+  const BigInt xy = x * y;
+  const BigInt m = ((xy % r) * neg_ninv) % r;
+  const BigInt sum = xy + m * n;
+  EXPECT_TRUE((sum % r).IsZero());
+  return sum >> 256;
+}
+
+// The 256-bit kernel (both CRT halves of every 512-bit AIK quote) at the
+// edges of its width and of its final subtraction: moduli just above 2^192,
+// around 2^255, just below 2^256 and with an all-ones top limb; the bases
+// 0, 1, n - 1, n - 2 and R mod n; ModExp's in-place squarings against
+// ModMul of a value by itself; and products whose pre-subtraction value
+// lands in [n, 2^256) and in [2^256, 2n), against the schoolbook oracles.
+TEST(MontgomeryTest, FourLimbKernelEdges) {
+  const BigInt r = BigInt(1) << 256;
+  Drbg rng(0x4a11);
+  const auto random_bits = [&rng](size_t bits) {  // At most `bits` bits.
+    return BigInt::FromBytesBe(rng.Generate(bits / 8));
+  };
+  const BigInt odd(1);
+  const BigInt moduli[] = {
+      (BigInt(1) << 192) + (random_bits(64) << 1) + odd,
+      (BigInt(1) << 192) + (random_bits(192) << 1) + odd,
+      (BigInt(1) << 255) + (random_bits(192) << 1) + odd,
+      (BigInt(0x9e37) << 240) + (random_bits(200) << 1) + odd,
+      r - BigInt(189),
+      r - BigInt(1),
+      (BigInt(0xffffffffffffffffULL) << 192) + (random_bits(184) << 1) + odd,
+  };
+  const BigInt exponents[] = {BigInt(0),     BigInt(1),
+                              BigInt(2),     BigInt(3),
+                              BigInt(65537), (BigInt(1) << 32) + BigInt(1),
+                              random_bits(256)};
+
+  size_t high_products = 0;  // Pre-subtraction value in [n, 2^256).
+  size_t high_squares = 0;
+  size_t wide_products = 0;  // Pre-subtraction value in [2^256, 2n).
+  size_t wide_squares = 0;
+  for (const BigInt& n : moduli) {
+    ASSERT_GT(n.BitLength(), 192u);  // Four limbs.
+    ASSERT_LE(n.BitLength(), 256u);
+    Result<MontgomeryContext> made = MontgomeryContext::Create(n);
+    ASSERT_TRUE(made.ok());
+    const MontgomeryContext& ctx = made.value();
+    const BigInt bases[] = {BigInt(0), BigInt(1), n - BigInt(1), n - BigInt(2), r % n};
+    for (const BigInt& a : bases) {
+      for (const BigInt& e : exponents) {
+        ASSERT_EQ(BigInt::ModExpReference(a, e, n), ctx.ModExp(a, e))
+            << "n=" << n.ToHex() << " a=" << a.ToHex() << " e=" << e.ToHex();
+      }
+      for (const BigInt& b : bases) {
+        ASSERT_EQ((a * b) % n, ctx.ModMul(a, b)) << "n=" << n.ToHex() << " a=" << a.ToHex();
+      }
+      ASSERT_EQ(ctx.ModMul(a, a), ctx.ModExp(a, BigInt(2))) << "n=" << n.ToHex();
+    }
+
+    // ModMul(a, y) ends in the product (a R mod n) * y and ModExp(a, 2) in
+    // the square of a R mod n, so picking a = x / R mod n puts x into the
+    // kernel directly.
+    const BigInt r_inv = BigInt::ModInverse(r % n, n);
+    for (int i = 0; i < 400; ++i) {
+      const BigInt x = BigInt::FromBytesBe(rng.Generate(33)) % n;
+      const BigInt y = BigInt::FromBytesBe(rng.Generate(33)) % n;
+      const BigInt a = (x * r_inv) % n;
+      const BigInt product = PreSubtraction256(x, y, n);
+      const BigInt square = PreSubtraction256(x, x, n);
+      if (product >= n) {
+        ++(product >= r ? wide_products : high_products);
+        ASSERT_EQ((a * y) % n, ctx.ModMul(a, y))
+            << "n=" << n.ToHex() << " x=" << x.ToHex() << " y=" << y.ToHex();
+      }
+      if (square >= n) {
+        ++(square >= r ? wide_squares : high_squares);
+        ASSERT_EQ((a * a) % n, ctx.ModExp(a, BigInt(2))) << "n=" << n.ToHex() << " x=" << x.ToHex();
+        ASSERT_EQ(ctx.ModMul(a, a), ctx.ModExp(a, BigInt(2))) << "n=" << n.ToHex();
+      }
+    }
+  }
+  // Every class of final subtraction ran, many times over.
+  EXPECT_GE(high_products, 20u);
+  EXPECT_GE(high_squares, 20u);
+  EXPECT_GE(wide_products, 20u);
+  EXPECT_GE(wide_squares, 20u);
+}
+
 TEST(MontgomeryTest, ContextRejectsEvenOrTrivialModulus) {
   EXPECT_FALSE(MontgomeryContext::Create(BigInt(10)).ok());
   EXPECT_FALSE(MontgomeryContext::Create(BigInt(1)).ok());

@@ -209,6 +209,25 @@ TEST(RsaKeygen, Key512StillWorks) {
   EXPECT_EQ(pt.value(), msg);
 }
 
+// The AIK width: every fleet quote is an RSA-512 signature whose two CRT
+// halves run the 4-limb Montgomery kernel. The bytes were recorded from the
+// generic CIOS kernel, and s^65537 mod n reproduces the PKCS#1 v1.5 SHA-1
+// encoding of the message (checked offline with Python), so any slip in
+// the kernel or in key generation shows up as a byte diff.
+TEST(RsaKeygen, Rsa512SignKnownAnswer) {
+  Drbg rng(512);
+  const RsaPrivateKey key = RsaGenerateKey(512, &rng);
+  EXPECT_EQ(key.pub.n.ToHex(),
+            "8e69e82ebddf2993cf393441f9c7e4809142222f04a1072d6e929b4ca1f7acae357ae1157b63e73f6fc50a"
+            "67408d4ade73a8b9f6bfcc52b0d676f7eabadb0a4d");
+  const Bytes message = BytesOf("flicker rsa-512 known-answer test");
+  const Bytes signature = RsaSignSha1(key, message);
+  EXPECT_EQ(ToHex(signature),
+            "6383dec4589a3cce74f19ad03a8409f2890d27fa19a43b12e3558f852faaf39ab7ff03b85565c979b66b796"
+            "1b4e647ca9428c1665fe34705bc11ab03710453c2");
+  EXPECT_TRUE(RsaVerifySha1(key.pub, message, signature));
+}
+
 TEST(RsaKeygen, DeterministicGivenSeed) {
   Drbg rng1(1234);
   Drbg rng2(1234);
