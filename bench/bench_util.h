@@ -9,6 +9,8 @@
 #ifndef FLICKER_BENCH_BENCH_UTIL_H_
 #define FLICKER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,22 +54,34 @@ inline void DoNotOptimize(const T& value) {
   asm volatile("" : : "m"(value) : "memory");
 }
 
-// Wall-clock seconds per call of `fn`: one untimed warm-up call, then calls
-// until `min_seconds` pass or `max_iters` calls run, whichever comes first
-// (always at least one).
+// Wall-clock seconds per call of `fn`: one untimed warm-up call, then
+// kTimingWindows equal windows, each running calls until
+// min_seconds / kTimingWindows pass or max_iters / kTimingWindows calls run
+// (always at least one), and the median of the windows' per-call times. A
+// noisy-neighbour burst on a shared host then moves one window, not the
+// reported figure.
+inline constexpr int kTimingWindows = 5;
+
 template <typename Fn>
 double MeasureSecondsPerOp(Fn&& fn, double min_seconds, int max_iters) {
   using Clock = std::chrono::steady_clock;
   fn();
-  int iters = 0;
-  const Clock::time_point start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds && iters < max_iters);
-  return elapsed / iters;
+  const double window_seconds = min_seconds / kTimingWindows;
+  const int window_iters = std::max(1, max_iters / kTimingWindows);
+  std::array<double, kTimingWindows> per_op;
+  for (double& seconds : per_op) {
+    int iters = 0;
+    const Clock::time_point start = Clock::now();
+    double elapsed = 0;
+    do {
+      fn();
+      ++iters;
+      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+    } while (elapsed < window_seconds && iters < window_iters);
+    seconds = elapsed / iters;
+  }
+  std::nth_element(per_op.begin(), per_op.begin() + kTimingWindows / 2, per_op.end());
+  return per_op[kTimingWindows / 2];
 }
 
 // The command line of a micro bench: no arguments, or --bench_json=PATH to

@@ -3,7 +3,6 @@
 #include "src/common/serde.h"
 #include "src/crypto/sha1.h"
 #include "src/tpm/pcr_bank.h"
-#include "src/tpm/tpm_util.h"
 
 namespace flicker {
 
@@ -136,6 +135,13 @@ Result<CaPolicy> CaPolicy::Deserialize(const Bytes& data) {
   Reader r(data);
   CaPolicy policy;
   uint32_t count = r.U32();
+  // Every suffix costs at least its 4-byte length on the wire, but a
+  // 32-byte string once decoded: the count is checked against the cap and
+  // against what the remaining bytes can hold before the first push_back.
+  if (!r.ok() || count > kMaxCaPolicySuffixes || count > (data.size() - 4) / 4) {
+    return InvalidArgumentError("corrupt CA policy");
+  }
+  policy.allowed_suffixes.reserve(count);
   for (uint32_t i = 0; i < count && r.ok(); ++i) {
     policy.allowed_suffixes.push_back(r.Str());
   }
@@ -194,30 +200,24 @@ Status CaPal::Execute(PalContext* context) {
     return InvalidArgumentError("corrupt signing inputs");
   }
 
-  // Peek the counter credentials: they live inside the sealed state, so
-  // unseal first (plain unseal), then verify the version against the live
-  // counter - the Fig. 4 Unseal check.
-  Result<Bytes> payload =
-      UnsealInPal(context->tpm(), SealedBlob::Deserialize(sealed_state), CaBlobAuth());
-  if (!payload.ok()) {
-    return payload.status();
+  // The counter credentials live inside the sealed state, so unseal first,
+  // then check the version against the counter the state itself names.
+  Result<ReplayProtectedStorage::Unsealed> unsealed = ReplayProtectedStorage::Unseal(
+      context->tpm(), SealedBlob::Deserialize(sealed_state), CaBlobAuth());
+  if (!unsealed.ok()) {
+    return unsealed.status();
   }
-  if (payload.value().size() < 8) {
-    return IntegrityFailureError("sealed CA state missing version");
-  }
-  uint64_t sealed_version = GetUint64(payload.value(), 0);
-  Result<CaState> state =
-      CaState::Deserialize(Bytes(payload.value().begin() + 8, payload.value().end()));
+  Result<CaState> state = CaState::Deserialize(unsealed.value().data);
   if (!state.ok()) {
     return state.status();
   }
-  Result<uint64_t> live_version = context->tpm()->ReadCounter(state.value().counter_id);
-  if (!live_version.ok()) {
-    return live_version.status();
-  }
-  if (sealed_version != live_version.value()) {
+  Status fresh = ReplayProtectedStorage(context->tpm(), state.value().counter_id,
+                                        state.value().counter_auth)
+                     .CheckVersion(unsealed.value().version);
+  if (fresh.code() == StatusCode::kReplayDetected) {
     return ReplayDetectedError("CA database is stale (rollback attack detected)");
   }
+  FLICKER_RETURN_IF_ERROR(fresh);
 
   Result<CertificateSigningRequest> csr = CertificateSigningRequest::Deserialize(csr_bytes);
   if (!csr.ok()) {
@@ -268,18 +268,17 @@ CertificateAuthorityHost::CertificateAuthorityHost(FlickerPlatform* platform,
     : platform_(platform), binary_(binary), issuer_(std::move(issuer_name)) {}
 
 Result<Bytes> CertificateAuthorityHost::Initialize(const Bytes& owner_secret) {
-  counter_auth_ = Sha1::Digest(BytesOf("ca-replay-counter-auth"));
-  Result<uint32_t> counter =
-      TpmCreateCounter(platform_->tpm(), counter_auth_, owner_secret);
-  if (!counter.ok()) {
-    return counter.status();
+  Bytes counter_auth = Sha1::Digest(BytesOf("ca-replay-counter-auth"));
+  Result<ReplayProtectedStorage> storage =
+      ReplayProtectedStorage::Create(platform_->tpm(), counter_auth, owner_secret);
+  if (!storage.ok()) {
+    return storage.status();
   }
-  counter_id_ = counter.value();
 
   Writer in;
   in.U8(kCaModeKeygen);
-  in.U32(counter_id_);
-  in.Blob(counter_auth_);
+  in.U32(storage.value().counter_id());
+  in.Blob(counter_auth);
   Result<FlickerSessionResult> session = platform_->ExecuteSession(*binary_, in.Take());
   if (!session.ok()) {
     return session.status();

@@ -44,6 +44,11 @@ struct Certificate {
   static Result<Certificate> Deserialize(const Bytes& data);
 };
 
+// The most suffixes a policy may list: an administrator's allow-list of
+// domains, not a database. Deserialize refuses a larger count before it
+// allocates anything.
+inline constexpr uint32_t kMaxCaPolicySuffixes = 64;
+
 // The administrator-supplied policy: a CSR is approved iff its subject ends
 // with one of the allowed suffixes. The policy travels as (attested) session
 // input, so a verifier can confirm which policy gated each signature.
@@ -111,8 +116,6 @@ class CertificateAuthorityHost {
   Bytes ca_public_key_;
   Bytes sealed_state_;
   std::vector<Certificate> issued_log_;
-  uint32_t counter_id_ = 0;
-  Bytes counter_auth_;
 };
 
 }  // namespace flicker

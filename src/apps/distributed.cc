@@ -20,13 +20,6 @@ Bytes StateKeyAuth() {
 
 }  // namespace
 
-Bytes FactorWorkUnit::Serialize() const {
-  Writer w;
-  w.U64(composite);
-  w.U64(search_limit);
-  return w.Take();
-}
-
 Bytes FactorState::Serialize() const {
   Writer w;
   w.U64(next_divisor);
@@ -292,16 +285,6 @@ FactorWorkUnit BoincServer::CreateWorkUnit(uint64_t composite) {
   // Naive approach from the paper: test a range of candidate divisors.
   unit.search_limit = 1 << 20;
   return unit;
-}
-
-std::vector<uint64_t> BoincServer::ReferenceFactors(const FactorWorkUnit& unit) {
-  std::vector<uint64_t> out;
-  for (uint64_t d = 2; d < unit.search_limit; ++d) {
-    if (unit.composite % d == 0) {
-      out.push_back(d);
-    }
-  }
-  return out;
 }
 
 Bytes BoincClient::ResultSubmission::Serialize() const {

@@ -26,8 +26,6 @@ namespace flicker {
 struct FactorWorkUnit {
   uint64_t composite = 0;
   uint64_t search_limit = 0;
-
-  Bytes Serialize() const;
 };
 
 struct FactorState {
@@ -136,10 +134,6 @@ class BoincServer {
   Result<Bytes> HandleSubmissionFrame(const PalBinary& binary, const Bytes& frame,
                                       const AikCertificate& client_aik_cert,
                                       const RsaPublicKey& privacy_ca_public, const Bytes& nonce);
-
-  // Ground-truth check used by tests (the attestation is what production
-  // relies on; this validates the simulator end to end).
-  static std::vector<uint64_t> ReferenceFactors(const FactorWorkUnit& unit);
 
  private:
   Drbg rng_;

@@ -109,11 +109,6 @@ void VerifierHealthTracker::OnMiss(int verifier, double now_ms) {
   }
 }
 
-void VerifierHealthTracker::OnAbandoned(int verifier) {
-  VerifierState& s = state_[verifier];
-  s.outstanding = std::max(0, s.outstanding - 1);
-}
-
 double VerifierHealthTracker::HedgeDelayMs() const {
   size_t count = latency_ring_.size();
   if (count < static_cast<size_t>(config_.min_samples)) {

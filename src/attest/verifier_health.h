@@ -78,9 +78,6 @@ class VerifierHealthTracker {
   // Hedge fired / timeout expired against the verifier: one consecutive
   // miss; opens the breaker at the configured threshold.
   void OnMiss(int verifier, double now_ms);
-  // Response abandoned without an answer (round resolved elsewhere or timed
-  // out); only releases the outstanding slot.
-  void OnAbandoned(int verifier);
 
   // ---- Derived views ----
   double HedgeDelayMs() const;  // p95-derived, clamped; default until warm.

@@ -7,8 +7,6 @@
 #include <map>
 #include <ostream>
 
-#include "src/common/splitmix64.h"
-
 namespace flicker {
 
 namespace {
@@ -27,12 +25,6 @@ FaultScheduler*& ActiveSchedulerSlot() {
 }
 
 }  // namespace
-
-CrashPlan CrashPlan::FromSeed(uint64_t seed, uint64_t max_hits) {
-  CrashPlan plan;
-  plan.crash_at_hit = max_hits == 0 ? 0 : 1 + SplitMix64(seed) % max_hits;
-  return plan;
-}
 
 void FaultScheduler::OnCrashPoint(const char* name) {
   hits_.emplace_back(name);

@@ -34,10 +34,6 @@ namespace flicker {
 struct CrashPlan {
   uint64_t crash_at_hit = 0;
   std::string only_point;
-
-  // Derives a plan from a seed: crash at a pseudo-random hit in
-  // [1, max_hits]. Deterministic (splitmix64), so a failing seed replays.
-  static CrashPlan FromSeed(uint64_t seed, uint64_t max_hits);
 };
 
 // Thrown by CRASH_POINT when the armed plan elects the current hit. Carries

@@ -46,87 +46,29 @@ Result<SealedBlob> ReplayProtectedStorage::Seal(const Bytes& data, const Bytes& 
   return SealForPal(tpm_, payload, release_pcr17, blob_auth);
 }
 
-Result<Bytes> ReplayProtectedStorage::Unseal(const SealedBlob& blob, const Bytes& blob_auth) {
-  Result<Bytes> payload = UnsealInPal(tpm_, blob, blob_auth);
+Result<ReplayProtectedStorage::Unsealed> ReplayProtectedStorage::Unseal(TpmClient* tpm,
+                                                                        const SealedBlob& blob,
+                                                                        const Bytes& blob_auth) {
+  Result<Bytes> payload = UnsealInPal(tpm, blob, blob_auth);
   if (!payload.ok()) {
     return payload.status();
   }
   if (payload.value().size() < 8) {
     return IntegrityFailureError("replay-protected blob missing version field");
   }
-  uint64_t sealed_version = GetUint64(payload.value(), 0);
+  return Unsealed{Bytes(payload.value().begin() + 8, payload.value().end()),
+                  GetUint64(payload.value(), 0)};
+}
+
+Status ReplayProtectedStorage::CheckVersion(uint64_t version) {
   Result<uint64_t> live = tpm_->ReadCounter(counter_id_);
   if (!live.ok()) {
     return live.status();
   }
-  if (sealed_version != live.value()) {
+  if (version != live.value()) {
     return ReplayDetectedError("sealed blob version is stale (counter advanced)");
   }
-  return Bytes(payload.value().begin() + 8, payload.value().end());
-}
-
-Result<NvReplayProtectedStorage> NvReplayProtectedStorage::Provision(TpmClient* tpm, uint32_t nv_index,
-                                                                     const Bytes& pal_pcr17,
-                                                                     const Bytes& owner_secret) {
-  PcrSelection gate({kSkinitPcr});
-  std::map<int, Bytes> values = {{kSkinitPcr, pal_pcr17}};
-  FLICKER_RETURN_IF_ERROR(
-      TpmDefineNvSpace(tpm, nv_index, 8, gate, values, gate, values, owner_secret));
-  return NvReplayProtectedStorage(tpm, nv_index);
-}
-
-NvReplayProtectedStorage::NvReplayProtectedStorage(TpmClient* tpm, uint32_t nv_index)
-    : tpm_(tpm), nv_index_(nv_index) {}
-
-Result<uint64_t> NvReplayProtectedStorage::ReadCounter() {
-  Result<Bytes> raw = tpm_->NvRead(nv_index_);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  if (raw.value().empty()) {
-    return uint64_t{0};  // Freshly provisioned space.
-  }
-  if (raw.value().size() != 8) {
-    return IntegrityFailureError("NV counter has unexpected size");
-  }
-  return GetUint64(raw.value(), 0);
-}
-
-Result<SealedBlob> NvReplayProtectedStorage::Seal(const Bytes& data, const Bytes& release_pcr17,
-                                                  const Bytes& blob_auth) {
-  Result<uint64_t> current = ReadCounter();
-  if (!current.ok()) {
-    return current.status();
-  }
-  uint64_t next = current.value() + 1;
-  Bytes encoded;
-  PutUint64(&encoded, next);
-  FLICKER_RETURN_IF_ERROR(tpm_->NvWrite(nv_index_, encoded));
-
-  Bytes payload;
-  PutUint64(&payload, next);
-  payload.insert(payload.end(), data.begin(), data.end());
-  return SealForPal(tpm_, payload, release_pcr17, blob_auth);
-}
-
-Result<Bytes> NvReplayProtectedStorage::Unseal(const SealedBlob& blob, const Bytes& blob_auth) {
-  Result<Bytes> payload = UnsealInPal(tpm_, blob, blob_auth);
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  if (payload.value().size() < 8) {
-    return IntegrityFailureError("replay-protected blob missing version field");
-  }
-  uint64_t sealed_version = GetUint64(payload.value(), 0);
-  Result<uint64_t> live = ReadCounter();
-  if (!live.ok()) {
-    return live.status();
-  }
-  if (sealed_version != live.value()) {
-    return ReplayDetectedError(
-        "sealed blob version does not match the NV counter (stale blob or crash desync)");
-  }
-  return Bytes(payload.value().begin() + 8, payload.value().end());
+  return Status::Ok();
 }
 
 // ---- CrashConsistentSealedStore ----
@@ -254,22 +196,14 @@ Result<Bytes> CrashConsistentSealedStore::UnsealLatest(const Bytes& blob_auth) {
   if (!committed_.has_value()) {
     return NotFoundError("no committed sealed state");
   }
-  Result<Bytes> payload = UnsealInPal(tpm_, committed_->blob, blob_auth);
-  if (!payload.ok()) {
-    return payload.status();
+  Result<ReplayProtectedStorage::Unsealed> unsealed =
+      ReplayProtectedStorage::Unseal(tpm_, committed_->blob, blob_auth);
+  if (!unsealed.ok()) {
+    return unsealed.status();
   }
-  if (payload.value().size() < 8) {
-    return IntegrityFailureError("sealed snapshot missing version field");
-  }
-  uint64_t sealed_version = GetUint64(payload.value(), 0);
-  Result<uint64_t> live = tpm_->ReadCounter(counter_id_);
-  if (!live.ok()) {
-    return live.status();
-  }
-  if (sealed_version != live.value()) {
-    return ReplayDetectedError("committed sealed state is stale (version/counter mismatch)");
-  }
-  return Bytes(payload.value().begin() + 8, payload.value().end());
+  FLICKER_RETURN_IF_ERROR(ReplayProtectedStorage(tpm_, counter_id_, counter_auth_)
+                              .CheckVersion(unsealed.value().version));
+  return unsealed.value().data;
 }
 
 }  // namespace flicker

@@ -43,9 +43,17 @@ class ReplayProtectedStorage {
   // Fig. 4 Seal: IncrementCounter(); c <- TPM_Seal(data || j, PCR list).
   Result<SealedBlob> Seal(const Bytes& data, const Bytes& release_pcr17, const Bytes& blob_auth);
 
-  // Fig. 4 Unseal: d || j' <- TPM_Unseal(c); output d iff j' == counter.
-  // Returns kReplayDetected for stale versions.
-  Result<Bytes> Unseal(const SealedBlob& blob, const Bytes& blob_auth);
+  // Fig. 4 Unseal in two steps, so that state which names its own counter
+  // (the CA's does) is checked against that counter, never against one an
+  // untrusted host supplies. Unseal yields d and j' from
+  // d || j' <- TPM_Unseal(c); CheckVersion then passes iff j' == counter.
+  struct Unsealed {
+    Bytes data;
+    uint64_t version = 0;
+  };
+  static Result<Unsealed> Unseal(TpmClient* tpm, const SealedBlob& blob, const Bytes& blob_auth);
+  // kReplayDetected for a stale version.
+  Status CheckVersion(uint64_t version);
 
   uint32_t counter_id() const { return counter_id_; }
 
@@ -53,40 +61,6 @@ class ReplayProtectedStorage {
   TpmClient* tpm_;
   uint32_t counter_id_;
   Bytes counter_auth_;
-};
-
-// The §4.3.2 NV-storage variant: the version counter lives in a TPM
-// non-volatile space whose read AND write access are gated on the owning
-// PAL's PCR 17 value. The OS can neither observe nor advance the counter;
-// only the PAL, inside its Flicker session, can. ("Values placed in
-// non-volatile storage are maintained in the TPM... This, combined with
-// the PCR-based access control, is sufficient to protect a counter value
-// against attacks from the OS.")
-class NvReplayProtectedStorage {
- public:
-  // Defines the NV space (owner-authorized; done once at provisioning) and
-  // binds access to `pal_pcr17` - the PAL's in-execution PCR 17 value.
-  static Result<NvReplayProtectedStorage> Provision(TpmClient* tpm, uint32_t nv_index,
-                                                    const Bytes& pal_pcr17,
-                                                    const Bytes& owner_secret);
-
-  // Rebinds to an existing space (e.g. in a later session).
-  NvReplayProtectedStorage(TpmClient* tpm, uint32_t nv_index);
-
-  // Seal: counter <- NV+1 (PAL-gated write), seal data || counter. Must be
-  // called inside the owning PAL's session.
-  Result<SealedBlob> Seal(const Bytes& data, const Bytes& release_pcr17, const Bytes& blob_auth);
-
-  // Unseal: reject unless the embedded version equals the NV counter.
-  Result<Bytes> Unseal(const SealedBlob& blob, const Bytes& blob_auth);
-
-  uint32_t nv_index() const { return nv_index_; }
-
- private:
-  Result<uint64_t> ReadCounter();
-
-  TpmClient* tpm_;
-  uint32_t nv_index_;
 };
 
 // What Recover() found and did after a crash (see DESIGN.md §9).

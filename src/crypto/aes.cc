@@ -245,26 +245,4 @@ Result<Bytes> Aes::DecryptCbc(const Bytes& ciphertext, const Bytes& iv) const {
   return out;
 }
 
-Bytes Aes::CryptCtr(const Bytes& data, const Bytes& nonce) const {
-  assert(nonce.size() == kBlockSize);
-  Bytes out(data.size());
-  uint8_t counter[kBlockSize];
-  std::memcpy(counter, nonce.data(), kBlockSize);
-  uint8_t keystream[kBlockSize];
-  for (size_t off = 0; off < data.size(); off += kBlockSize) {
-    EncryptBlock(counter, keystream);
-    size_t n = data.size() - off < kBlockSize ? data.size() - off : kBlockSize;
-    for (size_t i = 0; i < n; ++i) {
-      out[off + i] = static_cast<uint8_t>(data[off + i] ^ keystream[i]);
-    }
-    // Increment the big-endian counter.
-    for (int i = kBlockSize - 1; i >= 0; --i) {
-      if (++counter[i] != 0) {
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace flicker

@@ -35,9 +35,6 @@ class Aes {
   // ciphertext that is not a positive multiple of the block size.
   Result<Bytes> DecryptCbc(const Bytes& ciphertext, const Bytes& iv) const;
 
-  // CTR mode keystream XOR; encryption and decryption are the same call.
-  Bytes CryptCtr(const Bytes& data, const Bytes& nonce) const;
-
  private:
   int rounds_;
   uint32_t round_keys_[60];  // Up to 14 rounds + 1, 4 words each.

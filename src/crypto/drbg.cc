@@ -43,13 +43,6 @@ Bytes Drbg::Generate(size_t len) {
   return out;
 }
 
-void Drbg::Reseed(const Bytes& entropy) {
-  Bytes input = BytesOf("flicker-drbg-reseed");
-  input.insert(input.end(), state_.begin(), state_.end());
-  input.insert(input.end(), entropy.begin(), entropy.end());
-  state_ = Sha256::Digest(input);
-}
-
 uint64_t Drbg::UniformUint64(uint64_t bound) {
   assert(bound > 0);
   // Rejection sampling over the largest multiple of bound below 2^64.

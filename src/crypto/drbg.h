@@ -23,9 +23,6 @@ class Drbg {
   // Generates `len` pseudorandom bytes and ratchets the state forward.
   Bytes Generate(size_t len);
 
-  // Mixes additional entropy into the state.
-  void Reseed(const Bytes& entropy);
-
   // Uniform value in [0, bound) via rejection sampling; bound must be > 0.
   uint64_t UniformUint64(uint64_t bound);
 

@@ -143,14 +143,4 @@ Bytes Md5::Finish() {
   return digest;
 }
 
-Bytes Md5::Digest(const void* data, size_t len) {
-  Md5 h;
-  h.Update(data, len);
-  return h.Finish();
-}
-
-Bytes Md5::Digest(const Bytes& data) {
-  return Digest(data.data(), data.size());
-}
-
 }  // namespace flicker

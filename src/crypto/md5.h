@@ -27,9 +27,6 @@ class Md5 {
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
   Bytes Finish();
 
-  static Bytes Digest(const Bytes& data);
-  static Bytes Digest(const void* data, size_t len);
-
  private:
   void ProcessBlock(const uint8_t* block);
 

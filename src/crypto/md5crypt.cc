@@ -113,25 +113,4 @@ std::string Md5Crypt(std::string_view password, std::string_view salt) {
   return out;
 }
 
-bool Md5CryptVerify(std::string_view password, std::string_view crypt_string) {
-  if (crypt_string.substr(0, 3) != "$1$") {
-    return false;
-  }
-  std::string_view rest = crypt_string.substr(3);
-  size_t dollar = rest.find('$');
-  if (dollar == std::string_view::npos) {
-    return false;
-  }
-  std::string recomputed = Md5Crypt(password, rest.substr(0, dollar));
-  // Constant-time compare; both sides are fixed-format crypt strings.
-  if (recomputed.size() != crypt_string.size()) {
-    return false;
-  }
-  uint8_t diff = 0;
-  for (size_t i = 0; i < recomputed.size(); ++i) {
-    diff = static_cast<uint8_t>(diff | (recomputed[i] ^ crypt_string[i]));
-  }
-  return diff == 0;
-}
-
 }  // namespace flicker

@@ -17,9 +17,6 @@ namespace flicker {
 // implementation).
 std::string Md5Crypt(std::string_view password, std::string_view salt);
 
-// Checks a password against a full "$1$..." crypt string.
-bool Md5CryptVerify(std::string_view password, std::string_view crypt_string);
-
 }  // namespace flicker
 
 #endif  // FLICKER_SRC_CRYPTO_MD5CRYPT_H_

@@ -208,28 +208,12 @@ Result<Bytes> Machine::GuestRead(int cpu_index, uint64_t addr, size_t len) {
 
 void Machine::Reboot() {
   tpm_transport_.hardware()->PowerCycle();
-  dev_.Clear();
-  guest_guard_ = nullptr;
-  ++reset_epoch_;
-  in_secure_session_ = false;
-  active_slb_base_ = 0;
-  for (Cpu& cpu : cpus_) {
-    cpu.state = CpuState::kRunning;
-    cpu.ring = 0;
-    cpu.interrupts_enabled = true;
-    cpu.debug_access_enabled = true;
-    cpu.paging_enabled = true;
-    cpu.guest_mode = false;
-    cpu.pal_dedicated = false;
-    cpu.LoadFlatSegments();
-  }
+  ResetCommon();
 }
 
-// Shared tail of both reset kinds: everything except what happens to RAM.
-// The TPM reset line fires via Hardware::Init - no TPM_Startup - so the
-// device refuses commands until recovery software issues one.
+// Shared tail of both reset kinds: everything except what happens to RAM
+// and to the TPM.
 void Machine::ResetCommon() {
-  tpm_transport_.hardware()->Init();
   dev_.Clear();
   guest_guard_ = nullptr;
   ++reset_epoch_;
@@ -254,12 +238,9 @@ void Machine::PowerCut() {
   // no cached SLB digest survives the outage.
   Status erased = memory_.Erase(0, memory_.size());
   (void)erased;  // Erasing the whole address space cannot go out of bounds.
-  ResetCommon();
-}
-
-void Machine::WarmReset() {
-  obs::Count(obs::Ctr::kWarmResets);
-  obs::Instant("hw", "hw.warm_reset");
+  // The TPM reset line fires via Hardware::Init - no TPM_Startup - so the
+  // device refuses commands until recovery software issues one.
+  tpm_transport_.hardware()->Init();
   ResetCommon();
 }
 

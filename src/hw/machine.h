@@ -127,7 +127,7 @@ class Machine {
   Result<Bytes> GuestRead(int cpu_index, uint64_t addr, size_t len);
   uint64_t npt_blocked_count() const { return npt_blocked_count_; }
 
-  // Bumped by every reset flavour (Reboot, PowerCut, WarmReset). The
+  // Bumped by every reset flavour (Reboot, PowerCut). The
   // hypervisor keys its residency on this: any reset evicts it.
   uint64_t reset_epoch() const { return reset_epoch_; }
 
@@ -139,14 +139,12 @@ class Machine {
   //
   // PowerCut models the cord being pulled: RAM contents are lost (zeroed),
   // the TPM reset line fires (TPM_Init, volatile state gone), and every CPU
-  // comes back at its reset vector. WarmReset models a reset-button press:
-  // identical except RAM survives. Neither runs the BIOS's TPM_Startup -
+  // comes back at its reset vector. It does not run the BIOS's TPM_Startup -
   // recovery software must issue it, which is exactly what the crash matrix
-  // exercises. The firing of either mid-operation is simulated by the
-  // FaultScheduler throwing PowerLossException from a CRASH_POINT; the test
-  // harness catches it and calls one of these to complete the crash.
+  // exercises. A cut mid-operation is simulated by the FaultScheduler
+  // throwing PowerLossException from a CRASH_POINT; the test harness catches
+  // it and calls this to complete the crash.
   void PowerCut();
-  void WarmReset();
 
   // The machine's fault scheduler: arm it (and install it via
   // FaultInjectionScope) to make the Nth CRASH_POINT throw. Owned here so

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
-#include <utility>
 
 namespace flicker {
 
@@ -24,28 +23,7 @@ PhysicalMemory::PhysicalMemory(size_t size_bytes) : size_(size_bytes) {
   data_ = static_cast<uint8_t*>(mapped);
 }
 
-PhysicalMemory::~PhysicalMemory() {
-  if (data_ != nullptr) {
-    munmap(data_, MappedLength(size_));
-  }
-}
-
-PhysicalMemory::PhysicalMemory(PhysicalMemory&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      watches_(std::move(other.watches_)) {}
-
-PhysicalMemory& PhysicalMemory::operator=(PhysicalMemory&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) {
-      munmap(data_, MappedLength(size_));
-    }
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    watches_ = std::move(other.watches_);
-  }
-  return *this;
-}
+PhysicalMemory::~PhysicalMemory() { munmap(data_, MappedLength(size_)); }
 
 Result<Bytes> PhysicalMemory::Read(uint64_t addr, size_t len) const {
   if (!InBounds(addr, len)) {

@@ -23,8 +23,6 @@ class PhysicalMemory {
  public:
   explicit PhysicalMemory(size_t size_bytes);
   ~PhysicalMemory();
-  PhysicalMemory(PhysicalMemory&& other) noexcept;
-  PhysicalMemory& operator=(PhysicalMemory&& other) noexcept;
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
@@ -57,7 +55,7 @@ class PhysicalMemory {
 
   void MarkWatches(uint64_t addr, size_t len);
 
-  uint8_t* data_ = nullptr;  // mmap'd; null only once moved from.
+  uint8_t* data_;  // mmap'd for the object's whole life.
   size_t size_ = 0;
   std::vector<Watch> watches_;
 };

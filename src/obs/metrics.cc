@@ -64,7 +64,6 @@ constexpr MetricDef kCounterDefs[static_cast<size_t>(Ctr::kCount)] = {
      "Crash recoveries that refused to serve any state (staged version ahead of the counter)"},
     {"dma_blocked_total", "count", "DMA accesses refused by the Device Exclusion Vector"},
     {"power_cuts_total", "count", "Simulated power losses (RAM erased, TPM reset line fired)"},
-    {"warm_resets_total", "count", "Simulated warm resets (RAM preserved, TPM reset line fired)"},
     {"fleet_sessions_total", "count",
      "Attestation rounds completed and verified by the fleet simulation's verifier farm"},
     {"fleet_rounds_failed_total", "count",

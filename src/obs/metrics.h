@@ -64,7 +64,6 @@ enum class Ctr : int {
   kSealRecoverFailClosed,
   kDmaBlocked,
   kPowerCuts,
-  kWarmResets,
   kFleetSessions,
   kFleetRoundsFailed,
   kVtpmQuotes,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <ostream>
-#include <sstream>
 
 namespace flicker {
 namespace obs {
@@ -230,8 +228,6 @@ std::string Tracer::ExportChromeTrace() const {
   out.append("\n]}\n");
   return out;
 }
-
-void Tracer::ExportChromeTrace(std::ostream& os) const { os << ExportChromeTrace(); }
 
 }  // namespace obs
 }  // namespace flicker

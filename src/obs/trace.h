@@ -39,7 +39,6 @@
 #define FLICKER_SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,7 +123,6 @@ class Tracer {
   // Chrome trace_event JSON, deterministic: events ordered by (start, id),
   // fixed float formatting, no host state. Loadable in chrome://tracing and
   // Perfetto.
-  void ExportChromeTrace(std::ostream& os) const;
   std::string ExportChromeTrace() const;
 
  private:

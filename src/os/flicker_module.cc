@@ -23,10 +23,6 @@ Status FlickerModule::WriteInputs(const Bytes& inputs) {
   return Status::Ok();
 }
 
-Result<Bytes> FlickerModule::ReadOutputs() const {
-  return outputs_;
-}
-
 Result<SkinitLaunch> FlickerModule::StartSession() {
   if (staged_slb_.empty()) {
     return FailedPreconditionError("no SLB staged; write the slb entry first");
@@ -116,12 +112,7 @@ Status FlickerModule::CollectOutputsAt(uint64_t base) {
   if (len + 4 > kSlbIoPageSize) {
     return InvalidArgumentError("corrupt I/O page length");
   }
-  Result<Bytes> outputs = machine_->GuestRead(bsp, base + kSlbOutputsOffset + 4, len);
-  if (!outputs.ok()) {
-    return outputs.status();
-  }
-  outputs_ = outputs.value();
-  return Status::Ok();
+  return machine_->GuestRead(bsp, base + kSlbOutputsOffset + 4, len).status();
 }
 
 Status FlickerModule::FinishSession() {
@@ -130,12 +121,9 @@ Status FlickerModule::FinishSession() {
   }
   session_prepared_ = false;
 
-  // Collect outputs from the well-known page into the sysfs buffer.
-  Result<Bytes> outputs = ReadIoPage(*machine_->memory(), kSlbFixedBase + kSlbOutputsOffset);
-  if (!outputs.ok()) {
-    return outputs.status();
-  }
-  outputs_ = outputs.value();
+  // The well-known output page must parse; a corrupt one fails teardown.
+  FLICKER_RETURN_IF_ERROR(
+      ReadIoPage(*machine_->memory(), kSlbFixedBase + kSlbOutputsOffset).status());
 
   // Wake the APs and resume multiprocessing.
   FLICKER_RETURN_IF_ERROR(scheduler_->RestoreAps());

@@ -1,9 +1,10 @@
 // The flicker-module: the untrusted Linux kernel module that stages Flicker
 // sessions (paper §4.1-4.2).
 //
-// It exposes the four sysfs entries (slb / inputs / outputs / control),
-// allocates and patches the SLB, saves kernel state, performs the
-// multiprocessor suspend dance, and issues SKINIT. It is deliberately NOT
+// It exposes the slb / inputs / control sysfs entries (callers take the
+// outputs from the session result, not the outputs entry), allocates and
+// patches the SLB, saves kernel state, performs the multiprocessor suspend
+// dance, and issues SKINIT. It is deliberately NOT
 // in the TCB: everything it does is either measured (the patched SLB) or
 // verified (PCR 17 contents), and tests exercise malicious variants.
 
@@ -27,8 +28,6 @@ class FlickerModule {
   Status WriteSlb(const Bytes& image);
   // sysfs "inputs": stage PAL input parameters (up to one 4 KB page).
   Status WriteInputs(const Bytes& inputs);
-  // sysfs "outputs": read back the previous session's outputs.
-  Result<Bytes> ReadOutputs() const;
 
   // sysfs "control": run the untrusted pre-launch sequence - patch the SLB
   // for its load address, copy it and the inputs into the reserved region,
@@ -36,9 +35,8 @@ class FlickerModule {
   // Returns the launch descriptor the (trusted) SLB core runs from.
   Result<SkinitLaunch> StartSession();
 
-  // Post-session teardown: collect outputs from the well-known page, wake
-  // the APs, resume scheduling. `record_outputs` mirrors the real module's
-  // copy from the output page into its sysfs buffer.
+  // Post-session teardown: check the well-known output page, wake the APs,
+  // resume scheduling.
   Status FinishSession();
 
   uint64_t slb_base() const { return kSlbFixedBase; }
@@ -50,8 +48,8 @@ class FlickerModule {
   // writes go through the guest-access path, so staging into a frame the
   // hypervisor protects takes a nested page fault instead of succeeding.
   Status StageForHypervisorAt(uint64_t base);
-  // Reads the session outputs back from `base`'s output page into the
-  // sysfs buffer (also via the guest-access path).
+  // Reads the session outputs back from `base`'s output page (also via the
+  // guest-access path), failing on a corrupt page.
   Status CollectOutputsAt(uint64_t base);
 
   // ---- Adversary hook ----
@@ -67,7 +65,6 @@ class FlickerModule {
 
   Bytes staged_slb_;
   Bytes staged_inputs_;
-  Bytes outputs_;
   bool session_prepared_ = false;
   bool corrupt_slb_before_launch_ = false;
 };

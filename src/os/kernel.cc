@@ -82,10 +82,6 @@ OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
   machine_->bsp()->cr3 = cr3_;
 }
 
-std::vector<KernelRegion> OsKernel::MeasuredRegions() const {
-  return regions_;
-}
-
 Bytes OsKernel::SerializeRegions() const {
   Bytes out;
   PutUint32(&out, static_cast<uint32_t>(regions_.size()));

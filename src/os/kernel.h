@@ -41,10 +41,8 @@ class OsKernel {
   // Writes the synthetic kernel images into machine memory.
   OsKernel(Machine* machine, const KernelConfig& config = KernelConfig());
 
-  // The regions an integrity measurement covers, in measurement order.
-  std::vector<KernelRegion> MeasuredRegions() const;
-
-  // Serialized region list, the input format of the rootkit-detector PAL.
+  // The regions an integrity measurement covers, in measurement order,
+  // serialized: the input format of the rootkit-detector PAL.
   Bytes SerializeRegions() const;
   static Result<std::vector<KernelRegion>> DeserializeRegions(const Bytes& data);
 

@@ -2,48 +2,10 @@
 
 namespace flicker {
 
-Scheduler::Scheduler(Machine* machine)
-    : machine_(machine), runqueues_(static_cast<size_t>(machine->num_cpus())) {}
-
-Status Scheduler::Spawn(int cpu, OsTask task) {
-  if (cpu < 0 || cpu >= machine_->num_cpus()) {
-    return InvalidArgumentError("CPU index out of range");
-  }
-  if (machine_->cpu(cpu)->state == CpuState::kInit) {
-    return FailedPreconditionError("cannot schedule onto a parked CPU");
-  }
-  runqueues_[static_cast<size_t>(cpu)].push_back(std::move(task));
-  machine_->cpu(cpu)->state = CpuState::kRunning;
-  return Status::Ok();
-}
-
-void Scheduler::RunFor(double ms) {
-  for (size_t cpu = 0; cpu < runqueues_.size(); ++cpu) {
-    if (machine_->cpu(static_cast<int>(cpu))->state != CpuState::kRunning) {
-      continue;
-    }
-    double budget = ms;
-    auto& queue = runqueues_[cpu];
-    while (budget > 0 && !queue.empty()) {
-      OsTask& task = queue.front();
-      double slice = task.remaining_ms < budget ? task.remaining_ms : budget;
-      task.remaining_ms -= slice;
-      budget -= slice;
-      completed_ms_ += slice;
-      if (task.remaining_ms <= 0) {
-        queue.erase(queue.begin());
-      }
-    }
-  }
-  machine_->clock()->AdvanceMillis(ms);
-}
+void Scheduler::RunFor(double ms) { machine_->clock()->AdvanceMillis(ms); }
 
 Status Scheduler::DescheduleAps() {
   for (int cpu = 1; cpu < machine_->num_cpus(); ++cpu) {
-    auto& queue = runqueues_[static_cast<size_t>(cpu)];
-    auto& bsp_queue = runqueues_[0];
-    bsp_queue.insert(bsp_queue.end(), queue.begin(), queue.end());
-    queue.clear();
     machine_->cpu(cpu)->state = CpuState::kIdle;
   }
   return Status::Ok();
@@ -58,19 +20,6 @@ Status Scheduler::RestoreAps() {
     }
   }
   return Status::Ok();
-}
-
-bool Scheduler::ApsIdle() const {
-  for (int cpu = 1; cpu < machine_->num_cpus(); ++cpu) {
-    if (machine_->cpu(cpu)->state == CpuState::kRunning) {
-      return false;
-    }
-  }
-  return true;
-}
-
-size_t Scheduler::QueueDepth(int cpu) const {
-  return runqueues_[static_cast<size_t>(cpu)].size();
 }
 
 }  // namespace flicker

@@ -1,53 +1,33 @@
 // Process scheduling and CPU hotplug.
 //
 // The only scheduling behaviour Flicker depends on is the §4.2 suspend
-// sequence: CPU-hotplug deschedules every Application Processor (migrating
-// its runnable tasks to the BSP) so the flicker-module can park the APs with
-// INIT IPIs before SKINIT.
+// sequence: CPU-hotplug deschedules every Application Processor so the
+// flicker-module can park the APs with INIT IPIs before SKINIT. No task is
+// ever modelled, so there are no run queues.
 
 #ifndef FLICKER_SRC_OS_SCHEDULER_H_
 #define FLICKER_SRC_OS_SCHEDULER_H_
-
-#include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/hw/machine.h"
 
 namespace flicker {
 
-struct OsTask {
-  std::string name;
-  double remaining_ms = 0;
-};
-
 class Scheduler {
  public:
-  explicit Scheduler(Machine* machine);
+  explicit Scheduler(Machine* machine) : machine_(machine) {}
 
-  // Enqueues a task on a CPU's runqueue; the CPU becomes busy.
-  Status Spawn(int cpu, OsTask task);
-
-  // Runs every CPU's queue for `ms` of simulated time (round-robin within a
-  // queue), advancing the platform clock once.
+  // The OS runs for `ms` of simulated time between sessions.
   void RunFor(double ms);
 
-  // CPU hotplug offline: migrate AP runqueues to the BSP and mark APs idle,
-  // so they can accept INIT IPIs.
+  // CPU hotplug offline: mark the APs idle, so they can accept INIT IPIs.
   Status DescheduleAps();
 
-  // Post-session: send Startup IPIs and rebalance nothing (tasks stay on the
-  // BSP; a real kernel rebalances lazily).
+  // Post-session: send Startup IPIs to parked APs, resume the idle ones.
   Status RestoreAps();
-
-  bool ApsIdle() const;
-  size_t QueueDepth(int cpu) const;
-  double TotalCompletedMs() const { return completed_ms_; }
 
  private:
   Machine* machine_;
-  std::vector<std::vector<OsTask>> runqueues_;
-  double completed_ms_ = 0;
 };
 
 }  // namespace flicker

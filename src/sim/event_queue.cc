@@ -41,18 +41,6 @@ void EventQueue::DropDeadTop() {
   }
 }
 
-bool EventQueue::PeekTime(uint64_t* at_ns) const {
-  // Dead entries may sit on top; scan past them without mutating (const).
-  // The heap top is the earliest entry, dead or not, and a dead entry can
-  // only hide later events, so the first live scan result is exact.
-  const_cast<EventQueue*>(this)->DropDeadTop();
-  if (heap_.empty()) {
-    return false;
-  }
-  *at_ns = heap_.front().at_ns;
-  return true;
-}
-
 ScheduledEvent EventQueue::Pop() {
   DropDeadTop();
   HeapEntry top = heap_.front();

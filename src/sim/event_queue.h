@@ -49,8 +49,6 @@ class EventQueue {
 
   bool empty() const { return live_count_ == 0; }
   size_t size() const { return live_count_; }
-  // Earliest pending event time; false when the queue is empty.
-  bool PeekTime(uint64_t* at_ns) const;
   // Pops the earliest live event. Caller must check !empty() first.
   ScheduledEvent Pop();
 

@@ -68,12 +68,5 @@ void SimExecutor::Run() {
   }
 }
 
-void SimExecutor::RunUntil(uint64_t horizon_ns) {
-  uint64_t next_ns = 0;
-  while (queue_.PeekTime(&next_ns) && next_ns <= horizon_ns) {
-    Dispatch(queue_.Pop());
-  }
-}
-
 }  // namespace sim
 }  // namespace flicker

@@ -71,8 +71,6 @@ class SimExecutor {
   bool Step();
   // Runs until the heap drains.
   void Run();
-  // Runs until the heap drains or the next event lies beyond `horizon_ns`.
-  void RunUntil(uint64_t horizon_ns);
 
   // ---- Introspection / determinism ----
   uint64_t events_processed() const { return events_processed_; }

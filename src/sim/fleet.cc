@@ -199,10 +199,6 @@ const FleetVerifierFault* Fleet::ActiveVerifierFault(int verifier, uint64_t at_n
   return nullptr;
 }
 
-const Bytes& Fleet::machine_session_nonce(int machine) const {
-  return machines_[static_cast<size_t>(machine)]->session_nonce;
-}
-
 Status Fleet::BootstrapMachine(FleetMachine* machine) {
   SlbCoreOptions options;
   options.nonce = DeriveNonce("fleet-bootstrap", static_cast<uint64_t>(machine->id),

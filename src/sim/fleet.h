@@ -261,9 +261,6 @@ class Fleet {
   // The injection epoch: the latest machine-local bootstrap completion, the
   // zero point for arrivals, partitions and power cuts.
   uint64_t epoch_ns() const { return epoch_ns_; }
-  // The machine's current PCR 17 expectation inputs (bootstrap or latest
-  // refresh); exposed for tests.
-  const Bytes& machine_session_nonce(int machine) const;
 
  private:
   struct PendingWire {

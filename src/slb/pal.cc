@@ -45,15 +45,6 @@ Result<Bytes> PalContext::ReadMemory(uint64_t addr, size_t len) {
   return machine_->memory()->Read(addr, len);
 }
 
-Status PalContext::WriteMemory(uint64_t addr, const Bytes& data) {
-  FLICKER_RETURN_IF_ERROR(CheckDeadline());
-  if (os_protection_enabled_ && !pal_segment_.Contains(addr, data.size())) {
-    ++fault_count_;
-    return PermissionDeniedError("PAL memory write outside its segment (ring-3 fault)");
-  }
-  return machine_->memory()->Write(addr, data);
-}
-
 void PalContext::ChargeSha1(size_t bytes) {
   machine_->clock()->AdvanceMillis(machine_->timing().Sha1Millis(bytes));
 }
@@ -77,10 +68,6 @@ void PalContext::ChargeMd5Crypt() {
 void PalContext::ChargeDivisorTests(uint64_t count) {
   machine_->clock()->AdvanceMillis(static_cast<double>(count) /
                                    machine_->timing().cpu.divisor_tests_per_ms);
-}
-
-void PalContext::ChargeMillis(double ms) {
-  machine_->clock()->AdvanceMillis(ms);
 }
 
 }  // namespace flicker

@@ -44,11 +44,10 @@ class PalContext {
   // commands cross the byte-marshalled transport at the session's locality.
   TpmClient* tpm() { return machine_->tpm(); }
 
-  // Physical memory access. With the OS Protection module linked, accesses
-  // outside the PAL's allocated segment fault with kPermissionDenied - this
+  // Physical memory reads. With the OS Protection module linked, a read
+  // outside the PAL's allocated segment faults with kPermissionDenied - this
   // is the ring-3 + segment-limit enforcement of §5.1.2.
   Result<Bytes> ReadMemory(uint64_t addr, size_t len);
-  Status WriteMemory(uint64_t addr, const Bytes& data);
 
   // Simulated-compute charging: PAL bodies call these so their work shows up
   // on the platform clock with the paper's calibrated costs.
@@ -58,7 +57,6 @@ class PalContext {
   void ChargeRsaSign1024();
   void ChargeMd5Crypt();
   void ChargeDivisorTests(uint64_t count);
-  void ChargeMillis(double ms);
 
   const SimClock* clock() const { return machine_->clock(); }
   uint64_t slb_base() const { return slb_base_; }

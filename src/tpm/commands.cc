@@ -84,7 +84,6 @@ const char* TpmOrdinalName(uint32_t ordinal) {
     case kOrdOiap: return "TPM_ORD_OIAP";
     case kOrdTakeOwnership: return "TPM_ORD_TakeOwnership";
     case kOrdExtend: return "TPM_ORD_Extend";
-    case kOrdSelfTestFull: return "TPM_ORD_SelfTestFull";
     case kOrdGetTestResult: return "TPM_ORD_GetTestResult";
     case kOrdSaveState: return "TPM_ORD_SaveState";
     case kOrdStartup: return "TPM_ORD_Startup";
@@ -307,12 +306,6 @@ Bytes BuildNvWrite(uint32_t index, const Bytes& data) {
   return BuildCommandFrame(kTagRequest, kOrdNvWriteValue, w.Take());
 }
 
-Bytes BuildNvRead(uint32_t index) {
-  Writer w;
-  w.U32(index);
-  return BuildCommandFrame(kTagRequest, kOrdNvReadValue, w.Take());
-}
-
 Bytes BuildCreateCounter(const Bytes& counter_auth, const CommandAuth& auth) {
   Writer w;
   w.Blob(counter_auth);
@@ -346,8 +339,6 @@ Bytes BuildStartup(TpmStartupType type) {
 }
 
 Bytes BuildSaveState() { return BuildCommandFrame(kTagRequest, kOrdSaveState, Bytes()); }
-
-Bytes BuildSelfTestFull() { return BuildCommandFrame(kTagRequest, kOrdSelfTestFull, Bytes()); }
 
 Bytes BuildGetTestResult() { return BuildCommandFrame(kTagRequest, kOrdGetTestResult, Bytes()); }
 
@@ -633,12 +624,6 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
         return malformed();
       }
       return respond(tpm->SaveState());
-    }
-    case kOrdSelfTestFull: {
-      if (!r.AtEnd()) {
-        return malformed();
-      }
-      return respond(tpm->SelfTestFull());
     }
     case kOrdGetTestResult: {
       if (!r.AtEnd()) {

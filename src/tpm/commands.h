@@ -47,7 +47,6 @@ enum TpmOrdinal : uint32_t {
   kOrdSeal = 0x00000017,
   kOrdUnseal = 0x00000018,
   kOrdGetRandom = 0x00000046,
-  kOrdSelfTestFull = 0x00000050,
   kOrdGetTestResult = 0x00000054,
   kOrdTerminateHandle = 0x00000096,
   kOrdSaveState = 0x00000098,
@@ -130,14 +129,12 @@ Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_s
                          const PcrSelection& write_selection,
                          const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth);
 Bytes BuildNvWrite(uint32_t index, const Bytes& data);
-Bytes BuildNvRead(uint32_t index);
 Bytes BuildCreateCounter(const Bytes& counter_auth, const CommandAuth& auth);
 Bytes BuildIncrementCounter(uint32_t id, const Bytes& counter_auth);
 Bytes BuildReadCounter(uint32_t id);
 Bytes BuildTakeOwnership(const Bytes& owner_auth);
 Bytes BuildStartup(TpmStartupType type);
 Bytes BuildSaveState();
-Bytes BuildSelfTestFull();
 Bytes BuildGetTestResult();
 Bytes BuildGetPubKey(bool srk);
 

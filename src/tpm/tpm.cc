@@ -170,18 +170,6 @@ Status Tpm::SaveState() {
   return Status::Ok();
 }
 
-Status Tpm::SelfTestFull() {
-  if (lifecycle_ == TpmLifecycleState::kNeedStartup) {
-    return FailedPreconditionError("TPM_Init: TPM_Startup required");
-  }
-  if (self_test_result_ != kTpmTestPassed) {
-    lifecycle_ = TpmLifecycleState::kFailed;
-    return TpmFailedError("TPM self test failed");
-  }
-  lifecycle_ = TpmLifecycleState::kOperational;
-  return Status::Ok();
-}
-
 Bytes Tpm::GetRandom(size_t len) {
   Charge(profile_.get_random_ms);
   return rng_.Generate(std::min(len, kMaxRandomBytes));

@@ -112,10 +112,6 @@ class Tpm {
   // resurrect a Flicker session's PCR 17 value.
   Status SaveState();
 
-  // TPM_SelfTestFull: re-runs the self test; enters (or confirms) failure
-  // mode when the hardware fault flag is set.
-  Status SelfTestFull();
-
   // TPM_GetTestResult: answers in every lifecycle state. kTpmTestPassed (0)
   // means healthy.
   uint32_t GetTestResult() const { return self_test_result_; }

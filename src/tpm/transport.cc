@@ -279,14 +279,6 @@ Status TpmClient::NvWrite(uint32_t index, const Bytes& data) {
   return payload.ok() ? Status::Ok() : payload.status();
 }
 
-Result<Bytes> TpmClient::NvRead(uint32_t index) {
-  Result<Bytes> payload = Roundtrip(BuildNvRead(index));
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  return ParseBlobPayload(payload.value());
-}
-
 Result<uint32_t> TpmClient::CreateCounter(const Bytes& counter_auth, const CommandAuth& auth) {
   Result<Bytes> payload = Roundtrip(BuildCreateCounter(counter_auth, auth));
   if (!payload.ok()) {
@@ -326,11 +318,6 @@ Result<TpmStartupReport> TpmClient::Startup(TpmStartupType type) {
 
 Status TpmClient::SaveState() {
   Result<Bytes> payload = Roundtrip(BuildSaveState());
-  return payload.ok() ? Status::Ok() : payload.status();
-}
-
-Status TpmClient::SelfTestFull() {
-  Result<Bytes> payload = Roundtrip(BuildSelfTestFull());
   return payload.ok() ? Status::Ok() : payload.status();
 }
 

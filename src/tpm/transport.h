@@ -75,7 +75,7 @@ class TpmTransport {
     void ExtendIdentityPcr(const Bytes& measurement);
     // TPM_Init alone: volatile state is lost and the device demands a
     // TPM_Startup before accepting further commands. This is the reset-line
-    // event the power domain pulls on PowerCut/WarmReset.
+    // event the power domain pulls on PowerCut.
     void Init();
     // Legacy reset: TPM_Init plus the BIOS's automatic TPM_Startup(ST_CLEAR),
     // preserving the pre-lifecycle Reboot contract.
@@ -144,7 +144,6 @@ class TpmClient {
                        const std::map<int, Bytes>& read_pcrs, const PcrSelection& write_selection,
                        const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth);
   Status NvWrite(uint32_t index, const Bytes& data);
-  Result<Bytes> NvRead(uint32_t index);
 
   Result<uint32_t> CreateCounter(const Bytes& counter_auth, const CommandAuth& auth);
   Result<uint64_t> IncrementCounter(uint32_t id, const Bytes& counter_auth);
@@ -155,7 +154,6 @@ class TpmClient {
   // ---- Lifecycle (TPM_Startup family) ----
   Result<TpmStartupReport> Startup(TpmStartupType type);
   Status SaveState();
-  Status SelfTestFull();
   Result<uint32_t> GetTestResult();
 
   // Fetched over the wire once at construction (a capability read; free).

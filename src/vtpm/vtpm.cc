@@ -1,6 +1,5 @@
 #include "src/vtpm/vtpm.h"
 
-#include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 
 namespace flicker {
@@ -19,23 +18,12 @@ Status VirtualTpm::Extend(int index, const Bytes& measurement) {
   return Status::Ok();
 }
 
-Result<Bytes> VirtualTpm::PcrRead(int index) const {
-  if (index < 0 || index >= kNumVtpmPcrs) {
-    return InvalidArgumentError("vPCR index out of range");
-  }
-  return state_.pcrs[static_cast<size_t>(index)];
-}
-
 Bytes VirtualTpm::CompositeDigest() const {
   Sha1 hash;
   for (const Bytes& pcr : state_.pcrs) {
     hash.Update(pcr);
   }
   return hash.Finish();
-}
-
-Bytes VirtualTpm::DeriveKey(const std::string& label) const {
-  return HmacSha1(state_.key_seed, BytesOf(label));
 }
 
 bool VirtualTpm::CheckOwnerAuth(const Bytes& auth) const {

@@ -28,15 +28,9 @@ class VirtualTpm {
 
   // vPCR extend with hardware semantics: new = SHA1(old || measurement).
   Status Extend(int index, const Bytes& measurement);
-  Result<Bytes> PcrRead(int index) const;
 
   // SHA-1 over the concatenated vPCR bank: what a tenant quote covers.
   Bytes CompositeDigest() const;
-
-  // Tenant key hierarchy: HMAC-SHA1(key_seed, label). Deterministic per
-  // (snapshot, label), so a rolled-back snapshot would re-derive old keys -
-  // which is precisely what the counter binding exists to prevent.
-  Bytes DeriveKey(const std::string& label) const;
 
   // Constant-time owner-auth gate for tenant operations.
   bool CheckOwnerAuth(const Bytes& auth) const;

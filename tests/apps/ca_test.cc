@@ -150,6 +150,15 @@ TEST(CaPolicyTest, SerializationRoundTrip) {
   EXPECT_FALSE(CaPolicy::Deserialize(Bytes(2, 9)).ok());
 }
 
+TEST(CaPolicyTest, SuffixCountIsCapped) {
+  CaPolicy policy;
+  policy.allowed_suffixes.assign(kMaxCaPolicySuffixes, ".example.org");
+  EXPECT_TRUE(CaPolicy::Deserialize(policy.Serialize()).ok());
+  policy.allowed_suffixes.push_back(".example.net");
+  EXPECT_EQ(CaPolicy::Deserialize(policy.Serialize()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CertificateTest, SerializationRoundTrip) {
   Certificate cert;
   cert.serial = 42;

@@ -2,6 +2,7 @@
 // many sessions, MAC-protected state, tamper detection, overhead accounting.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,18 @@
 
 namespace flicker {
 namespace {
+
+// Ground truth by trial division: the divisors of the unit's composite
+// below its search limit.
+std::vector<uint64_t> Divisors(const FactorWorkUnit& unit) {
+  std::vector<uint64_t> out;
+  for (uint64_t d = 2; d < unit.search_limit; ++d) {
+    if (unit.composite % d == 0) {
+      out.push_back(d);
+    }
+  }
+  return out;
+}
 
 class DistributedTest : public ::testing::Test {
  protected:
@@ -39,7 +52,7 @@ TEST_F(DistributedTest, FactorsSmallCompositeAcrossSessions) {
   BoincClient::RunStats stats = client_.Process(unit, /*slice_ms=*/50);
   ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
   EXPECT_GT(stats.sessions, 1);  // 40000 candidates at 181/ms needs >1 50 ms slice.
-  EXPECT_EQ(stats.divisors, BoincServer::ReferenceFactors(unit));
+  EXPECT_EQ(stats.divisors, Divisors(unit));
 }
 
 TEST_F(DistributedTest, SingleSessionWhenSliceLargeEnough) {
@@ -171,7 +184,7 @@ TEST_F(DistributedTest, ServerVerifiesAttestedResult) {
   Result<std::vector<uint64_t>> verified =
       server.VerifyResult(binary_, submission.value(), cert, ca.public_key(), nonce);
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
-  EXPECT_EQ(verified.value(), BoincServer::ReferenceFactors(unit));
+  EXPECT_EQ(verified.value(), Divisors(unit));
 }
 
 TEST_F(DistributedTest, ServerRejectsForgedResult) {
@@ -242,7 +255,7 @@ TEST(BoincFleetTest, ServerAcceptsResultsFromMultipleVolunteers) {
     Result<std::vector<uint64_t>> verified =
         server.VerifyResult(binary, submission.value(), cert, ca.public_key(), nonce);
     ASSERT_TRUE(verified.ok()) << volunteer << ": " << verified.status().ToString();
-    EXPECT_EQ(verified.value(), BoincServer::ReferenceFactors(unit)) << volunteer;
+    EXPECT_EQ(verified.value(), Divisors(unit)) << volunteer;
   }
 }
 
@@ -287,13 +300,6 @@ TEST(FactorStateTest, SerializationRoundTrip) {
   EXPECT_EQ(back.value().next_divisor, state.next_divisor);
   EXPECT_EQ(back.value().found, state.found);
   EXPECT_FALSE(FactorState::Deserialize(Bytes(5, 0)).ok());
-}
-
-TEST(BoincServerTest, ReferenceFactorsCorrect) {
-  BoincServer server;
-  FactorWorkUnit unit = server.CreateWorkUnit(100);
-  unit.search_limit = 101;
-  EXPECT_EQ(BoincServer::ReferenceFactors(unit), (std::vector<uint64_t>{2, 4, 5, 10, 20, 25, 50, 100}));
 }
 
 }  // namespace

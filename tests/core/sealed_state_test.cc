@@ -145,113 +145,5 @@ TEST_F(CrashStoreTest, ImpossibleStagedVersionFailsClosed) {
   EXPECT_EQ(lost.status().code(), StatusCode::kReplayDetected);
 }
 
-// ---- §4.3.2 NV-counter variant under NV write faults ----
-
-class NvFaultTest : public ::testing::Test {
- protected:
-  NvFaultTest() {
-    owner_auth_ = Sha1::Digest(BytesOf("owner"));
-    EXPECT_TRUE(platform_.tpm()->TakeOwnership(owner_auth_).ok());
-    blob_auth_ = Sha1::Digest(BytesOf("blob"));
-    // Gate the NV space on the CURRENT PCR 17 so the test can play the role
-    // of the PAL without a session; platform_test covers the PAL gating.
-    current_pcr_ = platform_.tpm()->PcrRead(kSkinitPcr).value();
-    Result<NvReplayProtectedStorage> provisioned =
-        NvReplayProtectedStorage::Provision(platform_.tpm(), kNvIndex, current_pcr_, owner_auth_);
-    EXPECT_TRUE(provisioned.ok());
-  }
-
-  // A failing assertion prints the run's trace: every TPM command with its
-  // locality and return code.
-  void TearDown() override {
-    if (HasFailure()) {
-      std::cerr << tracer_.ExportChromeTrace();
-    }
-  }
-
-  static constexpr uint32_t kNvIndex = 51;
-
-  FlickerPlatform platform_;
-  obs::ScopedTracer tracer_{platform_.clock()};
-  Bytes owner_auth_;
-  Bytes blob_auth_;
-  Bytes current_pcr_;
-};
-
-TEST_F(NvFaultTest, GarbledNvCounterWriteNeverAdmitsStaleBlob) {
-  NvReplayProtectedStorage storage(platform_.tpm(), kNvIndex);
-  Result<SealedBlob> v1 = storage.Seal(BytesOf("db-v1"), current_pcr_, blob_auth_);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_EQ(storage.Unseal(v1.value(), blob_auth_).value(), BytesOf("db-v1"));
-
-  // Garble the NV counter write on the wire. Seal's second frame is the
-  // NvWrite (the first is the counter read), and every_n counts cumulative
-  // transmits, so aim the single garble exactly there.
-  FaultPlan plan;
-  plan.kind = FaultPlan::Kind::kGarble;
-  plan.every_n = platform_.machine()->tpm_transport()->total_commands() + 2;
-  platform_.machine()->tpm_transport()->set_fault_plan(plan);
-  Result<SealedBlob> v2 = storage.Seal(BytesOf("db-v2"), current_pcr_, blob_auth_);
-  platform_.machine()->tpm_transport()->set_fault_plan(FaultPlan());
-
-  // Whatever the garbled write produced, no blob unseals against it as
-  // stale data: v1's embedded version no longer matches, and if the seal
-  // completed, v2's version was computed before the garble and cannot match
-  // either. The failure is always closed (kReplayDetected), never stale.
-  Result<Bytes> replay = storage.Unseal(v1.value(), blob_auth_);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kReplayDetected);
-  if (v2.ok()) {
-    Result<Bytes> current = storage.Unseal(v2.value(), blob_auth_);
-    if (current.ok()) {
-      EXPECT_EQ(current.value(), BytesOf("db-v2"));
-    } else {
-      EXPECT_EQ(current.status().code(), StatusCode::kReplayDetected);
-    }
-  }
-}
-
-TEST_F(NvFaultTest, TornNvCounterWriteRepairedByStartupReplay) {
-  NvReplayProtectedStorage storage(platform_.tpm(), kNvIndex);
-  Result<SealedBlob> v1 = storage.Seal(BytesOf("db-v1"), current_pcr_, blob_auth_);
-  ASSERT_TRUE(v1.ok());
-
-  // Power fails mid-apply of the counter write inside the next Seal: the NV
-  // space holds a torn half-write and the journal a committed record.
-  CrashPlan plan;
-  plan.crash_at_hit = 1;
-  plan.only_point = "tpm.nv_write.apply";
-  FaultScheduler* scheduler = platform_.machine()->fault_scheduler();
-  scheduler->Arm(plan);
-  bool crashed = false;
-  {
-    FaultInjectionScope scope(scheduler);
-    try {
-      (void)storage.Seal(BytesOf("db-v2"), current_pcr_, blob_auth_);
-    } catch (const PowerLossException&) {
-      crashed = true;
-    }
-  }
-  ASSERT_TRUE(crashed);
-
-  // Recovery: warm reset + TPM_Startup replays the journal, completing the
-  // counter write the crash tore.
-  platform_.machine()->WarmReset();
-  Result<TpmStartupReport> report = platform_.tpm()->Startup(TpmStartupType::kClear);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().journal_rolled_forward);
-
-  // The counter reached the new generation, so the old blob reads as stale
-  // (fail closed) - it is never accepted as current.
-  Result<Bytes> replay = storage.Unseal(v1.value(), blob_auth_);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kReplayDetected);
-
-  // A fresh generation sealed after recovery works normally.
-  Result<SealedBlob> v3 = storage.Seal(BytesOf("db-v3"), current_pcr_, blob_auth_);
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(storage.Unseal(v3.value(), blob_auth_).value(), BytesOf("db-v3"));
-}
-
 }  // namespace
 }  // namespace flicker

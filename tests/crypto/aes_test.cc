@@ -96,30 +96,6 @@ TEST(AesTest, CbcDifferentIvDifferentCiphertext) {
   EXPECT_NE(aes.EncryptCbc(pt, iv1), aes.EncryptCbc(pt, iv2));
 }
 
-TEST(AesTest, CtrRoundTrip) {
-  Aes aes(Hex("000102030405060708090a0b0c0d0e0f"));
-  Bytes nonce(16, 0x77);
-  Bytes pt = BytesOf("counter mode handles arbitrary lengths, like this 51-byte string!");
-  Bytes ct = aes.CryptCtr(pt, nonce);
-  EXPECT_EQ(ct.size(), pt.size());
-  EXPECT_NE(ct, pt);
-  EXPECT_EQ(aes.CryptCtr(ct, nonce), pt);
-}
-
-TEST(AesTest, CtrCounterIncrementCrossesByteBoundary) {
-  Aes aes(Hex("000102030405060708090a0b0c0d0e0f"));
-  Bytes nonce(16, 0xff);  // Will wrap several counter bytes.
-  Bytes pt(64, 0);
-  Bytes ct = aes.CryptCtr(pt, nonce);
-  // Keystream blocks must all differ (counter actually advanced).
-  Bytes b0(ct.begin(), ct.begin() + 16);
-  Bytes b1(ct.begin() + 16, ct.begin() + 32);
-  Bytes b2(ct.begin() + 32, ct.begin() + 48);
-  EXPECT_NE(b0, b1);
-  EXPECT_NE(b1, b2);
-  EXPECT_EQ(aes.CryptCtr(ct, nonce), pt);
-}
-
 TEST(AesTest, RandomizedRoundTripSweep) {
   Drbg rng(2024);
   for (int trial = 0; trial < 50; ++trial) {

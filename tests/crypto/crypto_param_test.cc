@@ -38,7 +38,11 @@ TEST_P(HashChunkingTest, AllHashesChunkIndependent) {
   };
   check([] { return Sha1(); }, [](const Bytes& m) { return Sha1::Digest(m); });
   check([] { return Sha256(); }, [](const Bytes& m) { return Sha256::Digest(m); });
-  check([] { return Md5(); }, [](const Bytes& m) { return Md5::Digest(m); });
+  check([] { return Md5(); }, [](const Bytes& m) {
+    Md5 h;
+    h.Update(m);
+    return h.Finish();
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, HashChunkingTest,
@@ -64,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(Bits, AvalancheTest, ::testing::Values(0, 7, 64, 255, 5
 
 class AesSweepTest : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
-TEST_P(AesSweepTest, CbcAndCtrRoundTrip) {
+TEST_P(AesSweepTest, CbcRoundTrip) {
   auto [key_bytes, payload_len] = GetParam();
   Drbg rng(key_bytes * 1000 + payload_len);
   Aes aes(rng.Generate(key_bytes));
@@ -74,7 +78,6 @@ TEST_P(AesSweepTest, CbcAndCtrRoundTrip) {
   Result<Bytes> cbc = aes.DecryptCbc(aes.EncryptCbc(payload, iv), iv);
   ASSERT_TRUE(cbc.ok());
   EXPECT_EQ(cbc.value(), payload);
-  EXPECT_EQ(aes.CryptCtr(aes.CryptCtr(payload, iv), iv), payload);
 }
 
 INSTANTIATE_TEST_SUITE_P(KeysAndLengths, AesSweepTest,

@@ -46,13 +46,6 @@ TEST(DrbgTest, SplitCallsDifferFromOneCall) {
   EXPECT_EQ(rng.Generate(1).size(), 1u);
 }
 
-TEST(DrbgTest, ReseedChangesStream) {
-  Drbg a(9);
-  Drbg b(9);
-  b.Reseed(BytesOf("new entropy"));
-  EXPECT_NE(a.Generate(32), b.Generate(32));
-}
-
 TEST(DrbgTest, UniformRespectsBound) {
   Drbg rng(13);
   for (int i = 0; i < 200; ++i) {

@@ -30,23 +30,6 @@ TEST(Md5CryptTest, SaltTruncatedToEight) {
   EXPECT_EQ(Md5Crypt("pw", "123456789abc"), Md5Crypt("pw", "12345678"));
 }
 
-TEST(Md5CryptTest, VerifyAcceptsCorrectPassword) {
-  std::string crypt = Md5Crypt("hunter2", "deadbeef");
-  EXPECT_TRUE(Md5CryptVerify("hunter2", crypt));
-}
-
-TEST(Md5CryptTest, VerifyRejectsWrongPassword) {
-  std::string crypt = Md5Crypt("hunter2", "deadbeef");
-  EXPECT_FALSE(Md5CryptVerify("hunter3", crypt));
-  EXPECT_FALSE(Md5CryptVerify("", crypt));
-}
-
-TEST(Md5CryptTest, VerifyRejectsMalformedCryptString) {
-  EXPECT_FALSE(Md5CryptVerify("pw", "not-a-crypt-string"));
-  EXPECT_FALSE(Md5CryptVerify("pw", "$1$missingdollar"));
-  EXPECT_FALSE(Md5CryptVerify("pw", ""));
-}
-
 TEST(Md5CryptTest, DifferentSaltsDifferentHashes) {
   EXPECT_NE(Md5Crypt("same", "salt0001"), Md5Crypt("same", "salt0002"));
 }

@@ -236,9 +236,8 @@ TEST_F(HypervisorTest, EveryResetFlavourEvictsTheHypervisor) {
   FlickerPlatform platform(ConcurrentConfig());
   ASSERT_TRUE(platform.EnsureHypervisorResident().ok());
 
-  platform.machine()->WarmReset();
+  platform.machine()->Reboot();
   EXPECT_FALSE(platform.hypervisor()->resident());
-  ASSERT_TRUE(platform.tpm()->Startup(TpmStartupType::kClear).ok());
   ExpectDenied(platform.hypervisor(), hv::HvDenial::kNotLaunched,
                [&] { return platform.hypervisor()->HcStartSession(kSlbFixedBase); });
   ASSERT_TRUE(platform.EnsureHypervisorResident().ok());

@@ -28,7 +28,7 @@ class DmaTargetPal : public Pal {
   Status Execute(PalContext* context) override {
     // Write a secret into the SLB stack area.
     FLICKER_RETURN_IF_ERROR(
-        context->WriteMemory(context->slb_base() + kSlbStackOffset, BytesOf("pal-secret")));
+        machine_->memory()->Write(context->slb_base() + kSlbStackOffset, BytesOf("pal-secret")));
 
     // Mid-session, a compromised NIC tries to read and overwrite it by DMA.
     DmaDevice evil_nic(machine_, "evil-nic");
@@ -255,7 +255,7 @@ class RunawayPal : public Pal {
   Status Execute(PalContext* context) override {
     // An infinite loop, as seen by the platform clock.
     for (int i = 0; i < 1000000; ++i) {
-      context->ChargeMillis(100.0);
+      context->ChargeRsaKeygen1024();
       Status st = context->SetOutputs(BytesOf("still running"));
       if (!st.ok()) {
         return st;  // The SLB-core timer fired.
@@ -307,9 +307,12 @@ TEST(WatchdogTest, BudgetMustCoverTpmOperations) {
     }
     size_t app_code_bytes() const override { return 128; }
     Status Execute(PalContext* context) override {
-      // Unseal-scale TPM latency, then try to produce output.
+      // Unseal-scale latency (five 1024-bit key generations, ~0.93 s),
+      // then try to produce output.
       context->tpm()->GetRandom(16);
-      context->ChargeMillis(898.0);
+      for (int i = 0; i < 5; ++i) {
+        context->ChargeRsaKeygen1024();
+      }
       return context->SetOutputs(BytesOf("late result"));
     }
   };

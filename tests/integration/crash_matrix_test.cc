@@ -1,6 +1,6 @@
 // The crash matrix: sweep a power loss over every instrumented crash point
-// of a representative Flicker workload, for both reset kinds, and assert the
-// post-recovery invariants after each cell. This is the payoff test of the
+// of a representative Flicker workload and assert the post-recovery
+// invariants after each cell. This is the payoff test of the
 // fault-injection campaign: a correct stack survives every interleaving of
 // crash x recovery, and a deliberately mis-ordered seal protocol is caught.
 //
@@ -8,17 +8,17 @@
 // the hit sequence is deterministic):
 //   1. a full Flicker session (SKINIT -> PAL -> erase -> resume),
 //   2. a two-phase seal of a new generation,
-//   3. an NV-counter-protected seal,
+//   3. an NV write,
 //   4. TPM_SaveState.
-// Recovery per cell: PowerCut or WarmReset, TPM_Startup(ST_CLEAR),
+// Recovery per cell: PowerCut, TPM_Startup(ST_CLEAR),
 // CrashConsistentSealedStore::Recover().
 //
 // Invariants checked after recovery:
 //   A. dynamic PCRs read back as the -1 reset value,
 //   B. Recover() never fails closed and the store serves exactly one of the
 //      two generations in flight - never anything else, never stale data,
-//   C. the pre-crash NV-protected blob unseals to its exact bytes or fails
-//      closed (kReplayDetected), and a fresh generation seals fine,
+//   C. the NV space holds exactly the old or the new value - never a torn
+//      mix - and takes a fresh write,
 //   D. the quote daemon can serve a challenge again.
 
 #include <iostream>
@@ -36,17 +36,32 @@
 #include "src/core/sealed_state.h"
 #include "src/crypto/sha1.h"
 #include "src/obs/trace.h"
+#include "src/tpm/commands.h"
 #include "src/tpm/pcr_bank.h"
+#include "src/tpm/tpm_util.h"
 
 namespace flicker {
 namespace {
 
 constexpr uint32_t kNvIndex = 77;
+const Bytes kNvBefore(8, 0x11);
+const Bytes kNvAfter(8, 0x22);
 
-enum class ResetKind { kPowerCut, kWarmReset };
-
-const char* ResetKindName(ResetKind kind) {
-  return kind == ResetKind::kPowerCut ? "PowerCut" : "WarmReset";
+// Reads an NV space back over the wire. No product reads NV, so the client
+// has no call for it and the frame is built here.
+Result<Bytes> ReadNv(Machine* machine, uint32_t index) {
+  Bytes body;
+  PutUint32(&body, index);
+  Result<Bytes> response =
+      machine->tpm_transport()->Transmit(BuildCommandFrame(kTagRequest, kOrdNvReadValue, body));
+  if (!response.ok()) {
+    return response.status();
+  }
+  Result<Bytes> payload = ParseResponseFrame(response.value());
+  if (!payload.ok()) {
+    return payload.status();
+  }
+  return ParseBlobPayload(payload.value());
 }
 
 // One cell's worth of platform + stores, set up identically every time. The
@@ -59,14 +74,12 @@ struct Rig {
   // protection, session end) on every cell.
   std::unique_ptr<FlickerPlatform> hv_platform;
   std::unique_ptr<CrashConsistentSealedStore> store;
-  std::unique_ptr<NvReplayProtectedStorage> nv;
   PalBinary detector;
   PalBinary hello;
   Bytes inputs;
   Bytes owner_auth;
   Bytes blob_auth;
   Bytes release_pcr;
-  SealedBlob nv_v1;
 };
 
 class CrashMatrixTest : public ::testing::Test {
@@ -81,8 +94,8 @@ class CrashMatrixTest : public ::testing::Test {
     rig->owner_auth = Sha1::Digest(BytesOf("owner"));
     EXPECT_TRUE(rig->platform->tpm()->TakeOwnership(rig->owner_auth).ok());
     rig->blob_auth = Sha1::Digest(BytesOf("blob"));
-    // Bind seals and the NV gate to the current (OS-context) PCR 17 so the
-    // harness can unseal directly; PAL gating is covered by platform_test.
+    // Bind seals to the current (OS-context) PCR 17 so the harness can
+    // unseal directly; PAL gating is covered by platform_test.
     rig->release_pcr = rig->platform->tpm()->PcrRead(kSkinitPcr).value();
 
     Result<CrashConsistentSealedStore> store = CrashConsistentSealedStore::Create(
@@ -91,14 +104,10 @@ class CrashMatrixTest : public ::testing::Test {
     rig->store = std::make_unique<CrashConsistentSealedStore>(store.take());
     EXPECT_TRUE(rig->store->Seal(BytesOf("gen-1"), rig->release_pcr, rig->blob_auth).ok());
 
-    Result<NvReplayProtectedStorage> nv = NvReplayProtectedStorage::Provision(
-        rig->platform->tpm(), kNvIndex, rig->release_pcr, rig->owner_auth);
-    EXPECT_TRUE(nv.ok());
-    rig->nv = std::make_unique<NvReplayProtectedStorage>(nv.take());
-    Result<SealedBlob> nv_v1 =
-        rig->nv->Seal(BytesOf("nv-1"), rig->release_pcr, rig->blob_auth);
-    EXPECT_TRUE(nv_v1.ok());
-    rig->nv_v1 = nv_v1.take();
+    EXPECT_TRUE(TpmDefineNvSpace(rig->platform->tpm(), kNvIndex, kNvBefore.size(),
+                                 PcrSelection(), {}, PcrSelection(), {}, rig->owner_auth)
+                    .ok());
+    EXPECT_TRUE(rig->platform->tpm()->NvWrite(kNvIndex, kNvBefore).ok());
 
     PalBuildOptions build;
     build.measurement_stub = true;
@@ -108,12 +117,12 @@ class CrashMatrixTest : public ::testing::Test {
   }
 
   // The deterministic workload every cell replays. Throws PowerLossException
-  // when the armed plan elects a hit inside it. The seals run before the
-  // session: the NV gate is bound to the OS-context PCR 17, which the
-  // session's extends change until the next reset.
+  // when the armed plan elects a hit inside it. The seal runs before the
+  // session: it is bound to the OS-context PCR 17, which the session's
+  // extends change until the next reset.
   static void RunWorkload(Rig* rig) {
     (void)rig->store->Seal(BytesOf("gen-2"), rig->release_pcr, rig->blob_auth);
-    (void)rig->nv->Seal(BytesOf("nv-2"), rig->release_pcr, rig->blob_auth);
+    (void)rig->platform->tpm()->NvWrite(kNvIndex, kNvAfter);
     (void)rig->platform->ExecuteSession(rig->detector, rig->inputs);
     (void)rig->platform->tpm()->SaveState();
     // A coalesced batch quote, so the matrix sweeps a power cut through the
@@ -125,14 +134,6 @@ class CrashMatrixTest : public ::testing::Test {
     // A concurrent-mode session on the second platform, so the sweep also
     // crashes inside the hypervisor's launch / protect / end boundaries.
     (void)rig->hv_platform->ExecuteSession(rig->hello, BytesOf("hv-cell-input"));
-  }
-
-  static void Reset(Rig* rig, ResetKind kind) {
-    if (kind == ResetKind::kPowerCut) {
-      rig->platform->machine()->PowerCut();
-    } else {
-      rig->platform->machine()->WarmReset();
-    }
   }
 
   // Recovers the cell and checks invariants A-D. Returns false (with gtest
@@ -166,21 +167,14 @@ class CrashMatrixTest : public ::testing::Test {
         << "store served unexpected data";
     EXPECT_GE(rig->store->committed_version(), 1u);
 
-    // C. The pre-crash NV blob is exact or refused - never wrong bytes - and
-    //    sealing a fresh generation works.
-    Result<Bytes> old_nv = rig->nv->Unseal(rig->nv_v1, rig->blob_auth);
-    if (old_nv.ok()) {
-      EXPECT_EQ(old_nv.value(), BytesOf("nv-1"));
-    } else {
-      EXPECT_EQ(old_nv.status().code(), StatusCode::kReplayDetected)
-          << old_nv.status().ToString();
+    // C. The NV space holds the old or the new value, never a torn mix of
+    //    the two, and takes a fresh write.
+    Result<Bytes> nv = ReadNv(rig->platform->machine(), kNvIndex);
+    EXPECT_TRUE(nv.ok()) << nv.status().ToString();
+    if (nv.ok()) {
+      EXPECT_TRUE(nv.value() == kNvBefore || nv.value() == kNvAfter) << "torn NV write";
     }
-    Result<SealedBlob> fresh =
-        rig->nv->Seal(BytesOf("nv-post"), rig->release_pcr, rig->blob_auth);
-    EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
-    if (fresh.ok()) {
-      EXPECT_EQ(rig->nv->Unseal(fresh.value(), rig->blob_auth).value(), BytesOf("nv-post"));
-    }
+    EXPECT_TRUE(rig->platform->tpm()->NvWrite(kNvIndex, Bytes(8, 0x33)).ok());
 
     // D. Attestation service resumed, for single and batched challenges.
     Result<AttestationResponse> quote =
@@ -196,7 +190,7 @@ class CrashMatrixTest : public ::testing::Test {
     // E. The concurrent-mode platform recovers too: whatever state the
     //    crash tore, a reset evicts the hypervisor and the next session
     //    relaunches it and completes normally.
-    rig->hv_platform->machine()->WarmReset();
+    rig->hv_platform->machine()->PowerCut();
     EXPECT_FALSE(rig->hv_platform->hypervisor()->resident());
     Result<TpmStartupReport> hv_startup =
         rig->hv_platform->tpm()->Startup(TpmStartupType::kClear);
@@ -239,43 +233,41 @@ TEST_F(CrashMatrixTest, WorkloadCoversTheCrashSurface) {
   }
 }
 
-TEST_F(CrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
+TEST_F(CrashMatrixTest, EveryCrashPointRecoversAfterPowerCut) {
   const std::vector<std::string> hits = RecordHits();
   ASSERT_GE(hits.size(), 15u);
 
-  for (ResetKind kind : {ResetKind::kPowerCut, ResetKind::kWarmReset}) {
-    for (size_t i = 1; i <= hits.size(); ++i) {
-      std::unique_ptr<Rig> rig = MakeRig();
-      // The cell's trace: every TPM command from the armed run through
-      // recovery, printed if the cell fails.
-      obs::ScopedTracer tracer(rig->platform->clock());
-      FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
-      CrashPlan plan;
-      plan.crash_at_hit = i;
-      scheduler->Arm(plan);
-      bool crashed = false;
-      std::string point;
-      {
-        FaultInjectionScope scope(scheduler);
-        try {
-          RunWorkload(rig.get());
-        } catch (const PowerLossException& e) {
-          crashed = true;
-          point = e.point();
-        }
+  for (size_t i = 1; i <= hits.size(); ++i) {
+    std::unique_ptr<Rig> rig = MakeRig();
+    // The cell's trace: every TPM command from the armed run through
+    // recovery, printed if the cell fails.
+    obs::ScopedTracer tracer(rig->platform->clock());
+    FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
+    CrashPlan plan;
+    plan.crash_at_hit = i;
+    scheduler->Arm(plan);
+    bool crashed = false;
+    std::string point;
+    {
+      FaultInjectionScope scope(scheduler);
+      try {
+        RunWorkload(rig.get());
+      } catch (const PowerLossException& e) {
+        crashed = true;
+        point = e.point();
       }
-      ASSERT_TRUE(crashed) << "hit " << i << " never fired (recorded " << hits[i - 1] << ")";
-      EXPECT_EQ(point, hits[i - 1]) << "replay diverged from the recording at hit " << i;
+    }
+    ASSERT_TRUE(crashed) << "hit " << i << " never fired (recorded " << hits[i - 1] << ")";
+    EXPECT_EQ(point, hits[i - 1]) << "replay diverged from the recording at hit " << i;
 
-      Reset(rig.get(), kind);
-      bool ok = RecoverAndCheck(rig.get());
-      if (!ok || ::testing::Test::HasFailure()) {
-        std::cerr << "crash matrix cell failed: crash at hit " << i << " ('" << point << "') + "
-                  << ResetKindName(kind) << "\n";
-        scheduler->DumpCrashPoints(std::cerr);
-        std::cerr << tracer.ExportChromeTrace();
-        FAIL() << "invariant violated at '" << point << "' x " << ResetKindName(kind);
-      }
+    rig->platform->machine()->PowerCut();
+    bool ok = RecoverAndCheck(rig.get());
+    if (!ok || ::testing::Test::HasFailure()) {
+      std::cerr << "crash matrix cell failed: crash at hit " << i << " ('" << point
+                << "') + PowerCut\n";
+      scheduler->DumpCrashPoints(std::cerr);
+      std::cerr << tracer.ExportChromeTrace();
+      FAIL() << "invariant violated at '" << point << "' x PowerCut";
     }
   }
 }
@@ -320,7 +312,7 @@ TEST_F(CrashMatrixTest, BrokenCommitOrderingIsCaughtByTheMatrix) {
     if (!crashed) {
       break;
     }
-    rig->platform->machine()->WarmReset();
+    rig->platform->machine()->PowerCut();
     if (!rig->platform->tpm()->Startup(TpmStartupType::kClear).ok()) {
       ++violations;
       continue;

@@ -193,10 +193,13 @@ TEST_F(NetChaosTest, MatrixHoldsInvariantAcross200PlusCells) {
   BoincServer boinc_server;
   FactorWorkUnit unit = boinc_server.CreateWorkUnit(30030);
   unit.search_limit = 10000;
-  const std::vector<uint64_t> reference = BoincServer::ReferenceFactors(unit);
   Bytes boinc_nonce = platform_.tpm()->GetRandom(20);
   ASSERT_TRUE(boinc_client_.Initialize().ok());
-  ASSERT_TRUE(boinc_client_.Process(unit, 200, boinc_nonce).status.ok());
+  BoincClient::RunStats boinc_stats = boinc_client_.Process(unit, 200, boinc_nonce);
+  ASSERT_TRUE(boinc_stats.status.ok());
+  // What the server must extract (distributed_test checks it against trial
+  // division).
+  const std::vector<uint64_t> reference = boinc_stats.divisors;
   Result<BoincClient::ResultSubmission> submission = boinc_client_.SubmitResult(boinc_nonce);
   ASSERT_TRUE(submission.ok()) << submission.status().ToString();
   const Bytes submission_wire = submission.value().Serialize();

@@ -101,6 +101,25 @@ TEST(RobustnessTest, AllParsersSurviveRandomInput) {
   }
 }
 
+// A structured hostile policy: 2^18 empty suffixes are 1 MB of input, but
+// each costs a 32-byte std::string in the decoded vector, so a decoder that
+// trusts the count - the whole frame's, or one larger than the frame can
+// hold - allocates several times its input.
+TEST(RobustnessTest, CaPolicyCountCannotSizeTheDecode) {
+  constexpr uint32_t kEmptySuffixes = 1u << 18;
+  for (uint32_t count : {0xFFFFFFFFu, kEmptySuffixes}) {
+    Bytes frame;
+    PutUint32(&frame, count);
+    frame.resize(frame.size() + size_t{kEmptySuffixes} * 4, 0);  // Zero-length strings.
+    size_t before = g_allocated_bytes;
+    Result<CaPolicy> policy = CaPolicy::Deserialize(frame);
+    size_t allocated = g_allocated_bytes - before;
+    EXPECT_FALSE(policy.ok()) << "count " << count;
+    EXPECT_LE(allocated, kAllocPerInputByte * frame.size() + kAllocSlackBytes)
+        << "count " << count;
+  }
+}
+
 TEST(RobustnessTest, RandomInputNeverParsesAsValidKey) {
   // A 5000-byte random buffer must not satisfy the length-prefixed key
   // grammar by accident (the prefixes make this astronomically unlikely;

@@ -23,20 +23,6 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueTest, PeekTimeSeesEarliestPending) {
-  EventQueue queue(1);
-  uint64_t at = 0;
-  EXPECT_FALSE(queue.PeekTime(&at));
-  queue.Schedule(500, 0, [] {});
-  EventId early = queue.Schedule(200, 0, [] {});
-  ASSERT_TRUE(queue.PeekTime(&at));
-  EXPECT_EQ(at, 200u);
-  // Cancelling the earliest exposes the survivor.
-  ASSERT_TRUE(queue.Cancel(early));
-  ASSERT_TRUE(queue.PeekTime(&at));
-  EXPECT_EQ(at, 500u);
-}
-
 TEST(EventQueueTest, SimultaneousEventsInterleaveBySeed) {
   // Eight events at the same instant: the seeded tiebreak permutes them,
   // and the permutation is a pure function of the seed.

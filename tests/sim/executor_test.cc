@@ -91,19 +91,6 @@ TEST(SimExecutorTest, CancelSuppressesPendingEvent) {
   EXPECT_EQ(executor.events_cancelled(), 1u);
 }
 
-TEST(SimExecutorTest, RunUntilStopsAtHorizon) {
-  SimExecutor executor(1);
-  ActorId actor = executor.RegisterActor("timer", nullptr);
-  int fired = 0;
-  executor.ScheduleAt(actor, 1'000, [&] { ++fired; });
-  executor.ScheduleAt(actor, 9'000, [&] { ++fired; });
-  executor.RunUntil(5'000);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(executor.heap_size(), 1u);
-  executor.Run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimExecutorTest, OrderDigestPinsDispatchOrderPerSeed) {
   auto digest_for_seed = [](uint64_t seed) {
     SimExecutor executor(seed);

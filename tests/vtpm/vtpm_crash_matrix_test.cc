@@ -1,7 +1,7 @@
 // The vTPM crash matrix: sweep a power loss over every durability boundary
 // of a multi-tenant vTPM workload (create / extend / snapshot / evict and
-// the seal + counter protocol underneath) x both reset kinds, and assert
-// the crash-consistency invariants after recovery:
+// the seal + counter protocol underneath), cut the power, and assert the
+// crash-consistency invariants after recovery:
 //
 //   A. RecoverAll succeeds: no tenant store fails closed, no tenant is
 //      quarantined (there was no adversary, only a crash),
@@ -33,12 +33,6 @@
 namespace flicker {
 namespace vtpm {
 namespace {
-
-enum class ResetKind { kPowerCut, kWarmReset };
-
-const char* ResetKindName(ResetKind kind) {
-  return kind == ResetKind::kPowerCut ? "PowerCut" : "WarmReset";
-}
 
 struct Rig {
   std::unique_ptr<FlickerPlatform> platform;
@@ -101,14 +95,6 @@ class VtpmCrashMatrixTest : public ::testing::Test {
     (void)rig->manager->SnapshotTenant("bob");
     (void)rig->manager->EvictTenant("bob");
     (void)rig->manager->CreateTenant("carol", Auth("carol"));
-  }
-
-  static void Reset(Rig* rig, ResetKind kind) {
-    if (kind == ResetKind::kPowerCut) {
-      rig->platform->machine()->PowerCut();
-    } else {
-      rig->platform->machine()->WarmReset();
-    }
   }
 
   // Recovery runs OUTSIDE the fault scope (the cut already happened); its
@@ -189,43 +175,41 @@ TEST_F(VtpmCrashMatrixTest, WorkloadCoversTheVtpmCrashSurface) {
   }
 }
 
-TEST_F(VtpmCrashMatrixTest, EveryCrashPointTimesEveryResetKindRecovers) {
+TEST_F(VtpmCrashMatrixTest, EveryCrashPointRecoversAfterPowerCut) {
   const std::vector<std::string> hits = RecordHits();
   ASSERT_GE(hits.size(), 11u);
 
-  for (ResetKind kind : {ResetKind::kPowerCut, ResetKind::kWarmReset}) {
-    for (size_t i = 1; i <= hits.size(); ++i) {
-      std::unique_ptr<Rig> rig = MakeRig();
-      // The cell's trace: every TPM command from the armed run through
-      // recovery, printed if the cell fails.
-      obs::ScopedTracer tracer(rig->platform->clock());
-      FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
-      CrashPlan plan;
-      plan.crash_at_hit = i;
-      scheduler->Arm(plan);
-      bool crashed = false;
-      std::string point;
-      {
-        FaultInjectionScope scope(scheduler);
-        try {
-          RunWorkload(rig.get());
-        } catch (const PowerLossException& e) {
-          crashed = true;
-          point = e.point();
-        }
+  for (size_t i = 1; i <= hits.size(); ++i) {
+    std::unique_ptr<Rig> rig = MakeRig();
+    // The cell's trace: every TPM command from the armed run through
+    // recovery, printed if the cell fails.
+    obs::ScopedTracer tracer(rig->platform->clock());
+    FaultScheduler* scheduler = rig->platform->machine()->fault_scheduler();
+    CrashPlan plan;
+    plan.crash_at_hit = i;
+    scheduler->Arm(plan);
+    bool crashed = false;
+    std::string point;
+    {
+      FaultInjectionScope scope(scheduler);
+      try {
+        RunWorkload(rig.get());
+      } catch (const PowerLossException& e) {
+        crashed = true;
+        point = e.point();
       }
-      ASSERT_TRUE(crashed) << "hit " << i << " never fired (recorded " << hits[i - 1] << ")";
-      EXPECT_EQ(point, hits[i - 1]) << "replay diverged from the recording at hit " << i;
+    }
+    ASSERT_TRUE(crashed) << "hit " << i << " never fired (recorded " << hits[i - 1] << ")";
+    EXPECT_EQ(point, hits[i - 1]) << "replay diverged from the recording at hit " << i;
 
-      Reset(rig.get(), kind);
-      bool ok = RecoverAndCheck(rig.get());
-      if (!ok || ::testing::Test::HasFailure()) {
-        std::cerr << "vtpm crash matrix cell failed: crash at hit " << i << " ('" << point
-                  << "') + " << ResetKindName(kind) << "\n";
-        scheduler->DumpCrashPoints(std::cerr);
-        std::cerr << tracer.ExportChromeTrace();
-        FAIL() << "invariant violated at '" << point << "' x " << ResetKindName(kind);
-      }
+    rig->platform->machine()->PowerCut();
+    bool ok = RecoverAndCheck(rig.get());
+    if (!ok || ::testing::Test::HasFailure()) {
+      std::cerr << "vtpm crash matrix cell failed: crash at hit " << i << " ('" << point
+                << "') + PowerCut\n";
+      scheduler->DumpCrashPoints(std::cerr);
+      std::cerr << tracer.ExportChromeTrace();
+      FAIL() << "invariant violated at '" << point << "' x PowerCut";
     }
   }
 }

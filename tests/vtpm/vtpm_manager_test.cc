@@ -60,7 +60,7 @@ TEST_F(VtpmManagerTest, CreateExtendSnapshotSurvivesPowerLoss) {
   Result<VirtualTpm*> vt = manager_->ResidentTenant("alice");
   ASSERT_TRUE(vt.ok()) << vt.status().ToString();
   EXPECT_EQ(vt.value()->CompositeDigest(), composite);
-  EXPECT_EQ(vt.value()->PcrRead(1).value(),
+  EXPECT_EQ(vt.value()->state().pcrs[1],
             Sha1::Digest([] {
               Bytes input(20, 0x00);
               Bytes m(20, 0x11);
@@ -79,7 +79,7 @@ TEST_F(VtpmManagerTest, UnsnapshottedExtendIsLostNotTorn) {
   Result<VirtualTpm*> vt = manager_->ResidentTenant("alice");
   ASSERT_TRUE(vt.ok());
   EXPECT_EQ(vt.value()->CompositeDigest(), snapshot_composite);
-  EXPECT_EQ(vt.value()->PcrRead(0).value(), Bytes(20, 0x00));
+  EXPECT_EQ(vt.value()->state().pcrs[0], Bytes(20, 0x00));
 }
 
 TEST_F(VtpmManagerTest, WrongOwnerAuthIsRefused) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 #include "src/vtpm/vtpm.h"
 #include "src/vtpm/vtpm_state.h"
@@ -66,12 +65,12 @@ TEST(VtpmStateTest, TenantTagIsSha1OfName) {
 TEST(VirtualTpmTest, ExtendMatchesHardwareSemantics) {
   VirtualTpm vt(MakeState());
   Bytes measurement = Sha1::Digest(BytesOf("module"));
-  Bytes before = vt.PcrRead(2).value();
+  Bytes before = vt.state().pcrs[2];
   ASSERT_TRUE(vt.Extend(2, measurement).ok());
 
   Bytes expected_input = before;
   expected_input.insert(expected_input.end(), measurement.begin(), measurement.end());
-  EXPECT_EQ(vt.PcrRead(2).value(), Sha1::Digest(expected_input));
+  EXPECT_EQ(vt.state().pcrs[2], Sha1::Digest(expected_input));
   EXPECT_EQ(vt.state().extends, MakeState().extends + 1);
 }
 
@@ -79,7 +78,6 @@ TEST(VirtualTpmTest, ExtendRejectsOutOfRangeIndex) {
   VirtualTpm vt(MakeState());
   EXPECT_FALSE(vt.Extend(-1, Bytes(20, 0xaa)).ok());
   EXPECT_FALSE(vt.Extend(kNumVtpmPcrs, Bytes(20, 0xaa)).ok());
-  EXPECT_FALSE(vt.PcrRead(kNumVtpmPcrs).ok());
 }
 
 TEST(VirtualTpmTest, CompositeDigestTracksTheBank) {
@@ -91,18 +89,6 @@ TEST(VirtualTpmTest, CompositeDigestTracksTheBank) {
   // Two instances with identical banks agree.
   VirtualTpm other(vt.state());
   EXPECT_EQ(other.CompositeDigest(), vt.CompositeDigest());
-}
-
-TEST(VirtualTpmTest, DeriveKeyIsDeterministicPerSeedAndLabel) {
-  VirtualTpm vt(MakeState());
-  EXPECT_EQ(vt.DeriveKey("storage"), vt.DeriveKey("storage"));
-  EXPECT_NE(vt.DeriveKey("storage"), vt.DeriveKey("identity"));
-  EXPECT_EQ(vt.DeriveKey("storage"),
-            HmacSha1(MakeState().key_seed, BytesOf("storage")));
-
-  VtpmState reseeded = MakeState();
-  reseeded.key_seed = Sha1::Digest(BytesOf("other-seed"));
-  EXPECT_NE(VirtualTpm(reseeded).DeriveKey("storage"), vt.DeriveKey("storage"));
 }
 
 TEST(VirtualTpmTest, OwnerAuthGateIsExact) {

@@ -59,31 +59,43 @@
 #                        byte-identical JSON (refreshing BENCH_hv.json,
 #                        micro_hv exits 2 if any attack is accepted or
 #                        mistyped) - and a multi-seed quiet sweep
+#   verify.sh --reachability
+#                        additionally build only the products (every bench,
+#                        every example and perfbench's workload) in
+#                        ./build-reach at -O0 -fno-inline with
+#                        --gc-sections, and fail on any strong flicker::
+#                        function a src/ library defines that no product
+#                        links and tools/reachability.allow does not list,
+#                        or on an allowlist entry that names no such
+#                        function
 #
-# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv] [build-dir]
+# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--reachability] [build-dir]
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv] [build-dir]"
+usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--reachability] [build-dir]"
 
 # One row per campaign flag:
 #   build      the side build its suites run in: asan (./build-asan,
-#              ASan+UBSan) or noperf (./build-noperf, -DFLICKER_SIMD=OFF)
-#   follow_up  the release-build checks run afterwards (- none)
+#              ASan+UBSan), noperf (./build-noperf, -DFLICKER_SIMD=OFF) or
+#              reach (./build-reach, unoptimised, unused sections dropped)
+#   follow_up  the checks run afterwards (- none)
 #   selection  the ctest selection (-L label or -R regex) of its suites; the
 #              side build compiles exactly the targets `ctest -N` lists for
-#              it (test name == target name, see tests/CMakeLists.txt)
+#              it (test name == target name, see tests/CMakeLists.txt);
+#              - - compiles and runs no suites
 #   extra      further targets the side build needs (comma list, - none)
 campaigns='
---asan        asan    -                     -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test)  -
---faults      asan    faults_follow_up      -L faults  -
---net         asan    net_follow_up         -L net     -
---obs         asan    obs_follow_up         -L obs     -
---perf        noperf  perf_follow_up        -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh,micro_fleet
---fleet       asan    fleet_follow_up       -L fleet   micro_fleet
---vtpm        asan    vtpm_follow_up        -L vtpm    -
---chaos-fuzz  asan    chaos_fuzz_follow_up  -R ^sim_chaos_fuzz_test$  micro_fleet
---hv          asan    hv_follow_up          -L hv      -
+--asan          asan    -                       -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test)  -
+--faults        asan    faults_follow_up        -L faults  -
+--net           asan    net_follow_up           -L net     -
+--obs           asan    obs_follow_up           -L obs     -
+--perf          noperf  perf_follow_up          -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh,micro_fleet
+--fleet         asan    fleet_follow_up         -L fleet   micro_fleet
+--vtpm          asan    vtpm_follow_up          -L vtpm    -
+--chaos-fuzz    asan    chaos_fuzz_follow_up    -R ^sim_chaos_fuzz_test$  micro_fleet
+--hv            asan    hv_follow_up            -L hv      -
+--reachability  reach   reachability_follow_up  - -        -
 '
 campaign=
 case "${1:-}" in
@@ -258,6 +270,15 @@ same_twice() {
   echo "verify.sh: $what byte-identical across same-seed runs"
 }
 
+# The reachability build's flags: no optimisation and no inlining, so a
+# call the source makes stays a call the linker sees, and one section per
+# function, so the linker drops every function no product calls.
+reach_configure() {
+  cmake -B "$1" -S "$2" -DCMAKE_BUILD_TYPE=None \
+    -DCMAKE_CXX_FLAGS='-O0 -fno-inline -ffunction-sections -fdata-sections' \
+    -DCMAKE_EXE_LINKER_FLAGS='-Wl,--gc-sections'
+}
+
 # Configures the side build, compiles exactly the suites the selection
 # names (plus any extra targets), and runs them there.
 side_suites() {
@@ -274,7 +295,14 @@ side_suites() {
       side_dir="$repo_root/build-noperf"
       cmake -B "$side_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
       ;;
+    reach)
+      side_dir="$repo_root/build-reach"
+      reach_configure "$side_dir" "$repo_root"
+      ;;
   esac
+  if [ "$select_flag" = - ]; then
+    return
+  fi
   suites=$(ctest --test-dir "$side_dir" -N "$select_flag" "$select_arg" \
     | sed -n 's/^ *Test *#[0-9]*: *//p')
   if [ -z "$suites" ]; then
@@ -404,6 +432,54 @@ hv_follow_up() {
     "$build_dir/bench/micro_hv" --quiet --seed="$seed" > /dev/null
   done
   echo "verify.sh: multi-seed hv adversarial sweep clean (accepted_wrong == 0 across seeds)"
+}
+
+reachability_follow_up() {
+  # The products are every bench, every example and the benchmark's
+  # workload; perfbench/CMakeLists.txt is only read, into a subdirectory.
+  cmake --build "$side_dir/bench" -j "$jobs"
+  cmake --build "$side_dir/examples" -j "$jobs"
+  reach_configure "$side_dir/perfbench" "$repo_root/perfbench"
+  cmake --build "$side_dir/perfbench" -j "$jobs" --target perfbench_workload
+
+  # Strong text symbols of the src/ libraries, minus every symbol a product
+  # still defines after --gc-sections, by qualified name (all overloads).
+  find "$side_dir/src" -name '*.a' -exec nm --defined-only {} + \
+    | awk '$2 == "T" { print $3 }' | sort -u > "$side_dir/reach.defined"
+  for product in $(find "$side_dir/bench" "$side_dir/examples" -maxdepth 1 \
+      -type f -perm -u+x) "$side_dir/perfbench/perfbench_workload"; do
+    nm --defined-only "$product" | awk '{ print $3 }'
+  done | sort -u > "$side_dir/reach.linked"
+  comm -23 "$side_dir/reach.defined" "$side_dir/reach.linked" \
+    | c++filt -p | sed 's/\[abi:[^]]*\]//g' | grep '^flicker::' | sort -u \
+    > "$side_dir/reach.unreached"
+
+  allow_file="$repo_root/tools/reachability.allow"
+  unexplained=$(grep -vE '^[[:space:]]*(#|$)' "$allow_file" | grep -v '#' || true)
+  if [ -n "$unexplained" ]; then
+    echo "verify.sh: tools/reachability.allow entries without a '# reason':" >&2
+    echo "$unexplained" >&2
+    exit 1
+  fi
+  sed -e 's/#.*//' -e 's/[[:space:]]*$//' -e '/^$/d' "$allow_file" | sort -u \
+    > "$side_dir/reach.allowed"
+  unreached=$(comm -23 "$side_dir/reach.unreached" "$side_dir/reach.allowed")
+  if [ -n "$unreached" ]; then
+    echo "verify.sh: src/ functions no bench, example or perfbench workload links:" >&2
+    echo "$unreached" >&2
+    echo "  wire each into a real path or delete it (with the tests that only" >&2
+    echo "  check it); a test observer or fault seam goes in tools/reachability.allow" >&2
+    exit 1
+  fi
+  stale=$(comm -13 "$side_dir/reach.unreached" "$side_dir/reach.allowed")
+  if [ -n "$stale" ]; then
+    echo "verify.sh: stale tools/reachability.allow entries (no such function, or a" >&2
+    echo "  product now links it):" >&2
+    echo "$stale" >&2
+    exit 1
+  fi
+  echo "verify.sh: reachability: every src/ function is linked by a product or" \
+    "allowlisted ($(wc -l < "$side_dir/reach.allowed" | tr -d ' ') entries)"
 }
 
 if [ -n "$campaign" ]; then
