@@ -18,7 +18,7 @@
 //                                        seeded fault plans against the
 //                                        invariant oracles; any violation is
 //                                        shrunk to a minimal plan (exit 2)
-//     --fuzz-plans=N --fuzz-seed=N       campaign shape
+//     --fuzz-plans=N                     campaign size (seed 1)
 //     --misordered-commit                arm the test-only misordered-commit
 //                                        checkpoint bug the fuzzer must find
 //     --replay-out=PATH                  write the minimal plan's replay file
@@ -37,6 +37,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/sim/campaign.h"
 #include "src/sim/chaos_fuzz.h"
 #include "src/sim/fleet.h"
@@ -103,13 +104,16 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-int RunChaosFuzz(uint64_t campaign_seed, int num_plans, bool misordered_commit,
-                 const std::string& replay_out, const std::string& artifact_out) {
-  sim::FleetConfig base = FuzzBaseConfig(campaign_seed);
+// Seed of every chaos-fuzz campaign; the plan seeds derive from it.
+constexpr uint64_t kFuzzCampaignSeed = 1;
+
+int RunChaosFuzz(int num_plans, bool misordered_commit, const std::string& replay_out,
+                 const std::string& artifact_out) {
+  sim::FleetConfig base = FuzzBaseConfig(kFuzzCampaignSeed);
   base.checkpoints.misordered_commit = misordered_commit;
-  sim::ChaosFuzzReport report = sim::ChaosFuzz(base, campaign_seed, num_plans);
+  sim::ChaosFuzzReport report = sim::ChaosFuzz(base, kFuzzCampaignSeed, num_plans);
   std::printf("chaos-fuzz: %d plans, seed %llu%s\n", report.plans_run,
-              static_cast<unsigned long long>(campaign_seed),
+              static_cast<unsigned long long>(kFuzzCampaignSeed),
               misordered_commit ? ", misordered-commit armed" : "");
   std::printf("  violations: %d\n", report.violations);
   if (!report.found) {
@@ -165,6 +169,10 @@ int RunReplay(const std::string& path) {
 }
 
 int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_fleet", json_path);
+  if (out == nullptr) {
+    return 1;
+  }
   sim::Fleet fleet(config);
   Status run = fleet.Run();
   if (!run.ok()) {
@@ -193,22 +201,14 @@ int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
               sim::HexDigest(stats.order_digest).c_str());
 
+  const std::string json = stats.ToJson(config);
+  std::fwrite(json.data(), 1, json.size(), out);
+  CloseReport(out, json_path);
+
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu tampered frames accepted\n",
                  static_cast<unsigned long long>(stats.accepted_wrong));
     return 2;
-  }
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    const std::string json = stats.ToJson(config);
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
 }
@@ -226,7 +226,6 @@ int main(int argc, char** argv) {
   bool chaos_fuzz = false;
   bool misordered_commit = false;
   int fuzz_plans = 24;
-  uint64_t fuzz_seed = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--bench_json=", 13) == 0) {
@@ -245,8 +244,6 @@ int main(int argc, char** argv) {
       chaos_fuzz = true;
     } else if (std::strncmp(arg, "--fuzz-plans=", 13) == 0) {
       fuzz_plans = std::atoi(arg + 13);
-    } else if (std::strncmp(arg, "--fuzz-seed=", 12) == 0) {
-      fuzz_seed = std::strtoull(arg + 12, nullptr, 10);
     } else if (std::strcmp(arg, "--misordered-commit") == 0) {
       misordered_commit = true;
     } else if (std::strncmp(arg, "--replay-out=", 13) == 0) {
@@ -264,8 +261,7 @@ int main(int argc, char** argv) {
     return flicker::RunReplay(replay_path);
   }
   if (chaos_fuzz) {
-    return flicker::RunChaosFuzz(fuzz_seed, fuzz_plans, misordered_commit, replay_out,
-                                 artifact_out);
+    return flicker::RunChaosFuzz(fuzz_plans, misordered_commit, replay_out, artifact_out);
   }
   if (chaos) {
     flicker::ArmChaos(&config);

@@ -21,7 +21,7 @@
 //
 //   micro_hv                        flagship run, summary to stdout
 //   micro_hv --bench_json=PATH      also write the JSON report to PATH
-//   micro_hv --seed=N --sessions=N --duration_ms=N --machines=N
+//   micro_hv --seed=N               campaign seed
 //   micro_hv --quiet                short campaign horizon (CI-sized)
 
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/apps/hello.h"
 #include "src/core/flicker_platform.h"
 #include "src/hv/hv_campaign.h"
@@ -110,6 +111,10 @@ Result<ModeComparison> CompareModes(int sessions) {
 }
 
 int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_hv", json_path);
+  if (out == nullptr) {
+    return 1;
+  }
   Result<ModeComparison> compared = CompareModes(sessions);
   if (!compared.ok()) {
     std::fprintf(stderr, "mode comparison failed: %s\n", compared.status().ToString().c_str());
@@ -159,6 +164,22 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
               sim::HexDigest(stats.order_digest).c_str());
 
+  std::string json = "{\n";
+  json += "  \"schema\": \"flicker-bench-hv-v1\",\n";
+  json += "  \"comparison\": {\"sessions_per_mode\": " + std::to_string(cmp.sessions);
+  json += ", \"classic_pause_ms\": " + F3(cmp.classic_pause_ms_mean);
+  json += ", \"concurrent_pause_ms\": " + F3(cmp.concurrent_pause_ms_mean);
+  json += ", \"classic_total_ms\": " + F3(cmp.classic_total_ms_mean);
+  json += ", \"concurrent_total_ms\": " + F3(cmp.concurrent_total_ms_mean);
+  json += ", \"hv_launch_pause_ms\": " + F3(cmp.hv_launch_pause_ms);
+  json += ", \"pause_reduction\": " + F3(cmp.PauseReduction());
+  json += std::string(", \"parity\": ") + (cmp.parity_ok ? "true" : "false") + "},\n";
+  json += "  \"adversarial_campaign\": ";
+  json += stats.ToJson(config);
+  json += "}\n";
+  std::fwrite(json.data(), 1, json.size(), out);
+  CloseReport(out, json_path);
+
   bool violated = false;
   if (!cmp.parity_ok) {
     std::fprintf(stderr, "INVARIANT VIOLATION: classic and concurrent sessions diverged\n");
@@ -176,34 +197,7 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
                  static_cast<unsigned long long>(stats.attacks_mistyped));
     violated = true;
   }
-  if (violated) {
-    return 2;
-  }
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::string json = "{\n";
-    json += "  \"schema\": \"flicker-bench-hv-v1\",\n";
-    json += "  \"comparison\": {\"sessions_per_mode\": " + std::to_string(cmp.sessions);
-    json += ", \"classic_pause_ms\": " + F3(cmp.classic_pause_ms_mean);
-    json += ", \"concurrent_pause_ms\": " + F3(cmp.concurrent_pause_ms_mean);
-    json += ", \"classic_total_ms\": " + F3(cmp.classic_total_ms_mean);
-    json += ", \"concurrent_total_ms\": " + F3(cmp.concurrent_total_ms_mean);
-    json += ", \"hv_launch_pause_ms\": " + F3(cmp.hv_launch_pause_ms);
-    json += ", \"pause_reduction\": " + F3(cmp.PauseReduction());
-    json += std::string(", \"parity\": ") + (cmp.parity_ok ? "true" : "false") + "},\n";
-    json += "  \"adversarial_campaign\": ";
-    json += stats.ToJson(config);
-    json += "}\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  return violated ? 2 : 0;
 }
 
 }  // namespace
@@ -219,12 +213,6 @@ int main(int argc, char** argv) {
       json_path = arg + 13;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       config.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--sessions=", 11) == 0) {
-      sessions = std::atoi(arg + 11);
-    } else if (std::strncmp(arg, "--duration_ms=", 14) == 0) {
-      config.duration_ms = std::atof(arg + 14);
-    } else if (std::strncmp(arg, "--machines=", 11) == 0) {
-      config.num_machines = std::atoi(arg + 11);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       config.duration_ms = 6000.0;
       config.num_machines = 2;

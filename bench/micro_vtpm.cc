@@ -12,8 +12,7 @@
 //
 //   micro_vtpm                      flagship campaign, summary to stdout
 //   micro_vtpm --bench_json=PATH    also write the JSON report to PATH
-//   micro_vtpm --tenants=N --seed=N --duration_ms=N
-//                                   override the flagship shape
+//   micro_vtpm --seed=N             campaign seed
 //   micro_vtpm --quiet              disable the misbehaving tenants and the
 //                                   power cuts (clean baseline)
 
@@ -22,6 +21,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/sim/campaign.h"
 #include "src/vtpm/vtpm_campaign.h"
 
@@ -40,6 +40,10 @@ vtpm::VtpmCampaignConfig FlagshipConfig() {
 }
 
 int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_path) {
+  std::FILE* out = OpenReport("micro_vtpm", json_path);
+  if (out == nullptr) {
+    return 1;
+  }
   Result<vtpm::VtpmCampaignStats> run = vtpm::RunVtpmCampaign(config);
   if (!run.ok()) {
     std::fprintf(stderr, "vtpm campaign failed: %s\n", run.status().ToString().c_str());
@@ -78,22 +82,14 @@ int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
               sim::HexDigest(stats.order_digest).c_str());
 
+  const std::string json = stats.ToJson(config);
+  std::fwrite(json.data(), 1, json.size(), out);
+  CloseReport(out, json_path);
+
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu quotes answered the wrong challenge\n",
                  static_cast<unsigned long long>(stats.accepted_wrong));
     return 2;
-  }
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    const std::string json = stats.ToJson(config);
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
 }
@@ -108,12 +104,8 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--bench_json=", 13) == 0) {
       json_path = arg + 13;
-    } else if (std::strncmp(arg, "--tenants=", 10) == 0) {
-      config.num_tenants = std::atoi(arg + 10);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       config.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--duration_ms=", 14) == 0) {
-      config.duration_ms = std::atof(arg + 14);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       config.flooding_tenant = -1;
       config.crashloop_tenant = -1;

@@ -6,9 +6,27 @@
 
 namespace flicker {
 
-VerifierHealthTracker::VerifierHealthTracker(const VerifierHealthConfig& config)
-    : config_(config), state_(static_cast<size_t>(config.num_verifiers)) {
-  latency_ring_.reserve(config_.latency_window);
+namespace {
+
+// The farm policy every hedged fleet runs. Hedge delay = p95 of the pooled
+// ack round trips clamped to [kHedgeMinMs, kHedgeMaxMs]; kHedgeDefaultMs
+// applies until kMinSamples acks have been pooled.
+constexpr double kHedgeDefaultMs = 400.0;
+constexpr double kHedgeMinMs = 10.0;
+constexpr double kHedgeMaxMs = 4000.0;
+constexpr size_t kMinSamples = 8;
+constexpr size_t kLatencyWindow = 128;  // Pooled ack-sample ring capacity.
+// Breaker: consecutive misses to open, cooldown before the half-open probe.
+constexpr int kBreakerThreshold = 3;
+constexpr double kBreakerCooldownMs = 2000.0;
+
+}  // namespace
+
+VerifierHealthTracker::VerifierHealthTracker(int num_verifiers, int max_outstanding)
+    : num_verifiers_(num_verifiers),
+      max_outstanding_(max_outstanding),
+      state_(static_cast<size_t>(num_verifiers)) {
+  latency_ring_.reserve(kLatencyWindow);
 }
 
 bool VerifierHealthTracker::AdmitsTraffic(const VerifierState& s, double now_ms) const {
@@ -16,13 +34,13 @@ bool VerifierHealthTracker::AdmitsTraffic(const VerifierState& s, double now_ms)
     return true;
   }
   // Half-open: after the cooldown one probe per cooldown window may pass.
-  return now_ms - s.opened_at_ms >= config_.breaker_cooldown_ms &&
+  return now_ms - s.opened_at_ms >= kBreakerCooldownMs &&
          (s.last_probe_ms < s.opened_at_ms ||
-          now_ms - s.last_probe_ms >= config_.breaker_cooldown_ms);
+          now_ms - s.last_probe_ms >= kBreakerCooldownMs);
 }
 
 int VerifierHealthTracker::PickVerifier(double now_ms, int exclude) {
-  const int n = config_.num_verifiers;
+  const int n = num_verifiers_;
   for (int scanned = 0; scanned < n; ++scanned) {
     int candidate = rr_next_;
     rr_next_ = (rr_next_ + 1) % n;
@@ -51,8 +69,7 @@ int VerifierHealthTracker::PickVerifier(double now_ms, int exclude) {
 }
 
 bool VerifierHealthTracker::ShouldShed(int verifier) const {
-  return config_.max_outstanding > 0 &&
-         state_[verifier].outstanding >= config_.max_outstanding;
+  return max_outstanding_ > 0 && state_[verifier].outstanding >= max_outstanding_;
 }
 
 void VerifierHealthTracker::OnDispatch(int verifier) { ++state_[verifier].outstanding; }
@@ -82,13 +99,13 @@ void VerifierHealthTracker::OnSuccess(int verifier, double latency_ms, double no
     mttr_samples_ms_.push_back(mttr_ms);
     obs::ObserveMs(obs::Hist::kFleetVerifierMttrMs, mttr_ms);
   }
-  if (latency_ring_.size() < config_.latency_window) {
+  if (latency_ring_.size() < kLatencyWindow) {
     latency_ring_.push_back(latency_ms);
   } else {
     latency_ring_[ring_next_] = latency_ms;
     ring_full_ = true;
   }
-  ring_next_ = (ring_next_ + 1) % config_.latency_window;
+  ring_next_ = (ring_next_ + 1) % kLatencyWindow;
 }
 
 void VerifierHealthTracker::OnMiss(int verifier, double now_ms) {
@@ -99,7 +116,7 @@ void VerifierHealthTracker::OnMiss(int verifier, double now_ms) {
     s.opened_at_ms = now_ms;
     return;
   }
-  if (++s.consecutive_misses >= config_.breaker_threshold) {
+  if (++s.consecutive_misses >= kBreakerThreshold) {
     s.open = true;
     s.opened_at_ms = now_ms;
     s.last_probe_ms = 0;
@@ -111,8 +128,8 @@ void VerifierHealthTracker::OnMiss(int verifier, double now_ms) {
 
 double VerifierHealthTracker::HedgeDelayMs() const {
   size_t count = latency_ring_.size();
-  if (count < static_cast<size_t>(config_.min_samples)) {
-    return config_.hedge_default_ms;
+  if (count < kMinSamples) {
+    return kHedgeDefaultMs;
   }
   std::vector<double> sorted(latency_ring_.begin(), latency_ring_.begin() + count);
   std::sort(sorted.begin(), sorted.end());
@@ -124,7 +141,7 @@ double VerifierHealthTracker::HedgeDelayMs() const {
   size_t rank = static_cast<size_t>(0.95 * static_cast<double>(count) + 0.5);
   rank = std::min(std::max<size_t>(rank, 1), count);
   double p95 = sorted[rank - 1];
-  return std::min(std::max(p95, config_.hedge_min_ms), config_.hedge_max_ms);
+  return std::min(std::max(p95, kHedgeMinMs), kHedgeMaxMs);
 }
 
 }  // namespace flicker

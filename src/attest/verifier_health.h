@@ -10,8 +10,8 @@
 //     hedge delay derives from ("fire a second copy once this request has
 //     taken longer than 95% of recent successes"),
 //   * per-verifier consecutive-miss counts drive a circuit breaker: after
-//     `breaker_threshold` hedge-detected misses the verifier is skipped
-//     outright for `breaker_cooldown_ms`, then a single half-open probe
+//     3 hedge-detected misses the verifier is skipped outright for a
+//     2000 ms cooldown, then a single half-open probe
 //     either re-closes the breaker (and records the MTTR sample) or
 //     re-opens it for another cooldown,
 //   * per-verifier outstanding-request depth doubles as farm-side admission
@@ -31,26 +31,11 @@
 
 namespace flicker {
 
-struct VerifierHealthConfig {
-  int num_verifiers = 1;
-  // Hedge delay = clamp(p95 of pooled ack samples, min, max); before
-  // `min_samples` acks have been pooled the default applies.
-  double hedge_default_ms = 200.0;
-  double hedge_min_ms = 10.0;
-  double hedge_max_ms = 2000.0;
-  int min_samples = 8;
-  // Breaker: consecutive misses to open, cooldown before the half-open probe.
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 2000.0;
-  // Admission control: max outstanding requests per verifier; 0 disables
-  // shedding (legacy unbounded queueing).
-  int max_outstanding = 0;
-  size_t latency_window = 128;  // Pooled ack-sample ring capacity.
-};
-
 class VerifierHealthTracker {
  public:
-  explicit VerifierHealthTracker(const VerifierHealthConfig& config);
+  // `max_outstanding` is the per-verifier depth cap ShouldShed() enforces;
+  // 0 never sheds.
+  VerifierHealthTracker(int num_verifiers, int max_outstanding);
 
   // ---- Selection ----
   //
@@ -76,11 +61,13 @@ class VerifierHealthTracker {
   // answered at gray speed restarts the cooldown instead of re-closing.
   void OnSuccess(int verifier, double latency_ms, double now_ms);
   // Hedge fired / timeout expired against the verifier: one consecutive
-  // miss; opens the breaker at the configured threshold.
+  // miss; opens the breaker at the third.
   void OnMiss(int verifier, double now_ms);
 
   // ---- Derived views ----
-  double HedgeDelayMs() const;  // p95-derived, clamped; default until warm.
+  // p95 of the pooled acks clamped to [10, 4000] ms; 400 ms until 8 acks
+  // have been pooled.
+  double HedgeDelayMs() const;
   int outstanding(int verifier) const { return state_[verifier].outstanding; }
   uint64_t breaker_trips() const { return breaker_trips_; }
   const std::vector<double>& mttr_samples_ms() const { return mttr_samples_ms_; }
@@ -96,7 +83,8 @@ class VerifierHealthTracker {
 
   bool AdmitsTraffic(const VerifierState& s, double now_ms) const;
 
-  VerifierHealthConfig config_;
+  int num_verifiers_;
+  int max_outstanding_;
   std::vector<VerifierState> state_;
   std::vector<double> latency_ring_;
   size_t ring_next_ = 0;

@@ -10,6 +10,9 @@ namespace flicker {
 
 namespace {
 
+// Answered nonces the service remembers for replay refusal.
+constexpr size_t kNonceCacheCapacity = 128;
+
 // The one decoder for a wire PCR-selection mask. A bit at or above
 // kNumPcrs names a PCR that does not exist: the frame is hostile or
 // garbled, so it is refused rather than silently narrowed to the bits that
@@ -212,9 +215,8 @@ Result<AttestationReply> AttestationReply::Deserialize(const Bytes& data) {
   return reply;
 }
 
-AttestationService::AttestationService(FlickerPlatform* platform, AikCertificate aik_certificate,
-                                       AttestationServiceOptions options)
-    : platform_(platform), aik_certificate_(std::move(aik_certificate)), options_(options) {}
+AttestationService::AttestationService(FlickerPlatform* platform, AikCertificate aik_certificate)
+    : platform_(platform), aik_certificate_(std::move(aik_certificate)) {}
 
 bool AttestationService::NonceSeen(const Bytes& nonce) const {
   for (const Bytes& seen : answered_nonces_) {
@@ -226,15 +228,12 @@ bool AttestationService::NonceSeen(const Bytes& nonce) const {
 }
 
 void AttestationService::RememberNonce(const Bytes& nonce) {
-  if (options_.nonce_cache_capacity == 0) {
-    return;
-  }
-  if (answered_nonces_.size() < options_.nonce_cache_capacity) {
+  if (answered_nonces_.size() < kNonceCacheCapacity) {
     answered_nonces_.push_back(nonce);
     return;
   }
   answered_nonces_[answered_next_] = nonce;
-  answered_next_ = (answered_next_ + 1) % options_.nonce_cache_capacity;
+  answered_next_ = (answered_next_ + 1) % kNonceCacheCapacity;
 }
 
 Result<Bytes> AttestationService::HandleChallenge(const Bytes& challenge_wire,
@@ -252,7 +251,7 @@ Result<Bytes> AttestationService::HandleChallenge(const Bytes& challenge_wire,
   if (challenge.value().nonce.empty() || challenge.value().nonce.size() > kMaxNonceBytes) {
     return InvalidArgumentError("challenge nonce size out of bounds");
   }
-  if (options_.replay_protection && NonceSeen(challenge.value().nonce)) {
+  if (NonceSeen(challenge.value().nonce)) {
     ++replays_rejected_;
     obs::Count(obs::Ctr::kAttestReplaysRejected);
     obs::Instant("attest", "attest.replay_rejected");

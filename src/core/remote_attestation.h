@@ -62,14 +62,6 @@ struct AttestationReply {
   static Result<AttestationReply> Deserialize(const Bytes& data);
 };
 
-struct AttestationServiceOptions {
-  // At-most-once challenge handling: a nonce the service already answered
-  // is refused (kReplayDetected) instead of burning another PAL session.
-  // Disabled only by tests demonstrating why the cache must exist.
-  bool replay_protection = true;
-  size_t nonce_cache_capacity = 128;
-};
-
 // Host side: runs `binary` with `inputs` under the challenge's nonce, then
 // assembles the full reply (session I/O in the event log, fresh quote, the
 // platform's AIK certificate). `pal_extends` lists measurements the PAL
@@ -81,8 +73,7 @@ struct AttestationServiceOptions {
 // frame) answered with kReplayDetected exactly once each.
 class AttestationService {
  public:
-  AttestationService(FlickerPlatform* platform, AikCertificate aik_certificate,
-                     AttestationServiceOptions options = AttestationServiceOptions());
+  AttestationService(FlickerPlatform* platform, AikCertificate aik_certificate);
 
   Result<Bytes> HandleChallenge(const Bytes& challenge_wire, const PalBinary& binary,
                                 const Bytes& inputs,
@@ -96,8 +87,9 @@ class AttestationService {
 
   FlickerPlatform* platform_;
   AikCertificate aik_certificate_;
-  AttestationServiceOptions options_;
-  std::vector<Bytes> answered_nonces_;  // FIFO ring, bounded by the cache capacity.
+  // At-most-once challenge handling: a nonce the service already answered
+  // is refused (kReplayDetected) instead of burning another PAL session.
+  std::vector<Bytes> answered_nonces_;  // FIFO ring of the last 128 answered nonces.
   size_t answered_next_ = 0;
   uint64_t replays_rejected_ = 0;
 };

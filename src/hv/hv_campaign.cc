@@ -32,6 +32,15 @@ FlickerPlatformConfig CampaignPlatformConfig(const HvCampaignConfig& campaign) {
   return config;
 }
 
+// Per-machine Poisson mean inter-arrival times of session rounds and
+// ambient attacks.
+constexpr double kSessionMeanInterarrivalMs = 500.0;
+constexpr double kAttackMeanInterarrivalMs = 200.0;
+// Every Nth round is a dual-slot round (two concurrent sessions on one
+// machine); every Mth round runs the full mid-session attack battery.
+constexpr uint64_t kDualSlotEvery = 5;
+constexpr uint64_t kAttackedRoundEvery = 3;
+
 // Number of distinct ambient attack shapes ScheduleAttacks draws from.
 constexpr uint64_t kNumAmbientAttacks = 10;
 
@@ -162,16 +171,12 @@ void Campaign::ScheduleRounds() {
     double t_ms = 0;
     uint64_t seq = 0;
     while (true) {
-      t_ms += sim::ExponentialGapMs(&arrivals, config_.session_mean_interarrival_ms);
+      t_ms += sim::ExponentialGapMs(&arrivals, kSessionMeanInterarrivalMs);
       if (t_ms > config_.duration_ms) {
         break;
       }
-      const bool dual = config_.dual_slot_every > 0 &&
-                        seq % static_cast<uint64_t>(config_.dual_slot_every) ==
-                            static_cast<uint64_t>(config_.dual_slot_every) - 1;
-      const bool attacked = config_.attacked_round_every > 0 &&
-                            seq % static_cast<uint64_t>(config_.attacked_round_every) ==
-                                static_cast<uint64_t>(config_.attacked_round_every) - 1;
+      const bool dual = seq % kDualSlotEvery == kDualSlotEvery - 1;
+      const bool attacked = seq % kAttackedRoundEvery == kAttackedRoundEvery - 1;
       ++stats_.rounds_injected;
       if (dual) {
         ++stats_.dual_rounds;
@@ -192,7 +197,7 @@ void Campaign::ScheduleAttacks() {
     Drbg attacks(config_.seed * 7777777ULL + static_cast<uint64_t>(m));
     double t_ms = 0;
     while (true) {
-      t_ms += sim::ExponentialGapMs(&attacks, config_.attack_mean_interarrival_ms);
+      t_ms += sim::ExponentialGapMs(&attacks, kAttackMeanInterarrivalMs);
       if (t_ms > config_.duration_ms) {
         break;
       }

@@ -42,15 +42,12 @@ struct HvCampaignConfig {
   // Cores per machine: with two PAL slots the top two cores are
   // PAL-dedicated and the OS (and its attacks) keeps the rest.
   int num_cpus = 4;
-  // Arrival horizon (sim ms past the setup epoch) and Poisson mean
-  // inter-arrival times for session rounds and ambient attacks.
+  // Arrival horizon (sim ms past the setup epoch). Per machine, session
+  // rounds arrive every 500 ms and ambient attacks every 200 ms on average
+  // (Poisson); every 5th round is a dual-slot round (two concurrent
+  // sessions on one machine) and every 3rd runs the full mid-session
+  // attack battery.
   double duration_ms = 30000.0;
-  double session_mean_interarrival_ms = 500.0;
-  double attack_mean_interarrival_ms = 200.0;
-  // Every Nth round is a dual-slot round (two concurrent sessions on one
-  // machine); every Mth round runs the full mid-session attack battery.
-  int dual_slot_every = 5;
-  int attacked_round_every = 3;
 };
 
 struct HvCampaignStats {

@@ -60,11 +60,9 @@ bool TpmQuoteDaemon::BreakerAllows() {
 // other errors surface immediately.
 Result<AttestationResponse> TpmQuoteDaemon::QuoteWithRetry(const Bytes& nonce,
                                                            const PcrSelection& selection,
-                                                           double deadline_ms_override) {
-  const double deadline_ms =
-      deadline_ms_override < 0 ? config_.retry_deadline_ms : deadline_ms_override;
+                                                           double deadline_ms) {
   const uint64_t challenge_start_us = machine_->clock()->NowMicros();
-  BackoffSchedule backoff(config_.backoff, config_.backoff_jitter_seed);
+  BackoffSchedule backoff(config_.backoff);
   Status last_failure = UnavailableError("quote never attempted");
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -100,7 +98,7 @@ Result<AttestationResponse> TpmQuoteDaemon::QuoteWithRetry(const Bytes& nonce,
 
 Result<AttestationResponse> TpmQuoteDaemon::HandleChallenge(const Bytes& nonce,
                                                             const PcrSelection& selection,
-                                                            double deadline_ms_override) {
+                                                            double deadline_ms) {
   obs::ScopedSpan quote_span("tqd", "tqd.quote");
   if (machine_->in_secure_session()) {
     return FailedPreconditionError("OS suspended: quote daemon not running");
@@ -111,7 +109,7 @@ Result<AttestationResponse> TpmQuoteDaemon::HandleChallenge(const Bytes& nonce,
     return TpmFailedError("TPM circuit breaker open; challenge queued");
   }
 
-  Result<AttestationResponse> response = QuoteWithRetry(nonce, selection, deadline_ms_override);
+  Result<AttestationResponse> response = QuoteWithRetry(nonce, selection, deadline_ms);
   if (!response.ok() && response.status().code() == StatusCode::kTpmFailed && breaker_open_) {
     queued_.push_back(QueuedChallenge{nonce, selection});
     obs::Count(obs::Ctr::kTqdChallengesQueued);

@@ -55,16 +55,6 @@ struct TqdConfig {
   // Shared backoff policy (common/backoff.h). Defaults reproduce the
   // daemon's historical 2/4/8 ms doubling schedule exactly.
   BackoffPolicy backoff;
-  // Seed for the policy's jitter draws (jitter_fraction or full_jitter).
-  // Give each machine in a fleet its own seed: after a partition heals, a
-  // thousand daemons all waking on the same pinned 2/4/8 ms schedule hit
-  // the farm in lockstep; full jitter plus per-machine seeds spreads the
-  // storm across the whole backoff window, still deterministically.
-  uint64_t backoff_jitter_seed = 0;
-  // Watchdog: total simulated-clock budget (ms) one challenge may consume
-  // across all retries and backoff waits; 0 means unlimited. Checked before
-  // each retry so the daemon never sleeps past its deadline.
-  double retry_deadline_ms = 0;
   // Circuit breaker: consecutive kTpmFailed verdicts that open it, and how
   // long (simulated ms) it stays open before a half-open probe.
   int breaker_threshold = 3;
@@ -87,11 +77,12 @@ class TpmQuoteDaemon {
   // Fails while a Flicker session holds the platform (the OS, and hence the
   // daemon, is suspended). With the breaker open the challenge is queued and
   // kTpmFailed returned; DrainQueued() serves it once the TPM recovers.
-  // `deadline_ms_override` < 0 uses config.retry_deadline_ms; otherwise it
-  // replaces the watchdog budget for this one challenge (0 = unlimited) -
-  // the vTPM multiplexer charges each tenant its own deadline this way.
+  // `deadline_ms` is the watchdog: the total simulated-clock budget this
+  // challenge may consume across all retries and backoff waits, checked
+  // before each retry so the daemon never sleeps past it; 0 = unlimited.
+  // The vTPM multiplexer charges each tenant its own deadline this way.
   Result<AttestationResponse> HandleChallenge(const Bytes& nonce, const PcrSelection& selection,
-                                              double deadline_ms_override = -1.0);
+                                              double deadline_ms = 0);
 
   // Re-attempts every queued challenge (oldest first). Responses for the
   // ones that now succeed are appended to `responses`; the rest stay queued.
@@ -176,7 +167,7 @@ class TpmQuoteDaemon {
   // kTpmFailed the breaker has already been fed; the caller decides whether
   // to queue or keep the work.
   Result<AttestationResponse> QuoteWithRetry(const Bytes& nonce, const PcrSelection& selection,
-                                             double deadline_ms_override = -1.0);
+                                             double deadline_ms = 0);
   bool BatchIsReady(const PendingBatch& batch) const;
   Status FlushOneBatch(PendingBatch&& batch, std::vector<BatchQuoteResponse>* responses);
   void NoteTpmFailure();

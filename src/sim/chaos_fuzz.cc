@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "src/common/fault.h"
 #include "src/crypto/drbg.h"
@@ -15,6 +16,13 @@ namespace flicker {
 namespace sim {
 
 namespace {
+
+// The generator's dice. Times are drawn as whole milliseconds inside
+// [0, kHorizonMs) so serialized plans round-trip exactly through text.
+constexpr uint64_t kMaxEvents = 6;  // Plans carry 1..kMaxEvents faults.
+constexpr double kHorizonMs = 2000.0;  // Fault windows live inside this span.
+constexpr double kMaxWindowMs = 800.0;
+constexpr uint64_t kMaxCrashHit = 6;  // Crash-point cuts land on hit 1..max.
 
 const char* TpmFaultKindName(FaultPlan::Kind kind) {
   switch (kind) {
@@ -41,6 +49,12 @@ const char* VerifierFaultKindName(FleetVerifierFault::Kind kind) {
   }
   return "gray";
 }
+
+const FaultPlan::Kind kTpmFaultKinds[] = {FaultPlan::Kind::kNone, FaultPlan::Kind::kDrop,
+                                          FaultPlan::Kind::kGarble, FaultPlan::Kind::kDelay};
+const FleetVerifierFault::Kind kVerifierFaultKinds[] = {FleetVerifierFault::Kind::kGraySlow,
+                                                        FleetVerifierFault::Kind::kCrash,
+                                                        FleetVerifierFault::Kind::kHang};
 
 // One event as one replay-file line. Shared by the serializer and the
 // failure artifact so both always agree on the format the parser reads.
@@ -87,30 +101,59 @@ std::string EventLine(const ChaosEvent& event) {
   return os.str();
 }
 
+using KvMap = std::map<std::string, std::string>;
+
 // key=value tokens of one directive line (tokens after the directive word).
-std::map<std::string, std::string> ParseKv(std::istringstream* line) {
-  std::map<std::string, std::string> kv;
+// Fails closed on a token without '=' and on a key `allowed` does not list:
+// a replay naming a misspelled or removed knob would otherwise run a
+// different config than the one it was written from, without a word.
+Result<KvMap> ParseKv(std::istringstream* line, const std::string& directive,
+                      const std::vector<const char*>& allowed) {
+  KvMap kv;
   std::string token;
   while (*line >> token) {
     const size_t eq = token.find('=');
-    if (eq != std::string::npos) {
-      kv[token.substr(0, eq)] = token.substr(eq + 1);
+    const std::string key = token.substr(0, eq);
+    const bool known = std::any_of(allowed.begin(), allowed.end(),
+                                   [&](const char* name) { return key == name; });
+    if (eq == std::string::npos || !known) {
+      return InvalidArgumentError("chaos replay: unknown " + directive + " token '" + token +
+                                  "'");
     }
+    kv[key] = token.substr(eq + 1);
   }
   return kv;
 }
 
-double KvDouble(const std::map<std::string, std::string>& kv, const char* key, double fallback) {
+// The kind named by `kv`'s "kind" key (`fallback` when absent), matched
+// against the serializer's own names; any other name is an error.
+template <typename Kind, size_t N>
+Result<Kind> ParseKind(const KvMap& kv, const std::string& directive, Kind fallback,
+                       const Kind (&kinds)[N], const char* (*name_of)(Kind)) {
+  auto it = kv.find("kind");
+  if (it == kv.end()) {
+    return fallback;
+  }
+  for (Kind kind : kinds) {
+    if (it->second == name_of(kind)) {
+      return kind;
+    }
+  }
+  return InvalidArgumentError("chaos replay: unknown " + directive + " kind '" + it->second +
+                              "'");
+}
+
+double KvDouble(const KvMap& kv, const char* key, double fallback) {
   auto it = kv.find(key);
   return it == kv.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
-uint64_t KvU64(const std::map<std::string, std::string>& kv, const char* key, uint64_t fallback) {
+uint64_t KvU64(const KvMap& kv, const char* key, uint64_t fallback) {
   auto it = kv.find(key);
   return it == kv.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
 }
 
-int KvInt(const std::map<std::string, std::string>& kv, const char* key, int fallback) {
+int KvInt(const KvMap& kv, const char* key, int fallback) {
   return static_cast<int>(KvU64(kv, key, static_cast<uint64_t>(fallback)));
 }
 
@@ -125,25 +168,24 @@ double DrawMs(Drbg* rng, double bound) {
 
 }  // namespace
 
-ChaosPlan GenerateChaosPlan(uint64_t seed, const FleetConfig& base,
-                            const ChaosGenOptions& options) {
+ChaosPlan GenerateChaosPlan(uint64_t seed, const FleetConfig& base) {
   Drbg rng(seed ^ 0xC4A05F22ULL);
   ChaosPlan plan;
   plan.seed = seed;
   const int n = base.num_machines;
-  const uint64_t count = 1 + rng.UniformUint64(static_cast<uint64_t>(options.max_events));
+  const uint64_t count = 1 + rng.UniformUint64(kMaxEvents);
   for (uint64_t i = 0; i < count; ++i) {
     ChaosEvent event;
     const uint64_t roll = rng.UniformUint64(100);
-    const double start = DrawMs(&rng, options.horizon_ms - 1.0);
-    const double max_dur = std::min(options.max_window_ms, options.horizon_ms - start);
+    const double start = DrawMs(&rng, kHorizonMs - 1.0);
+    const double max_dur = std::min(kMaxWindowMs, kHorizonMs - start);
     const double dur = 1.0 + DrawMs(&rng, std::max(1.0, max_dur - 1.0));
     if (roll < 25) {
       event.kind = ChaosEvent::Kind::kPowerCut;
-      event.power_cut.at_ms = DrawMs(&rng, options.horizon_ms);
+      event.power_cut.at_ms = DrawMs(&rng, kHorizonMs);
       event.power_cut.machine = static_cast<int>(rng.UniformUint64(static_cast<uint64_t>(n)));
       if (base.checkpoints.enabled && rng.UniformUint64(2) == 1) {
-        event.power_cut.crash_at_hit = 1 + rng.UniformUint64(options.max_crash_hit);
+        event.power_cut.crash_at_hit = 1 + rng.UniformUint64(kMaxCrashHit);
       }
     } else if (roll < 45) {
       event.kind = ChaosEvent::Kind::kPartition;
@@ -386,13 +428,7 @@ std::string SerializeChaosReplay(const FleetConfig& base, const ChaosPlan& plan,
   os << "misordered_commit " << (base.checkpoints.misordered_commit ? 1 : 0) << "\n";
   os << "hedge " << (base.farm.hedge ? 1 : 0) << "\n";
   if (base.farm.hedge) {
-    os << "farm hedge_default_ms=" << F3(base.farm.hedge_default_ms)
-       << " hedge_min_ms=" << F3(base.farm.hedge_min_ms)
-       << " hedge_max_ms=" << F3(base.farm.hedge_max_ms)
-       << " hedge_min_samples=" << base.farm.hedge_min_samples
-       << " breaker_threshold=" << base.farm.breaker_threshold
-       << " breaker_cooldown_ms=" << F3(base.farm.breaker_cooldown_ms)
-       << " max_outstanding=" << base.farm.max_outstanding << "\n";
+    os << "farm max_outstanding=" << base.farm.max_outstanding << "\n";
   }
   for (const ChaosEvent& event : plan.events) {
     os << EventLine(event) << "\n";
@@ -450,7 +486,12 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
     } else if (directive == "fault_seed") {
       tokens >> replay.base.fault_seed;
     } else if (directive == "fault_mix") {
-      auto kv = ParseKv(&tokens);
+      Result<KvMap> parsed = ParseKv(&tokens, directive,
+                                     {"drop", "dup", "reorder", "corrupt", "delay", "delay_ms", "reorder_ms"});
+      if (!parsed.ok()) {
+        return parsed.status();
+      }
+      const KvMap& kv = parsed.value();
       replay.base.fault_mix.drop_bp = static_cast<uint32_t>(KvU64(kv, "drop", 0));
       replay.base.fault_mix.duplicate_bp = static_cast<uint32_t>(KvU64(kv, "dup", 0));
       replay.base.fault_mix.reorder_bp = static_cast<uint32_t>(KvU64(kv, "reorder", 0));
@@ -471,18 +512,35 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
       tokens >> flag;
       replay.base.farm.hedge = flag != 0;
     } else if (directive == "farm") {
-      auto kv = ParseKv(&tokens);
-      replay.base.farm.hedge_default_ms = KvDouble(kv, "hedge_default_ms", 400.0);
-      replay.base.farm.hedge_min_ms = KvDouble(kv, "hedge_min_ms", 10.0);
-      replay.base.farm.hedge_max_ms = KvDouble(kv, "hedge_max_ms", 4000.0);
-      replay.base.farm.hedge_min_samples = KvInt(kv, "hedge_min_samples", 8);
-      replay.base.farm.breaker_threshold = KvInt(kv, "breaker_threshold", 3);
-      replay.base.farm.breaker_cooldown_ms = KvDouble(kv, "breaker_cooldown_ms", 2000.0);
+      Result<KvMap> parsed = ParseKv(&tokens, directive, {"max_outstanding"});
+      if (!parsed.ok()) {
+        return parsed.status();
+      }
+      const KvMap& kv = parsed.value();
       replay.base.farm.max_outstanding = KvInt(kv, "max_outstanding", 0);
     } else if (directive == "event") {
       std::string kind;
       tokens >> kind;
-      auto kv = ParseKv(&tokens);
+      std::vector<const char*> keys;
+      if (kind == "power_cut") {
+        keys = {"at", "machine", "hit"};
+      } else if (kind == "partition") {
+        keys = {"start", "end", "first", "last"};
+      } else if (kind == "net_window") {
+        keys = {"start", "end",     "first", "last",     "drop",      "dup",
+                "reorder", "corrupt", "delay", "delay_ms", "reorder_ms"};
+      } else if (kind == "tpm_window") {
+        keys = {"start", "end", "machine", "kind", "every_n", "delay_ms", "drop_timeout_ms"};
+      } else if (kind == "verifier_fault") {
+        keys = {"kind", "verifier", "start", "end", "slow"};
+      } else {
+        return InvalidArgumentError("chaos replay: unknown event kind '" + kind + "'");
+      }
+      Result<KvMap> parsed = ParseKv(&tokens, kind, keys);
+      if (!parsed.ok()) {
+        return parsed.status();
+      }
+      const KvMap& kv = parsed.value();
       ChaosEvent event;
       if (kind == "power_cut") {
         event.kind = ChaosEvent::Kind::kPowerCut;
@@ -513,29 +571,28 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
         event.tpm_window.start_ms = KvDouble(kv, "start", 0);
         event.tpm_window.end_ms = KvDouble(kv, "end", 0);
         event.tpm_window.machine = KvInt(kv, "machine", 0);
-        auto kind_it = kv.find("kind");
-        const std::string plan_kind = kind_it == kv.end() ? "none" : kind_it->second;
-        event.tpm_window.plan.kind = plan_kind == "drop"     ? FaultPlan::Kind::kDrop
-                                     : plan_kind == "garble" ? FaultPlan::Kind::kGarble
-                                     : plan_kind == "delay"  ? FaultPlan::Kind::kDelay
-                                                             : FaultPlan::Kind::kNone;
+        Result<FaultPlan::Kind> plan_kind =
+            ParseKind(kv, kind, FaultPlan::Kind::kNone, kTpmFaultKinds, TpmFaultKindName);
+        if (!plan_kind.ok()) {
+          return plan_kind.status();
+        }
+        event.tpm_window.plan.kind = plan_kind.value();
         event.tpm_window.plan.every_n = KvU64(kv, "every_n", 0);
         event.tpm_window.plan.delay_ms = KvDouble(kv, "delay_ms", 0);
         event.tpm_window.plan.drop_timeout_ms = KvDouble(kv, "drop_timeout_ms", 0);
       } else if (kind == "verifier_fault") {
         event.kind = ChaosEvent::Kind::kVerifierFault;
-        auto kind_it = kv.find("kind");
-        const std::string fault_kind = kind_it == kv.end() ? "gray" : kind_it->second;
-        event.verifier_fault.kind = fault_kind == "crash" ? FleetVerifierFault::Kind::kCrash
-                                    : fault_kind == "hang"
-                                        ? FleetVerifierFault::Kind::kHang
-                                        : FleetVerifierFault::Kind::kGraySlow;
+        Result<FleetVerifierFault::Kind> fault_kind =
+            ParseKind(kv, kind, FleetVerifierFault::Kind::kGraySlow, kVerifierFaultKinds,
+                      VerifierFaultKindName);
+        if (!fault_kind.ok()) {
+          return fault_kind.status();
+        }
+        event.verifier_fault.kind = fault_kind.value();
         event.verifier_fault.verifier = KvInt(kv, "verifier", 0);
         event.verifier_fault.start_ms = KvDouble(kv, "start", 0);
         event.verifier_fault.end_ms = KvDouble(kv, "end", 0);
         event.verifier_fault.slow_factor = KvDouble(kv, "slow", 10.0);
-      } else {
-        return InvalidArgumentError("chaos replay: unknown event kind '" + kind + "'");
       }
       replay.plan.events.push_back(event);
     } else {
@@ -574,13 +631,12 @@ std::string ChaosFailureArtifact(const FleetConfig& base, const ChaosPlan& plan,
   return os.str();
 }
 
-ChaosFuzzReport ChaosFuzz(const FleetConfig& base, uint64_t campaign_seed, int num_plans,
-                          const ChaosGenOptions& options) {
+ChaosFuzzReport ChaosFuzz(const FleetConfig& base, uint64_t campaign_seed, int num_plans) {
   ChaosFuzzReport report;
   for (int p = 0; p < num_plans; ++p) {
     const uint64_t plan_seed =
         campaign_seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(p) + 1));
-    ChaosPlan plan = GenerateChaosPlan(plan_seed, base, options);
+    ChaosPlan plan = GenerateChaosPlan(plan_seed, base);
     ChaosOutcome outcome = RunChaosPlan(base, plan);
     ++report.plans_run;
     if (!outcome.ran || outcome.signature.empty()) {

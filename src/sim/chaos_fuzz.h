@@ -61,20 +61,12 @@ struct ChaosPlan {
   std::vector<ChaosEvent> events;
 };
 
-// Shapes the generator's dice. Times are drawn as whole milliseconds inside
-// [0, horizon_ms) so serialized plans round-trip exactly through text.
-struct ChaosGenOptions {
-  int max_events = 6;          // Plans carry 1..max_events faults.
-  double horizon_ms = 2000.0;  // Fault windows live inside this span.
-  double max_window_ms = 800.0;
-  uint64_t max_crash_hit = 6;  // Crash-point cuts land on hit 1..max.
-};
-
-// Draws one plan from `seed` (splitmix-seeded, deterministic). Only valid
-// plans are produced: machine/verifier indices in range for `base`,
-// crash-point cuts only when base.checkpoints.enabled.
-ChaosPlan GenerateChaosPlan(uint64_t seed, const FleetConfig& base,
-                            const ChaosGenOptions& options = ChaosGenOptions());
+// Draws one plan of 1..6 faults from `seed` (splitmix-seeded,
+// deterministic). Only valid plans are produced: machine/verifier indices in
+// range for `base`, crash-point cuts only when base.checkpoints.enabled.
+// Times are whole milliseconds inside a 2000 ms horizon, so serialized
+// plans round-trip exactly through text.
+ChaosPlan GenerateChaosPlan(uint64_t seed, const FleetConfig& base);
 
 // Layers the plan's events onto a copy of the base config (and stamps the
 // plan's seed), ready to hand to Fleet.
@@ -105,7 +97,9 @@ ChaosPlan ShrinkChaosPlan(const FleetConfig& base, const ChaosPlan& plan,
 // Text format, one directive per line; '#' lines are comments except the
 // machine-readable "# signature:" header the regression gate compares
 // against. The file pins the base-config fields the run depends on, so a
-// replay is self-contained:
+// replay is self-contained. The parser fails closed: an unknown directive,
+// key or fault-kind name is an InvalidArgument error naming the token,
+// never a silently different run.
 //
 //   # flicker chaos replay v1
 //   # signature: torn_state
@@ -150,8 +144,7 @@ struct ChaosFuzzReport {
 // Runs `num_plans` generated plans (seeds derived from campaign_seed); on
 // the first oracle violation, shrinks it and fills the reproducer fields.
 // Later violations are only counted - one minimal reproducer per campaign.
-ChaosFuzzReport ChaosFuzz(const FleetConfig& base, uint64_t campaign_seed, int num_plans,
-                          const ChaosGenOptions& options = ChaosGenOptions());
+ChaosFuzzReport ChaosFuzz(const FleetConfig& base, uint64_t campaign_seed, int num_plans);
 
 }  // namespace sim
 }  // namespace flicker

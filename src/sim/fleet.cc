@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/apps/hello.h"
+#include "src/common/backoff.h"
 #include "src/common/fault.h"
 #include "src/core/remote_attestation.h"
 #include "src/crypto/drbg.h"
@@ -17,6 +18,20 @@
 
 namespace flicker {
 namespace sim {
+
+namespace {
+
+// A hedge copy arms its own hedge timer, so a round whose duplicate also
+// landed on a slow verifier escalates again - up to this many hedges. With
+// two gray verifiers in the farm a one-shot hedge can land gray-on-gray and
+// stall the round.
+constexpr int kMaxHedgesPerRound = 3;
+
+// Paces overload resends. Full jitter, so a rack of shed machines spreads
+// its return over the whole window instead of re-arriving in lockstep.
+constexpr BackoffPolicy kOverloadBackoff{10.0, 2.0, 500.0, 0, true};
+
+}  // namespace
 
 // ---- FleetStats ----
 
@@ -177,11 +192,6 @@ Status Fleet::ValidateConfig() const {
       return InvalidArgumentError("tpm fault window ends before it starts");
     }
   }
-  if (config_.farm.hedge &&
-      (config_.farm.breaker_threshold <= 0 || config_.farm.hedge_min_samples <= 0 ||
-       config_.farm.max_hedges_per_round <= 0)) {
-    return InvalidArgumentError("farm policy thresholds must be positive");
-  }
   return Status::Ok();
 }
 
@@ -336,16 +346,8 @@ Status Fleet::Build() {
   }
 
   if (config_.farm.hedge) {
-    VerifierHealthConfig health;
-    health.num_verifiers = config_.num_verifiers;
-    health.hedge_default_ms = config_.farm.hedge_default_ms;
-    health.hedge_min_ms = config_.farm.hedge_min_ms;
-    health.hedge_max_ms = config_.farm.hedge_max_ms;
-    health.min_samples = config_.farm.hedge_min_samples;
-    health.breaker_threshold = config_.farm.breaker_threshold;
-    health.breaker_cooldown_ms = config_.farm.breaker_cooldown_ms;
-    health.max_outstanding = config_.farm.max_outstanding;
-    health_ = std::make_unique<VerifierHealthTracker>(health);
+    health_ = std::make_unique<VerifierHealthTracker>(config_.num_verifiers,
+                                                      config_.farm.max_outstanding);
   }
 
   verifiers_.resize(static_cast<size_t>(config_.num_verifiers));
@@ -768,7 +770,7 @@ void Fleet::OnResponseDelivery(int machine_id, uint64_t seq, uint64_t arrival_ns
       return;
     }
     const int attempt = round.overload_resends++;
-    BackoffSchedule schedule(config_.farm.overload_backoff,
+    BackoffSchedule schedule(kOverloadBackoff,
                              config_.seed ^ (0x4F4CULL + static_cast<uint64_t>(delivered.round)));
     double delay_ms = 0;
     for (int i = 0; i <= attempt; ++i) {
@@ -847,7 +849,7 @@ void Fleet::OnTimeout(size_t round_index) {
 void Fleet::OnHedgeTimer(int machine_id, uint64_t seq, size_t round_index,
                          double hedge_delay_ms) {
   RoundState& round = rounds_[round_index];
-  if (round.resolved || round.hedge_count >= config_.farm.max_hedges_per_round) {
+  if (round.resolved || round.hedge_count >= kMaxHedgesPerRound) {
     return;
   }
   FleetMachine& machine = *machines_[static_cast<size_t>(machine_id)];

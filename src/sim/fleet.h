@@ -42,7 +42,6 @@
 #include "src/attest/privacy_ca.h"
 #include "src/attest/verifier.h"
 #include "src/attest/verifier_health.h"
-#include "src/common/backoff.h"
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/core/flicker_platform.h"
@@ -93,30 +92,16 @@ struct FleetVerifierFault {
 // Client-side farm policy: hedging, breaker failover and admission control.
 // With hedge=false the harness dispatches exactly as before (blind
 // round-robin, no shedding) so legacy runs stay event-for-event identical.
+// The hedge delay and breaker policy are VerifierHealthTracker's; a hedge
+// copy arms its own hedge timer, up to three hedges per round, so a
+// duplicate that lands gray-on-gray escalates again instead of stalling.
 struct FleetFarmPolicy {
   bool hedge = false;
-  // Hedge delay = clamp(p95 of pooled ack round-trips, min, max); the
-  // default applies until hedge_min_samples acks have been pooled.
-  double hedge_default_ms = 400.0;
-  double hedge_min_ms = 10.0;
-  double hedge_max_ms = 4000.0;
-  int hedge_min_samples = 8;
-  // Per-verifier breaker: consecutive hedge/timeout misses to open, cooldown
-  // before the half-open probe.
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 2000.0;
-  // A hedge copy arms its own hedge timer, so a round whose duplicate also
-  // landed on a slow verifier escalates again - up to this many hedges. 1
-  // reproduces classic one-shot hedging; with two gray verifiers in the
-  // farm a one-shot hedge can land gray-on-gray and stall the round.
-  int max_hedges_per_round = 3;
   // Admission control: when every breaker-admissible verifier already holds
   // this many outstanding requests, the farm frontend sheds with an
-  // overload nack instead of queueing unboundedly. 0 = never shed.
+  // overload nack the machine answers with a full-jitter backoff resend,
+  // instead of queueing unboundedly. 0 = never shed.
   int max_outstanding = 0;
-  // Paces overload resends. Full jitter, so a rack of shed machines spreads
-  // its return over the whole window instead of re-arriving in lockstep.
-  BackoffPolicy overload_backoff{10.0, 2.0, 500.0, 0, true};
 };
 
 // Per-machine crash-consistent checkpoint store (DESIGN.md §9) the chaos

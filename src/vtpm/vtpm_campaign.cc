@@ -15,11 +15,21 @@
 #include "src/sim/executor.h"
 #include "src/sim/fleet.h"
 #include "src/vtpm/vtpm_manager.h"
+#include "src/vtpm/vtpm_mux.h"
 
 namespace flicker {
 namespace vtpm {
 
 namespace {
+
+// The flooding tenant's Poisson mean inter-arrival time and a hard cap on
+// its arrivals (event count).
+constexpr double kFloodMeanInterarrivalMs = 120.0;
+constexpr size_t kMaxFloodArrivals = 1200;
+// Healthy-client retry loop: attempts, linear backoff, request timeout.
+constexpr int kMaxAttemptsPerRound = 8;
+constexpr double kClientRetryBackoffMs = 2000.0;
+constexpr double kClientTimeoutMs = 30000.0;
 
 struct Round {
   int tenant = 0;
@@ -100,7 +110,7 @@ Status Campaign::Setup() {
   }
   manager_config.release_pcr17 = pcr17.take();
   manager_ = std::make_unique<VtpmManager>(platform_->machine(), manager_config);
-  mux_ = std::make_unique<VtpmMultiplexer>(manager_.get(), platform_->tqd(), config_.mux);
+  mux_ = std::make_unique<VtpmMultiplexer>(manager_.get(), platform_->tqd(), VtpmMuxConfig());
   mux_->set_sink([this](const VtpmQuoteCompletion& completion) { OnCompletion(completion); });
 
   // Provision every tenant with a distinct workload measurement, so each
@@ -133,9 +143,9 @@ Status Campaign::Setup() {
 void Campaign::ScheduleArrivals() {
   for (int i = 0; i < config_.num_tenants; ++i) {
     const bool flooding = i == config_.flooding_tenant;
-    const double mean_ms = flooding ? config_.flood_mean_interarrival_ms
-                                    : config_.healthy_mean_interarrival_ms;
-    const size_t cap = flooding ? config_.max_flood_arrivals : SIZE_MAX;
+    const double mean_ms =
+        flooding ? kFloodMeanInterarrivalMs : config_.healthy_mean_interarrival_ms;
+    const size_t cap = flooding ? kMaxFloodArrivals : SIZE_MAX;
     Drbg arrivals(config_.seed * 1000003ULL + static_cast<uint64_t>(i));
     double t_ms = 0;
     uint64_t seq = 0;
@@ -201,7 +211,7 @@ void Campaign::SubmitRound(Round* round) {
   outstanding_[round->nonce] = round;
   round->timeout_id = executor_.ScheduleAfterLocal(
       client_actors_[static_cast<size_t>(round->tenant)],
-      static_cast<uint64_t>(config_.client_timeout_ms * 1e6), [this, round] {
+      static_cast<uint64_t>(kClientTimeoutMs * 1e6), [this, round] {
         if (round->done) {
           return;
         }
@@ -220,10 +230,10 @@ void Campaign::RetryOrFail(Round* round, const Status& why) {
   }
   // Only healthy clients retry: the flood is fire-and-forget pressure, and
   // the crash-looper's failures are its expected behavior.
-  if (IsHealthy(round->tenant) && round->attempts < config_.max_attempts_per_round) {
+  if (IsHealthy(round->tenant) && round->attempts < kMaxAttemptsPerRound) {
     ++stats_.client_retries;
     const uint64_t backoff_ns = static_cast<uint64_t>(
-        config_.client_retry_backoff_ms * 1e6 * static_cast<double>(round->attempts));
+        kClientRetryBackoffMs * 1e6 * static_cast<double>(round->attempts));
     executor_.ScheduleAfterLocal(client_actors_[static_cast<size_t>(round->tenant)], backoff_ns,
                                  [this, round] { SubmitRound(round); });
     return;

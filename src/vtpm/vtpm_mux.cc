@@ -10,6 +10,13 @@
 namespace flicker {
 namespace vtpm {
 
+namespace {
+
+// Per-tenant hardware retry budget, passed through to the quote daemon.
+constexpr double kTenantDeadlineMs = 8000.0;
+
+}  // namespace
+
 VtpmMultiplexer::VtpmMultiplexer(VtpmManager* manager, TpmQuoteDaemon* tqd, VtpmMuxConfig config)
     : manager_(manager), tqd_(tqd), config_(config) {}
 
@@ -186,7 +193,7 @@ void VtpmMultiplexer::DispatchOne(const std::string& tenant, TenantLane* lane) {
   completion.bound_nonce =
       BoundNonce(TenantTag(tenant), completion.composite, request.nonce);
   Result<AttestationResponse> response = tqd_->HandleChallenge(
-      completion.bound_nonce, PcrSelection({kSkinitPcr}), config_.tenant_deadline_ms);
+      completion.bound_nonce, PcrSelection({kSkinitPcr}), kTenantDeadlineMs);
   if (!response.ok()) {
     completion.status = response.status();
     NoteFailure(tenant, lane);

@@ -8,7 +8,7 @@
 //
 //   - per-tenant deadline: a request older than max_queue_age_ms at
 //     dispatch is shed (kUnavailable), and the hardware retry loop runs
-//     under a per-tenant deadline override rather than the global one;
+//     under an 8000 ms per-tenant deadline;
 //   - per-tenant circuit breaker: consecutive failures (bad owner auth,
 //     rollback quarantine, hardware timeouts attributable to the tenant)
 //     open the breaker; a breaker-open tenant's traffic is shed with
@@ -45,8 +45,6 @@ struct VtpmMuxConfig {
   size_t max_queue_per_tenant = 8;
   // Shed a queued request older than this at dispatch time (0 = unlimited).
   double max_queue_age_ms = 20000.0;
-  // Per-tenant hardware retry budget, passed through to the quote daemon.
-  double tenant_deadline_ms = 8000.0;
   // Per-tenant breaker: consecutive failures that open it, and how long
   // (simulated ms) the tenant stays quarantined before traffic may resume.
   int breaker_threshold = 3;

@@ -171,15 +171,6 @@ TEST_F(RemoteAttestationTest, RecordedReplyReplayedForFreshChallengeRejected) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(RemoteAttestationTest, ReplayProtectionCanBeDisabledForStudy) {
-  AttestationService naive(&platform_, cert_, AttestationServiceOptions{false, 0});
-  Bytes challenge = verifier_.MakeChallenge();
-  ASSERT_TRUE(naive.HandleChallenge(challenge, binary_, Bytes()).ok());
-  // Without the cache the duplicate burns a second PAL session.
-  EXPECT_TRUE(naive.HandleChallenge(challenge, binary_, Bytes()).ok());
-  EXPECT_EQ(naive.replays_rejected(), 0u);
-}
-
 TEST_F(RemoteAttestationTest, TrustWireNonceModeAcceptsStaleReply) {
   // The deliberately vulnerable verifier mode: trusting the nonce the reply
   // itself claims makes a recorded genuine reply verify against any fresh

@@ -107,17 +107,17 @@ TEST(TqdBreakerTest, RetryDeadlineCapsSimulatedClockSpend) {
   // the next backoff would cross the deadline rather than sleeping past it.
   TqdConfig config;
   config.max_attempts = 100;
-  config.retry_deadline_ms = 25.0;
   TpmQuoteDaemon tqd(&machine, config);
+  constexpr double kDeadlineMs = 25.0;
 
   double before = machine.clock()->NowMillis();
   Result<AttestationResponse> response =
-      tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}));
+      tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}), kDeadlineMs);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
 
   double elapsed = machine.clock()->NowMillis() - before;
-  EXPECT_LE(elapsed, config.retry_deadline_ms + 0.01);
+  EXPECT_LE(elapsed, kDeadlineMs + 0.01);
   // It did retry at least once before the deadline bit.
   EXPECT_GE(tqd.retries(), 1u);
 }
@@ -130,9 +130,8 @@ TEST(TqdBreakerTest, DeadlineZeroMeansUnlimited) {
   plan.drop_timeout_ms = kDropTimeoutMs;
   machine.tpm_transport()->set_fault_plan(plan);
 
-  TqdConfig config;  // retry_deadline_ms defaults to 0 (no cap).
-  TpmQuoteDaemon tqd(&machine, config);
-  EXPECT_TRUE(tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17})).ok());
+  TpmQuoteDaemon tqd(&machine);
+  EXPECT_TRUE(tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}), 0).ok());
 }
 
 }  // namespace

@@ -116,6 +116,46 @@ TEST(ChaosFuzzTest, ParserRejectsGarbage) {
   EXPECT_FALSE(ParseChaosReplay("# flicker chaos replay v1\nseed 3\n").ok());
 }
 
+TEST(ChaosFuzzTest, ParserRejectsUnknownKeysAndKindNames) {
+  const std::string head =
+      "# flicker chaos replay v1\nseed 3\nmachines 4\nverifiers 2\nhedge 1\n";
+  // Every name the serializer writes parses back.
+  Result<ChaosReplay> good = ParseChaosReplay(
+      head +
+      "farm max_outstanding=5\n"
+      "fault_mix drop=1 dup=2 reorder=3 corrupt=4 delay=5 delay_ms=6.000 reorder_ms=7.000\n"
+      "event tpm_window start=0.000 end=5.000 machine=1 kind=garble every_n=2 delay_ms=1.000 "
+      "drop_timeout_ms=5.000\n"
+      "event verifier_fault kind=hang verifier=1 start=0.000 end=5.000 slow=2.000\n");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().base.farm.max_outstanding, 5);
+  EXPECT_EQ(good.value().base.fault_mix.reorder_ms, 7.0);
+  ASSERT_EQ(good.value().plan.events.size(), 2u);
+  EXPECT_EQ(good.value().plan.events[0].tpm_window.plan.kind, FaultPlan::Kind::kGarble);
+  EXPECT_EQ(good.value().plan.events[1].verifier_fault.kind, FleetVerifierFault::Kind::kHang);
+
+  // A key or kind name the parser does not know would silently run a
+  // different config; each is refused, naming the token.
+  const struct {
+    std::string line;
+    std::string token;
+  } bad[] = {
+      {"farm hedge_default_ms=400.000 max_outstanding=0", "hedge_default_ms=400.000"},
+      {"fault_mix drop=0 dorp=5", "dorp=5"},
+      {"event power_cut at=1.000 machine=0 hti=2", "hti=2"},
+      {"event partition start=0.000 end=5.000 first=0 last=1 stray", "stray"},
+      {"event tpm_window start=0.000 end=5.000 machine=0 kind=melt", "melt"},
+      {"event verifier_fault kind=slow verifier=0 start=0.000 end=5.000", "slow"},
+  };
+  for (const auto& c : bad) {
+    Result<ChaosReplay> parsed = ParseChaosReplay(head + c.line + "\n");
+    ASSERT_FALSE(parsed.ok()) << c.line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(parsed.status().message().find("'" + c.token + "'"), std::string::npos)
+        << c.line << ": " << parsed.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace flicker

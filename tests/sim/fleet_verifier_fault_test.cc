@@ -180,13 +180,6 @@ TEST(FleetVerifierFaultTest, RejectsPowerCutOutsideFleet) {
   EXPECT_FALSE(Fleet(config).Run().ok());
 }
 
-TEST(FleetVerifierFaultTest, RejectsDegenerateFarmThresholds) {
-  FleetConfig config = BaseConfig();
-  config.farm.hedge = true;
-  config.farm.max_hedges_per_round = 0;
-  EXPECT_FALSE(Fleet(config).Run().ok());
-}
-
 }  // namespace
 }  // namespace sim
 }  // namespace flicker

@@ -51,7 +51,7 @@ TEST(VtpmCampaignTest, HealthyTenantsAreIsolatedFromNoisyNeighbors) {
         << "tenant " << i << " starved";
   }
   EXPECT_GT(stats.HealthyJainIndex(config), 0.8);
-  EXPECT_LT(stats.HealthyLatencyPercentileMs(0.99), config.client_timeout_ms);
+  EXPECT_LT(stats.HealthyLatencyPercentileMs(0.99), 30000.0);  // The client timeout.
 
   // Attestation integrity under chaos: every accepted quote carried a valid
   // AIK signature, and none answered a challenge its client never issued.
