@@ -270,12 +270,11 @@ void Campaign::MidSessionBattery(FlickerPlatform* platform, uint64_t slot,
                                  uint64_t session_id) {
   Hypervisor* hv = platform->hypervisor();
   Machine* machine = platform->machine();
-  const uint64_t hv_base = hv->config().hv_base;
 
   // Devices the OS still drives try to reach in: DEV must block all three.
   DmaAttack(machine, slot + kSlbCodeOffset, /*is_read=*/false);
   DmaAttack(machine, slot, /*is_read=*/true);
-  DmaAttack(machine, hv_base, /*is_read=*/false);
+  DmaAttack(machine, kHvBase, /*is_read=*/false);
 
   // Cross-core probing from an OS guest core: nested paging must fault.
   Attack(hv, HvDenial::kNptViolation,
@@ -283,7 +282,7 @@ void Campaign::MidSessionBattery(FlickerPlatform* platform, uint64_t slot,
   Attack(hv, HvDenial::kNptViolation,
          [&] { return machine->GuestRead(0, slot + kSlbInputsOffset, 16).status(); });
   Attack(hv, HvDenial::kNptViolation,
-         [&] { return machine->GuestWrite(0, hv_base + 16, Bytes(8, 0xbb)); });
+         [&] { return machine->GuestWrite(0, kHvBase + 16, Bytes(8, 0xbb)); });
 
   // Malicious hypercalls against the live session.
   Attack(hv, HvDenial::kRegionOverlap, [&] { return hv->HcStartSession(slot).status(); });
@@ -295,18 +294,17 @@ void Campaign::AmbientAttack(int machine_index, int kind) {
   FlickerPlatform* platform = machines_[static_cast<size_t>(machine_index)].get();
   Hypervisor* hv = platform->hypervisor();
   Machine* machine = platform->machine();
-  const uint64_t hv_base = hv->config().hv_base;
   switch (kind) {
     case 0:
       Attack(hv, HvDenial::kNptViolation,
-             [&] { return machine->GuestWrite(0, hv_base + 8, Bytes(8, 0xcc)); });
+             [&] { return machine->GuestWrite(0, kHvBase + 8, Bytes(8, 0xcc)); });
       break;
     case 1:
       Attack(hv, HvDenial::kNptViolation,
-             [&] { return machine->GuestRead(1, hv_base, 20).status(); });
+             [&] { return machine->GuestRead(1, kHvBase, 20).status(); });
       break;
     case 2:
-      DmaAttack(machine, hv_base + 64, /*is_read=*/false);
+      DmaAttack(machine, kHvBase + 64, /*is_read=*/false);
       break;
     case 3:
       Attack(hv, HvDenial::kBadRegion, [&] { return hv->HcStartSession(0x1000).status(); });

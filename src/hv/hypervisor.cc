@@ -151,8 +151,8 @@ void Hypervisor::ChargeExit() {
 }
 
 bool Hypervisor::OverlapsHypervisor(uint64_t addr, size_t len) const {
-  const uint64_t hv_end = config_.hv_base + kHvLoaderSize;
-  return addr < hv_end && addr + len > config_.hv_base;
+  const uint64_t hv_end = kHvBase + kHvLoaderSize;
+  return addr < hv_end && addr + len > kHvBase;
 }
 
 const HvSession* Hypervisor::FindSessionCovering(uint64_t addr, size_t len) const {
@@ -174,14 +174,14 @@ Status Hypervisor::LateLaunch() {
   sessions_.clear();
   launched_ = false;
 
-  if (!machine_->memory()->InBounds(config_.hv_base, kSlbRegionSize)) {
+  if (!machine_->memory()->InBounds(kHvBase, kSlbRegionSize)) {
     return Deny(HvDenial::kBadRegion, "hypervisor region exceeds physical memory");
   }
   for (uint64_t slot : config_.pal_slot_bases) {
     if (!machine_->memory()->InBounds(slot, kSlbAllocationSize)) {
       return Deny(HvDenial::kBadRegion, "PAL slot exceeds physical memory");
     }
-    if (slot < config_.hv_base + kSlbRegionSize && slot + kSlbAllocationSize > config_.hv_base) {
+    if (slot < kHvBase + kSlbRegionSize && slot + kSlbAllocationSize > kHvBase) {
       return Deny(HvDenial::kRegionOverlap, "PAL slot overlaps the hypervisor region");
     }
   }
@@ -189,8 +189,8 @@ Status Hypervisor::LateLaunch() {
   // Stage the HLB and late-launch it: the same SKINIT handshake an SLB
   // gets, so PCR 17 now attests the hypervisor's identity at locality 4.
   const uint64_t saved_cr3 = machine_->bsp()->cr3;
-  FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(config_.hv_base, BuildHvLoaderImage()));
-  Result<SkinitLaunch> launch = machine_->Skinit(machine_->bsp()->id, config_.hv_base);
+  FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(kHvBase, BuildHvLoaderImage()));
+  Result<SkinitLaunch> launch = machine_->Skinit(machine_->bsp()->id, kHvBase);
   if (!launch.ok()) {
     return launch.status();
   }
@@ -205,7 +205,7 @@ Status Hypervisor::LateLaunch() {
   // the nested-page guard installed, OS cores VMRUN'd as guests, and the
   // top core(s) dedicated to PAL sessions.
   FLICKER_RETURN_IF_ERROR(machine_->ExitSecureMode(machine_->bsp()->id, saved_cr3));
-  machine_->dev()->Protect(config_.hv_base, kHvLoaderSize);
+  machine_->dev()->Protect(kHvBase, kHvLoaderSize);
   machine_->set_guest_guard(this);
   machine_->clock()->AdvanceMillis(machine_->timing().hv.npt_update_us / 1000.0);
 

@@ -62,10 +62,11 @@ enum class HvDenial : int {
 
 const char* HvDenialName(HvDenial denial);
 
+// Where the hypervisor loader block lives. Sits above the kernel module
+// images in every platform map this repo uses.
+inline constexpr uint64_t kHvBase = 0x140000;
+
 struct HvConfig {
-  // Where the hypervisor loader block lives. Sits above the kernel module
-  // images in every platform map this repo uses.
-  uint64_t hv_base = 0x140000;
   // Physical bases PAL sessions may be staged at. Slot 0 defaults to the
   // classic fixed base so a concurrent session's patched image - and hence
   // its measurement - is bit-identical to the classic mode's.

@@ -8,6 +8,10 @@ namespace flicker {
 
 namespace {
 
+// Seeds the retransmit backoff's jitter, mixed with each call's sequence
+// number so concurrent retriers do not sync up.
+constexpr uint64_t kJitterSeed = 0x5e55;
+
 // FNV-1a over the frame body. Not cryptographic - the trust decisions live
 // in the attestation layer - but it turns every wire bit-flip into a
 // rejected frame the retransmit machinery recovers from, instead of garbled
@@ -89,7 +93,7 @@ Result<Bytes> SessionClient::Call(const Bytes& request, const PeerPump& pump) {
 
   const double start_ms = static_cast<double>(channel_->clock()->NowMicros()) / 1000.0;
   const double hard_deadline_ms = start_ms + config_.total_deadline_ms;
-  BackoffSchedule backoff(config_.backoff, config_.jitter_seed ^ seq);
+  BackoffSchedule backoff(config_.backoff, kJitterSeed ^ seq);
   Status last_failure = UnavailableError("no response received");
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {

@@ -72,7 +72,6 @@ struct SessionConfig {
   // Capped exponential backoff between retransmits, with deterministic
   // jitter so concurrent retriers do not sync up.
   BackoffPolicy backoff{5.0, 2.0, 40.0, 0.5};
-  uint64_t jitter_seed = 0x5e55;
 };
 
 class SessionClient {

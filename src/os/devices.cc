@@ -7,14 +7,21 @@
 
 namespace flicker {
 
+namespace {
+
+constexpr size_t kChunkBytes = 64 * 1024;  // One device transfer.
+constexpr uint64_t kContentSeed = 0xc0b7;  // Seeds the copied file's bytes.
+
+}  // namespace
+
 BlockCopyReport SimulateBlockCopyDuringSessions(const BlockCopyParams& params) {
   BlockCopyReport report;
-  Drbg content(params.content_seed);
+  Drbg content(kContentSeed);
   Sha1 source_hash;
   Sha1 delivered_hash;
 
   const double ms_per_chunk =
-      static_cast<double>(params.chunk_bytes) / (params.device_mb_per_s * 1024.0 * 1024.0) * 1000.0;
+      static_cast<double>(kChunkBytes) / (params.device_mb_per_s * 1024.0 * 1024.0) * 1000.0;
   const double cycle_ms = params.session_ms + params.os_window_ms;
 
   double now_ms = 0;
@@ -32,8 +39,7 @@ BlockCopyReport SimulateBlockCopyDuringSessions(const BlockCopyParams& params) {
 
   while (produced < params.total_bytes) {
     size_t n = static_cast<size_t>(
-        params.chunk_bytes < params.total_bytes - produced ? params.chunk_bytes
-                                                           : params.total_bytes - produced);
+        kChunkBytes < params.total_bytes - produced ? kChunkBytes : params.total_bytes - produced);
     Bytes chunk = content.Generate(n);
     source_hash.Update(chunk);
 

@@ -39,7 +39,6 @@ class DmaDevice {
 // sessions repeatedly suspend the OS.
 struct BlockCopyParams {
   uint64_t total_bytes = 1ULL << 30;      // 1 GB file, as in the paper.
-  size_t chunk_bytes = 64 * 1024;
   double device_mb_per_s = 30.0;          // CD-ROM/USB-era throughput.
   // Descriptor-ring capacity: how much the device can buffer while the OS
   // cannot service completions.
@@ -52,7 +51,6 @@ struct BlockCopyParams {
   // device before each session, so the device idles cleanly instead of
   // filling its ring and asserting flow control mid-transfer.
   bool flicker_aware_quiesce = false;
-  uint64_t content_seed = 0xc0b7;
 };
 
 struct BlockCopyReport {

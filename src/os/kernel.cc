@@ -11,8 +11,7 @@ namespace flicker {
 
 namespace {
 
-// The synthetic kernel image is a pure function of the content seed and the
-// region layout, and a fleet builds the same image on every machine (and
+// The synthetic kernel image is a pure function of the region layout, and a fleet builds the same image on every machine (and
 // again on every RestorePristine). Generate each distinct image once per
 // process: the region bytes, drawn from one DRBG in measurement order, and
 // their SHA-1.
@@ -24,21 +23,21 @@ struct KernelImage {
   bool disjoint = true;
 };
 
-const KernelImage& GetKernelImage(uint64_t content_seed,
-                                  const std::vector<KernelRegion>& regions) {
+// Seeds the DRBG the kernel "build" is drawn from.
+constexpr uint64_t kContentSeed = 0x2620;
+
+const KernelImage& GetKernelImage(const std::vector<KernelRegion>& regions) {
   using Layout = std::vector<std::pair<uint64_t, size_t>>;
   static std::mutex mutex;
-  static std::map<std::pair<uint64_t, Layout>, KernelImage>* cache =
-      new std::map<std::pair<uint64_t, Layout>, KernelImage>();
+  static std::map<Layout, KernelImage>* cache = new std::map<Layout, KernelImage>();
   Layout layout;
   for (const KernelRegion& region : regions) {
     layout.emplace_back(region.base, region.size);
   }
   std::lock_guard<std::mutex> lock(mutex);
-  auto key = std::make_pair(content_seed, std::move(layout));
-  auto it = cache->find(key);
+  auto it = cache->find(layout);
   if (it == cache->end()) {
-    Drbg content(content_seed);
+    Drbg content(kContentSeed);
     Sha1 hash;
     KernelImage image;
     for (size_t i = 0; i < regions.size(); ++i) {
@@ -52,7 +51,7 @@ const KernelImage& GetKernelImage(uint64_t content_seed,
       }
     }
     image.measurement = hash.Finish();
-    it = cache->emplace(std::move(key), std::move(image)).first;
+    it = cache->emplace(std::move(layout), std::move(image)).first;
   }
   return it->second;
 }
@@ -72,7 +71,7 @@ OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
 
   // Config addresses are within the machine by construction; a region that
   // is not simply drops out of the measurement, as CurrentMeasurement reads.
-  const KernelImage& image = GetKernelImage(config_.content_seed, regions_);
+  const KernelImage& image = GetKernelImage(regions_);
   bool all_written = true;
   for (size_t i = 0; i < regions_.size(); ++i) {
     all_written &= machine_->memory()->Write(regions_[i].base, image.region_bytes[i]).ok();
@@ -159,7 +158,7 @@ Status OsKernel::PatchText(uint64_t offset, const Bytes& patch) {
 }
 
 Status OsKernel::RestorePristine() {
-  const KernelImage& image = GetKernelImage(config_.content_seed, regions_);
+  const KernelImage& image = GetKernelImage(regions_);
   for (size_t i = 0; i < regions_.size(); ++i) {
     FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(regions_[i].base, image.region_bytes[i]));
   }

@@ -33,7 +33,6 @@ struct KernelConfig {
   uint64_t modules_base = 0x700000;
   std::vector<std::pair<std::string, size_t>> modules = {
       {"ext3", 96 * 1024}, {"e1000", 64 * 1024}, {"tpm_tis", 16 * 1024}};
-  uint64_t content_seed = 0x2620;         // Deterministic kernel "build".
 };
 
 class OsKernel {

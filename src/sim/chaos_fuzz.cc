@@ -417,8 +417,6 @@ std::string SerializeChaosReplay(const FleetConfig& base, const ChaosPlan& plan,
   os << "tpm_key_bits " << base.tpm_key_bits << "\n";
   os << "batched_machines_bp " << base.batched_machines_bp << "\n";
   os << "full_session_bp " << base.full_session_bp << "\n";
-  os << "max_batch_size " << base.max_batch_size << "\n";
-  os << "max_batch_wait_ms " << F3(base.max_batch_wait_ms) << "\n";
   os << "fault_seed " << base.fault_seed << "\n";
   os << "fault_mix drop=" << base.fault_mix.drop_bp << " dup=" << base.fault_mix.duplicate_bp
      << " reorder=" << base.fault_mix.reorder_bp << " corrupt=" << base.fault_mix.corrupt_bp
@@ -479,10 +477,6 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
       tokens >> replay.base.batched_machines_bp;
     } else if (directive == "full_session_bp") {
       tokens >> replay.base.full_session_bp;
-    } else if (directive == "max_batch_size") {
-      tokens >> replay.base.max_batch_size;
-    } else if (directive == "max_batch_wait_ms") {
-      tokens >> replay.base.max_batch_wait_ms;
     } else if (directive == "fault_seed") {
       tokens >> replay.base.fault_seed;
     } else if (directive == "fault_mix") {

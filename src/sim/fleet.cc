@@ -27,6 +27,11 @@ namespace {
 // stall the round.
 constexpr int kMaxHedgesPerRound = 3;
 
+// The batched machines' tqd coalescing window: flushed at this many
+// challenges or once the oldest has waited this long.
+constexpr size_t kMaxBatchSize = 8;
+constexpr double kMaxBatchWaitMs = 10.0;
+
 // Paces overload resends. Full jitter, so a rack of shed machines spreads
 // its return over the whole window instead of re-arriving in lockstep.
 constexpr BackoffPolicy kOverloadBackoff{10.0, 2.0, 500.0, 0, true};
@@ -293,8 +298,8 @@ Status Fleet::Build() {
   // (seed, bits), so machine #2..#N skip keygen entirely. Identity still
   // differs per machine via its own Privacy CA certificate label.
   platform_config.machine.tpm.key_bits = config_.tpm_key_bits;
-  platform_config.tqd.max_batch_size = config_.max_batch_size;
-  platform_config.tqd.max_batch_wait_ms = config_.max_batch_wait_ms;
+  platform_config.tqd.max_batch_size = kMaxBatchSize;
+  platform_config.tqd.max_batch_wait_ms = kMaxBatchWaitMs;
 
   Drbg shape(config_.seed ^ 0xF1EE7ULL);
   machines_.reserve(static_cast<size_t>(config_.num_machines));
@@ -303,7 +308,7 @@ Status Fleet::Build() {
     machine->id = i;
     machine->platform = std::make_unique<FlickerPlatform>(platform_config);
     machine->channel = std::make_unique<LossyChannel>(
-        &machine->wire_clock, config_.latency,
+        &machine->wire_clock, LatencyProfile(),
         /*jitter_seed=*/config_.seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(i) + 1)));
     if (config_.fault_mix.drop_bp != 0 || config_.fault_mix.duplicate_bp != 0 ||
         config_.fault_mix.reorder_bp != 0 || config_.fault_mix.corrupt_bp != 0 ||

@@ -155,9 +155,6 @@ struct FleetConfig {
   // 512-bit keys keep a thousand TPMs affordable; the key material is
   // memoized across machines (one manufacture seed), certs are per-machine.
   size_t tpm_key_bits = 512;
-  size_t max_batch_size = 8;
-  double max_batch_wait_ms = 10.0;
-  LatencyProfile latency;
   // Per-wire fault plan (seeded per machine off fault_seed); all-zero mix =
   // clean wires.
   NetFaultMix fault_mix;

@@ -81,7 +81,6 @@ class HvAdversaryTest : public ::testing::Test {
 TEST_F(HvAdversaryTest, MidSessionBatteryIsFullyDeniedAndTheSessionSurvives) {
   const uint64_t id = OpenProtectedSession(kSlbFixedBase);
   ASSERT_NE(id, 0u);
-  const uint64_t hv_base = hv()->config().hv_base;
   const Bytes slot_before =
       machine()->memory()->Read(kSlbFixedBase, kSlbAllocationSize).value();
 
@@ -89,14 +88,14 @@ TEST_F(HvAdversaryTest, MidSessionBatteryIsFullyDeniedAndTheSessionSurvives) {
   // hypervisor itself.
   ExpectDmaBlocked(kSlbFixedBase + kSlbCodeOffset);
   ExpectDmaBlocked(kSlbFixedBase + kSlbInputsOffset);
-  ExpectDmaBlocked(hv_base);
+  ExpectDmaBlocked(hv::kHvBase);
   EXPECT_FALSE(machine()->DmaRead(kSlbFixedBase, 64).ok()) << "DEV must block reads too";
 
   // Guest-mode loads/stores from OS core 0 probing the protected frames.
   const uint64_t npt_before = machine()->npt_blocked_count();
   EXPECT_FALSE(machine()->GuestWrite(0, kSlbFixedBase + kSlbCodeOffset, BytesOf("hook")).ok());
   EXPECT_FALSE(machine()->GuestRead(0, kSlbFixedBase + kSlbInputsOffset, 32).ok());
-  EXPECT_FALSE(machine()->GuestWrite(0, hv_base + 16, BytesOf("vmcb-patch")).ok());
+  EXPECT_FALSE(machine()->GuestWrite(0, hv::kHvBase + 16, BytesOf("vmcb-patch")).ok());
   EXPECT_EQ(machine()->npt_blocked_count(), npt_before + 3);
 
   // Malicious hypercalls against the live session.
@@ -164,8 +163,8 @@ TEST_F(HvAdversaryTest, AmbientHypercallBatteryIsFullyTyped) {
   ExpectDenied(hv::HvDenial::kBadHeader, [&] { return hv()->HcStartSession(kSlbFixedBase); });
 
   // The hypervisor's own frames stay sealed while idle.
-  EXPECT_FALSE(machine()->GuestWrite(0, hv()->config().hv_base + 8, BytesOf("x")).ok());
-  ExpectDmaBlocked(hv()->config().hv_base + 64);
+  EXPECT_FALSE(machine()->GuestWrite(0, hv::kHvBase + 8, BytesOf("x")).ok());
+  ExpectDmaBlocked(hv::kHvBase + 64);
 }
 
 TEST_F(HvAdversaryTest, CompletedSlotsReopenToTheOs) {

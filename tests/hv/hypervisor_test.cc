@@ -190,13 +190,12 @@ TEST_F(HypervisorTest, DevBlocksDmaIntoProtectedFrames) {
   FlickerPlatform platform(ConcurrentConfig());
   ASSERT_TRUE(platform.EnsureHypervisorResident().ok());
   Machine* machine = platform.machine();
-  const uint64_t hv_base = platform.hypervisor()->config().hv_base;
 
-  const Bytes before = machine->memory()->Read(hv_base, 16).value();
+  const Bytes before = machine->memory()->Read(hv::kHvBase, 16).value();
   uint64_t blocked = machine->dma_blocked_count();
-  EXPECT_FALSE(machine->DmaWrite(hv_base + 4, BytesOf("dma-overwrite")).ok());
+  EXPECT_FALSE(machine->DmaWrite(hv::kHvBase + 4, BytesOf("dma-overwrite")).ok());
   EXPECT_EQ(machine->dma_blocked_count(), blocked + 1);
-  EXPECT_EQ(machine->memory()->Read(hv_base, 16).value(), before);
+  EXPECT_EQ(machine->memory()->Read(hv::kHvBase, 16).value(), before);
 
   // An active session's slot is DEV-covered too, for reads and writes.
   ASSERT_TRUE(Stage(&platform, kSlbFixedBase).ok());
@@ -215,14 +214,13 @@ TEST_F(HypervisorTest, NestedPagingFaultsGuestProbesIntoProtectedFrames) {
   ASSERT_TRUE(platform.EnsureHypervisorResident().ok());
   Machine* machine = platform.machine();
   hv::Hypervisor* hv = platform.hypervisor();
-  const uint64_t hv_base = hv->config().hv_base;
 
   ASSERT_TRUE(Stage(&platform, kSlbFixedBase).ok());
   ASSERT_TRUE(hv->HcStartSession(kSlbFixedBase).ok());
 
   const uint64_t npt_before = machine->npt_blocked_count();
   const uint64_t denials_before = hv->denied(hv::HvDenial::kNptViolation);
-  EXPECT_FALSE(machine->GuestWrite(0, hv_base + 8, BytesOf("hijack")).ok());
+  EXPECT_FALSE(machine->GuestWrite(0, hv::kHvBase + 8, BytesOf("hijack")).ok());
   EXPECT_FALSE(machine->GuestRead(0, kSlbFixedBase + kSlbInputsOffset, 16).ok());
   EXPECT_EQ(machine->npt_blocked_count(), npt_before + 2);
   EXPECT_EQ(hv->denied(hv::HvDenial::kNptViolation), denials_before + 2);

@@ -48,9 +48,8 @@ TEST(FleetTest, CleanWiresCompleteEveryRound) {
 
 TEST(FleetTest, BatchedMachinesAggregateChallenges) {
   FleetConfig config = SmallFleet();
-  // Everybody batches; a short window forces several flushes.
+  // Everybody batches; the 10 ms window forces several flushes.
   config.batched_machines_bp = 10000;
-  config.max_batch_wait_ms = 5.0;
   Fleet fleet(config);
   ASSERT_TRUE(fleet.Run().ok());
   const FleetStats& stats = fleet.stats();
