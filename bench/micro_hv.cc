@@ -139,7 +139,7 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
   const hv::HvCampaignStats& stats = run.value();
 
   std::printf("hv campaign: %d machines x %d cores, %.0f ms horizon, seed %llu\n",
-              config.num_machines, config.num_cpus, config.duration_ms,
+              config.num_machines, hv::kCampaignCpus, config.duration_ms,
               static_cast<unsigned long long>(config.seed));
   std::printf("  rounds: %llu injected, %llu completed, %llu failed (%llu dual, %llu attacked)\n",
               static_cast<unsigned long long>(stats.rounds_injected),

@@ -21,10 +21,10 @@ namespace {
 // 1.5 MB kernel leaves the low megabyte to the PAL slots and the hypervisor
 // loader at 0x140000, with a second PAL slot at 0x150000 so dual-slot
 // rounds fit.
-FlickerPlatformConfig CampaignPlatformConfig(const HvCampaignConfig& campaign) {
+FlickerPlatformConfig CampaignPlatformConfig() {
   FlickerPlatformConfig config = CompactPlatformConfig();
   config.mode = SessionMode::kConcurrent;
-  config.machine.num_cpus = campaign.num_cpus;
+  config.machine.num_cpus = kCampaignCpus;
   // µPCR-only sessions: the hello PAL never touches the TPM, so both slots
   // (and both dedicated cores) can hold sessions at once.
   config.hv.mirror_hardware_pcr = false;
@@ -105,7 +105,7 @@ Status Campaign::Setup() {
   // requires every fleet session to reproduce its slot's reference byte
   // for byte.
   {
-    FlickerPlatform reference(CampaignPlatformConfig(config_));
+    FlickerPlatform reference(CampaignPlatformConfig());
     FLICKER_RETURN_IF_ERROR(reference.EnsureHypervisorResident());
     Hypervisor* hv = reference.hypervisor();
     FlickerModule* module = reference.flicker_module();
@@ -136,7 +136,7 @@ Status Campaign::Setup() {
   // hard mode-parity check: the concurrent µPCR chain for the classic fixed
   // base must equal what the hardware PCR 17 shows classically.
   {
-    FlickerPlatformConfig classic_config = CampaignPlatformConfig(config_);
+    FlickerPlatformConfig classic_config = CampaignPlatformConfig();
     classic_config.mode = SessionMode::kClassic;
     FlickerPlatform classic(classic_config);
     Result<FlickerSessionResult> ref = classic.ExecuteSession(binary_, inputs_);
@@ -152,7 +152,7 @@ Status Campaign::Setup() {
   }
 
   for (int m = 0; m < config_.num_machines; ++m) {
-    machines_.push_back(std::make_unique<FlickerPlatform>(CampaignPlatformConfig(config_)));
+    machines_.push_back(std::make_unique<FlickerPlatform>(CampaignPlatformConfig()));
     FlickerPlatform* platform = machines_.back().get();
     // Launch the hypervisor up front so rounds measure steady state, not
     // the one-time SKINIT.
@@ -459,7 +459,7 @@ std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"campaign\": {\"machines\": " << config.num_machines
-     << ", \"cpus\": " << config.num_cpus << ", \"seed\": " << config.seed
+     << ", \"cpus\": " << kCampaignCpus << ", \"seed\": " << config.seed
      << ", \"duration_ms\": " << sim::F3(config.duration_ms)
      << ", \"rounds_injected\": " << rounds_injected << ", \"dual_rounds\": " << dual_rounds
      << ", \"attacked_rounds\": " << attacked_rounds << "},\n";
@@ -490,9 +490,6 @@ std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
 Result<HvCampaignStats> RunHvCampaign(const HvCampaignConfig& config) {
   if (config.num_machines < 1) {
     return InvalidArgumentError("campaign needs at least one machine");
-  }
-  if (config.num_cpus < 3) {
-    return InvalidArgumentError("concurrent mode needs an OS core plus dedicated cores");
   }
   Campaign campaign(config);
   return campaign.Run();

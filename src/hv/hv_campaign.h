@@ -36,12 +36,13 @@
 namespace flicker {
 namespace hv {
 
+// Cores per campaign machine: with two PAL slots the top two cores are
+// PAL-dedicated and the OS (and its attacks) keeps the rest.
+inline constexpr int kCampaignCpus = 4;
+
 struct HvCampaignConfig {
   uint64_t seed = 1;
   int num_machines = 4;
-  // Cores per machine: with two PAL slots the top two cores are
-  // PAL-dedicated and the OS (and its attacks) keeps the rest.
-  int num_cpus = 4;
   // Arrival horizon (sim ms past the setup epoch). Per machine, session
   // rounds arrive every 500 ms and ambient attacks every 200 ms on average
   // (Poisson); every 5th round is a dual-slot round (two concurrent
