@@ -10,17 +10,18 @@
 //     hedge delay derives from ("fire a second copy once this request has
 //     taken longer than 95% of recent successes"),
 //   * per-verifier consecutive-miss counts drive a circuit breaker: after
-//     3 hedge-detected misses the verifier is skipped outright for a
-//     2000 ms cooldown, then a single half-open probe
-//     either re-closes the breaker (and records the MTTR sample) or
-//     re-opens it for another cooldown,
+//     a run of hedge-detected misses the verifier is skipped outright for
+//     a cooldown, then a single half-open probe either re-closes the
+//     breaker (and records the MTTR sample) or re-opens it for another
+//     cooldown,
 //   * per-verifier outstanding-request depth doubles as farm-side admission
 //     control: when every candidate sits at the depth cap the farm sheds
 //     with a distinct kOverloaded verdict instead of queueing unboundedly.
 //
-// Pure logic, no I/O, deterministic: the tracker never reads a clock - all
-// times arrive as arguments in simulated milliseconds - so the fleet
-// harness and unit tests drive it bit-exactly.
+// The policy numbers are constants in verifier_health.cc. Pure logic, no
+// I/O, deterministic: the tracker never reads a clock - all times arrive as
+// arguments in simulated milliseconds - so the fleet harness and unit tests
+// drive it bit-exactly.
 
 #ifndef FLICKER_SRC_ATTEST_VERIFIER_HEALTH_H_
 #define FLICKER_SRC_ATTEST_VERIFIER_HEALTH_H_
@@ -61,13 +62,11 @@ class VerifierHealthTracker {
   // answered at gray speed restarts the cooldown instead of re-closing.
   void OnSuccess(int verifier, double latency_ms, double now_ms);
   // Hedge fired / timeout expired against the verifier: one consecutive
-  // miss; opens the breaker at the third.
+  // miss; opens the breaker at the threshold.
   void OnMiss(int verifier, double now_ms);
 
   // ---- Derived views ----
-  // p95 of the pooled acks clamped to [10, 4000] ms; 400 ms until 8 acks
-  // have been pooled.
-  double HedgeDelayMs() const;
+  double HedgeDelayMs() const;  // p95-derived, clamped; default until warm.
   int outstanding(int verifier) const { return state_[verifier].outstanding; }
   uint64_t breaker_trips() const { return breaker_trips_; }
   const std::vector<double>& mttr_samples_ms() const { return mttr_samples_ms_; }

@@ -89,7 +89,7 @@ class AttestationService {
   AikCertificate aik_certificate_;
   // At-most-once challenge handling: a nonce the service already answered
   // is refused (kReplayDetected) instead of burning another PAL session.
-  std::vector<Bytes> answered_nonces_;  // FIFO ring of the last 128 answered nonces.
+  std::vector<Bytes> answered_nonces_;  // FIFO ring, kNonceCacheCapacity deep.
   size_t answered_next_ = 0;
   uint64_t replays_rejected_ = 0;
 };

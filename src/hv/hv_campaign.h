@@ -43,11 +43,8 @@ inline constexpr int kCampaignCpus = 4;
 struct HvCampaignConfig {
   uint64_t seed = 1;
   int num_machines = 4;
-  // Arrival horizon (sim ms past the setup epoch). Per machine, session
-  // rounds arrive every 500 ms and ambient attacks every 200 ms on average
-  // (Poisson); every 5th round is a dual-slot round (two concurrent
-  // sessions on one machine) and every 3rd runs the full mid-session
-  // attack battery.
+  // Arrival horizon (sim ms past the setup epoch); the round and attack
+  // cadence are constants in hv_campaign.cc.
   double duration_ms = 30000.0;
 };
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 #include <sstream>
-#include <vector>
 
 #include "src/common/fault.h"
 #include "src/crypto/drbg.h"
@@ -49,12 +48,6 @@ const char* VerifierFaultKindName(FleetVerifierFault::Kind kind) {
   }
   return "gray";
 }
-
-const FaultPlan::Kind kTpmFaultKinds[] = {FaultPlan::Kind::kNone, FaultPlan::Kind::kDrop,
-                                          FaultPlan::Kind::kGarble, FaultPlan::Kind::kDelay};
-const FleetVerifierFault::Kind kVerifierFaultKinds[] = {FleetVerifierFault::Kind::kGraySlow,
-                                                        FleetVerifierFault::Kind::kCrash,
-                                                        FleetVerifierFault::Kind::kHang};
 
 // One event as one replay-file line. Shared by the serializer and the
 // failure artifact so both always agree on the format the parser reads.
@@ -101,60 +94,56 @@ std::string EventLine(const ChaosEvent& event) {
   return os.str();
 }
 
+// key=value tokens of one directive line (tokens after the directive word),
+// each filed whole under its key; a token without '=' lands under a key no
+// field reads. Every Kv* read takes its key out, so what is left once a
+// line is parsed is a token no field asked for.
 using KvMap = std::map<std::string, std::string>;
 
-// key=value tokens of one directive line (tokens after the directive word).
-// Fails closed on a token without '=' and on a key `allowed` does not list:
-// a replay naming a misspelled or removed knob would otherwise run a
-// different config than the one it was written from, without a word.
-Result<KvMap> ParseKv(std::istringstream* line, const std::string& directive,
-                      const std::vector<const char*>& allowed) {
+KvMap ParseKv(std::istringstream* line) {
   KvMap kv;
   std::string token;
   while (*line >> token) {
     const size_t eq = token.find('=');
-    const std::string key = token.substr(0, eq);
-    const bool known = std::any_of(allowed.begin(), allowed.end(),
-                                   [&](const char* name) { return key == name; });
-    if (eq == std::string::npos || !known) {
-      return InvalidArgumentError("chaos replay: unknown " + directive + " token '" + token +
-                                  "'");
-    }
-    kv[key] = token.substr(eq + 1);
+    kv[eq == std::string::npos ? "=" + token : token.substr(0, eq)] = token;
   }
   return kv;
 }
 
-// The kind named by `kv`'s "kind" key (`fallback` when absent), matched
-// against the serializer's own names; any other name is an error.
-template <typename Kind, size_t N>
-Result<Kind> ParseKind(const KvMap& kv, const std::string& directive, Kind fallback,
-                       const Kind (&kinds)[N], const char* (*name_of)(Kind)) {
-  auto it = kv.find("kind");
-  if (it == kv.end()) {
-    return fallback;
+// Takes `key`'s value out of `kv`; false, leaving `value` alone, when the
+// line omits the key.
+bool KvTake(KvMap* kv, const char* key, std::string* value) {
+  auto it = kv->find(key);
+  if (it == kv->end()) {
+    return false;
   }
-  for (Kind kind : kinds) {
-    if (it->second == name_of(kind)) {
-      return kind;
-    }
-  }
-  return InvalidArgumentError("chaos replay: unknown " + directive + " kind '" + it->second +
-                              "'");
+  *value = it->second.substr(it->second.find('=') + 1);
+  kv->erase(it);
+  return true;
 }
 
-double KvDouble(const KvMap& kv, const char* key, double fallback) {
-  auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+double KvDouble(KvMap* kv, const char* key, double fallback) {
+  std::string value;
+  return KvTake(kv, key, &value) ? std::strtod(value.c_str(), nullptr) : fallback;
 }
 
-uint64_t KvU64(const KvMap& kv, const char* key, uint64_t fallback) {
-  auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+uint64_t KvU64(KvMap* kv, const char* key, uint64_t fallback) {
+  std::string value;
+  return KvTake(kv, key, &value) ? std::strtoull(value.c_str(), nullptr, 10) : fallback;
 }
 
-int KvInt(const KvMap& kv, const char* key, int fallback) {
+int KvInt(KvMap* kv, const char* key, int fallback) {
   return static_cast<int>(KvU64(kv, key, static_cast<uint64_t>(fallback)));
+}
+
+// Fails closed on a leftover token: a replay naming a misspelled or removed
+// knob would otherwise run a different config than it was written from.
+Status RejectLeftovers(const KvMap& kv, const std::string& directive) {
+  if (kv.empty()) {
+    return Status::Ok();
+  }
+  return InvalidArgumentError("chaos replay: unknown " + directive + " token '" +
+                              kv.begin()->second + "'");
 }
 
 // Integer-millisecond draw in [0, bound); generated times round-trip
@@ -480,19 +469,15 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
     } else if (directive == "fault_seed") {
       tokens >> replay.base.fault_seed;
     } else if (directive == "fault_mix") {
-      Result<KvMap> parsed = ParseKv(&tokens, directive,
-                                     {"drop", "dup", "reorder", "corrupt", "delay", "delay_ms", "reorder_ms"});
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-      const KvMap& kv = parsed.value();
-      replay.base.fault_mix.drop_bp = static_cast<uint32_t>(KvU64(kv, "drop", 0));
-      replay.base.fault_mix.duplicate_bp = static_cast<uint32_t>(KvU64(kv, "dup", 0));
-      replay.base.fault_mix.reorder_bp = static_cast<uint32_t>(KvU64(kv, "reorder", 0));
-      replay.base.fault_mix.corrupt_bp = static_cast<uint32_t>(KvU64(kv, "corrupt", 0));
-      replay.base.fault_mix.delay_bp = static_cast<uint32_t>(KvU64(kv, "delay", 0));
-      replay.base.fault_mix.delay_ms = KvDouble(kv, "delay_ms", 25.0);
-      replay.base.fault_mix.reorder_ms = KvDouble(kv, "reorder_ms", 15.0);
+      KvMap kv = ParseKv(&tokens);
+      replay.base.fault_mix.drop_bp = static_cast<uint32_t>(KvU64(&kv, "drop", 0));
+      replay.base.fault_mix.duplicate_bp = static_cast<uint32_t>(KvU64(&kv, "dup", 0));
+      replay.base.fault_mix.reorder_bp = static_cast<uint32_t>(KvU64(&kv, "reorder", 0));
+      replay.base.fault_mix.corrupt_bp = static_cast<uint32_t>(KvU64(&kv, "corrupt", 0));
+      replay.base.fault_mix.delay_bp = static_cast<uint32_t>(KvU64(&kv, "delay", 0));
+      replay.base.fault_mix.delay_ms = KvDouble(&kv, "delay_ms", 25.0);
+      replay.base.fault_mix.reorder_ms = KvDouble(&kv, "reorder_ms", 15.0);
+      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, directive));
     } else if (directive == "checkpoints") {
       int flag = 0;
       tokens >> flag;
@@ -506,88 +491,76 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
       tokens >> flag;
       replay.base.farm.hedge = flag != 0;
     } else if (directive == "farm") {
-      Result<KvMap> parsed = ParseKv(&tokens, directive, {"max_outstanding"});
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-      const KvMap& kv = parsed.value();
-      replay.base.farm.max_outstanding = KvInt(kv, "max_outstanding", 0);
+      KvMap kv = ParseKv(&tokens);
+      replay.base.farm.max_outstanding = KvInt(&kv, "max_outstanding", 0);
+      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, directive));
     } else if (directive == "event") {
       std::string kind;
       tokens >> kind;
-      std::vector<const char*> keys;
-      if (kind == "power_cut") {
-        keys = {"at", "machine", "hit"};
-      } else if (kind == "partition") {
-        keys = {"start", "end", "first", "last"};
-      } else if (kind == "net_window") {
-        keys = {"start", "end",     "first", "last",     "drop",      "dup",
-                "reorder", "corrupt", "delay", "delay_ms", "reorder_ms"};
-      } else if (kind == "tpm_window") {
-        keys = {"start", "end", "machine", "kind", "every_n", "delay_ms", "drop_timeout_ms"};
-      } else if (kind == "verifier_fault") {
-        keys = {"kind", "verifier", "start", "end", "slow"};
-      } else {
-        return InvalidArgumentError("chaos replay: unknown event kind '" + kind + "'");
-      }
-      Result<KvMap> parsed = ParseKv(&tokens, kind, keys);
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-      const KvMap& kv = parsed.value();
+      KvMap kv = ParseKv(&tokens);
       ChaosEvent event;
       if (kind == "power_cut") {
         event.kind = ChaosEvent::Kind::kPowerCut;
-        event.power_cut.at_ms = KvDouble(kv, "at", 0);
-        event.power_cut.machine = KvInt(kv, "machine", 0);
-        event.power_cut.crash_at_hit = KvU64(kv, "hit", 0);
+        event.power_cut.at_ms = KvDouble(&kv, "at", 0);
+        event.power_cut.machine = KvInt(&kv, "machine", 0);
+        event.power_cut.crash_at_hit = KvU64(&kv, "hit", 0);
       } else if (kind == "partition") {
         event.kind = ChaosEvent::Kind::kPartition;
-        event.partition.start_ms = KvDouble(kv, "start", 0);
-        event.partition.end_ms = KvDouble(kv, "end", 0);
-        event.partition.first_machine = KvInt(kv, "first", 0);
-        event.partition.last_machine = KvInt(kv, "last", -1);
+        event.partition.start_ms = KvDouble(&kv, "start", 0);
+        event.partition.end_ms = KvDouble(&kv, "end", 0);
+        event.partition.first_machine = KvInt(&kv, "first", 0);
+        event.partition.last_machine = KvInt(&kv, "last", -1);
       } else if (kind == "net_window") {
         event.kind = ChaosEvent::Kind::kNetWindow;
-        event.net_window.start_ms = KvDouble(kv, "start", 0);
-        event.net_window.end_ms = KvDouble(kv, "end", 0);
-        event.net_window.first_machine = KvInt(kv, "first", 0);
-        event.net_window.last_machine = KvInt(kv, "last", -1);
-        event.net_window.mix.drop_bp = static_cast<uint32_t>(KvU64(kv, "drop", 0));
-        event.net_window.mix.duplicate_bp = static_cast<uint32_t>(KvU64(kv, "dup", 0));
-        event.net_window.mix.reorder_bp = static_cast<uint32_t>(KvU64(kv, "reorder", 0));
-        event.net_window.mix.corrupt_bp = static_cast<uint32_t>(KvU64(kv, "corrupt", 0));
-        event.net_window.mix.delay_bp = static_cast<uint32_t>(KvU64(kv, "delay", 0));
-        event.net_window.mix.delay_ms = KvDouble(kv, "delay_ms", 25.0);
-        event.net_window.mix.reorder_ms = KvDouble(kv, "reorder_ms", 15.0);
+        event.net_window.start_ms = KvDouble(&kv, "start", 0);
+        event.net_window.end_ms = KvDouble(&kv, "end", 0);
+        event.net_window.first_machine = KvInt(&kv, "first", 0);
+        event.net_window.last_machine = KvInt(&kv, "last", -1);
+        event.net_window.mix.drop_bp = static_cast<uint32_t>(KvU64(&kv, "drop", 0));
+        event.net_window.mix.duplicate_bp = static_cast<uint32_t>(KvU64(&kv, "dup", 0));
+        event.net_window.mix.reorder_bp = static_cast<uint32_t>(KvU64(&kv, "reorder", 0));
+        event.net_window.mix.corrupt_bp = static_cast<uint32_t>(KvU64(&kv, "corrupt", 0));
+        event.net_window.mix.delay_bp = static_cast<uint32_t>(KvU64(&kv, "delay", 0));
+        event.net_window.mix.delay_ms = KvDouble(&kv, "delay_ms", 25.0);
+        event.net_window.mix.reorder_ms = KvDouble(&kv, "reorder_ms", 15.0);
       } else if (kind == "tpm_window") {
         event.kind = ChaosEvent::Kind::kTpmWindow;
-        event.tpm_window.start_ms = KvDouble(kv, "start", 0);
-        event.tpm_window.end_ms = KvDouble(kv, "end", 0);
-        event.tpm_window.machine = KvInt(kv, "machine", 0);
-        Result<FaultPlan::Kind> plan_kind =
-            ParseKind(kv, kind, FaultPlan::Kind::kNone, kTpmFaultKinds, TpmFaultKindName);
-        if (!plan_kind.ok()) {
-          return plan_kind.status();
+        event.tpm_window.start_ms = KvDouble(&kv, "start", 0);
+        event.tpm_window.end_ms = KvDouble(&kv, "end", 0);
+        event.tpm_window.machine = KvInt(&kv, "machine", 0);
+        std::string plan_kind = "none";
+        KvTake(&kv, "kind", &plan_kind);
+        event.tpm_window.plan.kind = plan_kind == "drop"     ? FaultPlan::Kind::kDrop
+                                     : plan_kind == "garble" ? FaultPlan::Kind::kGarble
+                                     : plan_kind == "delay"  ? FaultPlan::Kind::kDelay
+                                                             : FaultPlan::Kind::kNone;
+        // A name the serializer never writes maps to none; refuse it.
+        if (plan_kind != TpmFaultKindName(event.tpm_window.plan.kind)) {
+          return InvalidArgumentError("chaos replay: unknown tpm_window kind '" + plan_kind + "'");
         }
-        event.tpm_window.plan.kind = plan_kind.value();
-        event.tpm_window.plan.every_n = KvU64(kv, "every_n", 0);
-        event.tpm_window.plan.delay_ms = KvDouble(kv, "delay_ms", 0);
-        event.tpm_window.plan.drop_timeout_ms = KvDouble(kv, "drop_timeout_ms", 0);
+        event.tpm_window.plan.every_n = KvU64(&kv, "every_n", 0);
+        event.tpm_window.plan.delay_ms = KvDouble(&kv, "delay_ms", 0);
+        event.tpm_window.plan.drop_timeout_ms = KvDouble(&kv, "drop_timeout_ms", 0);
       } else if (kind == "verifier_fault") {
         event.kind = ChaosEvent::Kind::kVerifierFault;
-        Result<FleetVerifierFault::Kind> fault_kind =
-            ParseKind(kv, kind, FleetVerifierFault::Kind::kGraySlow, kVerifierFaultKinds,
-                      VerifierFaultKindName);
-        if (!fault_kind.ok()) {
-          return fault_kind.status();
+        std::string fault_kind = "gray";
+        KvTake(&kv, "kind", &fault_kind);
+        event.verifier_fault.kind = fault_kind == "crash" ? FleetVerifierFault::Kind::kCrash
+                                    : fault_kind == "hang"
+                                        ? FleetVerifierFault::Kind::kHang
+                                        : FleetVerifierFault::Kind::kGraySlow;
+        if (fault_kind != VerifierFaultKindName(event.verifier_fault.kind)) {
+          return InvalidArgumentError("chaos replay: unknown verifier_fault kind '" + fault_kind +
+                                      "'");
         }
-        event.verifier_fault.kind = fault_kind.value();
-        event.verifier_fault.verifier = KvInt(kv, "verifier", 0);
-        event.verifier_fault.start_ms = KvDouble(kv, "start", 0);
-        event.verifier_fault.end_ms = KvDouble(kv, "end", 0);
-        event.verifier_fault.slow_factor = KvDouble(kv, "slow", 10.0);
+        event.verifier_fault.verifier = KvInt(&kv, "verifier", 0);
+        event.verifier_fault.start_ms = KvDouble(&kv, "start", 0);
+        event.verifier_fault.end_ms = KvDouble(&kv, "end", 0);
+        event.verifier_fault.slow_factor = KvDouble(&kv, "slow", 10.0);
+      } else {
+        return InvalidArgumentError("chaos replay: unknown event kind '" + kind + "'");
       }
+      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, kind));
       replay.plan.events.push_back(event);
     } else {
       return InvalidArgumentError("chaos replay: unknown directive '" + directive + "'");

@@ -92,9 +92,8 @@ struct FleetVerifierFault {
 // Client-side farm policy: hedging, breaker failover and admission control.
 // With hedge=false the harness dispatches exactly as before (blind
 // round-robin, no shedding) so legacy runs stay event-for-event identical.
-// The hedge delay and breaker policy are VerifierHealthTracker's; a hedge
-// copy arms its own hedge timer, up to three hedges per round, so a
-// duplicate that lands gray-on-gray escalates again instead of stalling.
+// The hedge and breaker numbers are constants in verifier_health.cc and
+// fleet.cc.
 struct FleetFarmPolicy {
   bool hedge = false;
   // Admission control: when every breaker-admissible verifier already holds

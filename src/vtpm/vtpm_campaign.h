@@ -36,15 +36,12 @@ namespace vtpm {
 struct VtpmCampaignConfig {
   uint64_t seed = 1;
   int num_tenants = 6;
-  // Indices into the tenant list; -1 disables the role. The flooder arrives
-  // every 120 ms on average (at most 1200 times), far under the ~972 ms a
-  // hardware quote costs (Table 1), by design.
+  // Indices into the tenant list; -1 disables the role. The flooder's rate
+  // and the healthy clients' retry loop are constants in vtpm_campaign.cc.
   int flooding_tenant = 0;
   int crashloop_tenant = 1;
   // Arrival horizon (sim ms past the setup epoch) and the healthy tenants'
-  // Poisson mean inter-arrival time. A healthy client retries a lost or
-  // shed round up to 8 attempts, with linear 2000 ms backoff, and times a
-  // request out after 30000 ms.
+  // Poisson mean inter-arrival time.
   double duration_ms = 120000.0;
   double healthy_mean_interarrival_ms = 6000.0;
   std::vector<double> power_cut_at_ms;  // Offsets past the epoch.
