@@ -13,8 +13,6 @@
 //   micro_vtpm                      flagship campaign, summary to stdout
 //   micro_vtpm --bench_json=PATH    also write the JSON report to PATH
 //   micro_vtpm --seed=N             campaign seed
-//   micro_vtpm --quiet              disable the misbehaving tenants and the
-//                                   power cuts (clean baseline)
 
 #include <cstdio>
 #include <cstdlib>
@@ -106,10 +104,6 @@ int main(int argc, char** argv) {
       json_path = arg + 13;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       config.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      config.flooding_tenant = -1;
-      config.crashloop_tenant = -1;
-      config.power_cut_at_ms.clear();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       return 1;
