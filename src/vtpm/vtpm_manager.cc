@@ -66,8 +66,7 @@ Status VtpmManager::CreateTenant(const std::string& tenant, const Bytes& owner_a
   // the half-created tenant back by dropping its record.
   CRASH_POINT("vtpm.create.provisioned");
 
-  Bytes key_seed = machine_->tpm()->GetRandom(kVtpmDigestSize);
-  record.resident = std::make_unique<VirtualTpm>(VtpmState::Fresh(tenant, owner_auth, key_seed));
+  record.resident = std::make_unique<VirtualTpm>(VtpmState::Fresh(tenant, owner_auth));
   record.last_used = ++lru_tick_;
   Status sealed = SnapshotRecord(tenant, &record);
   if (!sealed.ok()) {

@@ -55,8 +55,8 @@ class VtpmManager {
  public:
   VtpmManager(Machine* machine, VtpmManagerConfig config);
 
-  // Provisions a tenant: dedicated store + counter, fresh VtpmState
-  // (key seed drawn from the hardware TPM's RNG), initial snapshot sealed.
+  // Provisions a tenant: dedicated store + counter, fresh VtpmState,
+  // initial snapshot sealed.
   Status CreateTenant(const std::string& tenant, const Bytes& owner_auth);
 
   // Owner-authorized vPCR extend on the resident instance (RAM only; made

@@ -9,7 +9,7 @@ namespace vtpm {
 namespace {
 
 constexpr uint32_t kBindingMagic = 0x56434231;  // "VCB1"
-constexpr uint32_t kStateMagic = 0x56545331;    // "VTS1"
+constexpr uint32_t kStateMagic = 0x56545332;    // "VTS2"
 
 uint32_t Fnv1a32(const Bytes& data, size_t len) {
   uint32_t hash = 0x811C9DC5u;
@@ -75,12 +75,10 @@ Result<VtpmCounterBinding> VtpmCounterBinding::Deserialize(const Bytes& wire) {
   return binding;
 }
 
-VtpmState VtpmState::Fresh(const std::string& tenant, const Bytes& owner_auth,
-                           const Bytes& key_seed) {
+VtpmState VtpmState::Fresh(const std::string& tenant, const Bytes& owner_auth) {
   VtpmState state;
   state.tenant = tenant;
   state.owner_auth = owner_auth;
-  state.key_seed = key_seed;
   for (Bytes& pcr : state.pcrs) {
     pcr.assign(kVtpmDigestSize, 0x00);
   }
@@ -94,7 +92,6 @@ Bytes VtpmState::Serialize() const {
   w.Str(tenant);
   w.U64(generation);
   w.Blob(owner_auth);
-  w.Blob(key_seed);
   for (const Bytes& pcr : pcrs) {
     w.Blob(pcr);
   }
@@ -116,7 +113,6 @@ Result<VtpmState> VtpmState::Deserialize(const Bytes& wire) {
   state.tenant = r.Str();
   state.generation = r.U64();
   state.owner_auth = r.Blob();
-  state.key_seed = r.Blob();
   for (Bytes& pcr : state.pcrs) {
     pcr = r.Blob();
   }
@@ -128,8 +124,8 @@ Result<VtpmState> VtpmState::Deserialize(const Bytes& wire) {
   if (state.tenant.empty() || state.tenant.size() > kMaxTenantNameLen) {
     return InvalidArgumentError("vTPM state: tenant name empty or too long");
   }
-  if (state.owner_auth.size() != kVtpmDigestSize || state.key_seed.size() != kVtpmDigestSize) {
-    return InvalidArgumentError("vTPM state: owner auth and key seed must be 20 bytes");
+  if (state.owner_auth.size() != kVtpmDigestSize) {
+    return InvalidArgumentError("vTPM state: owner auth must be 20 bytes");
   }
   for (const Bytes& pcr : state.pcrs) {
     if (pcr.size() != kVtpmDigestSize) {

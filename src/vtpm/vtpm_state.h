@@ -29,7 +29,7 @@ namespace vtpm {
 // A virtual TPM exposes a small dynamic-PCR bank; eight is enough for every
 // tenant workload the campaign models and keeps snapshots compact.
 inline constexpr int kNumVtpmPcrs = 8;
-// vPCRs, owner auth, key seed and tenant tags are all SHA-1 sized.
+// vPCRs, owner auth and tenant tags are all SHA-1 sized.
 inline constexpr size_t kVtpmDigestSize = 20;
 // Tenant names come from the untrusted control plane; bound their length.
 inline constexpr size_t kMaxTenantNameLen = 64;
@@ -54,14 +54,12 @@ struct VtpmState {
   std::string tenant;
   uint64_t generation = 0;  // Bumped by every snapshot.
   Bytes owner_auth;         // 20 bytes; gates tenant operations.
-  Bytes key_seed;           // 20 bytes; root of the tenant key hierarchy.
   std::array<Bytes, kNumVtpmPcrs> pcrs;  // 20 bytes each.
   VtpmCounterBinding binding;
   uint64_t extends = 0;  // Total vPCR extends ever applied (diagnostics).
 
   // Fresh state for a new tenant: all vPCRs zero, generation 0.
-  static VtpmState Fresh(const std::string& tenant, const Bytes& owner_auth,
-                         const Bytes& key_seed);
+  static VtpmState Fresh(const std::string& tenant, const Bytes& owner_auth);
 
   Bytes Serialize() const;
   static Result<VtpmState> Deserialize(const Bytes& wire);

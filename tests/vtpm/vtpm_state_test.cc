@@ -1,7 +1,6 @@
 // VtpmState / VirtualTpm unit coverage: wire round-trips, hardware-faithful
-// vPCR extend semantics, deterministic key derivation, and the owner-auth
-// gate. The hostile-input battery for the same formats lives in
-// vtpm_wire_test.cc.
+// vPCR extend semantics, the composite digest, and the owner-auth gate. The
+// hostile-input battery for the same formats lives in vtpm_wire_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +13,7 @@ namespace vtpm {
 namespace {
 
 VtpmState MakeState() {
-  VtpmState state = VtpmState::Fresh("tenant-a", Sha1::Digest(BytesOf("auth")),
-                                     Sha1::Digest(BytesOf("seed")));
+  VtpmState state = VtpmState::Fresh("tenant-a", Sha1::Digest(BytesOf("auth")));
   state.generation = 7;
   state.extends = 3;
   state.binding.counter_id = 42;
@@ -41,14 +39,13 @@ TEST(VtpmStateTest, StateRoundTrips) {
   EXPECT_EQ(back.value().tenant, state.tenant);
   EXPECT_EQ(back.value().generation, state.generation);
   EXPECT_EQ(back.value().owner_auth, state.owner_auth);
-  EXPECT_EQ(back.value().key_seed, state.key_seed);
   EXPECT_EQ(back.value().pcrs, state.pcrs);
   EXPECT_TRUE(back.value().binding == state.binding);
   EXPECT_EQ(back.value().extends, state.extends);
 }
 
 TEST(VtpmStateTest, FreshStateIsAllZeroPcrsGenerationZero) {
-  VtpmState state = VtpmState::Fresh("t", Bytes(20, 0x01), Bytes(20, 0x02));
+  VtpmState state = VtpmState::Fresh("t", Bytes(20, 0x01));
   EXPECT_EQ(state.generation, 0u);
   EXPECT_EQ(state.extends, 0u);
   for (const Bytes& pcr : state.pcrs) {

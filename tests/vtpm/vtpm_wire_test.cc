@@ -26,8 +26,7 @@ VtpmCounterBinding MakeBinding() {
 }
 
 VtpmState MakeState() {
-  VtpmState state = VtpmState::Fresh("tenant-a", Sha1::Digest(BytesOf("auth")),
-                                     Sha1::Digest(BytesOf("seed")));
+  VtpmState state = VtpmState::Fresh("tenant-a", Sha1::Digest(BytesOf("auth")));
   state.generation = 5;
   state.extends = 2;
   state.binding = MakeBinding();
