@@ -111,8 +111,11 @@ inline std::FILE* OpenReport(const char* bench, const std::string& path) {
   return out;
 }
 
-// Closes the report and names the file, if there is one.
-inline void CloseReport(std::FILE* out, const std::string& path) {
+// Writes the finished report (a JsonWriter document), closes it and names
+// the file, if there is one. A bench that fails before its report is
+// finished closes `out` with nothing written.
+inline void CloseReport(std::FILE* out, const std::string& path, const std::string& report) {
+  std::fwrite(report.data(), 1, report.size(), out);
   std::fclose(out);
   if (!path.empty()) {
     std::printf("wrote %s\n", path.c_str());

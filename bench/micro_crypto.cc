@@ -19,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "src/attest/verifier.h"
 #include "src/common/bytes.h"
+#include "src/common/json.h"
 #include "src/crypto/bigint.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/merkle.h"
@@ -151,31 +152,17 @@ int RunBench(const std::string& json_path) {
                   2000) *
       static_cast<double>(kBatchChallenges);
 
-  std::fprintf(out,
-               "{\n"
-               "  \"schema\": \"flicker-bench-crypto-v4\",\n"
-               "  \"unit\": \"ops_per_sec\",\n"
-               "  \"modexp2048_montgomery\": %.3f,\n"
-               "  \"modexp2048_reference\": %.3f,\n"
-               "  \"modexp2048_speedup\": %.2f,\n"
-               "  \"modexp2048_bit_exact\": %s,\n"
-               "  \"rsa2048_crt_sign\": %.3f,\n"
-               "  \"rsa512_crt_sign\": %.3f,\n"
-               "  \"rsa512_verify\": %.3f,\n"
-               "  \"rsa1024_crt_sign\": %.3f,\n"
-               "  \"rsa1024_verify\": %.3f,\n"
-               "  \"sha1_64kb\": %.3f,\n"
-               "  \"sha256_64kb\": %.3f,\n"
-               "  \"tpm_quote_end_to_end\": %.3f,\n"
-               "  \"batch_quote_challenges\": %zu,\n"
-               "  \"batch_quote_all_verified\": %s,\n"
-               "  \"batch_quote_verified_per_sec\": %.3f,\n"
-               "  \"batch_quote_speedup_vs_serial\": %.2f\n"
-               "}\n",
-               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false", sign_ops,
-               rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops, sha_ops,
-               sha256_ops, quote_ops, kBatchChallenges, batch_ok ? "true" : "false",
-               batch_verified_per_sec, batch_verified_per_sec / quote_ops);
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-crypto-v4").String("unit", "ops_per_sec");
+  json.Fixed("modexp2048_montgomery", mont_ops, 3).Fixed("modexp2048_reference", ref_ops, 3);
+  json.Fixed("modexp2048_speedup", mont_ops / ref_ops, 2).Bool("modexp2048_bit_exact", bit_exact);
+  json.Fixed("rsa2048_crt_sign", sign_ops, 3).Fixed("rsa512_crt_sign", rsa512_sign_ops, 3);
+  json.Fixed("rsa512_verify", rsa512_verify_ops, 3).Fixed("rsa1024_crt_sign", rsa1024_sign_ops, 3);
+  json.Fixed("rsa1024_verify", rsa1024_verify_ops, 3).Fixed("sha1_64kb", sha_ops, 3);
+  json.Fixed("sha256_64kb", sha256_ops, 3).Fixed("tpm_quote_end_to_end", quote_ops, 3);
+  json.Int("batch_quote_challenges", kBatchChallenges).Bool("batch_quote_all_verified", batch_ok);
+  json.Fixed("batch_quote_verified_per_sec", batch_verified_per_sec, 3);
+  json.Fixed("batch_quote_speedup_vs_serial", batch_verified_per_sec / quote_ops, 2).End();
   std::printf("modexp2048: montgomery %.1f ops/s, reference %.1f ops/s (%.1fx, bit_exact=%s)\n",
               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false");
   std::printf("rsa2048 CRT sign: %.1f ops/s; sha1 64KB: %.1f ops/s; quote: %.1f ops/s\n",
@@ -187,7 +174,7 @@ int RunBench(const std::string& json_path) {
               "all_verified=%s)\n",
               batch_verified_per_sec, batch_verified_per_sec / quote_ops,
               batch_ok ? "true" : "false");
-  CloseReport(out, json_path);
+  CloseReport(out, json_path, json.Take());
   return (bit_exact && batch_ok) ? 0 : 2;
 }
 

@@ -38,7 +38,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/sim/campaign.h"
+#include "src/common/json.h"
 #include "src/sim/chaos_fuzz.h"
 #include "src/sim/fleet.h"
 
@@ -159,7 +159,7 @@ int RunReplay(const std::string& path) {
   // signature line is the regression gate.
   std::fputs(sim::SerializeChaosReplay(replay.base, replay.plan, outcome.signature).c_str(),
              stdout);
-  std::printf("# order_digest: %s\n", sim::HexDigest(outcome.stats.order_digest).c_str());
+  std::printf("# order_digest: %s\n", HexDigest(outcome.stats.order_digest).c_str());
   if (outcome.signature != replay.signature) {
     std::fprintf(stderr, "signature mismatch: file says '%s', run produced '%s'\n",
                  replay.signature.c_str(), outcome.signature.c_str());
@@ -199,11 +199,9 @@ int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
               static_cast<unsigned long long>(stats.batch_quotes));
   std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              sim::HexDigest(stats.order_digest).c_str());
+              HexDigest(stats.order_digest).c_str());
 
-  const std::string json = stats.ToJson(config);
-  std::fwrite(json.data(), 1, json.size(), out);
-  CloseReport(out, json_path);
+  CloseReport(out, json_path, stats.ToJson(config));
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu tampered frames accepted\n",

@@ -32,14 +32,12 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/hello.h"
+#include "src/common/json.h"
 #include "src/core/flicker_platform.h"
 #include "src/hv/hv_campaign.h"
-#include "src/sim/campaign.h"
 
 namespace flicker {
 namespace {
-
-using sim::F3;
 
 struct ModeComparison {
   int sessions = 0;
@@ -162,23 +160,19 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
               stats.classic_equiv_pause_ms_total, stats.PauseReduction());
   std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              sim::HexDigest(stats.order_digest).c_str());
+              HexDigest(stats.order_digest).c_str());
 
-  std::string json = "{\n";
-  json += "  \"schema\": \"flicker-bench-hv-v1\",\n";
-  json += "  \"comparison\": {\"sessions_per_mode\": " + std::to_string(cmp.sessions);
-  json += ", \"classic_pause_ms\": " + F3(cmp.classic_pause_ms_mean);
-  json += ", \"concurrent_pause_ms\": " + F3(cmp.concurrent_pause_ms_mean);
-  json += ", \"classic_total_ms\": " + F3(cmp.classic_total_ms_mean);
-  json += ", \"concurrent_total_ms\": " + F3(cmp.concurrent_total_ms_mean);
-  json += ", \"hv_launch_pause_ms\": " + F3(cmp.hv_launch_pause_ms);
-  json += ", \"pause_reduction\": " + F3(cmp.PauseReduction());
-  json += std::string(", \"parity\": ") + (cmp.parity_ok ? "true" : "false") + "},\n";
-  json += "  \"adversarial_campaign\": ";
-  json += stats.ToJson(config);
-  json += "}\n";
-  std::fwrite(json.data(), 1, json.size(), out);
-  CloseReport(out, json_path);
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-hv-v1");
+  json.InlineObject("comparison").Int("sessions_per_mode", cmp.sessions);
+  json.Fixed("classic_pause_ms", cmp.classic_pause_ms_mean, 3);
+  json.Fixed("concurrent_pause_ms", cmp.concurrent_pause_ms_mean, 3);
+  json.Fixed("classic_total_ms", cmp.classic_total_ms_mean, 3);
+  json.Fixed("concurrent_total_ms", cmp.concurrent_total_ms_mean, 3);
+  json.Fixed("hv_launch_pause_ms", cmp.hv_launch_pause_ms, 3);
+  json.Fixed("pause_reduction", cmp.PauseReduction(), 3).Bool("parity", cmp.parity_ok).End();
+  json.Embed("adversarial_campaign", stats.ToJson(config)).End();
+  CloseReport(out, json_path, json.Take());
 
   bool violated = false;
   if (!cmp.parity_ok) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/json.h"
 #include "src/net/session.h"
 
 namespace flicker {
@@ -114,34 +115,22 @@ int RunBench(const std::string& json_path) {
     within_budget &= r.max_ms <= SessionConfig().total_deadline_ms;
   }
 
-  std::fprintf(out,
-               "{\n"
-               "  \"schema\": \"flicker-bench-net-v1\",\n"
-               "  \"calls_per_rate\": %d,\n"
-               "  \"payload_bytes\": %zu,\n"
-               "  \"rates\": [\n",
-               kCallsPerRate, kPayloadBytes);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const RateReport& r = reports[i];
-    std::fprintf(out,
-                 "    {\"loss_bp\": %u, \"completed\": %d, \"failed_closed\": %d, "
-                 "\"retransmits\": %llu, \"p50_ms\": %.4f, \"p95_ms\": %.4f, "
-                 "\"max_ms\": %.4f, \"goodput_kbps\": %.3f}%s\n",
-                 r.loss_bp, r.completed, r.failed_closed,
-                 static_cast<unsigned long long>(r.retransmits), r.p50_ms, r.p95_ms,
-                 r.max_ms, r.goodput_kbps, i + 1 < reports.size() ? "," : "");
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-net-v1").Int("calls_per_rate", kCallsPerRate);
+  json.Int("payload_bytes", kPayloadBytes).Array("rates");
+  for (const RateReport& r : reports) {
+    json.InlineObject().Int("loss_bp", r.loss_bp).Int("completed", r.completed);
+    json.Int("failed_closed", r.failed_closed).Int("retransmits", r.retransmits);
+    json.Fixed("p50_ms", r.p50_ms, 4).Fixed("p95_ms", r.p95_ms, 4).Fixed("max_ms", r.max_ms, 4);
+    json.Fixed("goodput_kbps", r.goodput_kbps, 3).End();
     std::printf("loss %5.2f%%: %3d/%d completed, %3d failed closed, %4llu retransmits, "
                 "p50 %7.3f ms, p95 %7.3f ms, max %7.3f ms, goodput %8.3f kbit/s\n",
                 r.loss_bp / 100.0, r.completed, kCallsPerRate, r.failed_closed,
                 static_cast<unsigned long long>(r.retransmits), r.p50_ms, r.p95_ms, r.max_ms,
                 r.goodput_kbps);
   }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"within_budget\": %s\n"
-               "}\n",
-               within_budget ? "true" : "false");
-  CloseReport(out, json_path);
+  json.End().Bool("within_budget", within_budget).End();
+  CloseReport(out, json_path, json.Take());
   std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }

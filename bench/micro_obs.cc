@@ -26,8 +26,10 @@
 #include <sstream>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/apps/hello.h"
 #include "src/apps/ssh.h"
+#include "src/common/json.h"
 #include "src/core/remote_attestation.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -84,6 +86,10 @@ RunStats MeasureRounds(AttestRig* rig, int rounds) {
 }
 
 int RunJsonBench(const std::string& path) {
+  std::FILE* out = OpenReport("micro_obs", path);
+  if (out == nullptr) {
+    return 1;
+  }
   constexpr int kRounds = 12;
 
   // Untraced: no tracer installed - the per-site cost is one global pointer
@@ -111,28 +117,17 @@ int RunJsonBench(const std::string& path) {
   const bool within_budget =
       untraced.all_ok && traced.all_ok && sim_identical && overhead_percent < 1.0;
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "micro_obs: cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"schema\": \"flicker-bench-obs-v2\",\n"
-               "  \"overhead_budget_percent\": 1.0,\n"
-               "  \"rounds\": %d,\n"
-               "  \"untraced\": {\"wall_us_per_round\": %.3f, \"sim_ms_per_round\": %.3f},\n"
-               "  \"traced\": {\"wall_us_per_round\": %.3f, \"sim_ms_per_round\": %.3f, "
-               "\"spans_per_round\": %.1f},\n"
-               "  \"tracing_overhead_percent\": %.4f,\n"
-               "  \"sim_time_identical\": %s,\n"
-               "  \"within_budget\": %s\n"
-               "}\n",
-               kRounds, untraced.wall_us_per_round,
-               untraced.sim_ms_per_round, traced.wall_us_per_round, traced.sim_ms_per_round,
-               spans_per_round, overhead_percent, sim_identical ? "true" : "false",
-               within_budget ? "true" : "false");
-  std::fclose(out);
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-obs-v2");
+  json.Fixed("overhead_budget_percent", 1.0, 1).Int("rounds", kRounds);
+  json.InlineObject("untraced").Fixed("wall_us_per_round", untraced.wall_us_per_round, 3);
+  json.Fixed("sim_ms_per_round", untraced.sim_ms_per_round, 3).End();
+  json.InlineObject("traced").Fixed("wall_us_per_round", traced.wall_us_per_round, 3);
+  json.Fixed("sim_ms_per_round", traced.sim_ms_per_round, 3);
+  json.Fixed("spans_per_round", spans_per_round, 1).End();
+  json.Fixed("tracing_overhead_percent", overhead_percent, 4);
+  json.Bool("sim_time_identical", sim_identical).Bool("within_budget", within_budget).End();
+  CloseReport(out, path, json.Take());
 
   std::printf("attestation round: %.3f us wall untraced, %.3f us wall traced "
               "(%.1f spans/round), %.1f ms simulated\n",
@@ -141,7 +136,7 @@ int RunJsonBench(const std::string& path) {
   std::printf("tracing overhead: %.4f%% of the modeled round budget; "
               "sim time identical: %s\n",
               overhead_percent, sim_identical ? "yes" : "NO");
-  std::printf("wrote %s (within_budget=%s)\n", path.c_str(), within_budget ? "true" : "false");
+  std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }
 

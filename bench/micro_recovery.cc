@@ -26,6 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/fault.h"
+#include "src/common/json.h"
 #include "src/crypto/sha1.h"
 #include "src/hw/clock.h"
 #include "src/hw/timing.h"
@@ -125,7 +126,7 @@ struct FarmCell {
   double completion = 0;
 };
 
-int RunFarmCampaign(std::FILE* out, bool* accepted) {
+int RunFarmCampaign(JsonWriter* json, bool* accepted) {
   FarmCell cells[] = {
       {"unhedged_gray0", false, 0}, {"unhedged_gray1", false, 1}, {"unhedged_gray2", false, 2},
       {"hedged_gray0", true, 0},    {"hedged_gray1", true, 1},    {"hedged_gray2", true, 2},
@@ -177,42 +178,30 @@ int RunFarmCampaign(std::FILE* out, bool* accepted) {
   *accepted =
       completion_ok && p99_ok && unhedged_degrades && accepted_wrong_zero && deterministic;
 
-  std::fprintf(out,
-               "  \"fleet\": {\n"
-               "    \"config\": {\"machines\": 64, \"verifiers\": 8, \"rounds\": 256, "
-               "\"verify_cost_ms\": 50.0, \"gray_slow_factor\": %.1f, \"seed\": 11},\n"
-               "    \"cells\": {\n",
-               kGraySlowFactor);
-  for (size_t i = 0; i < sizeof(cells) / sizeof(cells[0]); ++i) {
-    const FarmCell& cell = cells[i];
-    std::fprintf(out,
-                 "      \"%s\": {\"completed\": %llu, \"timed_out\": %llu, "
-                 "\"completion\": %.4f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"hedges_fired\": %llu, \"hedge_wins\": %llu, \"breaker_trips\": %llu, "
-                 "\"overload_sheds\": %llu, \"accepted_wrong\": %llu}%s\n",
-                 cell.key, static_cast<unsigned long long>(cell.stats.rounds_completed),
-                 static_cast<unsigned long long>(cell.stats.rounds_timed_out), cell.completion,
-                 cell.stats.LatencyPercentileMs(0.50), cell.stats.LatencyPercentileMs(0.99),
-                 static_cast<unsigned long long>(cell.stats.hedges_fired),
-                 static_cast<unsigned long long>(cell.stats.hedge_wins),
-                 static_cast<unsigned long long>(cell.stats.breaker_trips),
-                 static_cast<unsigned long long>(cell.stats.overload_sheds),
-                 static_cast<unsigned long long>(cell.stats.accepted_wrong),
-                 i + 1 < sizeof(cells) / sizeof(cells[0]) ? "," : "");
+  const sim::FleetConfig base = FarmCampaignConfig(/*hedged=*/false, /*gray=*/0);
+  json->Object("fleet").InlineObject("config").Int("machines", base.num_machines);
+  json->Int("verifiers", base.num_verifiers).Int("rounds", base.rounds);
+  json->Fixed("verify_cost_ms", base.verify_cost_ms, 1);
+  json->Fixed("gray_slow_factor", kGraySlowFactor, 1).Int("seed", base.seed).End();
+  json->Object("cells");
+  for (const FarmCell& cell : cells) {
+    json->InlineObject(cell.key).Int("completed", cell.stats.rounds_completed);
+    json->Int("timed_out", cell.stats.rounds_timed_out).Fixed("completion", cell.completion, 4);
+    json->Fixed("p50_ms", cell.stats.LatencyPercentileMs(0.50), 3);
+    json->Fixed("p99_ms", cell.stats.LatencyPercentileMs(0.99), 3);
+    json->Int("hedges_fired", cell.stats.hedges_fired).Int("hedge_wins", cell.stats.hedge_wins);
+    json->Int("breaker_trips", cell.stats.breaker_trips);
+    json->Int("overload_sheds", cell.stats.overload_sheds);
+    json->Int("accepted_wrong", cell.stats.accepted_wrong).End();
     std::printf("farm %-14s: %5.1f%% complete, p99 %8.1f ms, %llu hedges, %llu trips\n",
                 cell.key, cell.completion * 100.0, cell.stats.LatencyPercentileMs(0.99),
                 static_cast<unsigned long long>(cell.stats.hedges_fired),
                 static_cast<unsigned long long>(cell.stats.breaker_trips));
   }
-  std::fprintf(out,
-               "    },\n"
-               "    \"acceptance\": {\"hedged_gray2_completion_ok\": %s, "
-               "\"hedged_gray2_p99_ok\": %s, \"unhedged_degrades\": %s, "
-               "\"accepted_wrong_zero\": %s, \"deterministic\": %s}\n"
-               "  },\n",
-               completion_ok ? "true" : "false", p99_ok ? "true" : "false",
-               unhedged_degrades ? "true" : "false", accepted_wrong_zero ? "true" : "false",
-               deterministic ? "true" : "false");
+  json->End().InlineObject("acceptance").Bool("hedged_gray2_completion_ok", completion_ok);
+  json->Bool("hedged_gray2_p99_ok", p99_ok).Bool("unhedged_degrades", unhedged_degrades);
+  json->Bool("accepted_wrong_zero", accepted_wrong_zero).Bool("deterministic", deterministic);
+  json->End().End();
   return 0;
 }
 
@@ -259,32 +248,25 @@ int RunBench(const std::string& json_path) {
   };
 
   bool within_budget = true;
-  std::fprintf(out,
-               "{\n"
-               "  \"schema\": \"flicker-bench-robustness-v2\",\n"
-               "  \"operations\": {\n");
-  for (size_t i = 0; i < sizeof(rows) / sizeof(rows[0]); ++i) {
-    bool ok = rows[i].wall_us < rows[i].budget_us;
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-robustness-v2").Object("operations");
+  for (const Row& row : rows) {
+    bool ok = row.wall_us < row.budget_us;
     within_budget = within_budget && ok;
-    std::fprintf(out,
-                 "    \"%s\": {\"wall_us\": %.4f, \"budget_us\": %.2f}%s\n",
-                 rows[i].key, rows[i].wall_us, rows[i].budget_us,
-                 i + 1 < sizeof(rows) / sizeof(rows[0]) ? "," : "");
-    std::printf("%-22s: %10.4f us real (budget %8.2f us)%s\n", rows[i].key, rows[i].wall_us,
-                rows[i].budget_us, ok ? "" : "  OVER BUDGET");
+    json.InlineObject(row.key).Fixed("wall_us", row.wall_us, 4);
+    json.Fixed("budget_us", row.budget_us, 2).End();
+    std::printf("%-22s: %10.4f us real (budget %8.2f us)%s\n", row.key, row.wall_us,
+                row.budget_us, ok ? "" : "  OVER BUDGET");
   }
-  std::fprintf(out, "  },\n");
+  json.End();
   bool farm_accepted = false;
-  int farm_rc = RunFarmCampaign(out, &farm_accepted);
+  int farm_rc = RunFarmCampaign(&json, &farm_accepted);
   if (farm_rc != 0) {
     std::fclose(out);
     return farm_rc;
   }
-  std::fprintf(out,
-               "  \"within_budget\": %s\n"
-               "}\n",
-               within_budget ? "true" : "false");
-  CloseReport(out, json_path);
+  json.Bool("within_budget", within_budget).End();
+  CloseReport(out, json_path, json.Take());
   std::printf("within_budget=%s, farm_accepted=%s\n", within_budget ? "true" : "false",
               farm_accepted ? "true" : "false");
   return within_budget && farm_accepted ? 0 : 2;

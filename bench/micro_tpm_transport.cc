@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/bytes.h"
+#include "src/common/json.h"
 #include "src/hw/clock.h"
 #include "src/hw/timing.h"
 #include "src/tpm/structures.h"
@@ -67,28 +68,20 @@ int RunBench(const std::string& json_path) {
   // still must hold because the modeled latency is the budget a real driver
   // has while the physical TPM grinds.
   bool within_budget = true;
-  std::fprintf(out,
-               "{\n"
-               "  \"schema\": \"flicker-bench-tpm-v1\",\n"
-               "  \"overhead_budget_percent\": 1.0,\n"
-               "  \"commands\": {\n");
-  for (size_t i = 0; i < sizeof(rows) / sizeof(rows[0]); ++i) {
-    double overhead_percent = rows[i].wall_us / (rows[i].modeled_ms * 1000.0) * 100.0;
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-tpm-v1");
+  json.Fixed("overhead_budget_percent", 1.0, 1).Object("commands");
+  for (const Row& row : rows) {
+    double overhead_percent = row.wall_us / (row.modeled_ms * 1000.0) * 100.0;
     within_budget = within_budget && overhead_percent < 1.0;
-    std::fprintf(out,
-                 "    \"%s\": {\"wall_us\": %.3f, \"modeled_ms\": %.1f, "
-                 "\"overhead_percent\": %.4f}%s\n",
-                 rows[i].key, rows[i].wall_us, rows[i].modeled_ms, overhead_percent,
-                 i + 1 < sizeof(rows) / sizeof(rows[0]) ? "," : "");
-    std::printf("%-10s: %8.3f us real vs %6.1f ms modeled (%.4f%% overhead)\n", rows[i].key,
-                rows[i].wall_us, rows[i].modeled_ms, overhead_percent);
+    json.InlineObject(row.key).Fixed("wall_us", row.wall_us, 3);
+    json.Fixed("modeled_ms", row.modeled_ms, 1).Fixed("overhead_percent", overhead_percent, 4);
+    json.End();
+    std::printf("%-10s: %8.3f us real vs %6.1f ms modeled (%.4f%% overhead)\n", row.key,
+                row.wall_us, row.modeled_ms, overhead_percent);
   }
-  std::fprintf(out,
-               "  },\n"
-               "  \"within_budget\": %s\n"
-               "}\n",
-               within_budget ? "true" : "false");
-  CloseReport(out, json_path);
+  json.End().Bool("within_budget", within_budget).End();
+  CloseReport(out, json_path, json.Take());
   std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/sim/campaign.h"
+#include "src/common/json.h"
 #include "src/vtpm/vtpm_campaign.h"
 
 namespace flicker {
@@ -78,11 +78,9 @@ int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_
               static_cast<unsigned long long>(stats.accepted_wrong));
   std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              sim::HexDigest(stats.order_digest).c_str());
+              HexDigest(stats.order_digest).c_str());
 
-  const std::string json = stats.ToJson(config);
-  std::fwrite(json.data(), 1, json.size(), out);
-  CloseReport(out, json_path);
+  CloseReport(out, json_path, stats.ToJson(config));
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu quotes answered the wrong challenge\n",

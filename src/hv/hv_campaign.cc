@@ -3,10 +3,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "src/apps/hello.h"
+#include "src/common/json.h"
 #include "src/core/flicker_platform.h"
 #include "src/crypto/drbg.h"
 #include "src/sim/campaign.h"
@@ -456,35 +456,30 @@ double HvCampaignStats::PauseReduction() const {
 }
 
 std::string HvCampaignStats::ToJson(const HvCampaignConfig& config) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": {\"machines\": " << config.num_machines
-     << ", \"cpus\": " << kCampaignCpus << ", \"seed\": " << config.seed
-     << ", \"duration_ms\": " << sim::F3(config.duration_ms)
-     << ", \"rounds_injected\": " << rounds_injected << ", \"dual_rounds\": " << dual_rounds
-     << ", \"attacked_rounds\": " << attacked_rounds << "},\n";
-  os << "  \"sessions\": {\"rounds_completed\": " << rounds_completed
-     << ", \"rounds_failed\": " << rounds_failed << ", \"hv_sessions\": " << sessions_completed
-     << ", \"hv_launches\": " << hv_launches << ", \"exits\": " << exits_handled
-     << ", \"sessions_per_sec\": " << sim::F3(SessionsPerSecond()) << "},\n";
-  os << "  \"attacks\": {\"launched\": " << attacks_launched << ", \"denied\": " << attacks_denied
-     << ", \"mistyped\": " << attacks_mistyped << ", \"accepted_wrong\": " << accepted_wrong
-     << ", \"dma_blocked\": " << dma_blocked << ", \"npt_blocked\": " << npt_blocked << "},\n";
-  os << "  \"denials\": {";
+  JsonWriter json;
+  json.Object().InlineObject("campaign").Int("machines", config.num_machines);
+  json.Int("cpus", kCampaignCpus).Int("seed", config.seed);
+  json.Fixed("duration_ms", config.duration_ms, 3).Int("rounds_injected", rounds_injected);
+  json.Int("dual_rounds", dual_rounds).Int("attacked_rounds", attacked_rounds).End();
+  json.InlineObject("sessions").Int("rounds_completed", rounds_completed);
+  json.Int("rounds_failed", rounds_failed).Int("hv_sessions", sessions_completed);
+  json.Int("hv_launches", hv_launches).Int("exits", exits_handled);
+  json.Fixed("sessions_per_sec", SessionsPerSecond(), 3).End();
+  json.InlineObject("attacks").Int("launched", attacks_launched).Int("denied", attacks_denied);
+  json.Int("mistyped", attacks_mistyped).Int("accepted_wrong", accepted_wrong);
+  json.Int("dma_blocked", dma_blocked).Int("npt_blocked", npt_blocked).End();
+  json.InlineObject("denials");
   for (size_t d = 0; d < static_cast<size_t>(HvDenial::kCount); ++d) {
-    os << (d == 0 ? "" : ", ") << "\"" << HvDenialName(static_cast<HvDenial>(d))
-       << "\": " << denials[d];
+    json.Int(HvDenialName(static_cast<HvDenial>(d)), denials[d]);
   }
-  os << "},\n";
-  sim::WriteLatencyJson(os, round_latencies_ms);
-  os << "  \"pause\": {\"os_pause_ms\": " << sim::F3(os_pause_ms_total)
-     << ", \"classic_equivalent_ms\": " << sim::F3(classic_equiv_pause_ms_total)
-     << ", \"reduction\": " << sim::F3(PauseReduction()) << "},\n";
-  os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \""
-     << sim::HexDigest(order_digest) << "\"}\n";
-  os << "}\n";
-  return os.str();
+  json.End();
+  sim::WriteLatencyJson(&json, round_latencies_ms);
+  json.InlineObject("pause").Fixed("os_pause_ms", os_pause_ms_total, 3);
+  json.Fixed("classic_equivalent_ms", classic_equiv_pause_ms_total, 3);
+  json.Fixed("reduction", PauseReduction(), 3).End();
+  json.InlineObject("engine").Int("events", events_processed).Int("max_heap", max_heap);
+  json.Fixed("sim_duration_ms", sim_duration_ms, 3).Digest("order_digest", order_digest).End();
+  return json.End().Take();
 }
 
 Result<HvCampaignStats> RunHvCampaign(const HvCampaignConfig& config) {

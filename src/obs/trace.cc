@@ -4,46 +4,14 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/common/json.h"
+
 namespace flicker {
 namespace obs {
 
 namespace {
 
 Tracer* g_tracer = nullptr;
-
-// Minimal JSON string escaping; metric/span names are ASCII by convention
-// but arbitrary Status messages can flow into args.
-void AppendJsonString(std::string* out, const std::string& in) {
-  out->push_back('"');
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 // Chrome trace timestamps are microseconds; ours are integer nanoseconds,
 // so three decimals render them exactly (no float drift across runs).

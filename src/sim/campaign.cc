@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 
 namespace flicker {
 namespace sim {
@@ -30,23 +29,17 @@ std::string F3(double value) {
   return buf;
 }
 
-std::string HexDigest(uint64_t digest) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(digest));
-  return buf;
-}
-
 double Percentile(std::vector<double> samples, double p) {
   std::sort(samples.begin(), samples.end());
   return PercentileOfSorted(samples, p);
 }
 
-void WriteLatencyJson(std::ostream& os, std::vector<double> samples_ms) {
+void WriteLatencyJson(JsonWriter* json, std::vector<double> samples_ms) {
   std::sort(samples_ms.begin(), samples_ms.end());
-  os << "  \"latency_ms\": {\"p50\": " << F3(PercentileOfSorted(samples_ms, 0.50))
-     << ", \"p90\": " << F3(PercentileOfSorted(samples_ms, 0.90))
-     << ", \"p99\": " << F3(PercentileOfSorted(samples_ms, 0.99))
-     << ", \"max\": " << F3(PercentileOfSorted(samples_ms, 1.0)) << "},\n";
+  json->InlineObject("latency_ms").Fixed("p50", PercentileOfSorted(samples_ms, 0.50), 3);
+  json->Fixed("p90", PercentileOfSorted(samples_ms, 0.90), 3);
+  json->Fixed("p99", PercentileOfSorted(samples_ms, 0.99), 3);
+  json->Fixed("max", PercentileOfSorted(samples_ms, 1.0), 3).End();
 }
 
 double ExponentialGapMs(Drbg* rng, double mean_ms) {

@@ -1,10 +1,16 @@
 #include "src/sim/chaos_fuzz.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "src/common/fault.h"
 #include "src/crypto/drbg.h"
@@ -94,57 +100,99 @@ std::string EventLine(const ChaosEvent& event) {
   return os.str();
 }
 
-// key=value tokens of one directive line (tokens after the directive word),
-// each filed whole under its key; a token without '=' lands under a key no
-// field reads. Every Kv* read takes its key out, so what is left once a
-// line is parsed is a token no field asked for.
-using KvMap = std::map<std::string, std::string>;
-
-KvMap ParseKv(std::istringstream* line) {
-  KvMap kv;
-  std::string token;
-  while (*line >> token) {
-    const size_t eq = token.find('=');
-    kv[eq == std::string::npos ? "=" + token : token.substr(0, eq)] = token;
+// Parses `text` whole into `out`. A string field takes it as it is; a
+// number must be a decimal that starts with a digit (no sign, blank, "inf"
+// or "nan") and fits the field. False leaves `out` alone.
+template <typename T>
+bool ParseValue(const std::string& text, T* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = text;
+    return true;
+  } else {
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+      return false;
+    }
+    char* end = nullptr;
+    errno = 0;
+    T value{};
+    if constexpr (std::is_floating_point_v<T>) {
+      value = std::strtod(text.c_str(), &end);
+    } else {
+      const unsigned long long wide = std::strtoull(text.c_str(), &end, 10);
+      if (wide > std::numeric_limits<T>::max()) {
+        return false;
+      }
+      value = static_cast<T>(wide);
+    }
+    if (*end != '\0' || errno == ERANGE) {
+      return false;
+    }
+    *out = value;
+    return true;
   }
-  return kv;
 }
 
-// Takes `key`'s value out of `kv`; false, leaving `value` alone, when the
-// line omits the key.
-bool KvTake(KvMap* kv, const char* key, std::string* value) {
-  auto it = kv->find(key);
-  if (it == kv->end()) {
-    return false;
+// The tokens of one directive line after the directive word: bare values
+// (`machines 4`, `event power_cut`) and key=value pairs. Every read takes
+// its token out, so a token left once the line is parsed is one no field
+// asked for.
+class KvLine {
+ public:
+  explicit KvLine(std::istringstream* tokens) {
+    for (std::string token; *tokens >> token;) {
+      tokens_.push_back(token);
+    }
   }
-  *value = it->second.substr(it->second.find('=') + 1);
-  kv->erase(it);
-  return true;
-}
 
-double KvDouble(KvMap* kv, const char* key, double fallback) {
-  std::string value;
-  return KvTake(kv, key, &value) ? std::strtod(value.c_str(), nullptr) : fallback;
-}
+  // Takes the next bare value.
+  template <typename T>
+  void Value(T* out) {
+    Read("", out);
+  }
 
-uint64_t KvU64(KvMap* kv, const char* key, uint64_t fallback) {
-  std::string value;
-  return KvTake(kv, key, &value) ? std::strtoull(value.c_str(), nullptr, 10) : fallback;
-}
+  // Takes `key`'s value; `fallback` when the line omits the key.
+  template <typename T>
+  T Get(const std::string& key, T fallback) {
+    Read(key + "=", &fallback);
+    return fallback;
+  }
 
-int KvInt(KvMap* kv, const char* key, int fallback) {
-  return static_cast<int>(KvU64(kv, key, static_cast<uint64_t>(fallback)));
-}
-
-// Fails closed on a leftover token: a replay naming a misspelled or removed
-// knob would otherwise run a different config than it was written from.
-Status RejectLeftovers(const KvMap& kv, const std::string& directive) {
-  if (kv.empty()) {
+  // Fails closed on a value that did not parse whole into its field, then
+  // on a leftover token: a replay naming a misspelled or removed knob would
+  // otherwise run a different config than it was written from.
+  Status Finish(const std::string& directive) const {
+    if (bad_.has_value()) {
+      return InvalidArgumentError("chaos replay: bad " + directive + " value '" + *bad_ + "'");
+    }
+    if (!tokens_.empty()) {
+      return InvalidArgumentError("chaos replay: unknown " + directive + " token '" +
+                                  tokens_.front() + "'");
+    }
     return Status::Ok();
   }
-  return InvalidArgumentError("chaos replay: unknown " + directive + " token '" +
-                              kv.begin()->second + "'");
-}
+
+ private:
+  // Parses and takes out the first token that starts with `prefix`, or the
+  // first bare one for an empty prefix. A missing bare value is bad too.
+  template <typename T>
+  void Read(const std::string& prefix, T* out) {
+    for (auto it = tokens_.begin(); it != tokens_.end(); ++it) {
+      if (prefix.empty() ? it->find('=') == std::string::npos : it->rfind(prefix, 0) == 0) {
+        if (!ParseValue(it->substr(prefix.size()), out) && !bad_.has_value()) {
+          bad_ = *it;
+        }
+        tokens_.erase(it);
+        return;
+      }
+    }
+    if (prefix.empty() && !bad_.has_value()) {
+      bad_ = "";
+    }
+  }
+
+  std::vector<std::string> tokens_;
+  std::optional<std::string> bad_;
+};
 
 // Integer-millisecond draw in [0, bound); generated times round-trip
 // exactly through the %.3f text format.
@@ -429,6 +477,23 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
   // FleetConfig's defaults: a replay must state its own fleet shape.
   replay.base.num_machines = 0;
   replay.base.num_verifiers = 0;
+  // The plain directives, each filing its one value into a field.
+  const std::map<std::string, std::variant<int*, uint32_t*, uint64_t*, double*, bool*>> plain = {
+      {"seed", &replay.plan.seed},
+      {"machines", &replay.base.num_machines},
+      {"verifiers", &replay.base.num_verifiers},
+      {"rounds", &replay.base.rounds},
+      {"mean_interarrival_ms", &replay.base.mean_interarrival_ms},
+      {"round_timeout_ms", &replay.base.round_timeout_ms},
+      {"verify_cost_ms", &replay.base.verify_cost_ms},
+      {"tpm_key_bits", &replay.base.tpm_key_bits},
+      {"batched_machines_bp", &replay.base.batched_machines_bp},
+      {"full_session_bp", &replay.base.full_session_bp},
+      {"fault_seed", &replay.base.fault_seed},
+      {"checkpoints", &replay.base.checkpoints.enabled},
+      {"misordered_commit", &replay.base.checkpoints.misordered_commit},
+      {"hedge", &replay.base.farm.hedge},
+  };
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -445,91 +510,53 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
     std::istringstream tokens(line);
     std::string directive;
     tokens >> directive;
-    if (directive == "seed") {
-      tokens >> replay.plan.seed;
-      replay.base.seed = replay.plan.seed;
-    } else if (directive == "machines") {
-      tokens >> replay.base.num_machines;
-    } else if (directive == "verifiers") {
-      tokens >> replay.base.num_verifiers;
-    } else if (directive == "rounds") {
-      tokens >> replay.base.rounds;
-    } else if (directive == "mean_interarrival_ms") {
-      tokens >> replay.base.mean_interarrival_ms;
-    } else if (directive == "round_timeout_ms") {
-      tokens >> replay.base.round_timeout_ms;
-    } else if (directive == "verify_cost_ms") {
-      tokens >> replay.base.verify_cost_ms;
-    } else if (directive == "tpm_key_bits") {
-      tokens >> replay.base.tpm_key_bits;
-    } else if (directive == "batched_machines_bp") {
-      tokens >> replay.base.batched_machines_bp;
-    } else if (directive == "full_session_bp") {
-      tokens >> replay.base.full_session_bp;
-    } else if (directive == "fault_seed") {
-      tokens >> replay.base.fault_seed;
+    KvLine kv(&tokens);
+    if (auto field = plain.find(directive); field != plain.end()) {
+      std::visit([&kv](auto* out) { kv.Value(out); }, field->second);
     } else if (directive == "fault_mix") {
-      KvMap kv = ParseKv(&tokens);
-      replay.base.fault_mix.drop_bp = static_cast<uint32_t>(KvU64(&kv, "drop", 0));
-      replay.base.fault_mix.duplicate_bp = static_cast<uint32_t>(KvU64(&kv, "dup", 0));
-      replay.base.fault_mix.reorder_bp = static_cast<uint32_t>(KvU64(&kv, "reorder", 0));
-      replay.base.fault_mix.corrupt_bp = static_cast<uint32_t>(KvU64(&kv, "corrupt", 0));
-      replay.base.fault_mix.delay_bp = static_cast<uint32_t>(KvU64(&kv, "delay", 0));
-      replay.base.fault_mix.delay_ms = KvDouble(&kv, "delay_ms", 25.0);
-      replay.base.fault_mix.reorder_ms = KvDouble(&kv, "reorder_ms", 15.0);
-      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, directive));
-    } else if (directive == "checkpoints") {
-      int flag = 0;
-      tokens >> flag;
-      replay.base.checkpoints.enabled = flag != 0;
-    } else if (directive == "misordered_commit") {
-      int flag = 0;
-      tokens >> flag;
-      replay.base.checkpoints.misordered_commit = flag != 0;
-    } else if (directive == "hedge") {
-      int flag = 0;
-      tokens >> flag;
-      replay.base.farm.hedge = flag != 0;
+      replay.base.fault_mix.drop_bp = kv.Get<uint32_t>("drop", 0);
+      replay.base.fault_mix.duplicate_bp = kv.Get<uint32_t>("dup", 0);
+      replay.base.fault_mix.reorder_bp = kv.Get<uint32_t>("reorder", 0);
+      replay.base.fault_mix.corrupt_bp = kv.Get<uint32_t>("corrupt", 0);
+      replay.base.fault_mix.delay_bp = kv.Get<uint32_t>("delay", 0);
+      replay.base.fault_mix.delay_ms = kv.Get("delay_ms", 25.0);
+      replay.base.fault_mix.reorder_ms = kv.Get("reorder_ms", 15.0);
     } else if (directive == "farm") {
-      KvMap kv = ParseKv(&tokens);
-      replay.base.farm.max_outstanding = KvInt(&kv, "max_outstanding", 0);
-      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, directive));
+      replay.base.farm.max_outstanding = kv.Get("max_outstanding", 0);
     } else if (directive == "event") {
       std::string kind;
-      tokens >> kind;
-      KvMap kv = ParseKv(&tokens);
+      kv.Value(&kind);
       ChaosEvent event;
       if (kind == "power_cut") {
         event.kind = ChaosEvent::Kind::kPowerCut;
-        event.power_cut.at_ms = KvDouble(&kv, "at", 0);
-        event.power_cut.machine = KvInt(&kv, "machine", 0);
-        event.power_cut.crash_at_hit = KvU64(&kv, "hit", 0);
+        event.power_cut.at_ms = kv.Get("at", 0.0);
+        event.power_cut.machine = kv.Get("machine", 0);
+        event.power_cut.crash_at_hit = kv.Get<uint64_t>("hit", 0);
       } else if (kind == "partition") {
         event.kind = ChaosEvent::Kind::kPartition;
-        event.partition.start_ms = KvDouble(&kv, "start", 0);
-        event.partition.end_ms = KvDouble(&kv, "end", 0);
-        event.partition.first_machine = KvInt(&kv, "first", 0);
-        event.partition.last_machine = KvInt(&kv, "last", -1);
+        event.partition.start_ms = kv.Get("start", 0.0);
+        event.partition.end_ms = kv.Get("end", 0.0);
+        event.partition.first_machine = kv.Get("first", 0);
+        event.partition.last_machine = kv.Get("last", -1);
       } else if (kind == "net_window") {
         event.kind = ChaosEvent::Kind::kNetWindow;
-        event.net_window.start_ms = KvDouble(&kv, "start", 0);
-        event.net_window.end_ms = KvDouble(&kv, "end", 0);
-        event.net_window.first_machine = KvInt(&kv, "first", 0);
-        event.net_window.last_machine = KvInt(&kv, "last", -1);
-        event.net_window.mix.drop_bp = static_cast<uint32_t>(KvU64(&kv, "drop", 0));
-        event.net_window.mix.duplicate_bp = static_cast<uint32_t>(KvU64(&kv, "dup", 0));
-        event.net_window.mix.reorder_bp = static_cast<uint32_t>(KvU64(&kv, "reorder", 0));
-        event.net_window.mix.corrupt_bp = static_cast<uint32_t>(KvU64(&kv, "corrupt", 0));
-        event.net_window.mix.delay_bp = static_cast<uint32_t>(KvU64(&kv, "delay", 0));
-        event.net_window.mix.delay_ms = KvDouble(&kv, "delay_ms", 25.0);
-        event.net_window.mix.reorder_ms = KvDouble(&kv, "reorder_ms", 15.0);
+        event.net_window.start_ms = kv.Get("start", 0.0);
+        event.net_window.end_ms = kv.Get("end", 0.0);
+        event.net_window.first_machine = kv.Get("first", 0);
+        event.net_window.last_machine = kv.Get("last", -1);
+        event.net_window.mix.drop_bp = kv.Get<uint32_t>("drop", 0);
+        event.net_window.mix.duplicate_bp = kv.Get<uint32_t>("dup", 0);
+        event.net_window.mix.reorder_bp = kv.Get<uint32_t>("reorder", 0);
+        event.net_window.mix.corrupt_bp = kv.Get<uint32_t>("corrupt", 0);
+        event.net_window.mix.delay_bp = kv.Get<uint32_t>("delay", 0);
+        event.net_window.mix.delay_ms = kv.Get("delay_ms", 25.0);
+        event.net_window.mix.reorder_ms = kv.Get("reorder_ms", 15.0);
       } else if (kind == "tpm_window") {
         event.kind = ChaosEvent::Kind::kTpmWindow;
-        event.tpm_window.start_ms = KvDouble(&kv, "start", 0);
-        event.tpm_window.end_ms = KvDouble(&kv, "end", 0);
-        event.tpm_window.machine = KvInt(&kv, "machine", 0);
-        std::string plan_kind = "none";
-        KvTake(&kv, "kind", &plan_kind);
+        event.tpm_window.start_ms = kv.Get("start", 0.0);
+        event.tpm_window.end_ms = kv.Get("end", 0.0);
+        event.tpm_window.machine = kv.Get("machine", 0);
+        const std::string plan_kind = kv.Get<std::string>("kind", "none");
         event.tpm_window.plan.kind = plan_kind == "drop"     ? FaultPlan::Kind::kDrop
                                      : plan_kind == "garble" ? FaultPlan::Kind::kGarble
                                      : plan_kind == "delay"  ? FaultPlan::Kind::kDelay
@@ -538,13 +565,12 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
         if (plan_kind != TpmFaultKindName(event.tpm_window.plan.kind)) {
           return InvalidArgumentError("chaos replay: unknown tpm_window kind '" + plan_kind + "'");
         }
-        event.tpm_window.plan.every_n = KvU64(&kv, "every_n", 0);
-        event.tpm_window.plan.delay_ms = KvDouble(&kv, "delay_ms", 0);
-        event.tpm_window.plan.drop_timeout_ms = KvDouble(&kv, "drop_timeout_ms", 0);
+        event.tpm_window.plan.every_n = kv.Get<uint64_t>("every_n", 0);
+        event.tpm_window.plan.delay_ms = kv.Get("delay_ms", 0.0);
+        event.tpm_window.plan.drop_timeout_ms = kv.Get("drop_timeout_ms", 0.0);
       } else if (kind == "verifier_fault") {
         event.kind = ChaosEvent::Kind::kVerifierFault;
-        std::string fault_kind = "gray";
-        KvTake(&kv, "kind", &fault_kind);
+        const std::string fault_kind = kv.Get<std::string>("kind", "gray");
         event.verifier_fault.kind = fault_kind == "crash" ? FleetVerifierFault::Kind::kCrash
                                     : fault_kind == "hang"
                                         ? FleetVerifierFault::Kind::kHang
@@ -553,19 +579,20 @@ Result<ChaosReplay> ParseChaosReplay(const std::string& text) {
           return InvalidArgumentError("chaos replay: unknown verifier_fault kind '" + fault_kind +
                                       "'");
         }
-        event.verifier_fault.verifier = KvInt(&kv, "verifier", 0);
-        event.verifier_fault.start_ms = KvDouble(&kv, "start", 0);
-        event.verifier_fault.end_ms = KvDouble(&kv, "end", 0);
-        event.verifier_fault.slow_factor = KvDouble(&kv, "slow", 10.0);
+        event.verifier_fault.verifier = kv.Get("verifier", 0);
+        event.verifier_fault.start_ms = kv.Get("start", 0.0);
+        event.verifier_fault.end_ms = kv.Get("end", 0.0);
+        event.verifier_fault.slow_factor = kv.Get("slow", 10.0);
       } else {
         return InvalidArgumentError("chaos replay: unknown event kind '" + kind + "'");
       }
-      FLICKER_RETURN_IF_ERROR(RejectLeftovers(kv, kind));
       replay.plan.events.push_back(event);
     } else {
       return InvalidArgumentError("chaos replay: unknown directive '" + directive + "'");
     }
+    FLICKER_RETURN_IF_ERROR(kv.Finish(directive));
   }
+  replay.base.seed = replay.plan.seed;
   if (replay.base.num_machines <= 0 || replay.base.num_verifiers <= 0) {
     return InvalidArgumentError("chaos replay: missing machines/verifiers directives");
   }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "src/apps/hello.h"
 #include "src/common/backoff.h"
 #include "src/common/fault.h"
+#include "src/common/json.h"
 #include "src/core/remote_attestation.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha1.h"
@@ -72,37 +71,28 @@ double JainFairnessIndex(const std::vector<double>& allocations) {
 }
 
 std::string FleetStats::ToJson(const FleetConfig& config) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"flicker-bench-fleet-v1\",\n";
-  os << "  \"fleet\": {\"machines\": " << config.num_machines
-     << ", \"verifiers\": " << config.num_verifiers << ", \"rounds\": " << config.rounds
-     << ", \"seed\": " << config.seed << ", \"batched_machines_bp\": " << config.batched_machines_bp
-     << ", \"mean_interarrival_ms\": " << F3(config.mean_interarrival_ms) << "},\n";
-  os << "  \"outcome\": {\"completed\": " << rounds_completed
-     << ", \"timed_out\": " << rounds_timed_out << ", \"failed\": " << rounds_failed
-     << ", \"rejected\": " << rounds_rejected << ", \"tampered_rejected\": " << tampered_rejected
-     << ", \"accepted_wrong\": " << accepted_wrong << ", \"verified\": " << responses_verified
-     << "},\n";
-  os << "  \"chaos\": {\"partition_drops\": " << partition_drops
-     << ", \"power_cuts\": " << power_cuts << ", \"machines_dead\": " << machines_dead << "},\n";
-  os << "  \"throughput\": {\"sim_duration_ms\": " << F3(sim_duration_ms)
-     << ", \"sessions_per_sec\": " << F3(SessionsPerSec()) << "},\n";
-  WriteLatencyJson(os, round_latencies_ms);
-  char util[64];
-  std::snprintf(util, sizeof(util), "%.4f", VerifierUtilization());
-  os << "  \"verifier\": {\"busy_ms\": " << F3(verifier_busy_ms) << ", \"utilization\": " << util
-     << "},\n";
-  os << "  \"batch\": {\"quotes\": " << batch_quotes << ", \"sizes\": {";
-  bool first = true;
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-fleet-v1");
+  json.InlineObject("fleet").Int("machines", config.num_machines);
+  json.Int("verifiers", config.num_verifiers).Int("rounds", config.rounds);
+  json.Int("seed", config.seed).Int("batched_machines_bp", config.batched_machines_bp);
+  json.Fixed("mean_interarrival_ms", config.mean_interarrival_ms, 3).End();
+  json.InlineObject("outcome").Int("completed", rounds_completed);
+  json.Int("timed_out", rounds_timed_out).Int("failed", rounds_failed);
+  json.Int("rejected", rounds_rejected).Int("tampered_rejected", tampered_rejected);
+  json.Int("accepted_wrong", accepted_wrong).Int("verified", responses_verified).End();
+  json.InlineObject("chaos").Int("partition_drops", partition_drops);
+  json.Int("power_cuts", power_cuts).Int("machines_dead", machines_dead).End();
+  json.InlineObject("throughput").Fixed("sim_duration_ms", sim_duration_ms, 3);
+  json.Fixed("sessions_per_sec", SessionsPerSec(), 3).End();
+  WriteLatencyJson(&json, round_latencies_ms);
+  json.InlineObject("verifier").Fixed("busy_ms", verifier_busy_ms, 3);
+  json.Fixed("utilization", VerifierUtilization(), 4).End();
+  json.InlineObject("batch").Int("quotes", batch_quotes).InlineObject("sizes");
   for (const auto& [size, count] : batch_sizes) {
-    if (!first) {
-      os << ", ";
-    }
-    first = false;
-    os << "\"" << size << "\": " << count;
+    json.Int(std::to_string(size), count);
   }
-  os << "}},\n";
+  json.End().End();
   // v2 sections: only present when the run exercised the verifier-farm
   // policy, verifier faults, or the checkpoint store, so legacy fleet JSON
   // stays byte-identical.
@@ -119,24 +109,21 @@ std::string FleetStats::ToJson(const FleetConfig& config) const {
     if (!mttr_ms.empty()) {
       mttr_mean /= static_cast<double>(mttr_ms.size());
     }
-    os << "  \"farm\": {\"hedged\": " << (config.farm.hedge ? "true" : "false")
-       << ", \"hedges_fired\": " << hedges_fired << ", \"hedge_wins\": " << hedge_wins
-       << ", \"overload_sheds\": " << overload_sheds
-       << ", \"overload_resends\": " << overload_resends
-       << ", \"breaker_trips\": " << breaker_trips
-       << ", \"verifier_fault_frames\": " << verifier_fault_frames
-       << ", \"mttr_samples\": " << mttr_ms.size() << ", \"mttr_mean_ms\": " << F3(mttr_mean)
-       << ", \"mttr_max_ms\": " << F3(mttr_max) << "},\n";
-    os << "  \"oracle\": {\"torn_states\": " << torn_states
-       << ", \"checkpoints_sealed\": " << checkpoints_sealed
-       << ", \"checkpoint_recoveries\": " << checkpoint_recoveries
-       << ", \"starved_machines\": " << starved_machines << "},\n";
+    json.InlineObject("farm").Bool("hedged", config.farm.hedge);
+    json.Int("hedges_fired", hedges_fired).Int("hedge_wins", hedge_wins);
+    json.Int("overload_sheds", overload_sheds).Int("overload_resends", overload_resends);
+    json.Int("breaker_trips", breaker_trips).Int("verifier_fault_frames", verifier_fault_frames);
+    json.Int("mttr_samples", mttr_ms.size()).Fixed("mttr_mean_ms", mttr_mean, 3);
+    json.Fixed("mttr_max_ms", mttr_max, 3).End();
+    json.InlineObject("oracle").Int("torn_states", torn_states);
+    json.Int("checkpoints_sealed", checkpoints_sealed);
+    json.Int("checkpoint_recoveries", checkpoint_recoveries);
+    json.Int("starved_machines", starved_machines).End();
   }
-  os << "  \"engine\": {\"events\": " << events_processed << ", \"cancelled\": " << events_cancelled
-     << ", \"max_heap\": " << max_heap << ", \"order_digest\": \"" << sim::HexDigest(order_digest)
-     << "\"}\n";
-  os << "}\n";
-  return os.str();
+  json.InlineObject("engine").Int("events", events_processed);
+  json.Int("cancelled", events_cancelled).Int("max_heap", max_heap);
+  json.Digest("order_digest", order_digest).End();
+  return json.End().Take();
 }
 
 // ---- Fleet ----
@@ -152,6 +139,15 @@ Bytes Fleet::DeriveNonce(const std::string& label, uint64_t a, uint64_t b) const
 
 Status Fleet::ValidateConfig() const {
   const int n = config_.num_machines;
+  if (n < 1) {
+    return InvalidArgumentError("fleet needs at least one machine");
+  }
+  if (config_.num_verifiers < 1) {
+    return InvalidArgumentError("fleet needs at least one verifier");
+  }
+  if (config_.rounds < 0) {
+    return InvalidArgumentError("fleet round count is negative");
+  }
   for (const FleetPartition& window : config_.partitions) {
     if (window.first_machine < 0 || window.last_machine >= n ||
         window.first_machine > window.last_machine) {

@@ -1,11 +1,10 @@
 #include "src/vtpm/vtpm_campaign.h"
 
-#include <cstdio>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "src/attest/verifier.h"
+#include "src/common/json.h"
 #include "src/core/flicker_platform.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/rsa.h"
@@ -387,42 +386,30 @@ double VtpmCampaignStats::HealthyLatencyPercentileMs(double p) const {
 }
 
 std::string VtpmCampaignStats::ToJson(const VtpmCampaignConfig& config) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"flicker-bench-vtpm-v1\",\n";
-  os << "  \"campaign\": {\"tenants\": " << config.num_tenants
-     << ", \"flooding\": " << config.flooding_tenant
-     << ", \"crashloop\": " << config.crashloop_tenant << ", \"seed\": " << config.seed
-     << ", \"duration_ms\": " << sim::F3(config.duration_ms)
-     << ", \"power_cuts\": " << config.power_cut_at_ms.size() << "},\n";
-  os << "  \"tenant\": [\n";
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    const VtpmTenantCampaignStats& t = tenants[i];
-    os << "    {\"injected\": " << t.injected << ", \"completed\": " << t.completed
-       << ", \"failed\": " << t.failed << ", \"shed\": " << t.shed
-       << ", \"breaker_trips\": " << t.breaker_trips
-       << ", \"max_queue_age_ms\": " << sim::F3(t.max_queue_age_ms) << "}"
-       << (i + 1 < tenants.size() ? "," : "") << "\n";
+  JsonWriter json;
+  json.Object().String("schema", "flicker-bench-vtpm-v1");
+  json.InlineObject("campaign").Int("tenants", config.num_tenants);
+  json.Int("flooding", config.flooding_tenant).Int("crashloop", config.crashloop_tenant);
+  json.Int("seed", config.seed).Fixed("duration_ms", config.duration_ms, 3);
+  json.Int("power_cuts", config.power_cut_at_ms.size()).End();
+  json.Array("tenant");
+  for (const VtpmTenantCampaignStats& t : tenants) {
+    json.InlineObject().Int("injected", t.injected).Int("completed", t.completed);
+    json.Int("failed", t.failed).Int("shed", t.shed).Int("breaker_trips", t.breaker_trips);
+    json.Fixed("max_queue_age_ms", t.max_queue_age_ms, 3).End();
   }
-  os << "  ],\n";
-  char rate[64];
-  std::snprintf(rate, sizeof(rate), "%.4f", HealthyCompletionRate(config));
-  char jain[64];
-  std::snprintf(jain, sizeof(jain), "%.4f", HealthyJainIndex(config));
-  os << "  \"fairness\": {\"healthy_completion_rate\": " << rate
-     << ", \"jain_index\": " << jain << "},\n";
-  sim::WriteLatencyJson(os, healthy_latencies_ms);
-  os << "  \"robustness\": {\"rollbacks_detected\": " << rollbacks_detected
-     << ", \"quarantines\": " << quarantines << ", \"shed_total\": " << shed_total
-     << ", \"power_cuts\": " << power_cuts << ", \"client_retries\": " << client_retries
-     << "},\n";
-  os << "  \"verifier\": {\"verified\": " << responses_verified << ", \"rejected\": " << rejected
-     << ", \"accepted_wrong\": " << accepted_wrong << "},\n";
-  os << "  \"engine\": {\"events\": " << events_processed << ", \"max_heap\": " << max_heap
-     << ", \"sim_duration_ms\": " << sim::F3(sim_duration_ms) << ", \"order_digest\": \""
-     << sim::HexDigest(order_digest) << "\"}\n";
-  os << "}\n";
-  return os.str();
+  json.End();
+  json.InlineObject("fairness").Fixed("healthy_completion_rate", HealthyCompletionRate(config), 4);
+  json.Fixed("jain_index", HealthyJainIndex(config), 4).End();
+  sim::WriteLatencyJson(&json, healthy_latencies_ms);
+  json.InlineObject("robustness").Int("rollbacks_detected", rollbacks_detected);
+  json.Int("quarantines", quarantines).Int("shed_total", shed_total);
+  json.Int("power_cuts", power_cuts).Int("client_retries", client_retries).End();
+  json.InlineObject("verifier").Int("verified", responses_verified).Int("rejected", rejected);
+  json.Int("accepted_wrong", accepted_wrong).End();
+  json.InlineObject("engine").Int("events", events_processed).Int("max_heap", max_heap);
+  json.Fixed("sim_duration_ms", sim_duration_ms, 3).Digest("order_digest", order_digest).End();
+  return json.End().Take();
 }
 
 Result<VtpmCampaignStats> RunVtpmCampaign(const VtpmCampaignConfig& config) {

@@ -134,8 +134,8 @@ TEST(ChaosFuzzTest, ParserRejectsUnknownKeysAndKindNames) {
   EXPECT_EQ(good.value().plan.events[0].tpm_window.plan.kind, FaultPlan::Kind::kGarble);
   EXPECT_EQ(good.value().plan.events[1].verifier_fault.kind, FleetVerifierFault::Kind::kHang);
 
-  // A key or kind name the parser does not know would silently run a
-  // different config; each is refused, naming the token.
+  // A key, kind name or value the parser does not take whole would silently
+  // run a different config; each is refused, naming the token.
   const struct {
     std::string line;
     std::string token;
@@ -146,6 +146,12 @@ TEST(ChaosFuzzTest, ParserRejectsUnknownKeysAndKindNames) {
       {"event partition start=0.000 end=5.000 first=0 last=1 stray", "stray"},
       {"event tpm_window start=0.000 end=5.000 machine=0 kind=melt", "melt"},
       {"event verifier_fault kind=slow verifier=0 start=0.000 end=5.000", "slow"},
+      // A value is consumed whole and fits its field; a directive takes one.
+      {"event power_cut at=1.000 machine=x", "machine=x"},
+      {"event power_cut at=1.5ms machine=0", "at=1.5ms"},
+      {"machines 4 extra", "extra"},
+      {"rounds -5", "-5"},
+      {"seed 123456789012345678901", "123456789012345678901"},
   };
   for (const auto& c : bad) {
     Result<ChaosReplay> parsed = ParseChaosReplay(head + c.line + "\n");

@@ -108,6 +108,32 @@ TEST(FleetTest, JsonCarriesTheBenchContract) {
   }
 }
 
+// A shape no fleet can have is refused before anything is built: an empty
+// fleet or farm would divide by zero, a negative count would size a vector.
+TEST(FleetTest, ConfigRejectsOutOfRangeShapes) {
+  const struct {
+    const char* name;
+    void (*edit)(FleetConfig*);
+  } cases[] = {
+      {"no machines", [](FleetConfig* c) { c->num_machines = 0; }},
+      {"no verifiers", [](FleetConfig* c) { c->num_verifiers = 0; }},
+      {"negative rounds", [](FleetConfig* c) { c->rounds = -5; }},
+      {"power cut past the fleet",
+       [](FleetConfig* c) {
+         FleetPowerCut cut;
+         cut.machine = c->num_machines;
+         c->power_cuts.push_back(cut);
+       }},
+  };
+  for (const auto& c : cases) {
+    FleetConfig config = SmallFleet();
+    c.edit(&config);
+    Fleet fleet(config);
+    Status run = fleet.Run();
+    EXPECT_EQ(run.code(), StatusCode::kInvalidArgument) << c.name << ": " << run.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace flicker

@@ -9,8 +9,8 @@
 #                        (every BENCH_*.json carries a "schema" key)
 #   verify.sh --asan     additionally build with ASan+UBSan in ./build-asan
 #                        and run the TPM and core suites, the random-input
-#                        parser battery and the hash/Montgomery/RSA suites
-#                        under the sanitizers
+#                        parser battery, the hash/Montgomery/RSA suites and
+#                        the report writer's suite under the sanitizers
 #   verify.sh --faults   additionally run the fault-injection campaign
 #                        (ctest -L faults, crash matrix included) under
 #                        ASan+UBSan and refresh BENCH_robustness.json
@@ -86,7 +86,7 @@ usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--cha
 #              - - compiles and runs no suites
 #   extra      further targets the side build needs (comma list, - none)
 campaigns='
---asan          asan    -                       -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test)  -
+--asan          asan    -                       -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|common_json_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test)  -
 --faults        asan    faults_follow_up        -L faults  -
 --net           asan    net_follow_up           -L net     -
 --obs           asan    obs_follow_up           -L obs     -
