@@ -14,7 +14,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
+
+#include "src/common/parse_number.h"
 
 namespace flicker {
 
@@ -99,27 +103,73 @@ inline bool ParseBenchJsonFlag(int argc, char** argv, std::string* json_path) {
   return true;
 }
 
-// Opens the report before anything is measured, so a bad path fails fast.
-// With no path the report goes to /dev/null: the bench measures and checks
-// the same either way. Returns nullptr, after a message on stderr, if the
-// file cannot be opened.
-inline std::FILE* OpenReport(const char* bench, const std::string& path) {
-  std::FILE* out = std::fopen(path.empty() ? "/dev/null" : path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "%s: cannot open %s for writing\n", bench, path.c_str());
+// A micro bench's report file. OpenReport opens PATH.tmp before anything
+// is measured, so a bad path fails fast; CloseReport writes the finished
+// report there and renames it onto PATH. A bench that fails before
+// CloseReport leaves PATH as it was: destroying an unclosed ReportFile
+// removes the temporary file. With no path the report goes to /dev/null:
+// the bench measures and checks the same either way.
+struct ReportFile {
+  ReportFile(const char* bench, std::FILE* file, std::string path)
+      : bench(bench), file(file), path(std::move(path)) {}
+  ReportFile(const ReportFile&) = delete;
+  ReportFile& operator=(const ReportFile&) = delete;
+  ~ReportFile() {
+    if (file != nullptr) {
+      std::fclose(file);
+      if (!path.empty()) {
+        std::remove((path + ".tmp").c_str());
+      }
+    }
   }
-  return out;
+
+  const char* bench;
+  std::FILE* file;
+  std::string path;
+};
+
+// Returns nullptr, after a message on stderr, if the file cannot be opened.
+inline std::unique_ptr<ReportFile> OpenReport(const char* bench, const std::string& path) {
+  const std::string open_path = path.empty() ? "/dev/null" : path + ".tmp";
+  std::FILE* file = std::fopen(open_path.c_str(), "w");
+  if (file == nullptr) {
+    std::fprintf(stderr, "%s: cannot open %s for writing\n", bench, open_path.c_str());
+    return nullptr;
+  }
+  return std::make_unique<ReportFile>(bench, file, path);
 }
 
-// Writes the finished report (a JsonWriter document), closes it and names
-// the file, if there is one. A bench that fails before its report is
-// finished closes `out` with nothing written.
-inline void CloseReport(std::FILE* out, const std::string& path, const std::string& report) {
-  std::fwrite(report.data(), 1, report.size(), out);
-  std::fclose(out);
-  if (!path.empty()) {
-    std::printf("wrote %s\n", path.c_str());
+// Writes the finished report (a JsonWriter document), moves it onto the
+// path and names the file, if there is one. Returns false, after a message
+// on stderr, if any step fails; the old report is then left in place.
+inline bool CloseReport(std::unique_ptr<ReportFile> out, const std::string& report) {
+  const bool written = std::fwrite(report.data(), 1, report.size(), out->file) == report.size();
+  const bool closed = std::fclose(out->file) == 0;
+  out->file = nullptr;
+  if (out->path.empty()) {
+    return true;
   }
+  const std::string temp_path = out->path + ".tmp";
+  if (!written || !closed || std::rename(temp_path.c_str(), out->path.c_str()) != 0) {
+    std::fprintf(stderr, "%s: cannot write %s\n", out->bench, out->path.c_str());
+    std::remove(temp_path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", out->path.c_str());
+  return true;
+}
+
+// Parses the value of the numeric flag `arg`, whose first `name_len`
+// characters are its `--name=`, by ParseNumber's rule. Returns false, after
+// naming the flag on stderr, if the value does not parse whole into `out`.
+template <typename T>
+bool ParseFlagNumber(const char* arg, size_t name_len, T* out) {
+  if (ParseNumber(std::string(arg + name_len), out)) {
+    return true;
+  }
+  std::fprintf(stderr, "bad value for %.*s: '%s'\n", static_cast<int>(name_len - 1), arg,
+               arg + name_len);
+  return false;
 }
 
 }  // namespace flicker

@@ -12,6 +12,7 @@
 // to verify (batch_ok).
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,7 +68,7 @@ bool RunBatchQuoteRound(TpmQuoteDaemon* tqd, const std::vector<Bytes>& nonces) {
 }
 
 int RunBench(const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_crypto", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_crypto", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -138,9 +139,7 @@ int RunBench(const std::string& json_path) {
   // the clock. Verified quotes/sec vs the serialized quote path above.
   constexpr size_t kBatchChallenges = 32;
   Machine machine;
-  TqdConfig tqd_config;
-  tqd_config.max_batch_size = kBatchChallenges;
-  TpmQuoteDaemon tqd(&machine, tqd_config);
+  TpmQuoteDaemon tqd(&machine, kBatchChallenges);
   Drbg batch_rng(0xba7c4);
   std::vector<Bytes> batch_nonces;
   for (size_t i = 0; i < kBatchChallenges; ++i) {
@@ -174,7 +173,9 @@ int RunBench(const std::string& json_path) {
               "all_verified=%s)\n",
               batch_verified_per_sec, batch_verified_per_sec / quote_ops,
               batch_ok ? "true" : "false");
-  CloseReport(out, json_path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
   return (bit_exact && batch_ok) ? 0 : 2;
 }
 

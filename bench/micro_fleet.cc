@@ -31,11 +31,12 @@
 //                                        matches the file's "# signature:"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/json.h"
@@ -169,7 +170,7 @@ int RunReplay(const std::string& path) {
 }
 
 int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_fleet", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_fleet", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -201,7 +202,9 @@ int RunFleet(const sim::FleetConfig& config, const std::string& json_path) {
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
               HexDigest(stats.order_digest).c_str());
 
-  CloseReport(out, json_path, stats.ToJson(config));
+  if (!CloseReport(std::move(out), stats.ToJson(config))) {
+    return 1;
+  }
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu tampered frames accepted\n",
@@ -229,19 +232,29 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--bench_json=", 13) == 0) {
       json_path = arg + 13;
     } else if (std::strncmp(arg, "--machines=", 11) == 0) {
-      config.num_machines = std::atoi(arg + 11);
+      if (!flicker::ParseFlagNumber(arg, 11, &config.num_machines)) {
+        return 1;
+      }
     } else if (std::strncmp(arg, "--verifiers=", 12) == 0) {
-      config.num_verifiers = std::atoi(arg + 12);
+      if (!flicker::ParseFlagNumber(arg, 12, &config.num_verifiers)) {
+        return 1;
+      }
     } else if (std::strncmp(arg, "--rounds=", 9) == 0) {
-      config.rounds = std::atoi(arg + 9);
+      if (!flicker::ParseFlagNumber(arg, 9, &config.rounds)) {
+        return 1;
+      }
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      config.seed = std::strtoull(arg + 7, nullptr, 10);
+      if (!flicker::ParseFlagNumber(arg, 7, &config.seed)) {
+        return 1;
+      }
     } else if (std::strcmp(arg, "--chaos") == 0) {
       chaos = true;
     } else if (std::strcmp(arg, "--chaos-fuzz") == 0) {
       chaos_fuzz = true;
     } else if (std::strncmp(arg, "--fuzz-plans=", 13) == 0) {
-      fuzz_plans = std::atoi(arg + 13);
+      if (!flicker::ParseFlagNumber(arg, 13, &fuzz_plans)) {
+        return 1;
+      }
     } else if (std::strcmp(arg, "--misordered-commit") == 0) {
       misordered_commit = true;
     } else if (std::strncmp(arg, "--replay-out=", 13) == 0) {

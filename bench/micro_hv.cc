@@ -25,10 +25,10 @@
 //   micro_hv --quiet                short campaign horizon (CI-sized)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/apps/hello.h"
@@ -109,7 +109,7 @@ Result<ModeComparison> CompareModes(int sessions) {
 }
 
 int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_hv", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_hv", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -172,7 +172,9 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
   json.Fixed("hv_launch_pause_ms", cmp.hv_launch_pause_ms, 3);
   json.Fixed("pause_reduction", cmp.PauseReduction(), 3).Bool("parity", cmp.parity_ok).End();
   json.Embed("adversarial_campaign", stats.ToJson(config)).End();
-  CloseReport(out, json_path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
 
   bool violated = false;
   if (!cmp.parity_ok) {
@@ -206,7 +208,9 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--bench_json=", 13) == 0) {
       json_path = arg + 13;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      config.seed = std::strtoull(arg + 7, nullptr, 10);
+      if (!flicker::ParseFlagNumber(arg, 7, &config.seed)) {
+        return 1;
+      }
     } else if (std::strcmp(arg, "--quiet") == 0) {
       config.duration_ms = 6000.0;
       config.num_machines = 2;

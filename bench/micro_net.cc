@@ -19,7 +19,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -92,7 +94,7 @@ RateReport RunAtLossRate(uint32_t loss_bp) {
 // ---- Fixed-schema, deterministic (simulated-time) report ----
 
 int RunBench(const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_net", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_net", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -130,7 +132,9 @@ int RunBench(const std::string& json_path) {
                 r.goodput_kbps);
   }
   json.End().Bool("within_budget", within_budget).End();
-  CloseReport(out, json_path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
   std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }

@@ -25,6 +25,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/apps/hello.h"
@@ -86,7 +87,7 @@ RunStats MeasureRounds(AttestRig* rig, int rounds) {
 }
 
 int RunJsonBench(const std::string& path) {
-  std::FILE* out = OpenReport("micro_obs", path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_obs", path);
   if (out == nullptr) {
     return 1;
   }
@@ -127,7 +128,9 @@ int RunJsonBench(const std::string& path) {
   json.Fixed("spans_per_round", spans_per_round, 1).End();
   json.Fixed("tracing_overhead_percent", overhead_percent, 4);
   json.Bool("sim_time_identical", sim_identical).Bool("within_budget", within_budget).End();
-  CloseReport(out, path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
 
   std::printf("attestation round: %.3f us wall untraced, %.3f us wall traced "
               "(%.1f spans/round), %.1f ms simulated\n",

@@ -22,7 +22,9 @@
 //   micro_recovery --bench_json=PATH  also write the report
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/fault.h"
@@ -208,7 +210,7 @@ int RunFarmCampaign(JsonWriter* json, bool* accepted) {
 // ---- Fixed-schema report + absolute wall-time budgets ----
 
 int RunBench(const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_recovery", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_recovery", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -262,11 +264,12 @@ int RunBench(const std::string& json_path) {
   bool farm_accepted = false;
   int farm_rc = RunFarmCampaign(&json, &farm_accepted);
   if (farm_rc != 0) {
-    std::fclose(out);
     return farm_rc;
   }
   json.Bool("within_budget", within_budget).End();
-  CloseReport(out, json_path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
   std::printf("within_budget=%s, farm_accepted=%s\n", within_budget ? "true" : "false",
               farm_accepted ? "true" : "false");
   return within_budget && farm_accepted ? 0 : 2;

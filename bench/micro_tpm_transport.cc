@@ -14,7 +14,9 @@
 //                                          (BENCH_tpm.json)
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/bytes.h"
@@ -40,7 +42,7 @@ struct Rig {
 // ---- Fixed-schema report + <1% overhead assertion ----
 
 int RunBench(const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_tpm_transport", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_tpm_transport", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -81,7 +83,9 @@ int RunBench(const std::string& json_path) {
                 row.wall_us, row.modeled_ms, overhead_percent);
   }
   json.End().Bool("within_budget", within_budget).End();
-  CloseReport(out, json_path, json.Take());
+  if (!CloseReport(std::move(out), json.Take())) {
+    return 1;
+  }
   std::printf("within_budget=%s\n", within_budget ? "true" : "false");
   return within_budget ? 0 : 2;
 }

@@ -15,9 +15,10 @@
 //   micro_vtpm --seed=N             campaign seed
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/json.h"
@@ -38,7 +39,7 @@ vtpm::VtpmCampaignConfig FlagshipConfig() {
 }
 
 int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_path) {
-  std::FILE* out = OpenReport("micro_vtpm", json_path);
+  std::unique_ptr<ReportFile> out = OpenReport("micro_vtpm", json_path);
   if (out == nullptr) {
     return 1;
   }
@@ -80,7 +81,9 @@ int RunCampaign(const vtpm::VtpmCampaignConfig& config, const std::string& json_
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
               HexDigest(stats.order_digest).c_str());
 
-  CloseReport(out, json_path, stats.ToJson(config));
+  if (!CloseReport(std::move(out), stats.ToJson(config))) {
+    return 1;
+  }
 
   if (stats.accepted_wrong != 0) {
     std::fprintf(stderr, "INVARIANT VIOLATION: %llu quotes answered the wrong challenge\n",
@@ -101,7 +104,9 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--bench_json=", 13) == 0) {
       json_path = arg + 13;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      config.seed = std::strtoull(arg + 7, nullptr, 10);
+      if (!flicker::ParseFlagNumber(arg, 7, &config.seed)) {
+        return 1;
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       return 1;

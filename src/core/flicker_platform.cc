@@ -23,7 +23,7 @@ FlickerPlatform::FlickerPlatform(const FlickerPlatformConfig& config)
       kernel_(&machine_, config.kernel),
       scheduler_(&machine_),
       module_(&machine_, &kernel_, &scheduler_),
-      tqd_(&machine_, config.tqd),
+      tqd_(&machine_, config.tqd_max_batch_size),
       hv_(&machine_, config.hv) {
   machine_.set_measurement_engine(&measurement_cache_);
 }

@@ -44,7 +44,9 @@ enum class SessionMode {
 struct FlickerPlatformConfig {
   MachineConfig machine;
   KernelConfig kernel;
-  TqdConfig tqd;
+  // The quote daemon's coalescing window size (the fleet's batched
+  // machines use 8).
+  size_t tqd_max_batch_size = TpmQuoteDaemon::kDefaultMaxBatchSize;
   SessionMode mode = SessionMode::kClassic;
   hv::HvConfig hv;
 };

@@ -42,6 +42,8 @@ enum class LateLaunchTech {
 struct MachineConfig {
   size_t memory_bytes = 64 * 1024 * 1024;
   int num_cpus = 2;  // The paper's test machine is a dual-core Athlon64 X2.
+  // Kept settable: the paper's platform is AMD SVM; the Intel TXT variant
+  // (§2.4) is what the adversary tests switch on to check its extra link.
   LateLaunchTech tech = LateLaunchTech::kAmdSvm;
   TimingModel timing = DefaultTimingModel();
   TpmConfig tpm = TpmConfig();

@@ -37,7 +37,8 @@
 
 namespace flicker {
 
-// Round-trip profile of the verifier link (paper §7.1 defaults).
+// Round-trip profile of the verifier link (paper §7.1 defaults). Kept as a
+// type: it is a paper timing profile, which perfbench's workload constructs.
 struct LatencyProfile {
   double min_rtt_ms = 9.33;
   double avg_rtt_ms = 9.45;

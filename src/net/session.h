@@ -65,6 +65,9 @@ struct SessionFrame {
   static Result<SessionFrame> Deserialize(const Bytes& data);
 };
 
+// Kept settable: the defaults fit micro_net's echo (250 ms per Call), but
+// integration_net_chaos_test serves a ~1 s Flicker session behind the wire
+// and needs an 8 s deadline with wider retransmit windows.
 struct SessionConfig {
   double attempt_timeout_ms = 30.0;  // Receive window after each transmit.
   int max_attempts = 4;              // One initial send plus three retransmits.

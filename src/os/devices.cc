@@ -10,6 +10,9 @@ namespace flicker {
 namespace {
 
 constexpr size_t kChunkBytes = 64 * 1024;  // One device transfer.
+// Descriptor-ring capacity: how much the device can buffer while the OS
+// cannot service completions.
+constexpr uint64_t kRingCapacityBytes = 4 * 1024 * 1024;
 constexpr uint64_t kContentSeed = 0xc0b7;  // Seeds the copied file's bytes.
 
 }  // namespace
@@ -55,7 +58,7 @@ BlockCopyReport SimulateBlockCopyDuringSessions(const BlockCopyParams& params) {
     now_ms += ms_per_chunk;
 
     if (!params.flicker_aware_quiesce && os_suspended(now_ms)) {
-      if (ring_fill + n > params.ring_capacity_bytes) {
+      if (ring_fill + n > kRingCapacityBytes) {
         // Ring full: the device asserts flow control and stalls until the
         // OS window opens and drains completions.
         double wait = until_os_runs(now_ms);

@@ -40,16 +40,15 @@ class DmaDevice {
 struct BlockCopyParams {
   uint64_t total_bytes = 1ULL << 30;      // 1 GB file, as in the paper.
   double device_mb_per_s = 30.0;          // CD-ROM/USB-era throughput.
-  // Descriptor-ring capacity: how much the device can buffer while the OS
-  // cannot service completions.
-  uint64_t ring_capacity_bytes = 4 * 1024 * 1024;
   // Session pattern: `session_ms` of suspended OS, then `os_window_ms` of
   // normal operation, repeating (paper: 8.3 s sessions, 37 ms windows).
   double session_ms = 8300.0;
   double os_window_ms = 37.0;
   // Flicker-aware driver support (§7.5 discussion): the OS quiesces the
   // device before each session, so the device idles cleanly instead of
-  // filling its ring and asserting flow control mid-transfer.
+  // filling its ring and asserting flow control mid-transfer. Kept settable
+  // because it is the paper's proposed fix, which a test switches on to
+  // show the stalls go away; the §7.5 bench runs the unmodified driver.
   bool flicker_aware_quiesce = false;
 };
 
@@ -65,8 +64,8 @@ struct BlockCopyReport {
 };
 
 // Simulates the copy. The device streams chunks at its line rate; while a
-// session has the OS suspended, completed chunks sit in the ring. When the
-// ring is full the device stalls (block devices have flow control), so data
+// session has the OS suspended, completed chunks sit in its 4 MB descriptor
+// ring. When the ring is full the device stalls (block devices have flow control), so data
 // is delayed but never lost - the md5sum-equal result of §7.5.
 BlockCopyReport SimulateBlockCopyDuringSessions(const BlockCopyParams& params);
 

@@ -4,12 +4,19 @@
 
 namespace flicker {
 
+namespace {
+
+constexpr double kEventRateHz = 30.0;
+constexpr int kControllerBufferEvents = 16;
+
+}  // namespace
+
 InteractivityReport SimulateUserInputDuringSessions(const InteractivityParams& params) {
   InteractivityReport report;
-  if (params.event_rate_hz <= 0 || params.duration_ms <= 0) {
+  if (params.duration_ms <= 0) {
     return report;
   }
-  const double event_period_ms = 1000.0 / params.event_rate_hz;
+  const double event_period_ms = 1000.0 / kEventRateHz;
   const double cycle_ms = params.session_ms + params.os_window_ms;
 
   auto os_suspended = [&](double t) {
@@ -24,7 +31,7 @@ InteractivityReport SimulateUserInputDuringSessions(const InteractivityParams& p
   while (t <= params.duration_ms) {
     ++report.events_total;
     if (os_suspended(t)) {
-      if (buffered < params.controller_buffer_events) {
+      if (buffered < kControllerBufferEvents) {
         ++buffered;  // Held in the controller FIFO, delivered on resume.
       } else {
         ++report.events_lost;

@@ -15,10 +15,10 @@
 
 namespace flicker {
 
+// Input arrives at 30 Hz (sustained typing + mouse movement) into a
+// 16-event i8042-style controller FIFO, which holds events while
+// interrupts are off.
 struct InteractivityParams {
-  double event_rate_hz = 30.0;  // Sustained typing + mouse movement.
-  // i8042-style controller FIFO: events held while interrupts are off.
-  int controller_buffer_events = 16;
   // Session pattern, as in the block-device model.
   double session_ms = 8300.0;
   double os_window_ms = 37.0;

@@ -2,11 +2,22 @@
 
 #include <algorithm>
 
+#include "src/common/backoff.h"
 #include "src/common/fault.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flicker {
+
+namespace {
+
+// One initial try plus up to three retries, waiting 2/4/8 ms between them
+// (BackoffPolicy's defaults).
+constexpr int kMaxAttempts = 4;
+
+uint64_t MsToNs(double ms) { return static_cast<uint64_t>(ms * 1e6 + 0.5); }
+
+}  // namespace
 
 Result<AttestationResponse> TpmQuoteDaemon::QuoteOnce(const Bytes& nonce,
                                                       const PcrSelection& selection) {
@@ -22,7 +33,7 @@ Result<AttestationResponse> TpmQuoteDaemon::QuoteOnce(const Bytes& nonce,
 
 void TpmQuoteDaemon::NoteTpmFailure() {
   ++consecutive_tpm_failures_;
-  if (!breaker_open_ && consecutive_tpm_failures_ >= config_.breaker_threshold) {
+  if (!breaker_open_ && consecutive_tpm_failures_ >= kBreakerThreshold) {
     breaker_open_ = true;
     breaker_opened_at_us_ = machine_->clock()->NowMicros();
     obs::Count(obs::Ctr::kTqdBreakerTrips);
@@ -37,7 +48,7 @@ bool TpmQuoteDaemon::BreakerAllows() {
   }
   double open_ms = static_cast<double>(machine_->clock()->NowMicros() - breaker_opened_at_us_) /
                    1000.0;
-  if (open_ms < config_.breaker_cooldown_ms) {
+  if (open_ms < kBreakerCooldownMs) {
     return false;
   }
   // Half-open probe: GetTestResult is accepted even in failure mode, so it
@@ -62,9 +73,9 @@ Result<AttestationResponse> TpmQuoteDaemon::QuoteWithRetry(const Bytes& nonce,
                                                            const PcrSelection& selection,
                                                            double deadline_ms) {
   const uint64_t challenge_start_us = machine_->clock()->NowMicros();
-  BackoffSchedule backoff(config_.backoff);
+  BackoffSchedule backoff(BackoffPolicy{});
   Status last_failure = UnavailableError("quote never attempted");
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt > 0) {
       if (deadline_ms > 0) {
         double elapsed_ms =
@@ -142,20 +153,19 @@ Status TpmQuoteDaemon::SubmitBatched(const Bytes& nonce, const PcrSelection& sel
       CancelBatchTimer(&batches_[index]);
       FlushToSink();
     } else if (!batches_[index].timer_live) {
-      ArmBatchTimer(&batches_[index],
-                    static_cast<uint64_t>(config_.max_batch_wait_ms * 1e6 + 0.5));
+      ArmBatchTimer(&batches_[index]);
     }
   }
   return Status::Ok();
 }
 
 bool TpmQuoteDaemon::BatchIsReady(const PendingBatch& batch) const {
-  if (config_.max_batch_size <= 1 || batch.nonces.size() >= config_.max_batch_size) {
+  if (max_batch_size_ <= 1 || batch.nonces.size() >= max_batch_size_) {
     return true;
   }
   double age_ms =
       static_cast<double>(machine_->clock()->NowMicros() - batch.opened_at_us) / 1000.0;
-  return age_ms >= config_.max_batch_wait_ms;
+  return age_ms >= kMaxBatchWaitMs;
 }
 
 bool TpmQuoteDaemon::BatchReady() const {
@@ -189,7 +199,7 @@ Status TpmQuoteDaemon::FlushOneBatch(PendingBatch&& batch,
     batches_.push_back(std::move(batch));  // Keep the window; nothing is lost.
     // Discrete-event mode: the kept window's timer was cancelled when it
     // was selected for flushing; put it back on the retry cadence.
-    ArmBatchTimer(&batches_.back(), static_cast<uint64_t>(config_.max_batch_wait_ms * 1e6 + 0.5));
+    ArmBatchTimer(&batches_.back());
     return quoted.status();
   }
   for (size_t i = 0; i < batch.nonces.size(); ++i) {
@@ -267,13 +277,14 @@ void TpmQuoteDaemon::BindTimers(TimerHost host,
   drain_sink_ = std::move(drain_sink);
 }
 
-void TpmQuoteDaemon::ArmBatchTimer(PendingBatch* batch, uint64_t delay_ns) {
+void TpmQuoteDaemon::ArmBatchTimer(PendingBatch* batch) {
   if (!timers_bound()) {
     return;
   }
   const uint64_t token = ++next_timer_token_;
   batch->timer_token = token;
-  batch->timer_id = timer_host_.schedule(delay_ns, [this, token] { OnBatchTimer(token); });
+  batch->timer_id =
+      timer_host_.schedule(MsToNs(kMaxBatchWaitMs), [this, token] { OnBatchTimer(token); });
   batch->timer_live = true;
 }
 
@@ -309,7 +320,7 @@ void TpmQuoteDaemon::OnBatchTimer(uint64_t token) {
   // its challenges until the next submit.
   for (size_t i = 0; i < batches_.size(); ++i) {
     if (batches_[i].timer_token == token && !batches_[i].timer_live) {
-      ArmBatchTimer(&batches_[i], static_cast<uint64_t>(config_.max_batch_wait_ms * 1e6 + 0.5));
+      ArmBatchTimer(&batches_[i]);
       break;
     }
   }
@@ -320,8 +331,8 @@ void TpmQuoteDaemon::ArmBreakerProbe() {
     return;
   }
   breaker_probe_armed_ = true;
-  breaker_probe_id_ = timer_host_.schedule(
-      static_cast<uint64_t>(config_.breaker_cooldown_ms * 1e6 + 0.5), [this] { OnBreakerProbe(); });
+  breaker_probe_id_ =
+      timer_host_.schedule(MsToNs(kBreakerCooldownMs), [this] { OnBreakerProbe(); });
 }
 
 void TpmQuoteDaemon::OnBreakerProbe() {

@@ -22,7 +22,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/crypto/merkle.h"
@@ -50,28 +49,23 @@ struct BatchQuoteResponse {
   MerkleAuthPath path;
 };
 
-struct TqdConfig {
-  int max_attempts = 4;  // One initial try plus up to three retries.
-  // Shared backoff policy (common/backoff.h). Defaults reproduce the
-  // daemon's historical 2/4/8 ms doubling schedule exactly.
-  BackoffPolicy backoff;
-  // Circuit breaker: consecutive kTpmFailed verdicts that open it, and how
-  // long (simulated ms) it stays open before a half-open probe.
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 500.0;
-  // Batch coalescing window (SubmitBatched/FlushReadyBatches): a batch is
-  // flushed once it holds max_batch_size challenges or its oldest challenge
-  // has waited max_batch_wait_ms on the simulated clock, whichever comes
-  // first. max_batch_size <= 1 disables coalescing (every submit is ready
-  // immediately, as a degenerate one-leaf batch).
-  size_t max_batch_size = 32;
-  double max_batch_wait_ms = 10.0;
-};
-
 class TpmQuoteDaemon {
  public:
-  explicit TpmQuoteDaemon(Machine* machine, TqdConfig config = TqdConfig())
-      : machine_(machine), config_(config) {}
+  // Circuit breaker: consecutive kTpmFailed verdicts that open it, and how
+  // long (simulated ms) it stays open before a half-open probe.
+  static constexpr int kBreakerThreshold = 3;
+  static constexpr double kBreakerCooldownMs = 500.0;
+  // Batch coalescing window (SubmitBatched/FlushReadyBatches): a batch is
+  // flushed once it holds max_batch_size challenges or its oldest challenge
+  // has waited kMaxBatchWaitMs on the simulated clock, whichever comes
+  // first. A max_batch_size <= 1 disables coalescing (every submit is ready
+  // immediately, as a degenerate one-leaf batch). The fleet coalesces 8;
+  // every other caller takes the default.
+  static constexpr double kMaxBatchWaitMs = 10.0;
+  static constexpr size_t kDefaultMaxBatchSize = 32;
+
+  explicit TpmQuoteDaemon(Machine* machine, size_t max_batch_size = kDefaultMaxBatchSize)
+      : machine_(machine), max_batch_size_(max_batch_size) {}
 
   // Handles a challenge: quote the selected PCRs over the verifier's nonce.
   // Fails while a Flicker session holds the platform (the OS, and hence the
@@ -95,7 +89,7 @@ class TpmQuoteDaemon {
   Status SubmitBatched(const Bytes& nonce, const PcrSelection& selection);
 
   // True when some window is ready to flush: full, or its oldest challenge
-  // has waited out max_batch_wait_ms.
+  // has waited out kMaxBatchWaitMs.
   bool BatchReady() const;
 
   // Quotes every ready window (all non-empty windows when `force` is set):
@@ -112,7 +106,7 @@ class TpmQuoteDaemon {
   // In the polled mode above, callers must keep asking BatchReady() /
   // DrainQueued(); nothing happens between calls. Under the fleet executor
   // the daemon instead owns its deadlines as real heap timers: opening a
-  // coalescing window arms a flush timer for max_batch_wait_ms (a window
+  // coalescing window arms a flush timer for kMaxBatchWaitMs (a window
   // that fills first flushes inline and the timer is cancelled), and a
   // breaker trip arms a cooldown probe that drains the queue once the TPM
   // self-tests clean. Responses produced by timer-driven work go to the
@@ -174,10 +168,10 @@ class TpmQuoteDaemon {
   // True when the breaker may pass traffic again (closed, or cooldown over
   // and the half-open GetTestResult probe came back clean).
   bool BreakerAllows();
-  // Discrete-event mode internals: arm one window's flush timer, handle it
-  // firing, and the breaker's cooldown probe.
+  // Discrete-event mode internals: arm one window's kMaxBatchWaitMs flush
+  // timer, handle it firing, and the breaker's cooldown probe.
   bool timers_bound() const { return static_cast<bool>(timer_host_.schedule); }
-  void ArmBatchTimer(PendingBatch* batch, uint64_t delay_ns);
+  void ArmBatchTimer(PendingBatch* batch);
   void CancelBatchTimer(PendingBatch* batch);
   void OnBatchTimer(uint64_t token);
   void ArmBreakerProbe();
@@ -186,7 +180,7 @@ class TpmQuoteDaemon {
   void FlushToSink();
 
   Machine* machine_;
-  TqdConfig config_;
+  size_t max_batch_size_;
   uint64_t retries_ = 0;
   uint64_t batch_quotes_ = 0;
 

@@ -1,11 +1,6 @@
 #include "src/sim/chaos_fuzz.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -13,6 +8,7 @@
 #include <variant>
 
 #include "src/common/fault.h"
+#include "src/common/parse_number.h"
 #include "src/crypto/drbg.h"
 #include "src/obs/metrics.h"
 #include "src/sim/campaign.h"
@@ -100,35 +96,15 @@ std::string EventLine(const ChaosEvent& event) {
   return os.str();
 }
 
-// Parses `text` whole into `out`. A string field takes it as it is; a
-// number must be a decimal that starts with a digit (no sign, blank, "inf"
-// or "nan") and fits the field. False leaves `out` alone.
+// Parses `text` whole into `out`: a string field takes it as it is, a
+// number follows ParseNumber's rule. False leaves `out` alone.
 template <typename T>
 bool ParseValue(const std::string& text, T* out) {
   if constexpr (std::is_same_v<T, std::string>) {
     *out = text;
     return true;
   } else {
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-      return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    T value{};
-    if constexpr (std::is_floating_point_v<T>) {
-      value = std::strtod(text.c_str(), &end);
-    } else {
-      const unsigned long long wide = std::strtoull(text.c_str(), &end, 10);
-      if (wide > std::numeric_limits<T>::max()) {
-        return false;
-      }
-      value = static_cast<T>(wide);
-    }
-    if (*end != '\0' || errno == ERANGE) {
-      return false;
-    }
-    *out = value;
-    return true;
+    return ParseNumber(text, out);
   }
 }
 

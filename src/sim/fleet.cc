@@ -27,9 +27,8 @@ namespace {
 constexpr int kMaxHedgesPerRound = 3;
 
 // The batched machines' tqd coalescing window: flushed at this many
-// challenges or once the oldest has waited this long.
+// challenges (or once the oldest has waited TpmQuoteDaemon::kMaxBatchWaitMs).
 constexpr size_t kMaxBatchSize = 8;
-constexpr double kMaxBatchWaitMs = 10.0;
 
 // Paces overload resends. Full jitter, so a rack of shed machines spreads
 // its return over the whole window instead of re-arriving in lockstep.
@@ -294,8 +293,7 @@ Status Fleet::Build() {
   // (seed, bits), so machine #2..#N skip keygen entirely. Identity still
   // differs per machine via its own Privacy CA certificate label.
   platform_config.machine.tpm.key_bits = config_.tpm_key_bits;
-  platform_config.tqd.max_batch_size = kMaxBatchSize;
-  platform_config.tqd.max_batch_wait_ms = kMaxBatchWaitMs;
+  platform_config.tqd_max_batch_size = kMaxBatchSize;
 
   Drbg shape(config_.seed ^ 0xF1EE7ULL);
   machines_.reserve(static_cast<size_t>(config_.num_machines));

@@ -36,6 +36,8 @@ struct SlbCoreOptions {
   // timing restriction), the session cleans up and the OS resumes - a
   // malfunctioning PAL cannot keep the platform suspended forever. Choose
   // generously: TPM operations alone can take ~1 s (§5.1.2's caveat).
+  // Kept settable: it is the §5.1.2 watchdog, which the adversary tests
+  // arm against a runaway PAL; the paper's PALs run without it.
   double max_pal_ms = 0;
 };
 

@@ -144,6 +144,9 @@ Result<CommandFrame> ParseCommandFrame(const Bytes& frame) {
   if (frame.size() < kFrameHeaderSize) {
     return InvalidArgumentError("TPM frame shorter than its header");
   }
+  if (frame.size() > kMaxTpmFrameBytes) {
+    return InvalidArgumentError("TPM frame longer than kMaxTpmFrameBytes");
+  }
   CommandFrame out;
   out.tag = GetUint16(frame, 0);
   uint32_t param_size = GetUint32(frame, 2);
@@ -178,6 +181,9 @@ Bytes BuildResponseFrame(bool auth1, const Status& status, const Bytes& payload)
 Result<Bytes> ParseResponseFrame(const Bytes& frame) {
   if (frame.size() < kFrameHeaderSize) {
     return InvalidArgumentError("TPM response shorter than its header");
+  }
+  if (frame.size() > kMaxTpmFrameBytes) {
+    return InvalidArgumentError("TPM response longer than kMaxTpmFrameBytes");
   }
   uint16_t tag = GetUint16(frame, 0);
   if (tag != kTagResponse && tag != kTagResponseAuth1) {

@@ -36,6 +36,12 @@ constexpr uint16_t kTagResponseAuth1 = 0x00C5; // TPM_TAG_RSP_AUTH1_COMMAND
 
 // Header: tag (2) + paramSize (4) + ordinal/returnCode (4).
 constexpr size_t kFrameHeaderSize = 10;
+// The largest frame either direction accepts, header included; a longer
+// frame is refused even when its paramSize matches. A real v1.2 TIS buffer
+// holds 4096 bytes, but the simulated TPM seals a whole payload in one
+// hybrid envelope, and the seal-size tests send 8 KB payloads (an 8646-byte
+// TPM_Seal frame), so the cap is the next power of two: 16 KiB.
+constexpr size_t kMaxTpmFrameBytes = 16 * 1024;
 
 // ---- Ordinals (TPM_ORD_*, v1.2 values) ----
 enum TpmOrdinal : uint32_t {

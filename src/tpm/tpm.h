@@ -30,6 +30,8 @@ namespace flicker {
 
 struct TpmConfig {
   // Seed for the manufacture-time entropy pool (EK/SRK/AIK derivation).
+  // Kept settable: §6.2's distributed computation needs a distinct TPM
+  // identity per volunteer (distributed_test gives each its own seed).
   uint64_t manufacture_seed = 0x7501;
   // Storage/identity key size. Real v1.2 TPMs use 2048-bit keys; tests may
   // shrink this for speed.

@@ -17,8 +17,9 @@ constexpr double kTenantDeadlineMs = 8000.0;
 
 }  // namespace
 
-VtpmMultiplexer::VtpmMultiplexer(VtpmManager* manager, TpmQuoteDaemon* tqd, VtpmMuxConfig config)
-    : manager_(manager), tqd_(tqd), config_(config) {}
+VtpmMultiplexer::VtpmMultiplexer(VtpmManager* manager, TpmQuoteDaemon* tqd,
+                                 VtpmMuxConfig /*config*/)
+    : manager_(manager), tqd_(tqd) {}
 
 uint64_t VtpmMultiplexer::NowMicros() const {
   return manager_->machine()->clock()->NowMicros();
@@ -45,7 +46,7 @@ bool VtpmMultiplexer::LaneAllows(TenantLane* lane) {
   }
   double open_ms =
       static_cast<double>(NowMicros() - lane->breaker_opened_at_us) / 1000.0;
-  if (open_ms < config_.breaker_cooldown_ms) {
+  if (open_ms < kBreakerCooldownMs) {
     return false;
   }
   // Half-open: let traffic probe again; the next failure re-opens with a
@@ -70,7 +71,7 @@ void VtpmMultiplexer::OpenBreaker(const std::string& tenant, TenantLane* lane) {
 
 void VtpmMultiplexer::NoteFailure(const std::string& tenant, TenantLane* lane) {
   ++lane->consecutive_failures;
-  if (lane->consecutive_failures >= config_.breaker_threshold) {
+  if (lane->consecutive_failures >= kBreakerThreshold) {
     OpenBreaker(tenant, lane);
   }
 }
@@ -116,13 +117,13 @@ Status VtpmMultiplexer::Submit(const std::string& tenant, const Bytes& nonce,
     obs::Count(obs::Ctr::kVtpmShed);
     return UnavailableError("tenant breaker open: " + tenant);
   }
-  if (lane.queue.size() >= config_.max_queue_per_tenant) {
+  if (lane.queue.size() >= kMaxQueuePerTenant) {
     ++shed_total_;
     ++counters_[tenant].shed;
     obs::Count(obs::Ctr::kVtpmShed);
     // Sustained overflow is the flooding signature: quarantine the lane so
     // the flood degrades to shed-at-submit.
-    if (++lane.overflow_streak >= config_.flood_threshold) {
+    if (++lane.overflow_streak >= kFloodThreshold) {
       OpenBreaker(tenant, &lane);
     }
     return UnavailableError("tenant queue full: " + tenant);
@@ -164,7 +165,7 @@ void VtpmMultiplexer::DispatchOne(const std::string& tenant, TenantLane* lane) {
     Shed(tenant, request, queue_age_ms, "breaker opened while queued");
     return;
   }
-  if (config_.max_queue_age_ms > 0 && queue_age_ms > config_.max_queue_age_ms) {
+  if (queue_age_ms > kMaxQueueAgeMs) {
     // The challenger has long since timed out; don't burn a hardware turn.
     Shed(tenant, request, queue_age_ms, "deadline exceeded in queue");
     return;

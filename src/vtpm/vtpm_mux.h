@@ -6,7 +6,7 @@
 // tenant can fill only its own queue while every other tenant still gets
 // its turn each rotation. Tenant faults stay the tenant's problem:
 //
-//   - per-tenant deadline: a request older than max_queue_age_ms at
+//   - per-tenant deadline: a request older than kMaxQueueAgeMs at
 //     dispatch is shed (kUnavailable), and the hardware retry loop runs
 //     under an 8000 ms per-tenant deadline;
 //   - per-tenant circuit breaker: consecutive failures (bad owner auth,
@@ -41,17 +41,10 @@
 namespace flicker {
 namespace vtpm {
 
-struct VtpmMuxConfig {
-  size_t max_queue_per_tenant = 8;
-  // Shed a queued request older than this at dispatch time (0 = unlimited).
-  double max_queue_age_ms = 20000.0;
-  // Per-tenant breaker: consecutive failures that open it, and how long
-  // (simulated ms) the tenant stays quarantined before traffic may resume.
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 5000.0;
-  // Queue-overflow events that count as flooding and trip the breaker.
-  int flood_threshold = 16;
-};
+// The multiplexer's policy is compiled in (VtpmMultiplexer's constants).
+// The empty type stays because perfbench's workload still constructs the
+// multiplexer with VtpmMuxConfig(); it can go once that call does.
+struct VtpmMuxConfig {};
 
 // Everything the completion sink learns about one finished request.
 struct VtpmQuoteCompletion {
@@ -76,6 +69,16 @@ struct VtpmTenantCounters {
 class VtpmMultiplexer {
  public:
   using CompletionSink = std::function<void(const VtpmQuoteCompletion&)>;
+
+  static constexpr size_t kMaxQueuePerTenant = 8;
+  // Shed a queued request older than this at dispatch time.
+  static constexpr double kMaxQueueAgeMs = 20000.0;
+  // Per-tenant breaker: consecutive failures that open it, and how long
+  // (simulated ms) the tenant stays quarantined before traffic may resume.
+  static constexpr int kBreakerThreshold = 3;
+  static constexpr double kBreakerCooldownMs = 5000.0;
+  // Queue-overflow events that count as flooding and trip the breaker.
+  static constexpr int kFloodThreshold = 16;
 
   VtpmMultiplexer(VtpmManager* manager, TpmQuoteDaemon* tqd, VtpmMuxConfig config);
 
@@ -130,7 +133,6 @@ class VtpmMultiplexer {
 
   VtpmManager* manager_;
   TpmQuoteDaemon* tqd_;
-  VtpmMuxConfig config_;
   CompletionSink sink_;
 
   std::map<std::string, TenantLane> lanes_;  // Sorted: deterministic rotation.

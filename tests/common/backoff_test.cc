@@ -2,25 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "src/os/tqd.h"
-
 namespace flicker {
 namespace {
 
 TEST(BackoffTest, DefaultsReproduceTqdSchedule) {
-  // The daemon's historical schedule is pinned by tqd_robustness_test via
-  // elapsed-time checks; this pins it at the policy level: 2, 4, 8 ms.
+  // The quote daemon retries on the default policy. Its historical schedule
+  // is pinned by tqd_robustness_test via elapsed-time checks; this pins it
+  // at the policy level: 2, 4, 8 ms.
   BackoffSchedule schedule(BackoffPolicy{});
-  EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 2.0);
-  EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 4.0);
-  EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 8.0);
-}
-
-TEST(BackoffTest, TqdConfigDefaultsPinTheSchedule) {
-  // TqdConfig embeds the shared policy; its defaults must stay 2/4/8 or the
-  // daemon's calibrated retry timing silently shifts.
-  TqdConfig config;
-  BackoffSchedule schedule(config.backoff);
   EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 2.0);
   EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 4.0);
   EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 8.0);

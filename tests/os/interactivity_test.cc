@@ -46,22 +46,10 @@ TEST(InteractivityTest, LossMonotoneInSessionLength) {
   }
 }
 
-TEST(InteractivityTest, BiggerBufferLessLoss) {
-  InteractivityParams small;
-  small.session_ms = 1000;
-  InteractivityParams big = small;
-  big.controller_buffer_events = 64;
-  EXPECT_GE(SimulateUserInputDuringSessions(small).loss_fraction,
-            SimulateUserInputDuringSessions(big).loss_fraction);
-}
-
 TEST(InteractivityTest, DegenerateParamsSafe) {
   InteractivityParams params;
-  params.event_rate_hz = 0;
+  params.duration_ms = 0;
   EXPECT_EQ(SimulateUserInputDuringSessions(params).events_total, 0u);
-  InteractivityParams params2;
-  params2.duration_ms = 0;
-  EXPECT_EQ(SimulateUserInputDuringSessions(params2).events_total, 0u);
 }
 
 }  // namespace

@@ -229,16 +229,6 @@ TEST(BlockCopyTest, NoSessionsNoStalls) {
   EXPECT_EQ(report.source_digest, report.delivered_digest);
 }
 
-TEST(BlockCopyTest, BiggerRingFewerStalls) {
-  BlockCopyParams small;
-  small.total_bytes = 32ULL * 1024 * 1024;
-  small.ring_capacity_bytes = 1 * 1024 * 1024;
-  BlockCopyParams big = small;
-  big.ring_capacity_bytes = 16 * 1024 * 1024;
-  EXPECT_GE(SimulateBlockCopyDuringSessions(small).stall_events,
-            SimulateBlockCopyDuringSessions(big).stall_events);
-}
-
 TEST(TqdTest, QuoteWhileOsRuns) {
   Machine machine{MachineConfig{}};
   TpmQuoteDaemon tqd(&machine);

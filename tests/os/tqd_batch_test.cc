@@ -1,5 +1,5 @@
 // The quote daemon's coalescing windows: batches fill until max_batch_size
-// or age out at max_batch_wait_ms, windows never mix PCR selections, and the
+// or age out at kMaxBatchWaitMs, windows never mix PCR selections, and the
 // batch path composes with the robustness machinery - the circuit breaker
 // holds windows, a TPM failure mid-flush loses no challenges, and a power
 // cut at the flush boundary unwinds cleanly.
@@ -18,12 +18,16 @@ namespace {
 
 Bytes Nonce(const std::string& tag) { return BytesOf("nonce-" + tag); }
 
+// Feeds the daemon the kBreakerThreshold failing challenges that trip it.
+void TripBreaker(TpmQuoteDaemon* tqd) {
+  for (int i = 0; i < TpmQuoteDaemon::kBreakerThreshold; ++i) {
+    ASSERT_FALSE(tqd->HandleChallenge(Nonce("trip"), PcrSelection({17})).ok());
+  }
+}
+
 TEST(TqdBatchTest, WindowFlushesWhenFull) {
   Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 4;
-  config.max_batch_wait_ms = 1000.0;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/4);
 
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(tqd.SubmitBatched(Nonce(std::to_string(i)), PcrSelection({17})).ok());
@@ -48,18 +52,16 @@ TEST(TqdBatchTest, WindowFlushesWhenFull) {
 
 TEST(TqdBatchTest, WindowFlushesWhenOldestChallengeAgesOut) {
   Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 32;
-  config.max_batch_wait_ms = 10.0;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine);
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("early"), PcrSelection({17})).ok());
   machine.clock()->AdvanceMillis(6.0);
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("late"), PcrSelection({17})).ok());
   EXPECT_FALSE(tqd.BatchReady());
 
-  // The window's age is measured from its OLDEST challenge: 6 + 4 >= 10.
-  machine.clock()->AdvanceMillis(4.0);
+  // The window's age is measured from its OLDEST challenge: 6 ms plus the
+  // rest of the wait reaches kMaxBatchWaitMs.
+  machine.clock()->AdvanceMillis(TpmQuoteDaemon::kMaxBatchWaitMs - 6.0);
   EXPECT_TRUE(tqd.BatchReady());
   std::vector<BatchQuoteResponse> responses;
   ASSERT_TRUE(tqd.FlushReadyBatches(&responses).ok());
@@ -69,9 +71,7 @@ TEST(TqdBatchTest, WindowFlushesWhenOldestChallengeAgesOut) {
 
 TEST(TqdBatchTest, SelectionsNeverShareAWindow) {
   Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 8;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/8);
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("a"), PcrSelection({17})).ok());
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("b"), PcrSelection({17, 18})).ok());
@@ -94,10 +94,7 @@ TEST(TqdBatchTest, SelectionsNeverShareAWindow) {
 
 TEST(TqdBatchTest, BatchSizeOneDisablesCoalescing) {
   Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 1;
-  config.max_batch_wait_ms = 1000.0;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/1);
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("solo"), PcrSelection({17})).ok());
   EXPECT_TRUE(tqd.BatchReady());  // Ready immediately, no wait.
@@ -111,14 +108,10 @@ TEST(TqdBatchTest, OpenBreakerHoldsWindowsUntilRecovery) {
   Machine machine;
   machine.tpm_transport()->hardware()->ForceFailureMode();
 
-  TqdConfig config;
-  config.breaker_threshold = 1;
-  config.breaker_cooldown_ms = 100.0;
-  config.max_batch_size = 2;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/2);
 
-  // Trip the breaker with an ordinary challenge.
-  ASSERT_FALSE(tqd.HandleChallenge(Nonce("trip"), PcrSelection({17})).ok());
+  // Trip the breaker with ordinary challenges.
+  TripBreaker(&tqd);
   ASSERT_TRUE(tqd.breaker_open());
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("h1"), PcrSelection({17})).ok());
@@ -136,7 +129,7 @@ TEST(TqdBatchTest, OpenBreakerHoldsWindowsUntilRecovery) {
   machine.tpm_transport()->hardware()->ClearFailureMode();
   machine.tpm_transport()->hardware()->Init();
   ASSERT_TRUE(machine.tpm()->Startup(TpmStartupType::kClear).ok());
-  machine.clock()->AdvanceMillis(config.breaker_cooldown_ms);
+  machine.clock()->AdvanceMillis(TpmQuoteDaemon::kBreakerCooldownMs);
   ASSERT_TRUE(tqd.FlushReadyBatches(&responses).ok());
   EXPECT_EQ(responses.size(), 2u);
   EXPECT_EQ(tqd.batched_pending(), 0u);
@@ -144,18 +137,19 @@ TEST(TqdBatchTest, OpenBreakerHoldsWindowsUntilRecovery) {
 
 TEST(TqdBatchTest, TpmFailureMidFlushKeepsTheWindow) {
   Machine machine;
-  TqdConfig config;
-  config.breaker_threshold = 1;
-  config.breaker_cooldown_ms = 100.0;
-  config.max_batch_size = 2;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/2);
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("k1"), PcrSelection({17})).ok());
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("k2"), PcrSelection({17})).ok());
 
-  // The TPM dies between submit and flush: the quote fails, the breaker
-  // trips, and the window is pushed back untouched.
+  // The TPM dies between submit and flush. Ordinary challenges bring the
+  // breaker to one failure short of tripping; the flush's quote fails, the
+  // breaker trips, and the window is pushed back untouched.
   machine.tpm_transport()->hardware()->ForceFailureMode();
+  for (int i = 1; i < TpmQuoteDaemon::kBreakerThreshold; ++i) {
+    ASSERT_FALSE(tqd.HandleChallenge(Nonce("fail"), PcrSelection({17})).ok());
+  }
+  ASSERT_FALSE(tqd.breaker_open());
   std::vector<BatchQuoteResponse> responses;
   Status failed = tqd.FlushReadyBatches(&responses);
   EXPECT_EQ(failed.code(), StatusCode::kTpmFailed);
@@ -168,7 +162,7 @@ TEST(TqdBatchTest, TpmFailureMidFlushKeepsTheWindow) {
   machine.tpm_transport()->hardware()->ClearFailureMode();
   machine.tpm_transport()->hardware()->Init();
   ASSERT_TRUE(machine.tpm()->Startup(TpmStartupType::kClear).ok());
-  machine.clock()->AdvanceMillis(config.breaker_cooldown_ms);
+  machine.clock()->AdvanceMillis(TpmQuoteDaemon::kBreakerCooldownMs);
   ASSERT_TRUE(tqd.FlushReadyBatches(&responses).ok());
   EXPECT_EQ(responses.size(), 2u);
   EXPECT_EQ(tqd.batch_quotes(), 1u);
@@ -176,9 +170,7 @@ TEST(TqdBatchTest, TpmFailureMidFlushKeepsTheWindow) {
 
 TEST(TqdBatchTest, PowerCutAtFlushBoundaryUnwindsBeforeTheQuote) {
   Machine machine;
-  TqdConfig config;
-  config.max_batch_size = 2;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine, /*max_batch_size=*/2);
 
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("p1"), PcrSelection({17})).ok());
   ASSERT_TRUE(tqd.SubmitBatched(Nonce("p2"), PcrSelection({17})).ok());
@@ -208,7 +200,7 @@ TEST(TqdBatchTest, PowerCutAtFlushBoundaryUnwindsBeforeTheQuote) {
   EXPECT_EQ(tqd.batch_quotes(), 0u);
 
   // A "rebooted" daemon on the same machine serves re-issued challenges.
-  TpmQuoteDaemon recovered(&machine, config);
+  TpmQuoteDaemon recovered(&machine, /*max_batch_size=*/2);
   ASSERT_TRUE(recovered.SubmitBatched(Nonce("p1"), PcrSelection({17})).ok());
   ASSERT_TRUE(recovered.SubmitBatched(Nonce("p2"), PcrSelection({17})).ok());
   ASSERT_TRUE(recovered.FlushReadyBatches(&responses, /*force=*/true).ok());

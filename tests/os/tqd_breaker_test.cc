@@ -13,17 +13,25 @@ namespace flicker {
 namespace {
 
 constexpr double kDropTimeoutMs = 10.0;
+constexpr int kThreshold = TpmQuoteDaemon::kBreakerThreshold;
+constexpr double kCooldownMs = TpmQuoteDaemon::kBreakerCooldownMs;
+
+// Feeds the daemon kThreshold failing challenges: the last one trips the
+// breaker and is queued.
+void TripBreaker(TpmQuoteDaemon* tqd) {
+  for (int i = 0; i < kThreshold; ++i) {
+    ASSERT_FALSE(tqd->HandleChallenge(BytesOf("trip"), PcrSelection({17})).ok());
+  }
+}
 
 TEST(TqdBreakerTest, OpensAfterConsecutiveTpmFailures) {
   Machine machine;
   machine.tpm_transport()->hardware()->ForceFailureMode();
 
-  TqdConfig config;
-  config.breaker_threshold = 3;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine);
 
   // The first (threshold - 1) challenges fail but the breaker stays closed.
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < kThreshold - 1; ++i) {
     Result<AttestationResponse> response =
         tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}));
     ASSERT_FALSE(response.ok());
@@ -43,12 +51,9 @@ TEST(TqdBreakerTest, HalfOpenProbeRecoversAndDrainsQueue) {
   Machine machine;
   machine.tpm_transport()->hardware()->ForceFailureMode();
 
-  TqdConfig config;
-  config.breaker_threshold = 1;
-  config.breaker_cooldown_ms = 100.0;
-  TpmQuoteDaemon tqd(&machine, config);
+  TpmQuoteDaemon tqd(&machine);
 
-  ASSERT_FALSE(tqd.HandleChallenge(BytesOf("a"), PcrSelection({17})).ok());
+  TripBreaker(&tqd);
   ASSERT_TRUE(tqd.breaker_open());
   ASSERT_EQ(tqd.queued_count(), 1u);
 
@@ -62,7 +67,7 @@ TEST(TqdBreakerTest, HalfOpenProbeRecoversAndDrainsQueue) {
 
   // After the cooldown the half-open GetTestResult probe sees a clean self
   // test, the breaker closes, and the queue drains in order.
-  machine.clock()->AdvanceMillis(config.breaker_cooldown_ms);
+  machine.clock()->AdvanceMillis(kCooldownMs);
   std::vector<AttestationResponse> responses;
   ASSERT_TRUE(tqd.DrainQueued(&responses).ok());
   EXPECT_FALSE(tqd.breaker_open());
@@ -78,16 +83,13 @@ TEST(TqdBreakerTest, ProbeFailureKeepsBreakerOpenAndRestartsCooldown) {
   Machine machine;
   machine.tpm_transport()->hardware()->ForceFailureMode();
 
-  TqdConfig config;
-  config.breaker_threshold = 1;
-  config.breaker_cooldown_ms = 100.0;
-  TpmQuoteDaemon tqd(&machine, config);
-  ASSERT_FALSE(tqd.HandleChallenge(BytesOf("a"), PcrSelection({17})).ok());
+  TpmQuoteDaemon tqd(&machine);
+  TripBreaker(&tqd);
   ASSERT_TRUE(tqd.breaker_open());
 
   // Cooldown passes but the TPM is still sick: the probe fails and the
   // challenge stays queued.
-  machine.clock()->AdvanceMillis(config.breaker_cooldown_ms);
+  machine.clock()->AdvanceMillis(kCooldownMs);
   std::vector<AttestationResponse> responses;
   ASSERT_FALSE(tqd.DrainQueued(&responses).ok());
   EXPECT_TRUE(tqd.breaker_open());
@@ -103,11 +105,10 @@ TEST(TqdBreakerTest, RetryDeadlineCapsSimulatedClockSpend) {
   plan.drop_timeout_ms = kDropTimeoutMs;
   machine.tpm_transport()->set_fault_plan(plan);
 
-  // Unlimited attempts, but a 25 ms total budget: the daemon gives up when
-  // the next backoff would cross the deadline rather than sleeping past it.
-  TqdConfig config;
-  config.max_attempts = 100;
-  TpmQuoteDaemon tqd(&machine, config);
+  // A 25 ms total budget bites before the attempt budget does: after two
+  // 10 ms timeouts and a 2 ms backoff the next 4 ms backoff would cross it,
+  // so the daemon gives up rather than sleeping past the deadline.
+  TpmQuoteDaemon tqd(&machine);
   constexpr double kDeadlineMs = 25.0;
 
   double before = machine.clock()->NowMillis();
@@ -115,6 +116,7 @@ TEST(TqdBreakerTest, RetryDeadlineCapsSimulatedClockSpend) {
       tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}), kDeadlineMs);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(response.status().message().find("deadline"), std::string::npos);
 
   double elapsed = machine.clock()->NowMillis() - before;
   EXPECT_LE(elapsed, kDeadlineMs + 0.01);

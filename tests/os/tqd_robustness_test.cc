@@ -53,7 +53,7 @@ TEST(TqdRobustnessTest, ExhaustedRetryBudgetReturnsCleanUnavailable) {
       tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(tqd.retries(), 3u);  // max_attempts - 1 with the default config.
+  EXPECT_EQ(tqd.retries(), 3u);  // One try plus three retries.
 
   // Four burned timeouts plus the doubling backoffs (2 + 4 + 8 ms); the
   // quote itself never ran, so its latency is never charged.
@@ -81,11 +81,12 @@ TEST(TqdRobustnessTest, TighterBudgetFailsCleanlyUnderTheSameLossRate) {
   plan.drop_timeout_ms = kDropTimeoutMs;
   machine.tpm_transport()->set_fault_plan(plan);
 
-  // A single-attempt daemon meets the same dropped first frame but has no
-  // retries to absorb it.
-  TpmQuoteDaemon tqd(&machine, TqdConfig{.max_attempts = 1});
+  // A challenge with an 11 ms budget meets the same dropped first frame:
+  // its 10 ms receive timeout plus the 2 ms backoff would cross the budget,
+  // so there is no retry to absorb it.
+  TpmQuoteDaemon tqd(&machine);
   Result<AttestationResponse> response =
-      tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}));
+      tqd.HandleChallenge(BytesOf("challenge"), PcrSelection({17}), /*deadline_ms=*/11.0);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(tqd.retries(), 0u);

@@ -25,8 +25,8 @@ class TqdTimerTest : public ::testing::Test {
  protected:
   TqdTimerTest() : executor_(7) {}
 
-  void Bind(TqdConfig config) {
-    tqd_ = std::make_unique<TpmQuoteDaemon>(&machine_, config);
+  void Bind(size_t max_batch_size = TpmQuoteDaemon::kDefaultMaxBatchSize) {
+    tqd_ = std::make_unique<TpmQuoteDaemon>(&machine_, max_batch_size);
     actor_ = executor_.RegisterActor("machine", machine_.clock());
     TpmQuoteDaemon::TimerHost host;
     host.schedule = [this](uint64_t delay_ns, std::function<void()> fn) {
@@ -56,10 +56,7 @@ class TqdTimerTest : public ::testing::Test {
 };
 
 TEST_F(TqdTimerTest, WindowTimerFlushesAtDeadline) {
-  TqdConfig config;
-  config.max_batch_size = 32;
-  config.max_batch_wait_ms = 10.0;
-  Bind(config);
+  Bind();
 
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("a"), PcrSelection({17})).ok());
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("b"), PcrSelection({17})).ok());
@@ -71,20 +68,17 @@ TEST_F(TqdTimerTest, WindowTimerFlushesAtDeadline) {
   EXPECT_EQ(tqd_->batched_pending(), 0u);
   EXPECT_EQ(tqd_->batch_quotes(), 1u);
   // The flush happened at the window deadline, not at time zero.
-  EXPECT_GE(machine_.clock()->NowMillis(), 10.0);
+  EXPECT_GE(machine_.clock()->NowMillis(), TpmQuoteDaemon::kMaxBatchWaitMs);
 }
 
 TEST_F(TqdTimerTest, FullWindowFlushesInlineAndCancelsTimer) {
-  TqdConfig config;
-  config.max_batch_size = 2;
-  config.max_batch_wait_ms = 1000.0;
-  Bind(config);
+  Bind(/*max_batch_size=*/2);
 
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("a"), PcrSelection({17})).ok());
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("b"), PcrSelection({17})).ok());
-  // The filling submit flushed synchronously; no timer wait involved.
+  // The filling submit flushed synchronously; no timer fired first.
   ASSERT_EQ(batch_out_.size(), 2u);
-  EXPECT_LT(machine_.clock()->NowMillis(), 1000.0);
+  EXPECT_EQ(executor_.events_processed(), 0u);
 
   // The cancelled deadline timer must not produce a second flush.
   executor_.Run();
@@ -93,10 +87,7 @@ TEST_F(TqdTimerTest, FullWindowFlushesInlineAndCancelsTimer) {
 }
 
 TEST_F(TqdTimerTest, SelectionsKeepSeparateWindowsAndTimers) {
-  TqdConfig config;
-  config.max_batch_size = 32;
-  config.max_batch_wait_ms = 5.0;
-  Bind(config);
+  Bind();
 
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("p17"), PcrSelection({17})).ok());
   machine_.clock()->AdvanceMillis(2.0);
@@ -109,12 +100,12 @@ TEST_F(TqdTimerTest, SelectionsKeepSeparateWindowsAndTimers) {
 
 TEST_F(TqdTimerTest, BreakerProbeDrainsQueueAfterCooldown) {
   machine_.tpm_transport()->hardware()->ForceFailureMode();
-  TqdConfig config;
-  config.breaker_threshold = 1;
-  config.breaker_cooldown_ms = 100.0;
-  Bind(config);
+  Bind();
 
-  ASSERT_FALSE(tqd_->HandleChallenge(Nonce("queued"), PcrSelection({17})).ok());
+  // The kBreakerThreshold-th failing challenge trips the breaker and queues.
+  for (int i = 0; i < TpmQuoteDaemon::kBreakerThreshold; ++i) {
+    ASSERT_FALSE(tqd_->HandleChallenge(Nonce("queued"), PcrSelection({17})).ok());
+  }
   ASSERT_TRUE(tqd_->breaker_open());
   ASSERT_EQ(tqd_->queued_count(), 1u);
 
@@ -127,14 +118,11 @@ TEST_F(TqdTimerTest, BreakerProbeDrainsQueueAfterCooldown) {
   EXPECT_FALSE(tqd_->breaker_open());
   EXPECT_EQ(tqd_->queued_count(), 0u);
   ASSERT_EQ(drain_out_.size(), 1u);
-  EXPECT_GE(machine_.clock()->NowMillis(), config.breaker_cooldown_ms);
+  EXPECT_GE(machine_.clock()->NowMillis(), TpmQuoteDaemon::kBreakerCooldownMs);
 }
 
 TEST_F(TqdTimerTest, PowerLossDropsWindowsAndSilencesTimers) {
-  TqdConfig config;
-  config.max_batch_size = 32;
-  config.max_batch_wait_ms = 10.0;
-  Bind(config);
+  Bind();
 
   ASSERT_TRUE(tqd_->SubmitBatched(Nonce("doomed"), PcrSelection({17})).ok());
   tqd_->OnPowerLoss();

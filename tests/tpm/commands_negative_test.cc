@@ -65,6 +65,16 @@ TEST(CommandsNegativeTest, ParseCommandFrameBattery) {
   bad_tag[0] = 0x00;
   bad_tag[1] = 0xC4;
   EXPECT_FALSE(ParseCommandFrame(bad_tag).ok());
+
+  // A frame past kMaxTpmFrameBytes is refused even though its paramSize
+  // matches; one of exactly kMaxTpmFrameBytes still parses.
+  const size_t max_body = kMaxTpmFrameBytes - kFrameHeaderSize;
+  EXPECT_TRUE(ParseCommandFrame(BuildCommandFrame(kTagRequest, kOrdGetRandom, Bytes(max_body)))
+                  .ok());
+  Result<CommandFrame> oversized =
+      ParseCommandFrame(BuildCommandFrame(kTagRequest, kOrdGetRandom, Bytes(max_body + 1)));
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CommandsNegativeTest, ParseResponseFrameBattery) {
@@ -78,6 +88,14 @@ TEST(CommandsNegativeTest, ParseResponseFrameBattery) {
   Result<Bytes> verdict = ParseResponseFrame(error_frame);
   ASSERT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), StatusCode::kPermissionDenied);
+
+  // The same cap holds for responses.
+  const size_t max_body = kMaxTpmFrameBytes - kFrameHeaderSize;
+  EXPECT_TRUE(ParseResponseFrame(BuildResponseFrame(false, Status::Ok(), Bytes(max_body))).ok());
+  Result<Bytes> oversized =
+      ParseResponseFrame(BuildResponseFrame(false, Status::Ok(), Bytes(max_body + 1)));
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CommandsNegativeTest, PeekersSurviveShortFrames) {

@@ -33,8 +33,8 @@ class VtpmMuxTest : public ::testing::Test {
     manager_ = std::make_unique<VtpmManager>(platform_->machine(), config);
   }
 
-  void MakeMux(VtpmMuxConfig config = VtpmMuxConfig()) {
-    mux_ = std::make_unique<VtpmMultiplexer>(manager_.get(), platform_->tqd(), config);
+  void MakeMux() {
+    mux_ = std::make_unique<VtpmMultiplexer>(manager_.get(), platform_->tqd(), VtpmMuxConfig());
     mux_->set_sink([this](const VtpmQuoteCompletion& completion) {
       completions_.push_back(completion);
     });
@@ -107,16 +107,14 @@ TEST_F(VtpmMuxTest, QuoteBindsTenantCompositeAndVerifies) {
 }
 
 TEST_F(VtpmMuxTest, RepeatedAuthFailuresTripTheBreakerAndShedOnSubmit) {
-  VtpmMuxConfig config;
-  config.breaker_threshold = 3;
-  MakeMux(config);
+  MakeMux();
   AddTenant("sick");
 
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < VtpmMultiplexer::kBreakerThreshold; ++i) {
     ASSERT_TRUE(mux_->Submit("sick", Nonce(i), Auth("wrong")).ok());
     mux_->PumpAll();
   }
-  ASSERT_EQ(completions_.size(), 3u);
+  ASSERT_EQ(completions_.size(), static_cast<size_t>(VtpmMultiplexer::kBreakerThreshold));
   for (const VtpmQuoteCompletion& completion : completions_) {
     EXPECT_EQ(completion.status.code(), StatusCode::kPermissionDenied);
   }
@@ -132,23 +130,20 @@ TEST_F(VtpmMuxTest, RepeatedAuthFailuresTripTheBreakerAndShedOnSubmit) {
 }
 
 TEST_F(VtpmMuxTest, BreakerHalfOpensAfterCooldownAndHealedTenantRecovers) {
-  VtpmMuxConfig config;
-  config.breaker_threshold = 2;
-  config.breaker_cooldown_ms = 1000.0;
-  MakeMux(config);
+  MakeMux();
   AddTenant("sick");
 
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < VtpmMultiplexer::kBreakerThreshold; ++i) {
     ASSERT_TRUE(mux_->Submit("sick", Nonce(i), Auth("wrong")).ok());
     mux_->PumpAll();
   }
   ASSERT_TRUE(mux_->TenantBreakerOpen("sick"));
-  EXPECT_EQ(mux_->Submit("sick", Nonce(2), Auth("sick")).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(mux_->Submit("sick", Nonce(10), Auth("sick")).code(), StatusCode::kUnavailable);
 
   // After the cooldown the lane half-opens; a now-healthy tenant completes.
-  platform_->clock()->AdvanceMillis(1500);
+  platform_->clock()->AdvanceMillis(VtpmMultiplexer::kBreakerCooldownMs);
   completions_.clear();
-  ASSERT_TRUE(mux_->Submit("sick", Nonce(3), Auth("sick")).ok());
+  ASSERT_TRUE(mux_->Submit("sick", Nonce(11), Auth("sick")).ok());
   mux_->PumpAll();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_TRUE(completions_[0].status.ok()) << completions_[0].status.ToString();
@@ -156,29 +151,29 @@ TEST_F(VtpmMuxTest, BreakerHalfOpensAfterCooldownAndHealedTenantRecovers) {
 }
 
 TEST_F(VtpmMuxTest, SustainedOverflowQuarantinesTheFloodingTenant) {
-  VtpmMuxConfig config;
-  config.max_queue_per_tenant = 4;
-  config.flood_threshold = 8;
-  MakeMux(config);
+  MakeMux();
   AddTenant("flood");
   AddTenant("quiet");
 
-  // Fill the queue, then keep hammering: every extra submit overflows.
+  // Fill the queue, then keep hammering: every extra submit overflows, and
+  // the kFloodThreshold-th overflow trips the breaker.
+  constexpr int kQueue = static_cast<int>(VtpmMultiplexer::kMaxQueuePerTenant);
+  constexpr int kFlood = VtpmMultiplexer::kFloodThreshold;
   int accepted = 0;
   int shed = 0;
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kQueue + kFlood; ++i) {
     Status st = mux_->Submit("flood", Nonce(i), Auth("flood"));
     st.ok() ? ++accepted : ++shed;
   }
-  EXPECT_EQ(accepted, 4);
-  EXPECT_EQ(shed, 16);
+  EXPECT_EQ(accepted, kQueue);
+  EXPECT_EQ(shed, kFlood);
   EXPECT_TRUE(mux_->TenantBreakerOpen("flood"));
 
   // The flood's already-queued requests drain as sheds (the breaker opened
   // while they waited); the quiet tenant still completes normally.
   ASSERT_TRUE(mux_->Submit("quiet", Nonce(100), Auth("quiet")).ok());
   mux_->PumpAll();
-  ASSERT_EQ(completions_.size(), 5u);
+  ASSERT_EQ(completions_.size(), static_cast<size_t>(kQueue) + 1);
   for (const VtpmQuoteCompletion& completion : completions_) {
     if (completion.tenant == "flood") {
       EXPECT_EQ(completion.status.code(), StatusCode::kUnavailable);
@@ -190,31 +185,30 @@ TEST_F(VtpmMuxTest, SustainedOverflowQuarantinesTheFloodingTenant) {
 }
 
 TEST_F(VtpmMuxTest, StaleQueuedRequestsAreShedNotServed) {
-  VtpmMuxConfig config;
-  config.max_queue_age_ms = 500.0;
-  MakeMux(config);
+  MakeMux();
   AddTenant("slow");
 
+  // The challenger has long timed out.
+  constexpr double kWaitMs = VtpmMultiplexer::kMaxQueueAgeMs + 1000.0;
   ASSERT_TRUE(mux_->Submit("slow", Nonce(0), Auth("slow")).ok());
-  platform_->clock()->AdvanceMillis(2000);  // Challenger has long timed out.
+  platform_->clock()->AdvanceMillis(kWaitMs);
   mux_->PumpAll();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_EQ(completions_[0].status.code(), StatusCode::kUnavailable);
-  EXPECT_GE(completions_[0].queue_age_ms, 2000.0);
+  EXPECT_GE(completions_[0].queue_age_ms, kWaitMs);
 }
 
 TEST_F(VtpmMuxTest, PowerLossClearsQueuesAndBreakers) {
-  VtpmMuxConfig config;
-  config.breaker_threshold = 1;
-  MakeMux(config);
+  MakeMux();
   AddTenant("a");
   AddTenant("b");
   ASSERT_TRUE(mux_->Submit("a", Nonce(0), Auth("a")).ok());
-  ASSERT_TRUE(mux_->Submit("b", Nonce(1), Auth("wrong")).ok());
-  mux_->PumpOne();  // a completes.
-  mux_->PumpOne();  // b fails; threshold 1 opens its breaker.
+  for (int i = 0; i < VtpmMultiplexer::kBreakerThreshold; ++i) {
+    ASSERT_TRUE(mux_->Submit("b", Nonce(1 + i), Auth("wrong")).ok());
+  }
+  mux_->PumpAll();  // a completes; b's failures open its breaker.
   ASSERT_TRUE(mux_->TenantBreakerOpen("b"));
-  ASSERT_TRUE(mux_->Submit("a", Nonce(2), Auth("a")).ok());
+  ASSERT_TRUE(mux_->Submit("a", Nonce(9), Auth("a")).ok());
 
   mux_->OnPowerLoss();
   EXPECT_EQ(mux_->pending_count(), 0u);
