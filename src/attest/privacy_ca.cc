@@ -14,7 +14,8 @@ PrivacyCa::PrivacyCa(uint64_t seed) : rng_(seed) {
   key_ = RsaGenerateKey(1024, &rng_);
 }
 
-AikCertificate PrivacyCa::Certify(const RsaPublicKey& aik_public, const std::string& tpm_label) {
+AikCertificate PrivacyCa::Certify(const RsaPublicKey& aik_public,
+                                  const std::string& tpm_label) const {
   AikCertificate cert;
   cert.aik_public = aik_public.Serialize();
   cert.tpm_label = tpm_label;

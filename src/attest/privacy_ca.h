@@ -30,7 +30,8 @@ class PrivacyCa {
   // Issues a certificate for an AIK. A real Privacy CA would verify an EK
   // credential first; the simulator trusts the caller to hand it a genuine
   // TPM's AIK (the protocol being reproduced starts after enrollment).
-  AikCertificate Certify(const RsaPublicKey& aik_public, const std::string& tpm_label);
+  // Only reads the CA key, so threads may certify concurrently.
+  AikCertificate Certify(const RsaPublicKey& aik_public, const std::string& tpm_label) const;
 
   static bool Verify(const RsaPublicKey& ca_public, const AikCertificate& certificate);
 

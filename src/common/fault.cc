@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <ostream>
 
 namespace flicker {
@@ -14,6 +15,13 @@ namespace {
 // Every CRASH_POINT site executed at least once in this process. The macro
 // registers each site through a function-local static, so after the first
 // execution the steady-state cost stays a guard check plus the null test.
+// Two threads can first reach two different sites at once (the fleet build
+// sets machines up on a pool), so the census sits behind a mutex.
+std::mutex& CrashPointCensusMutex() {
+  static std::mutex mutex;
+  return mutex;
+}
+
 std::map<std::string, bool>& CrashPointCensus() {
   static std::map<std::string, bool> census;
   return census;
@@ -45,9 +53,10 @@ void FaultScheduler::DumpCrashPoints(std::ostream& os) const {
   for (const std::string& hit : hits_) {
     ++observed[hit];
   }
-  os << "crash points (registered=" << CrashPointCensus().size()
+  const std::vector<std::string> registered = ExecutedCrashPointNames();
+  os << "crash points (registered=" << registered.size()
      << ", observed by this scheduler=" << observed.size() << "):\n";
-  for (const auto& [name, unused] : CrashPointCensus()) {
+  for (const std::string& name : registered) {
     auto it = observed.find(name);
     if (it != observed.end()) {
       os << "  * " << name << " x" << it->second << "\n";
@@ -58,7 +67,7 @@ void FaultScheduler::DumpCrashPoints(std::ostream& os) const {
   // Hits on sites whose registration we have not seen would mean the macro's
   // registration guard broke; surface them rather than hiding them.
   for (const auto& [name, count] : observed) {
-    if (CrashPointCensus().count(name) == 0) {
+    if (!std::binary_search(registered.begin(), registered.end(), name)) {
       os << "  ! " << name << " x" << count << " (unregistered)\n";
     }
   }
@@ -67,11 +76,13 @@ void FaultScheduler::DumpCrashPoints(std::ostream& os) const {
 FaultScheduler* ActiveFaultScheduler() { return ActiveSchedulerSlot(); }
 
 bool RegisterCrashPointSite(const char* name) {
+  std::lock_guard<std::mutex> lock(CrashPointCensusMutex());
   CrashPointCensus()[name] = true;
   return true;
 }
 
 std::vector<std::string> ExecutedCrashPointNames() {
+  std::lock_guard<std::mutex> lock(CrashPointCensusMutex());
   std::vector<std::string> names;
   names.reserve(CrashPointCensus().size());
   for (const auto& [name, unused] : CrashPointCensus()) {

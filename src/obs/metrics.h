@@ -16,9 +16,9 @@
 // so the global totals and the local counts can never tell different
 // stories.
 //
-// Thread safety: counters and histogram buckets are atomics. The simulation
-// itself is single-threaded, but the registry must not be the reason a
-// future multi-platform harness races.
+// Thread safety: counters and histogram buckets are atomics. The fleet
+// build sets machines up on a thread pool, so increments arrive from
+// several threads at once; sums do not depend on their order.
 
 #ifndef FLICKER_SRC_OBS_METRICS_H_
 #define FLICKER_SRC_OBS_METRICS_H_

@@ -11,7 +11,7 @@ namespace obs {
 
 namespace {
 
-Tracer* g_tracer = nullptr;
+thread_local Tracer* g_tracer = nullptr;
 
 // Chrome trace timestamps are microseconds; ours are integer nanoseconds,
 // so three decimals render them exactly (no float drift across runs).
@@ -123,6 +123,28 @@ uint64_t Tracer::SetProcess(uint64_t pid) {
   uint64_t previous = current_pid_;
   current_pid_ = pid;
   return previous;
+}
+
+Tracer Tracer::Fork() const {
+  Tracer forked(clock_);
+  forked.current_session_ = current_session_;
+  forked.current_pid_ = current_pid_;
+  return forked;
+}
+
+void Tracer::Append(Tracer&& forked) {
+  // Ids count spans and instants together in creation order, so every
+  // record the fork made gets this tracer's record count on top.
+  const uint64_t offset = spans_.size() + instants_.size();
+  const uint64_t root_parent = stack_.empty() ? 0 : stack_.back();
+  for (SpanRecord& span : forked.spans_) {
+    span.id += offset;
+    span.parent_id = span.parent_id == 0 ? root_parent : span.parent_id + offset;
+    spans_.push_back(std::move(span));
+  }
+  for (InstantRecord& instant : forked.instants_) {
+    instants_.push_back(std::move(instant));
+  }
 }
 
 std::string Tracer::ExportChromeTrace() const {

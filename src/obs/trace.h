@@ -23,10 +23,10 @@
 //     tqd.quote
 //       TPM_ORD_Quote                  (the 972 ms the paper measures)
 //
-// Instrumentation sites use ScopedSpan / Instant, which no-op (one global
-// pointer load + branch) while no tracer is installed; sites whose records
-// carry formatted args (the TPM transport, the lossy wire) check
-// GlobalTracer() themselves so the untraced path formats nothing.
+// Instrumentation sites use ScopedSpan / Instant, which no-op (one
+// thread-local pointer load + branch) while no tracer is installed; sites
+// whose records carry formatted args (the TPM transport, the lossy wire)
+// check GlobalTracer() themselves so the untraced path formats nothing.
 // Installing a tracer never advances the simulated clock, so Table 1/2/4
 // and Fig. 9 outputs are bit-identical with tracing on or off.
 //
@@ -115,6 +115,17 @@ class Tracer {
   uint64_t SetProcess(uint64_t pid);
   uint64_t current_process() const { return current_pid_; }
 
+  // ---- Per-task recording ----
+  //
+  // An empty tracer on the same clock, process and session, for one task
+  // that runs on another thread. Append() later adds its records after this
+  // tracer's own, renumbering span ids as if they had been recorded here:
+  // its root spans hang under this tracer's innermost open span. Appending
+  // forked tracers in the order a serial run would have recorded them
+  // yields that run's spans and export byte for byte.
+  Tracer Fork() const;
+  void Append(Tracer&& forked);
+
   const SimClock* clock() const { return clock_; }
   const std::vector<SpanRecord>& spans() const { return spans_; }
   const std::vector<InstantRecord>& instants() const { return instants_; }
@@ -136,11 +147,30 @@ class Tracer {
 
 // ---- Global installation ----
 //
-// The simulation is single-threaded per platform; instrumentation sites
-// reach the tracer through one global pointer so no constructor signature
-// in hw/tpm/net/core had to change. Null (the default) disables tracing.
+// Instrumentation sites reach the tracer through one pointer per thread, so
+// no constructor signature in hw/tpm/net/core had to change. Null (the
+// default, and the state of every new thread) disables tracing. A Tracer
+// is not synchronized: only the thread that installed it may record into
+// it. Work fanned out to other threads (the fleet build's pool) installs a
+// Fork() per task on the thread running it, and the owner Append()s the
+// forks after joining them.
 Tracer* GlobalTracer();
 void InstallGlobalTracer(Tracer* tracer);  // Pass nullptr to uninstall.
+
+// Installs `tracer` (possibly null) as this thread's tracer for exactly the
+// scope's lifetime, then puts the previous one back.
+class ScopedInstall {
+ public:
+  explicit ScopedInstall(Tracer* tracer) : previous_(GlobalTracer()) {
+    InstallGlobalTracer(tracer);
+  }
+  ScopedInstall(const ScopedInstall&) = delete;
+  ScopedInstall& operator=(const ScopedInstall&) = delete;
+  ~ScopedInstall() { InstallGlobalTracer(previous_); }
+
+ private:
+  Tracer* previous_;
+};
 
 // A tracer installed as the global one for exactly its own lifetime; the
 // previously installed tracer (usually none) comes back on destruction.

@@ -1,7 +1,17 @@
 #include "src/sim/fleet.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <functional>
+#include <system_error>
+#include <thread>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "src/apps/hello.h"
 #include "src/common/backoff.h"
@@ -33,6 +43,46 @@ constexpr size_t kMaxBatchSize = 8;
 // Paces overload resends. Full jitter, so a rack of shed machines spreads
 // its return over the whole window instead of re-arriving in lockstep.
 constexpr BackoffPolicy kOverloadBackoff{10.0, 2.0, 500.0, 0, true};
+
+// The build pool's size: the CPUs this process may run on, capped by the
+// hardware thread count and by the number of tasks.
+size_t BuildPoolSize(size_t tasks) {
+  size_t cpus = tasks;
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    cpus = std::min(cpus, static_cast<size_t>(CPU_COUNT(&allowed)));
+  }
+  const unsigned hardware = std::thread::hardware_concurrency();
+  if (hardware != 0) {
+    cpus = std::min(cpus, static_cast<size_t>(hardware));
+  }
+  return std::max<size_t>(cpus, 1);
+}
+
+// Runs task(0) .. task(count - 1) on the calling thread plus
+// BuildPoolSize(count) - 1 workers, each claiming the lowest unclaimed
+// index, and returns once every task has finished. A task must not throw.
+void RunOnPool(size_t count, const std::function<void(size_t)>& task) {
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      task(i);
+    }
+  };
+  std::vector<std::thread> workers;
+  const size_t pool = BuildPoolSize(count);
+  for (size_t w = 1; w < pool; ++w) {
+    try {
+      workers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // No thread to be had: the threads already running drain it all.
+    }
+  }
+  drain();
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+}
 
 }  // namespace
 
@@ -130,6 +180,19 @@ std::string FleetStats::ToJson(const FleetConfig& config) const {
 Fleet::Fleet(const FleetConfig& config) : config_(config), executor_(config.seed) {}
 
 Fleet::~Fleet() = default;
+
+Fleet::ReleaseFreedMemory::~ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  // Build's pool threads each allocate from their own malloc arena, and
+  // memory freed in one arena is not reused by another thread's
+  // allocations: over repeated 256-machine fleets the benchmark's peak RSS
+  // rose 6.5-7.5% above one-at-a-time builds. Handing every arena's free
+  // pages back once a fleet is gone holds it within 1.5%; trimming once
+  // after the pool joins left +3.5-6.5%. The next build re-faults the
+  // returned pages, a few ms.
+  malloc_trim(0);
+#endif
+}
 
 Bytes Fleet::DeriveNonce(const std::string& label, uint64_t a, uint64_t b) const {
   return Sha1::Digest(BytesOf(label + "-" + std::to_string(config_.seed) + "-" +
@@ -249,10 +312,7 @@ Status Fleet::SetupCheckpointStore(FleetMachine* machine) {
   }
   machine->store = std::make_unique<CrashConsistentSealedStore>(store.take());
   machine->checkpoint_gen = 0;
-  FLICKER_RETURN_IF_ERROR(machine->store->Seal(BytesOf("ckpt-0"), machine->release_pcr,
-                                               machine->blob_auth));
-  ++stats_.checkpoints_sealed;
-  return Status::Ok();
+  return machine->store->Seal(BytesOf("ckpt-0"), machine->release_pcr, machine->blob_auth);
 }
 
 bool Fleet::Partitioned(int machine, uint64_t at_ns) const {
@@ -277,6 +337,46 @@ SessionExpectation Fleet::SnapshotExpectation(const RoundState& round) const {
   return expectation;
 }
 
+Status Fleet::BuildMachine(const FlickerPlatformConfig& platform_config,
+                           FleetMachine* machine) {
+  const uint64_t id = static_cast<uint64_t>(machine->id);
+  machine->platform = std::make_unique<FlickerPlatform>(platform_config);
+  machine->channel = std::make_unique<LossyChannel>(
+      &machine->wire_clock, LatencyProfile(),
+      /*jitter_seed=*/config_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1)));
+  if (config_.fault_mix.drop_bp != 0 || config_.fault_mix.duplicate_bp != 0 ||
+      config_.fault_mix.reorder_bp != 0 || config_.fault_mix.corrupt_bp != 0 ||
+      config_.fault_mix.delay_bp != 0) {
+    machine->channel->set_fault_schedule(
+        NetFaultSchedule(config_.fault_seed ^ id, config_.fault_mix));
+  }
+  machine->cert =
+      ca_.Certify(machine->platform->tpm()->aik_public(), "fleet-" + std::to_string(id));
+  if (config_.checkpoints.enabled) {
+    FLICKER_RETURN_IF_ERROR(SetupCheckpointStore(machine));
+  }
+  return BootstrapMachine(machine);
+}
+
+void Fleet::DrawArrivals() {
+  // The open-loop client: seeded Poisson arrivals, uniform target machine.
+  // Arrival instants are epoch-relative here; Build shifts them once the
+  // epoch is known.
+  Drbg arrivals(config_.seed ^ 0xA2217A1ULL);
+  double t_ms = 0;
+  for (size_t r = 0; r < rounds_.size(); ++r) {
+    const double u = (static_cast<double>(arrivals.UniformUint64(1ULL << 30)) + 1.0) /
+                     (static_cast<double>(1ULL << 30) + 1.0);
+    t_ms += -config_.mean_interarrival_ms * std::log(u);
+    RoundState& round = rounds_[r];
+    round.machine = static_cast<int>(
+        arrivals.UniformUint64(static_cast<uint64_t>(config_.num_machines)));
+    round.full_session = arrivals.UniformUint64(10000) < config_.full_session_bp;
+    round.nonce = DeriveNonce("fleet-round", r, 0);
+    round.arrival_ns = static_cast<uint64_t>(t_ms * 1e6 + 0.5);
+  }
+}
+
 Status Fleet::Build() {
   if (built_) {
     return Status::Ok();
@@ -295,28 +395,69 @@ Status Fleet::Build() {
   platform_config.machine.tpm.key_bits = config_.tpm_key_bits;
   platform_config.tqd_max_batch_size = kMaxBatchSize;
 
-  Drbg shape(config_.seed ^ 0xF1EE7ULL);
-  machines_.reserve(static_cast<size_t>(config_.num_machines));
-  for (int i = 0; i < config_.num_machines; ++i) {
-    auto machine = std::make_unique<FleetMachine>();
-    machine->id = i;
-    machine->platform = std::make_unique<FlickerPlatform>(platform_config);
-    machine->channel = std::make_unique<LossyChannel>(
-        &machine->wire_clock, LatencyProfile(),
-        /*jitter_seed=*/config_.seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(i) + 1)));
-    if (config_.fault_mix.drop_bp != 0 || config_.fault_mix.duplicate_bp != 0 ||
-        config_.fault_mix.reorder_bp != 0 || config_.fault_mix.corrupt_bp != 0 ||
-        config_.fault_mix.delay_bp != 0) {
-      machine->channel->set_fault_schedule(
-          NetFaultSchedule(config_.fault_seed ^ static_cast<uint64_t>(i), config_.fault_mix));
+  // Parallel phase. A machine's TPM, SKINIT and PCR 17 are its own, so once
+  // its seeds are fixed its build depends on nothing else; the arrival
+  // stream needs only the config. Task 0 draws the arrivals and is claimed
+  // first, so it overlaps the machine builds; task i + 1 builds machine i.
+  // Each traced task records into its own fork of the caller's tracer.
+  const size_t num_machines = static_cast<size_t>(config_.num_machines);
+  const size_t num_tasks = num_machines + 1;
+  machines_.resize(num_machines);
+  rounds_.assign(static_cast<size_t>(config_.rounds), RoundState());
+  std::vector<Status> machine_status(num_machines, Status::Ok());
+  std::vector<std::exception_ptr> thrown(num_tasks);
+  obs::Tracer* const tracer = obs::GlobalTracer();
+  std::vector<obs::Tracer> task_tracers;
+  if (tracer != nullptr) {
+    task_tracers.assign(num_tasks, tracer->Fork());
+  }
+  RunOnPool(num_tasks, [&](size_t task) {
+    obs::ScopedInstall install(tracer != nullptr ? &task_tracers[task] : nullptr);
+    try {
+      if (task == 0) {
+        DrawArrivals();
+        return;
+      }
+      std::unique_ptr<FleetMachine>& machine = machines_[task - 1];
+      machine = std::make_unique<FleetMachine>();
+      machine->id = static_cast<int>(task - 1);
+      machine_status[task - 1] = BuildMachine(platform_config, machine.get());
+    } catch (...) {
+      thrown[task] = std::current_exception();
     }
-    machine->cert =
-        ca_.Certify(machine->platform->tpm()->aik_public(), "fleet-" + std::to_string(i));
+  });
+
+  // Serial phase, in machine-id order, as if the machines had been built one
+  // at a time: a failure surfaces the lowest failing id before any machine
+  // joins the executor, the traces append as one stream, and actors,
+  // machine shape and the heap's event sequence see a fixed order.
+  for (size_t i = 0; i < num_machines; ++i) {
+    if (thrown[i + 1]) {
+      std::rethrow_exception(thrown[i + 1]);
+    }
+    if (!machine_status[i].ok()) {
+      machines_.clear();
+      rounds_.clear();
+      return machine_status[i];
+    }
+  }
+  if (thrown[0]) {
+    std::rethrow_exception(thrown[0]);
+  }
+  if (tracer != nullptr) {
+    for (size_t task = 1; task < num_tasks; ++task) {
+      tracer->Append(std::move(task_tracers[task]));
+    }
+    tracer->Append(std::move(task_tracers[0]));
+  }
+
+  Drbg shape(config_.seed ^ 0xF1EE7ULL);
+  for (const std::unique_ptr<FleetMachine>& machine : machines_) {
+    const int id = machine->id;
     machine->actor =
-        executor_.RegisterActor("machine-" + std::to_string(i), machine->platform->clock());
+        executor_.RegisterActor("machine-" + std::to_string(id), machine->platform->clock());
     machine->batched = shape.UniformUint64(10000) < config_.batched_machines_bp;
 
-    const int id = i;
     machine->channel->set_delivery_hook(
         [this, id](NetEndpoint dest, uint64_t seq, uint64_t arrival_ns) {
           OnWireEnqueued(id, dest, seq, arrival_ns);
@@ -338,10 +479,8 @@ Status Fleet::Build() {
         /*drain_sink=*/nullptr);
 
     if (config_.checkpoints.enabled) {
-      FLICKER_RETURN_IF_ERROR(SetupCheckpointStore(machine.get()));
+      ++stats_.checkpoints_sealed;  // SetupCheckpointStore sealed generation 0.
     }
-    FLICKER_RETURN_IF_ERROR(BootstrapMachine(machine.get()));
-    machines_.push_back(std::move(machine));
   }
 
   if (config_.farm.hedge) {
@@ -374,31 +513,19 @@ Status Fleet::Build() {
   for (const FleetTpmFaultWindow& w : config_.tpm_windows)
     quiesce_ms = std::max(quiesce_ms, w.end_ms);
   quiesce_ns_ = epoch_ns_ + static_cast<uint64_t>(quiesce_ms * 1e6 + 0.5);
-  machine_arrivals_after_quiesce_.assign(static_cast<size_t>(config_.num_machines), 0);
-  machine_completed_after_quiesce_.assign(static_cast<size_t>(config_.num_machines), 0);
-  stats_.machine_completed.assign(static_cast<size_t>(config_.num_machines), 0);
+  machine_arrivals_after_quiesce_.assign(num_machines, 0);
+  machine_completed_after_quiesce_.assign(num_machines, 0);
+  stats_.machine_completed.assign(num_machines, 0);
 
-  // The open-loop client: seeded Poisson arrivals, uniform target machine.
-  Drbg arrivals(config_.seed ^ 0xA2217A1ULL);
-  double t_ms = 0;
-  rounds_.resize(static_cast<size_t>(config_.rounds));
-  for (int r = 0; r < config_.rounds; ++r) {
-    const double u = (static_cast<double>(arrivals.UniformUint64(1ULL << 30)) + 1.0) /
-                     (static_cast<double>(1ULL << 30) + 1.0);
-    t_ms += -config_.mean_interarrival_ms * std::log(u);
-    RoundState& round = rounds_[static_cast<size_t>(r)];
-    round.machine = static_cast<int>(
-        arrivals.UniformUint64(static_cast<uint64_t>(config_.num_machines)));
-    round.full_session = arrivals.UniformUint64(10000) < config_.full_session_bp;
-    round.nonce = DeriveNonce("fleet-round", static_cast<uint64_t>(r), 0);
-    round.arrival_ns = epoch_ns_ + static_cast<uint64_t>(t_ms * 1e6 + 0.5);
-    nonce_to_round_[round.nonce] = static_cast<size_t>(r);
+  for (size_t r = 0; r < rounds_.size(); ++r) {
+    RoundState& round = rounds_[r];
+    round.arrival_ns += epoch_ns_;
+    nonce_to_round_[round.nonce] = r;
     if (round.arrival_ns > quiesce_ns_) {
       ++machine_arrivals_after_quiesce_[static_cast<size_t>(round.machine)];
     }
-    const size_t round_index = static_cast<size_t>(r);
     executor_.ScheduleAt(machines_[static_cast<size_t>(round.machine)]->actor, round.arrival_ns,
-                         [this, round_index] { OnArrival(round_index); });
+                         [this, r] { OnArrival(r); });
   }
   stats_.rounds_injected = static_cast<uint64_t>(config_.rounds);
 

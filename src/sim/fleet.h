@@ -232,7 +232,12 @@ class Fleet {
   ~Fleet();
 
   // Builds machines, certs and wires, runs every machine's bootstrap
-  // session, and schedules the arrival/chaos plan onto the heap.
+  // session, and schedules the arrival/chaos plan onto the heap. Machines
+  // are built concurrently on a pool sized to the CPUs this process may
+  // use; everything order-sensitive then runs on the calling thread in
+  // machine-id order, so the result does not depend on the pool size. A
+  // failure returns the lowest failing machine id's status and registers
+  // no actors.
   Status Build();
   // Drains the heap; every injected round resolves (complete or timeout).
   Status Run();
@@ -310,6 +315,10 @@ class Fleet {
 
   Bytes DeriveNonce(const std::string& label, uint64_t a, uint64_t b) const;
   Status ValidateConfig() const;
+  // Build's pool tasks: each touches only its own machine (or the rounds)
+  // plus read-only fleet state, so tasks run concurrently.
+  Status BuildMachine(const FlickerPlatformConfig& platform_config, FleetMachine* machine);
+  void DrawArrivals();
   Status BootstrapMachine(FleetMachine* machine);
   Status SetupCheckpointStore(FleetMachine* machine);
   bool Partitioned(int machine, uint64_t at_ns) const;
@@ -335,6 +344,12 @@ class Fleet {
   void SendBatchSlices(int machine_id, std::vector<BatchQuoteResponse> slices);
   void FailRound(size_t round_index);
 
+  // Declared first, so destroyed last: once every other member has freed
+  // its memory, returns the free pages of all malloc arenas to the OS.
+  struct ReleaseFreedMemory {
+    ~ReleaseFreedMemory();
+  };
+  ReleaseFreedMemory release_freed_memory_;
   FleetConfig config_;
   SimExecutor executor_;
   PrivacyCa ca_;

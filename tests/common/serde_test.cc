@@ -53,7 +53,8 @@ TEST(SerdeTest, BlobLengthBeyondBufferSetsError) {
 }
 
 TEST(SerdeTest, ErrorIsSticky) {
-  Reader r(Bytes{0x01});
+  const Bytes one_byte{0x01};  // Reader keeps a reference: no temporary.
+  Reader r(one_byte);
   (void)r.U32();  // Fails.
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.U8(), 0);  // Still failing even though 1 byte exists.

@@ -7,6 +7,8 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,74 @@ TEST(TracerTest, ScopedTracerRestoresThePreviousTracer) {
     EXPECT_EQ(GlobalTracer(), &inner);
   }
   EXPECT_EQ(GlobalTracer(), &outer);
+}
+
+TEST(TracerTest, InstalledTracersArePerThread) {
+  SimClock clock;
+  ScopedTracer main_tracer(&clock);
+  Tracer* seen_by_worker = &main_tracer;
+  std::thread worker([&] { seen_by_worker = GlobalTracer(); });
+  worker.join();
+  EXPECT_EQ(seen_by_worker, nullptr);
+  EXPECT_EQ(GlobalTracer(), &main_tracer);
+}
+
+// One task's records: nested spans, an instant between them, and a span
+// stamped with an explicit interval.
+void RecordTask(const std::string& name) {
+  ScopedSpan outer("test", name);
+  {
+    ScopedSpan inner("test", name + ".inner");
+    inner.Arg("task", name);
+  }
+  Instant("test", "tick", {{"task", name}});
+  GlobalTracer()->EmitComplete("test", name + ".done", 5, 9);
+}
+
+TEST(TracerTest, ForksAppendedInOrderMatchASerialRecording) {
+  SimClock clock;
+  Tracer serial(&clock);
+  {
+    ScopedInstall install(&serial);
+    ScopedProcess process(7);
+    ScopedSpan root("test", "root");
+    RecordTask("a");
+    RecordTask("b");
+  }
+
+  // The same two tasks, recorded on two threads into forks, the second one
+  // finishing first; appending the forks in task order undoes the race.
+  Tracer pooled(&clock);
+  {
+    ScopedInstall install(&pooled);
+    ScopedProcess process(7);
+    ScopedSpan root("test", "root");
+    std::vector<Tracer> forks(2, pooled.Fork());
+    std::thread second([&] {
+      ScopedInstall task(&forks[1]);
+      RecordTask("b");
+    });
+    second.join();
+    {
+      ScopedInstall task(&forks[0]);
+      RecordTask("a");
+    }
+    pooled.Append(std::move(forks[0]));
+    pooled.Append(std::move(forks[1]));
+  }
+
+  ASSERT_EQ(pooled.spans().size(), serial.spans().size());
+  for (size_t i = 0; i < serial.spans().size(); ++i) {
+    const SpanRecord& want = serial.spans()[i];
+    const SpanRecord& got = pooled.spans()[i];
+    EXPECT_EQ(got.id, want.id) << want.name;
+    EXPECT_EQ(got.parent_id, want.parent_id) << want.name;
+    EXPECT_EQ(got.pid, 7u) << want.name;
+    EXPECT_EQ(got.name, want.name);
+  }
+  EXPECT_EQ(pooled.instants().size(), serial.instants().size());
+  EXPECT_EQ(pooled.open_depth(), 0u);
+  EXPECT_EQ(pooled.ExportChromeTrace(), serial.ExportChromeTrace());
 }
 
 TEST(TracerTest, ExportIsByteIdenticalForIdenticalHistories) {

@@ -59,6 +59,10 @@
 #                        byte-identical JSON (refreshing BENCH_hv.json,
 #                        micro_hv exits 2 if any attack is accepted or
 #                        mistyped) - and a multi-seed quiet sweep
+#   verify.sh --tsan     additionally build with ThreadSanitizer in ./build-tsan
+#                        and run the fleet-labeled suites and the obs suites
+#                        (traced fleet builds included) plus a 64-machine
+#                        fleet bench there; any race report fails the run
 #   verify.sh --reachability
 #                        additionally build only the products (every bench,
 #                        every example and perfbench's workload) in
@@ -69,16 +73,17 @@
 #                        or on an allowlist entry that names no such
 #                        function
 #
-# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--reachability] [build-dir]
+# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--reachability] [build-dir]
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--reachability] [build-dir]"
+usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--reachability] [build-dir]"
 
 # One row per campaign flag:
 #   build      the side build its suites run in: asan (./build-asan,
-#              ASan+UBSan), noperf (./build-noperf, -DFLICKER_SIMD=OFF) or
-#              reach (./build-reach, unoptimised, unused sections dropped)
+#              ASan+UBSan), tsan (./build-tsan, ThreadSanitizer), noperf
+#              (./build-noperf, -DFLICKER_SIMD=OFF) or reach (./build-reach,
+#              unoptimised, unused sections dropped)
 #   follow_up  the checks run afterwards (- none)
 #   selection  the ctest selection (-L label or -R regex) of its suites; the
 #              side build compiles exactly the targets `ctest -N` lists for
@@ -95,6 +100,7 @@ campaigns='
 --vtpm          asan    vtpm_follow_up          -L vtpm    -
 --chaos-fuzz    asan    chaos_fuzz_follow_up    -R ^sim_chaos_fuzz_test$  micro_fleet
 --hv            asan    hv_follow_up            -L hv      -
+--tsan          tsan    tsan_follow_up          -L ^(fleet|obs)$  micro_fleet
 --reachability  reach   reachability_follow_up  - -        -
 '
 campaign=
@@ -291,6 +297,13 @@ side_suites() {
       side_dir="$repo_root/build-asan"
       cmake -B "$side_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
       ;;
+    tsan)
+      side_dir="$repo_root/build-tsan"
+      cmake -B "$side_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Tsan
+      # The first race report ends the process with a failing exit code.
+      TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+      export TSAN_OPTIONS
+      ;;
     noperf)
       side_dir="$repo_root/build-noperf"
       cmake -B "$side_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
@@ -298,6 +311,17 @@ side_suites() {
     reach)
       side_dir="$repo_root/build-reach"
       reach_configure "$side_dir" "$repo_root"
+      ;;
+  esac
+  case $side in
+    asan|tsan)
+      # A sanitizer build whose flags never reached the compiler passes
+      # everything; refuse it rather than report a clean run.
+      if ! grep -q -- '-fsanitize=' \
+          "$side_dir/src/common/CMakeFiles/flicker_common.dir/flags.make"; then
+        echo "verify.sh: $side_dir compiles without -fsanitize" >&2
+        exit 1
+      fi
       ;;
   esac
   if [ "$select_flag" = - ]; then
@@ -432,6 +456,13 @@ hv_follow_up() {
     "$build_dir/bench/micro_hv" --quiet --seed="$seed" > /dev/null
   done
   echo "verify.sh: multi-seed hv adversarial sweep clean (accepted_wrong == 0 across seeds)"
+}
+
+tsan_follow_up() {
+  # The fleet build's pool on a wider fleet than the suites build, with the
+  # whole round phase behind it (TSAN_OPTIONS still halts on any report).
+  "$side_dir/bench/micro_fleet" --machines=64 --rounds=256 > /dev/null
+  echo "verify.sh: 64-machine fleet build and run race-free under ThreadSanitizer"
 }
 
 reachability_follow_up() {
