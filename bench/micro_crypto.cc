@@ -1,9 +1,10 @@
 // Host wall time of the from-scratch crypto substrate and the quote paths
 // built on it: 2048-bit modexp (Montgomery vs the schoolbook reference, with
 // a bit-exactness sweep), RSA CRT sign at 2048 bits and sign/verify at the
-// fleet's 512/1024-bit widths, SHA-1/SHA-256 over 64 KB, one end-to-end TPM
-// quote, and a 32-challenge batch quote verified slice by slice. These
-// complement the calibrated simulated-time benches.
+// fleet's 512/1024-bit widths, SHA-1/SHA-256 over 64 KB, the 40-byte SHA-1 a
+// PCR extend hashes, AES-128-CBC over 4 KB (the sealed-data cipher), one
+// end-to-end TPM quote, and a 32-challenge batch quote verified slice by
+// slice. These complement the calibrated simulated-time benches.
 //
 //   micro_crypto                    run, summary to stdout
 //   micro_crypto --bench_json=PATH  also write the report (BENCH_crypto.json)
@@ -21,6 +22,7 @@
 #include "src/attest/verifier.h"
 #include "src/common/bytes.h"
 #include "src/common/json.h"
+#include "src/crypto/aes.h"
 #include "src/crypto/bigint.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/merkle.h"
@@ -124,6 +126,16 @@ int RunBench(const std::string& json_path) {
   Bytes block = sha_rng.Generate(65536);
   double sha_ops = ops_per_sec([&] { DoNotOptimize(Sha1::Digest(block)); }, 1.0, 20000);
   double sha256_ops = ops_per_sec([&] { DoNotOptimize(Sha256::Digest(block)); }, 1.0, 20000);
+  // A PCR extend hashes old value || measurement: one 40-byte message, so
+  // one block plus padding.
+  const Bytes extend_input = sha_rng.Generate(2 * Sha1::kDigestSize);
+  double sha1_extend_ops =
+      ops_per_sec([&] { DoNotOptimize(Sha1::Digest(extend_input)); }, 1.0, 2000000);
+  const Aes aes128(sha_rng.Generate(16));
+  const Bytes aes_iv = sha_rng.Generate(Aes::kBlockSize);
+  const Bytes aes_plaintext(block.begin(), block.begin() + 4096);
+  double aes_cbc_ops =
+      ops_per_sec([&] { DoNotOptimize(aes128.EncryptCbc(aes_plaintext, aes_iv)); }, 1.0, 200000);
 
   SimClock clock;
   Tpm tpm(&clock, BroadcomBcm0102Profile());
@@ -152,13 +164,14 @@ int RunBench(const std::string& json_path) {
       static_cast<double>(kBatchChallenges);
 
   JsonWriter json;
-  json.Object().String("schema", "flicker-bench-crypto-v4").String("unit", "ops_per_sec");
+  json.Object().String("schema", "flicker-bench-crypto-v5").String("unit", "ops_per_sec");
   json.Fixed("modexp2048_montgomery", mont_ops, 3).Fixed("modexp2048_reference", ref_ops, 3);
   json.Fixed("modexp2048_speedup", mont_ops / ref_ops, 2).Bool("modexp2048_bit_exact", bit_exact);
   json.Fixed("rsa2048_crt_sign", sign_ops, 3).Fixed("rsa512_crt_sign", rsa512_sign_ops, 3);
   json.Fixed("rsa512_verify", rsa512_verify_ops, 3).Fixed("rsa1024_crt_sign", rsa1024_sign_ops, 3);
   json.Fixed("rsa1024_verify", rsa1024_verify_ops, 3).Fixed("sha1_64kb", sha_ops, 3);
-  json.Fixed("sha256_64kb", sha256_ops, 3).Fixed("tpm_quote_end_to_end", quote_ops, 3);
+  json.Fixed("sha256_64kb", sha256_ops, 3).Fixed("sha1_extend", sha1_extend_ops, 3);
+  json.Fixed("aes128_cbc_4kb", aes_cbc_ops, 3).Fixed("tpm_quote_end_to_end", quote_ops, 3);
   json.Int("batch_quote_challenges", kBatchChallenges).Bool("batch_quote_all_verified", batch_ok);
   json.Fixed("batch_quote_verified_per_sec", batch_verified_per_sec, 3);
   json.Fixed("batch_quote_speedup_vs_serial", batch_verified_per_sec / quote_ops, 2).End();
@@ -166,6 +179,8 @@ int RunBench(const std::string& json_path) {
               mont_ops, ref_ops, mont_ops / ref_ops, bit_exact ? "true" : "false");
   std::printf("rsa2048 CRT sign: %.1f ops/s; sha1 64KB: %.1f ops/s; quote: %.1f ops/s\n",
               sign_ops, sha_ops, quote_ops);
+  std::printf("sha1 40B extend: %.1f ops/s; sha256 64KB: %.1f ops/s; aes128-cbc 4KB: %.1f ops/s\n",
+              sha1_extend_ops, sha256_ops, aes_cbc_ops);
   std::printf("rsa512 CRT sign %.1f / verify %.1f ops/s; rsa1024 CRT sign %.1f / verify %.1f "
               "ops/s\n",
               rsa512_sign_ops, rsa512_verify_ops, rsa1024_sign_ops, rsa1024_verify_ops);

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/crypto/cpu_features.h"
+
 namespace flicker {
 
 namespace {
@@ -73,6 +75,51 @@ uint32_t RotWord(uint32_t w) {
   return (w << 8) | (w >> 24);
 }
 
+#ifdef FLICKER_CRYPTO_SIMD
+
+__m128i LoadKey(const uint8_t* key) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+}
+
+// Decryption keys for the equivalent inverse cipher (FIPS-197 5.3.5) that
+// aesdec implements: the encryption keys in reverse order, the inner ones
+// passed through InvMixColumns.
+__attribute__((target("aes,sse4.1"))) void InvMixRoundKeys(const uint8_t (*enc)[16], int rounds,
+                                                           uint8_t (*dec)[16]) {
+  std::memcpy(dec[0], enc[rounds], 16);
+  for (int round = 1; round < rounds; ++round) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dec[round]),
+                     _mm_aesimc_si128(LoadKey(enc[rounds - round])));
+  }
+  std::memcpy(dec[rounds], enc[0], 16);
+}
+
+__attribute__((target("aes,sse4.1"))) void EncryptBlockAesNi(const uint8_t (*keys)[16],
+                                                             int rounds, const uint8_t* in,
+                                                             uint8_t* out) {
+  __m128i state =
+      _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), LoadKey(keys[0]));
+  for (int round = 1; round < rounds; ++round) {
+    state = _mm_aesenc_si128(state, LoadKey(keys[round]));
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_aesenclast_si128(state, LoadKey(keys[rounds])));
+}
+
+__attribute__((target("aes,sse4.1"))) void DecryptBlockAesNi(const uint8_t (*keys)[16],
+                                                             int rounds, const uint8_t* in,
+                                                             uint8_t* out) {
+  __m128i state =
+      _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), LoadKey(keys[0]));
+  for (int round = 1; round < rounds; ++round) {
+    state = _mm_aesdec_si128(state, LoadKey(keys[round]));
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_aesdeclast_si128(state, LoadKey(keys[rounds])));
+}
+
+#endif  // FLICKER_CRYPTO_SIMD
+
 }  // namespace
 
 Aes::Aes(const Bytes& key) {
@@ -81,37 +128,53 @@ Aes::Aes(const Bytes& key) {
   rounds_ = nk + 6;
   int total_words = 4 * (rounds_ + 1);
 
+  uint32_t words[60];  // Up to 14 rounds + 1, 4 words each.
   for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = (static_cast<uint32_t>(key[4 * i]) << 24) |
-                     (static_cast<uint32_t>(key[4 * i + 1]) << 16) |
-                     (static_cast<uint32_t>(key[4 * i + 2]) << 8) |
-                     static_cast<uint32_t>(key[4 * i + 3]);
+    words[i] = (static_cast<uint32_t>(key[4 * i]) << 24) |
+               (static_cast<uint32_t>(key[4 * i + 1]) << 16) |
+               (static_cast<uint32_t>(key[4 * i + 2]) << 8) | static_cast<uint32_t>(key[4 * i + 3]);
   }
   uint8_t rcon = 1;
   for (int i = nk; i < total_words; ++i) {
-    uint32_t temp = round_keys_[i - 1];
+    uint32_t temp = words[i - 1];
     if (i % nk == 0) {
       temp = SubWord(RotWord(temp)) ^ (static_cast<uint32_t>(rcon) << 24);
       rcon = GfMul(rcon, 2);
     } else if (nk > 6 && i % nk == 4) {
       temp = SubWord(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    words[i] = words[i - nk] ^ temp;
   }
+  // Word 4r + c is column c of round key r, most significant byte first:
+  // the byte order the state is in.
+  for (int i = 0; i < total_words; ++i) {
+    uint8_t* column = &round_keys_[i / 4][4 * (i % 4)];
+    column[0] = static_cast<uint8_t>(words[i] >> 24);
+    column[1] = static_cast<uint8_t>(words[i] >> 16);
+    column[2] = static_cast<uint8_t>(words[i] >> 8);
+    column[3] = static_cast<uint8_t>(words[i]);
+  }
+#ifdef FLICKER_CRYPTO_SIMD
+  if (HasAesNi()) {
+    InvMixRoundKeys(round_keys_, rounds_, dec_round_keys_);
+  }
+#endif
 }
 
 void Aes::EncryptBlock(const uint8_t* in, uint8_t* out) const {
+#ifdef FLICKER_CRYPTO_SIMD
+  if (HasAesNi()) {
+    EncryptBlockAesNi(round_keys_, rounds_, in, out);
+    return;
+  }
+#endif
   const AesTables& tables = Tables();
   uint8_t state[16];
   std::memcpy(state, in, 16);
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      uint32_t w = round_keys_[round * 4 + c];
-      state[4 * c] ^= static_cast<uint8_t>(w >> 24);
-      state[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
-      state[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);
-      state[4 * c + 3] ^= static_cast<uint8_t>(w);
+    for (int i = 0; i < 16; ++i) {
+      state[i] ^= round_keys_[round][i];
     }
   };
 
@@ -149,17 +212,19 @@ void Aes::EncryptBlock(const uint8_t* in, uint8_t* out) const {
 }
 
 void Aes::DecryptBlock(const uint8_t* in, uint8_t* out) const {
+#ifdef FLICKER_CRYPTO_SIMD
+  if (HasAesNi()) {
+    DecryptBlockAesNi(dec_round_keys_, rounds_, in, out);
+    return;
+  }
+#endif
   const AesTables& tables = Tables();
   uint8_t state[16];
   std::memcpy(state, in, 16);
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      uint32_t w = round_keys_[round * 4 + c];
-      state[4 * c] ^= static_cast<uint8_t>(w >> 24);
-      state[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
-      state[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);
-      state[4 * c + 3] ^= static_cast<uint8_t>(w);
+    for (int i = 0; i < 16; ++i) {
+      state[i] ^= round_keys_[round][i];
     }
   };
 

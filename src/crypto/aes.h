@@ -1,4 +1,4 @@
-// AES-128/AES-256 (FIPS 197) with ECB block primitives and CBC/CTR modes,
+// AES-128/AES-256 (FIPS 197) with ECB block primitives and CBC mode,
 // implemented from scratch.
 //
 // TPM sealed storage in this codebase follows the paper's §2.2 advice:
@@ -6,6 +6,12 @@
 // only the symmetric key lives inside the (slow, asymmetric) TPM seal.
 // The S-box is synthesized from its GF(2^8) definition at startup so the
 // table cannot be mistyped; FIPS vectors pin it in the tests.
+//
+// The constructor runs the FIPS-197 key expansion once and keeps the round
+// keys in the state's byte order. On x86-64 hosts with AES-NI it also keeps
+// their InvMixColumns images, and the block primitives run aesenc/
+// aesenclast and aesdec/aesdeclast; other hosts and -DFLICKER_SIMD=OFF
+// builds run the byte-wise scalar rounds, the reference AES-NI must match.
 
 #ifndef FLICKER_SRC_CRYPTO_AES_H_
 #define FLICKER_SRC_CRYPTO_AES_H_
@@ -37,7 +43,11 @@ class Aes {
 
  private:
   int rounds_;
-  uint32_t round_keys_[60];  // Up to 14 rounds + 1, 4 words each.
+  // Round keys 0..rounds_ in state byte order (up to 14 rounds + 1).
+  uint8_t round_keys_[15][16];
+  // The AES-NI decryption schedule: round_keys_ reversed, the inner ones
+  // through InvMixColumns. Filled only when the AES-NI kernel runs.
+  uint8_t dec_round_keys_[15][16];
 };
 
 }  // namespace flicker

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/crypto/cpu_features.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 // The 4-limb kernel runs on the baseline x86-64 carry intrinsics
 // (_addcarry_u64/_subborrow_u64 are adc/sbb: no ISA flag, no dispatch).
 #define FLICKER_MONT_ADC 1
 #include <immintrin.h>
-#if !defined(FLICKER_SIMD_DISABLED)
-#define FLICKER_MONT_IFMA 1
-#endif
 #endif
 
 namespace flicker {
@@ -196,12 +195,7 @@ inline __attribute__((always_inline)) void MontMul4(const uint64_t* a, const uin
 
 #endif  // FLICKER_MONT_ADC
 
-#ifdef FLICKER_MONT_IFMA
-
-bool IfmaSupported() {
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma") &&
-         __builtin_cpu_supports("avx512vl");
-}
+#ifdef FLICKER_CRYPTO_SIMD
 
 // Radix-2^52 Montgomery product using vpmadd52{l,h}uq, after Gueron &
 // Krasnov. Operands are nd proper 52-bit digits zero-padded to nc * 8 lanes;
@@ -360,7 +354,7 @@ __attribute__((target("avx512f,avx512vl,avx512ifma"))) void MontMulIfmaReg(
   }
 }
 
-#endif  // FLICKER_MONT_IFMA
+#endif  // FLICKER_CRYPTO_SIMD
 
 // 64-bit limbs -> nd 52-bit digits (zero-padded to `pad` entries).
 std::vector<uint64_t> LimbsToDigits52(const std::vector<uint64_t>& limbs, size_t nd, size_t pad) {
@@ -495,13 +489,13 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
   ctx.rr_ = rr.limbs_;
   ctx.rr_.resize(k, 0);
 
-#ifdef FLICKER_MONT_IFMA
+#ifdef FLICKER_CRYPTO_SIMD
   // Radix-2^52 engine on AVX512-IFMA hosts from 10 digits (~469 bits) up,
   // so 512-bit moduli - the AIK verify and the CA key's CRT halves - run
   // vectorized. Below that the scalar kernel wins: moving the 256-bit CRT
   // halves of a 512-bit sign to IFMA measured ~44 -> ~104 us.
   const size_t nd = (modulus.BitLength() + 51) / 52;
-  if (nd >= 10 && IfmaSupported()) {
+  if (nd >= 10 && HasAvx512Ifma()) {
     const size_t pad = ((nd + 7) / 8) * 8;
     ctx.nd52_ = nd;
     ctx.n0inv52_ = ctx.n0inv_ & kMask52;
@@ -602,7 +596,7 @@ BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exponent) con
   return FromLimbs(x);
 }
 
-#ifdef FLICKER_MONT_IFMA
+#ifdef FLICKER_CRYPTO_SIMD
 
 BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent) const {
   const size_t nd = nd52_;
@@ -648,6 +642,6 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt&, const BigInt&) const {
   return BigInt();  // Unreachable: nd52_ is never set without IFMA support.
 }
 
-#endif  // FLICKER_MONT_IFMA
+#endif  // FLICKER_CRYPTO_SIMD
 
 }  // namespace flicker

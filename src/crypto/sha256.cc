@@ -1,6 +1,9 @@
 #include "src/crypto/sha256.h"
 
 #include <cstring>
+#include <utility>
+
+#include "src/crypto/cpu_features.h"
 
 namespace flicker {
 
@@ -20,6 +23,69 @@ constexpr uint32_t kRoundConstants[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
+
+#ifdef FLICKER_CRYPTO_SIMD
+
+// Rounds 4G..4G+3 on the two state vectors sha256rnds2 works on: `abef`
+// (a, b, e, f from lane 3 down) and `cdgh`. w[G % 4] receives message words
+// W[4G..4G+3] with the first in lane 0, derived from the four groups before
+// it: sha256msg1 adds sigma0(W[t-15]) to W[t-16], the alignr picks W[t-7],
+// and sha256msg2 adds sigma1(W[t-2]).
+template <int G>
+__attribute__((target("sha,sse4.1"))) inline void Sha256Rounds4(__m128i& abef, __m128i& cdgh,
+                                                                __m128i* w) {
+  __m128i& wg = w[G % 4];
+  if constexpr (G >= 4) {
+    const __m128i w_t7 = _mm_alignr_epi8(w[(G + 3) % 4], w[(G + 2) % 4], 4);
+    wg = _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(wg, w[(G + 1) % 4]), w_t7),
+                              w[(G + 3) % 4]);
+  }
+  const __m128i wk = _mm_add_epi32(
+      wg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * G])));
+  // Each sha256rnds2 runs two rounds on the low two lanes of wk; after two
+  // rounds the old a, b, e, f are the new c, d, g, h.
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+template <size_t... G>
+__attribute__((target("sha,sse4.1"))) inline void Sha256Rounds(__m128i& abef, __m128i& cdgh,
+                                                               __m128i* w,
+                                                               std::index_sequence<G...>) {
+  (Sha256Rounds4<G>(abef, cdgh, w), ...);
+}
+
+// The same compression on the SHA extensions. The chaining value stays in
+// two registers across all `count` blocks.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t* state, const uint8_t* block,
+                                                         size_t count) {
+  // Big-endian message words, first word in lane 0.
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0b, 0x0405060700010203);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  for (; count > 0; --count, block += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), byte_swap);
+    }
+    Sha256Rounds(abef, cdgh, w, std::make_index_sequence<16>());
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // FLICKER_CRYPTO_SIMD
 
 }  // namespace
 
@@ -85,6 +151,18 @@ void Sha256::ProcessBlock(const uint8_t* block) {
   state_[7] += h;
 }
 
+void Sha256::ProcessBlocks(const uint8_t* blocks, size_t count) {
+#ifdef FLICKER_CRYPTO_SIMD
+  if (HasShaNi()) {
+    CompressShaNi(state_, blocks, count);
+    return;
+  }
+#endif
+  for (; count > 0; --count, blocks += kBlockSize) {
+    ProcessBlock(blocks);
+  }
+}
+
 void Sha256::Update(const void* data, size_t len) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   total_len_ += len;
@@ -98,14 +176,15 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      ProcessBlocks(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(p);
-    p += kBlockSize;
-    len -= kBlockSize;
+  const size_t whole = len / kBlockSize;
+  if (whole > 0) {
+    ProcessBlocks(p, whole);
+    p += whole * kBlockSize;
+    len -= whole * kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -121,14 +200,14 @@ Bytes Sha256::Finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
-    ProcessBlock(buffer_);
+    ProcessBlocks(buffer_, 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  ProcessBlock(buffer_);
+  ProcessBlocks(buffer_, 1);
 
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {

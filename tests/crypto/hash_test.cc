@@ -1,6 +1,7 @@
 // FIPS / RFC test vectors plus incremental-update properties for the four
 // hash functions.
 
+#include <algorithm>
 #include <iterator>
 
 #include <gtest/gtest.h>
@@ -53,6 +54,46 @@ void ExpectPaddingEdgeDigests(const char* const (&expected)[std::size(kPaddingEd
   }
 }
 
+// Feeds `msg` to Hash in pieces of `piece` bytes (the last one shorter).
+template <typename Hash>
+Bytes DigestInPieces(const Bytes& msg, size_t piece) {
+  Hash h;
+  for (size_t off = 0; off < msg.size(); off += piece) {
+    h.Update(msg.data() + off, std::min(piece, msg.size() - off));
+  }
+  return h.Finish();
+}
+
+// Hashes PatternMessage at every length 0..300, one-shot and split into
+// pieces that straddle the block edge in every phase, and checks the digest
+// of all 301 one-shot digests concatenated against `expected`, computed
+// offline with Python's hashlib as H(H(m_0) || ... || H(m_300)). This pins
+// the block kernel (SHA-NI or scalar, whichever the host runs) at every
+// padding position and every block count from 1 to 5.
+template <typename Hash>
+void ExpectLengthSweepDigest(const char* expected) {
+  Bytes digests;
+  for (size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = PatternMessage(len);
+    const Bytes digest = Hash::Digest(msg);
+    for (size_t piece : {1u, 13u, 64u, 100u}) {
+      EXPECT_EQ(DigestInPieces<Hash>(msg, piece), digest) << "len " << len << " piece " << piece;
+    }
+    digests.insert(digests.end(), digest.begin(), digest.end());
+  }
+  EXPECT_EQ(ToHex(Hash::Digest(digests)), expected);
+}
+
+// FIPS 180 "one million a", one-shot (one Update of 15625 whole blocks, the
+// bulk path) and in pieces that leave a partial block buffered each time.
+template <typename Hash>
+void ExpectMillionA(const char* expected) {
+  const Bytes msg(1000000, 'a');
+  EXPECT_EQ(ToHex(Hash::Digest(msg)), expected);
+  EXPECT_EQ(ToHex(DigestInPieces<Hash>(msg, 1000)), expected);
+  EXPECT_EQ(ToHex(DigestInPieces<Hash>(msg, 4099)), expected);
+}
+
 TEST(Sha1Test, EmptyString) {
   EXPECT_EQ(ToHex(Sha1::Digest(BytesOf(""))), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
 }
@@ -67,12 +108,11 @@ TEST(Sha1Test, TwoBlockMessage) {
 }
 
 TEST(Sha1Test, MillionA) {
-  Sha1 h;
-  Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) {
-    h.Update(chunk);
-  }
-  EXPECT_EQ(ToHex(h.Finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  ExpectMillionA<Sha1>("34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST(Sha1Test, LengthSweepKnownAnswer) {
+  ExpectLengthSweepDigest<Sha1>("43debf5006166594c976375f1c06253e43d53ddf");
 }
 
 TEST(Sha1Test, IncrementalMatchesOneShot) {
@@ -132,12 +172,12 @@ TEST(Sha256Test, TwoBlockMessage) {
 }
 
 TEST(Sha256Test, MillionA) {
-  Sha256 h;
-  Bytes chunk(10000, 'a');
-  for (int i = 0; i < 100; ++i) {
-    h.Update(chunk);
-  }
-  EXPECT_EQ(ToHex(h.Finish()), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  ExpectMillionA<Sha256>("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Test, LengthSweepKnownAnswer) {
+  ExpectLengthSweepDigest<Sha256>(
+      "7d917fbd2cf49ddff9ad0a8706bba32d204e92e71d2e369c5a03d6af29278c9f");
 }
 
 TEST(Sha256Test, BlockBoundaryLengths) {

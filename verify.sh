@@ -9,7 +9,7 @@
 #                        (every BENCH_*.json carries a "schema" key)
 #   verify.sh --asan     additionally build with ASan+UBSan in ./build-asan
 #                        and run the TPM and core suites, the random-input
-#                        parser battery, the hash/Montgomery/RSA suites and
+#                        parser battery, the hash/AES/Montgomery/RSA suites and
 #                        the report writer's suite under the sanitizers
 #   verify.sh --faults   additionally run the fault-injection campaign
 #                        (ctest -L faults, crash matrix included) under
@@ -23,12 +23,14 @@
 #                        BENCH_obs.json refresh
 #   verify.sh --perf     additionally run the SIMD differential campaign: a
 #                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf, whose
-#                        Montgomery kernels are scalar only, must pass the
-#                        hash/Montgomery/RSA/batch-quote suites, and its
-#                        paper tables/figures (Table 1/2/4, Fig. 9) and
-#                        flagship fleet report must be byte-identical to the
-#                        IFMA build's - the diff covers the Montgomery
-#                        kernels, and speed is the only thing they may change
+#                        hash, cipher and Montgomery kernels are scalar only,
+#                        must pass the hash/AES/Montgomery/RSA/batch-quote
+#                        suites, and its paper tables/figures (Table 1/2/4,
+#                        Fig. 9, the section 7.4.2 CA) and flagship fleet and
+#                        vTPM reports must be byte-identical to the SIMD
+#                        build's - the diff covers the SIMD kernels (IFMA
+#                        Montgomery, SHA-NI, AES-NI), and speed is the only
+#                        thing they may change
 #   verify.sh --fleet    additionally run the fleet simulation campaign:
 #                        fleet-labeled suites under ASan+UBSan, a
 #                        1000-machine sanitizer smoke run, a same-seed
@@ -91,11 +93,11 @@ usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--cha
 #              - - compiles and runs no suites
 #   extra      further targets the side build needs (comma list, - none)
 campaigns='
---asan          asan    -                       -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|common_json_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test)  -
+--asan          asan    -                       -R ^(tpm_|core_|os_tqd_robustness_test|common_serde_test|common_json_test|integration_robustness_test|crypto_montgomery_test|crypto_rsa_test|crypto_hash_test|crypto_aes_test)  -
 --faults        asan    faults_follow_up        -L faults  -
 --net           asan    net_follow_up           -L net     -
 --obs           asan    obs_follow_up           -L obs     -
---perf          noperf  perf_follow_up          -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh,micro_fleet
+--perf          noperf  perf_follow_up          -L simd    table1_rootkit,table2_skinit,table4_distributed,fig9_ssh,sec742_ca,micro_fleet,micro_vtpm
 --fleet         asan    fleet_follow_up         -L fleet   micro_fleet
 --vtpm          asan    vtpm_follow_up          -L vtpm    -
 --chaos-fuzz    asan    chaos_fuzz_follow_up    -R ^sim_chaos_fuzz_test$  micro_fleet
@@ -365,13 +367,14 @@ obs_follow_up() {
 }
 
 perf_follow_up() {
-  # The scalar Montgomery kernel must be a drop-in replacement for the IFMA
-  # one: every reproduced paper table/figure and the flagship fleet report
-  # come out byte-identical to the IFMA build's - speed is the only thing
-  # SIMD may change.
-  cmake --build "$build_dir" -j "$jobs" --target \
-    table1_rootkit table2_skinit table4_distributed fig9_ssh micro_fleet
-  for bin in table1_rootkit table2_skinit table4_distributed fig9_ssh; do
+  # The scalar hash, cipher and Montgomery kernels must be drop-in
+  # replacements for the SIMD ones: every reproduced paper table/figure, the
+  # AES/HMAC-heavy section 7.4.2 CA run and the flagship fleet and vTPM
+  # reports come out byte-identical to the SIMD build's - speed is the only
+  # thing SIMD may change.
+  cmake --build "$build_dir" -j "$jobs" --target table1_rootkit table2_skinit \
+    table4_distributed fig9_ssh sec742_ca micro_fleet micro_vtpm
+  for bin in table1_rootkit table2_skinit table4_distributed fig9_ssh sec742_ca; do
     "$build_dir/bench/$bin" > "$build_dir/$bin.perf.out"
     "$side_dir/bench/$bin" > "$side_dir/$bin.perf.out"
     if ! cmp -s "$build_dir/$bin.perf.out" "$side_dir/$bin.perf.out"; then
@@ -380,14 +383,16 @@ perf_follow_up() {
       exit 1
     fi
   done
-  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet.perf.json" > /dev/null
-  "$side_dir/bench/micro_fleet" --bench_json="$side_dir/fleet.perf.json" > /dev/null
-  if ! cmp -s "$build_dir/fleet.perf.json" "$side_dir/fleet.perf.json"; then
-    echo "verify.sh: flagship fleet report differs between SIMD and scalar builds" >&2
-    diff -u "$build_dir/fleet.perf.json" "$side_dir/fleet.perf.json" >&2 || true
-    exit 1
-  fi
-  echo "verify.sh: scalar and IFMA Montgomery kernels byte-identical on Table 1/2/4 + Fig. 9 + fleet"
+  for bin in micro_fleet micro_vtpm; do
+    "$build_dir/bench/$bin" --bench_json="$build_dir/$bin.perf.json" > /dev/null
+    "$side_dir/bench/$bin" --bench_json="$side_dir/$bin.perf.json" > /dev/null
+    if ! cmp -s "$build_dir/$bin.perf.json" "$side_dir/$bin.perf.json"; then
+      echo "verify.sh: $bin report differs between SIMD and scalar builds" >&2
+      diff -u "$build_dir/$bin.perf.json" "$side_dir/$bin.perf.json" >&2 || true
+      exit 1
+    fi
+  done
+  echo "verify.sh: scalar and SIMD kernels (IFMA Montgomery, SHA-NI, AES-NI) byte-identical on Table 1/2/4 + Fig. 9 + section 7.4.2 CA + fleet + vTPM"
 }
 
 fleet_follow_up() {
