@@ -53,8 +53,7 @@ struct Rig {
   Rig() : tpm(&clock, BroadcomBcm0102Profile()), transport(&tpm), client(&transport) {
     owner_auth = Sha1::Digest(BytesOf("owner"));
     (void)tpm.TakeOwnership(owner_auth);
-    (void)TpmDefineNvSpace(&client, kNvIndex, 8, PcrSelection(), {}, PcrSelection(), {},
-                           owner_auth);
+    (void)TpmDefineNvSpace(&client, kNvIndex, 8, PcrSelection(), {}, owner_auth);
     (void)client.NvWrite(kNvIndex, Bytes(8, 0x11));
   }
 

@@ -30,6 +30,4 @@ double BackoffSchedule::DelayForRetry(int retry) const {
 
 double BackoffSchedule::NextDelayMs() { return DelayForRetry(retries_++); }
 
-double BackoffSchedule::PeekDelayMs() const { return DelayForRetry(retries_); }
-
 }  // namespace flicker

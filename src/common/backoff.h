@@ -44,10 +44,6 @@ class BackoffSchedule {
   // schedule forward. The first call returns ~initial_ms.
   double NextDelayMs();
 
-  // Delay the next NextDelayMs() call would return, without ratcheting -
-  // lets deadline checks ask "can we afford the coming wait?" first.
-  double PeekDelayMs() const;
-
   void Reset() { retries_ = 0; }
   int retries_issued() const { return retries_; }
 

@@ -1,7 +1,6 @@
 #include "src/crypto/montgomery.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/crypto/cpu_features.h"
 
@@ -71,8 +70,8 @@ void CiosFixed(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t
   CiosBody(a, b, n, n0inv, K, t);
 }
 
-// Dispatch to a fully unrolled kernel for the RSA-relevant widths (512/1024/
-// 1536/2048 bits); anything else takes the generic loop. On x86-64 the
+// Dispatch to a fully unrolled kernel for the RSA widths products run
+// (512/1024/2048 bits); anything else takes the generic loop. On x86-64 the
 // 256-bit CRT halves of a 512-bit AIK never get here: they run the 4-limb
 // carry-chain kernel below.
 void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv, size_t k,
@@ -82,8 +81,6 @@ void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0in
       return CiosFixed<8>(a, b, n, n0inv, t);
     case 16:
       return CiosFixed<16>(a, b, n, n0inv, t);
-    case 24:
-      return CiosFixed<24>(a, b, n, n0inv, t);
     case 32:
       return CiosFixed<32>(a, b, n, n0inv, t);
     default:
@@ -198,80 +195,16 @@ inline __attribute__((always_inline)) void MontMul4(const uint64_t* a, const uin
 #ifdef FLICKER_CRYPTO_SIMD
 
 // Radix-2^52 Montgomery product using vpmadd52{l,h}uq, after Gueron &
-// Krasnov. Operands are nd proper 52-bit digits zero-padded to nc * 8 lanes;
-// `t` is a zeroed sliding accumulator of at least 2 * nd + 8 limbs (the
-// per-iteration digit shift becomes a pointer bump instead of data movement).
-// Lanes stay below nd * 2^54 < 2^64 for any nd <= 512, so no mid-loop
+// Krasnov, for 10..40 digits: NC = 2..5 vectors of 8 lanes, known at compile
+// time so the accumulator arrays lower to zmm registers. Operands are nd
+// proper 52-bit digits zero-padded to NC * 8 lanes. Each step adds a*b[i] +
+// n*m (m makes the low digit vanish) and shifts one digit with a valignq
+// cascade; the hi-products are applied after the shift so they land on the
+// same lanes as the a/n vectors - the accumulator never round-trips through
+// memory inside the loop. Lanes stay below nd * 2^54 < 2^64, so no mid-loop
 // normalization is needed; the tail normalizes and conditionally subtracts n
 // once (inputs < n and R = 2^(52*nd) > n bound the result by 2n). `out` gets
 // nd reduced digits; its padding lanes are left untouched.
-__attribute__((target("avx512f,avx512vl,avx512ifma"))) void MontMulIfma(
-    const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv52, size_t nd,
-    size_t nc, uint64_t* t, uint64_t* out) {
-  for (size_t i = 0; i < nd; ++i) {
-    const uint64_t bi = b[i];
-    // m makes the low digit of t + a*bi + n*m vanish mod 2^52.
-    const uint64_t m = ((t[0] + a[0] * bi) * n0inv52) & kMask52;
-    const __m512i vb = _mm512_set1_epi64(static_cast<long long>(bi));
-    const __m512i vm = _mm512_set1_epi64(static_cast<long long>(m));
-    for (size_t c = 0; c < nc; ++c) {
-      const __m512i va = _mm512_loadu_si512(a + 8 * c);
-      const __m512i vn = _mm512_loadu_si512(n + 8 * c);
-      __m512i lo = _mm512_loadu_si512(t + 8 * c);
-      lo = _mm512_madd52lo_epu64(lo, va, vb);
-      lo = _mm512_madd52lo_epu64(lo, vn, vm);
-      _mm512_storeu_si512(t + 8 * c, lo);
-    }
-    for (size_t c = 0; c < nc; ++c) {
-      const __m512i va = _mm512_loadu_si512(a + 8 * c);
-      const __m512i vn = _mm512_loadu_si512(n + 8 * c);
-      __m512i hi = _mm512_loadu_si512(t + 8 * c + 1);
-      hi = _mm512_madd52hi_epu64(hi, va, vb);
-      hi = _mm512_madd52hi_epu64(hi, vn, vm);
-      _mm512_storeu_si512(t + 8 * c + 1, hi);
-    }
-    t[1] += t[0] >> 52;  // Low 52 bits of t[0] are zero by choice of m.
-    ++t;                 // Digit shift.
-  }
-
-  // Normalize the redundant digits, then subtract n if the result >= n.
-  uint64_t carry = 0;
-  uint64_t top = 0;
-  for (size_t j = 0; j <= nd; ++j) {
-    const uint64_t v = t[j] + carry;
-    carry = v >> 52;
-    if (j < nd) {
-      out[j] = v & kMask52;
-    } else {
-      top = v & kMask52;
-    }
-  }
-  bool ge = top != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t j = nd; j-- > 0;) {
-      if (out[j] != n[j]) {
-        ge = out[j] > n[j];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t j = 0; j < nd; ++j) {
-      const uint64_t d = out[j] - n[j] - borrow;
-      borrow = (out[j] < n[j] + borrow) ? 1 : 0;
-      out[j] = d & kMask52;
-    }
-  }
-}
-
-// Register-resident variant for the RSA-sized digit counts (nd <= 8 * NC,
-// NC known at compile time so the accumulator array lowers to zmm
-// registers). Same math as MontMulIfma, but the digit shift is a valignq
-// cascade instead of a pointer bump, and the hi-products are applied after
-// the shift so they land on the same lanes as the a/n vectors - the
-// accumulator never round-trips through memory inside the loop.
 template <size_t NC>
 __attribute__((target("avx512f,avx512vl,avx512ifma"))) void MontMulIfmaReg(
     const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv52, size_t nd,
@@ -490,12 +423,14 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
   ctx.rr_.resize(k, 0);
 
 #ifdef FLICKER_CRYPTO_SIMD
-  // Radix-2^52 engine on AVX512-IFMA hosts from 10 digits (~469 bits) up,
-  // so 512-bit moduli - the AIK verify and the CA key's CRT halves - run
-  // vectorized. Below that the scalar kernel wins: moving the 256-bit CRT
-  // halves of a 512-bit sign to IFMA measured ~44 -> ~104 us.
+  // Radix-2^52 engine on AVX512-IFMA hosts for 10..40 digits (~469..2080
+  // bits), so 512-bit moduli - the AIK verify and the CA key's CRT halves -
+  // up to 2048-bit ones run vectorized. Below that the scalar kernel wins:
+  // moving the 256-bit CRT halves of a 512-bit sign to IFMA measured ~44 ->
+  // ~104 us. No product uses a wider modulus, so those take the scalar
+  // kernel too.
   const size_t nd = (modulus.BitLength() + 51) / 52;
-  if (nd >= 10 && HasAvx512Ifma()) {
+  if (nd >= 10 && nd <= 40 && HasAvx512Ifma()) {
     const size_t pad = ((nd + 7) / 8) * 8;
     ctx.nd52_ = nd;
     ctx.n0inv52_ = ctx.n0inv_ & kMask52;
@@ -602,9 +537,7 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent)
   const size_t nd = nd52_;
   const size_t nc = (nd + 7) / 8;
   const size_t pad = nc * 8;
-  // Sliding accumulator for the generic (memory-based) kernel only; the
-  // common RSA widths (2..5 vectors) dispatch to the register-resident kernel.
-  Limbs t(nc >= 2 && nc <= 5 ? 0 : 2 * nd + 8);
+  // Create admits 10..40 digits, so nc is 2..5.
   auto mul = [&](const uint64_t* a, const uint64_t* b, uint64_t* out) {
     switch (nc) {
       case 2:
@@ -613,11 +546,8 @@ BigInt MontgomeryContext::ModExpIfma(const BigInt& base, const BigInt& exponent)
         return MontMulIfmaReg<3>(a, b, n52_.data(), n0inv52_, nd, out);
       case 4:
         return MontMulIfmaReg<4>(a, b, n52_.data(), n0inv52_, nd, out);
-      case 5:
-        return MontMulIfmaReg<5>(a, b, n52_.data(), n0inv52_, nd, out);
       default:
-        std::memset(t.data(), 0, t.size() * sizeof(uint64_t));
-        return MontMulIfma(a, b, n52_.data(), n0inv52_, nd, nc, t.data(), out);
+        return MontMulIfmaReg<5>(a, b, n52_.data(), n0inv52_, nd, out);
     }
   };
 

@@ -12,8 +12,9 @@
 // square-and-multiply path for even moduli.
 //
 // On x86-64 hosts with AVX512-IFMA the context additionally precomputes a
-// radix-2^52 representation for moduli of 10 or more 52-bit digits and runs
-// exponentiation through a vpmadd52 kernel (8 products per instruction).
+// radix-2^52 representation for moduli of 10 to 40 52-bit digits (~469 to
+// 2080 bits) and runs exponentiation through a vpmadd52 kernel (8 products
+// per instruction).
 // 4-limb (193..256-bit) moduli - the CRT halves of every 512-bit AIK quote -
 // run a fixed-width carry-chain kernel on any x86-64 host. Everything else -
 // other widths, other hosts, -DFLICKER_SIMD=OFF builds - runs the scalar
@@ -70,8 +71,8 @@ class MontgomeryContext {
   uint64_t n0inv_ = 0;  // -n^{-1} mod 2^64.
 
   // AVX512-IFMA engine state (radix 2^52); nd52_ == 0 when the host lacks
-  // the ISA, the build is not x86-64 or has SIMD off, or the modulus is
-  // small enough that the scalar kernel wins.
+  // the ISA, the build is not x86-64 or has SIMD off, or the modulus has
+  // fewer than 10 or more than 40 digits.
   size_t nd52_ = 0;        // 52-bit digit count of the modulus.
   uint64_t n0inv52_ = 0;   // -n^{-1} mod 2^52.
   Limbs n52_;              // Modulus digits, zero-padded to 8-lane multiple.

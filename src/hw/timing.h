@@ -25,7 +25,6 @@ struct TpmTimingProfile {
   double pcr_extend_ms;
   double pcr_read_ms;
   double get_random_ms;
-  double nv_read_ms;
   double nv_write_ms;
   double counter_ms;
   double session_start_ms;
@@ -47,7 +46,6 @@ inline TpmTimingProfile BroadcomBcm0102Profile() {
       .pcr_extend_ms = 1.2,
       .pcr_read_ms = 0.4,
       .get_random_ms = 1.3,
-      .nv_read_ms = 12.0,
       .nv_write_ms = 25.0,
       .counter_ms = 8.0,
       .session_start_ms = 5.0,
@@ -65,7 +63,6 @@ inline TpmTimingProfile InfineonProfile() {
       .pcr_extend_ms = 0.6,
       .pcr_read_ms = 0.3,
       .get_random_ms = 0.7,
-      .nv_read_ms = 8.0,
       .nv_write_ms = 15.0,
       .counter_ms = 5.0,
       .session_start_ms = 3.0,
@@ -185,7 +182,6 @@ inline TpmTimingProfile NextGenHardwareProfile() {
       .pcr_extend_ms = 0.001,    // On-die measurement registers.
       .pcr_read_ms = 0.001,
       .get_random_ms = 0.001,
-      .nv_read_ms = 0.01,
       .nv_write_ms = 0.01,
       .counter_ms = 0.001,
       .session_start_ms = 0.001,

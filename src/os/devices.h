@@ -50,23 +50,28 @@ struct BlockCopyParams {
   // because it is the paper's proposed fix, which a test switches on to
   // show the stalls go away; the §7.5 bench runs the unmodified driver.
   bool flicker_aware_quiesce = false;
+  // Test-only seeded defect: the device ignores flow control and overwrites
+  // the oldest descriptor of a full ring - the bug the delivered digest and
+  // io_errors must catch.
+  bool seeded_ring_overrun = false;
 };
 
 struct BlockCopyReport {
   uint64_t bytes_delivered = 0;
-  uint64_t io_errors = 0;       // Chunks lost (ring overrun with no flow control).
+  uint64_t io_errors = 0;       // Chunks the OS found missing when it drained the ring.
   uint64_t stall_events = 0;    // Device had to pause for ring space.
   double elapsed_ms = 0;
   double stall_ms = 0;
-  Bytes source_digest;          // SHA-1 of the source stream.
-  Bytes delivered_digest;       // SHA-1 of what reached the OS buffer, in order.
+  Bytes source_digest;          // SHA-1 over the source's chunk descriptors.
+  Bytes delivered_digest;       // SHA-1 over the descriptors the OS drained, in order.
   int sessions_run = 0;
 };
 
-// Simulates the copy. The device streams chunks at its line rate; while a
-// session has the OS suspended, completed chunks sit in its 4 MB descriptor
-// ring. When the ring is full the device stalls (block devices have flow control), so data
-// is delayed but never lost - the md5sum-equal result of §7.5.
+// Simulates the copy. The device streams chunks at its line rate and posts a
+// descriptor for each to its 4 MB ring; only an OS window drains the ring, so
+// while a session has the OS suspended, completions pile up. When the ring is
+// full the device stalls (block devices have flow control), so data is
+// delayed but never lost - the md5sum-equal result of §7.5.
 BlockCopyReport SimulateBlockCopyDuringSessions(const BlockCopyParams& params);
 
 }  // namespace flicker

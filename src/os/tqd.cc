@@ -77,15 +77,16 @@ Result<AttestationResponse> TpmQuoteDaemon::QuoteWithRetry(const Bytes& nonce,
   Status last_failure = UnavailableError("quote never attempted");
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt > 0) {
+      const double delay_ms = backoff.NextDelayMs();
       if (deadline_ms > 0) {
         double elapsed_ms =
             static_cast<double>(machine_->clock()->NowMicros() - challenge_start_us) / 1000.0;
-        if (elapsed_ms + backoff.PeekDelayMs() > deadline_ms) {
+        if (elapsed_ms + delay_ms > deadline_ms) {
           return Status(StatusCode::kUnavailable,
                         "quote retry deadline exceeded: " + last_failure.message());
         }
       }
-      machine_->clock()->AdvanceMillis(backoff.NextDelayMs());
+      machine_->clock()->AdvanceMillis(delay_ms);
       ++retries_;
       obs::Count(obs::Ctr::kTqdRetries);
     }

@@ -75,8 +75,6 @@ void WriteQuotePayload(Writer* w, const TpmQuote& quote) {
   w->Blob(quote.signature);
 }
 
-Status MalformedBody() { return InvalidArgumentError("malformed TPM command body"); }
-
 }  // namespace
 
 const char* TpmOrdinalName(uint32_t ordinal) {
@@ -95,7 +93,6 @@ const char* TpmOrdinalName(uint32_t ordinal) {
     case kOrdTerminateHandle: return "TPM_ORD_Terminate_Handle";
     case kOrdNvDefineSpace: return "TPM_ORD_NV_DefineSpace";
     case kOrdNvWriteValue: return "TPM_ORD_NV_WriteValue";
-    case kOrdNvReadValue: return "TPM_ORD_NV_ReadValue";
     case kOrdCreateCounter: return "TPM_ORD_CreateCounter";
     case kOrdIncrementCounter: return "TPM_ORD_IncrementCounter";
     case kOrdReadCounter: return "TPM_ORD_ReadCounter";
@@ -290,15 +287,11 @@ Bytes BuildQuote(const Bytes& nonce, const PcrSelection& selection) {
   return BuildCommandFrame(kTagRequest, kOrdQuote, w.Take());
 }
 
-Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                         const std::map<int, Bytes>& read_pcrs,
-                         const PcrSelection& write_selection,
+Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                          const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth) {
   Writer w;
   w.U32(index);
   w.U64(size);
-  w.U32(SelectionMask(read_selection));
-  WritePcrOverrides(&w, read_pcrs);
   w.U32(SelectionMask(write_selection));
   WritePcrOverrides(&w, write_pcrs);
   WriteAuthTrailer(&w, auth);
@@ -436,7 +429,9 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
   Reader r(cmd.body);
   Writer payload;
 
-  auto malformed = [&] { return BuildResponseFrame(auth1, MalformedBody(), Bytes()); };
+  auto malformed = [&] {
+    return BuildResponseFrame(auth1, InvalidArgumentError("malformed TPM command body"), Bytes());
+  };
   auto respond = [&](const Status& st) { return BuildResponseFrame(auth1, st, payload.Take()); };
 
   switch (cmd.ordinal) {
@@ -534,16 +529,13 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
     case kOrdNvDefineSpace: {
       uint32_t index = r.U32();
       uint64_t size = r.U64();
-      PcrSelection read_selection = SelectionFromMask(r.U32());
-      std::map<int, Bytes> read_pcrs = ReadPcrOverrides(&r);
       PcrSelection write_selection = SelectionFromMask(r.U32());
       std::map<int, Bytes> write_pcrs = ReadPcrOverrides(&r);
       CommandAuth auth = ReadAuthTrailer(&r);
       if (!r.ok() || !r.AtEnd()) {
         return malformed();
       }
-      return respond(tpm->NvDefineSpace(index, size, read_selection, read_pcrs, write_selection,
-                                        write_pcrs, auth));
+      return respond(tpm->NvDefineSpace(index, size, write_selection, write_pcrs, auth));
     }
     case kOrdNvWriteValue: {
       uint32_t index = r.U32();
@@ -552,18 +544,6 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
         return malformed();
       }
       return respond(tpm->NvWrite(index, data));
-    }
-    case kOrdNvReadValue: {
-      uint32_t index = r.U32();
-      if (!r.ok() || !r.AtEnd()) {
-        return malformed();
-      }
-      Result<Bytes> data = tpm->NvRead(index);
-      if (!data.ok()) {
-        return respond(data.status());
-      }
-      payload.Blob(data.value());
-      return respond(Status::Ok());
     }
     case kOrdCreateCounter: {
       Bytes counter_auth = r.Blob();

@@ -59,7 +59,6 @@ enum TpmOrdinal : uint32_t {
   kOrdStartup = 0x00000099,
   kOrdNvDefineSpace = 0x000000CC,
   kOrdNvWriteValue = 0x000000CD,
-  kOrdNvReadValue = 0x000000CF,
   kOrdCreateCounter = 0x000000DC,
   kOrdIncrementCounter = 0x000000DD,
   kOrdReadCounter = 0x000000DE,
@@ -130,9 +129,7 @@ Bytes BuildUnseal(const SealedBlob& blob, const Bytes& blob_auth, const CommandA
 // keyHandle field, always written as 0; the device answers any other handle
 // with kNotFound, since it has no key slots to load a key into.
 Bytes BuildQuote(const Bytes& nonce, const PcrSelection& selection);
-Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                         const std::map<int, Bytes>& read_pcrs,
-                         const PcrSelection& write_selection,
+Bytes BuildNvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                          const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth);
 Bytes BuildNvWrite(uint32_t index, const Bytes& data);
 Bytes BuildCreateCounter(const Bytes& counter_auth, const CommandAuth& auth);

@@ -454,17 +454,14 @@ Result<TpmQuote> Tpm::Quote(const Bytes& nonce, const PcrSelection& selection) {
   return quote;
 }
 
-Status Tpm::NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                          const std::map<int, Bytes>& read_pcrs,
-                          const PcrSelection& write_selection,
+Status Tpm::NvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                           const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth) {
   Charge(profile_.nv_write_ms);
   if (!owned_) {
     return FailedPreconditionError("TPM has no owner; TakeOwnership first");
   }
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_NV_DefineSpace"),
-                                           read_selection.Serialize(),
-                                           write_selection.Serialize()));
+  Bytes param_digest =
+      Sha1::Digest(Concat(BytesOf("TPM_NV_DefineSpace"), write_selection.Serialize()));
   FLICKER_RETURN_IF_ERROR(CheckAuth(AuthEntity::kOwner, param_digest, auth));
   if (nv_spaces_.count(index) != 0) {
     return InvalidArgumentError("NV index already defined");
@@ -472,15 +469,7 @@ Status Tpm::NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_
 
   NvSpace space;
   space.size = size;
-  space.read_selection = read_selection;
   space.write_selection = write_selection;
-  if (!read_selection.Empty()) {
-    Result<Bytes> composite = CompositeWithOverrides(read_selection, read_pcrs);
-    if (!composite.ok()) {
-      return composite.status();
-    }
-    space.read_composite = composite.value();
-  }
   if (!write_selection.Empty()) {
     Result<Bytes> composite = CompositeWithOverrides(write_selection, write_pcrs);
     if (!composite.ok()) {
@@ -539,23 +528,12 @@ Status Tpm::NvWrite(uint32_t index, const Bytes& data) {
   return Status::Ok();
 }
 
-Result<Bytes> Tpm::NvRead(uint32_t index) {
-  Charge(profile_.nv_read_ms);
+Result<Bytes> Tpm::NvContents(uint32_t index) const {
   auto it = nv_spaces_.find(index);
   if (it == nv_spaces_.end()) {
     return NotFoundError("NV index not defined");
   }
-  NvSpace& space = it->second;
-  if (!space.read_selection.Empty()) {
-    Result<Bytes> current = pcrs_.ComputeComposite(space.read_selection);
-    if (!current.ok()) {
-      return current.status();
-    }
-    if (!ConstantTimeEquals(current.value(), space.read_composite)) {
-      return PermissionDeniedError("PCR state does not authorize NV read");
-    }
-  }
-  return space.data;
+  return it->second.data;
 }
 
 Result<uint32_t> Tpm::CreateCounter(const Bytes& counter_auth, const CommandAuth& auth) {

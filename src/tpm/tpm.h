@@ -160,14 +160,15 @@ class Tpm {
 
   // ---- NV storage (§4.3.2) ----
 
-  // Defines an NV space. Owner-authorized. `read_pcrs`/`write_pcrs` gate
-  // access on the *values the selected PCRs hold at definition time* unless
-  // explicit values are provided.
-  Status NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                       const std::map<int, Bytes>& read_pcrs, const PcrSelection& write_selection,
+  // Defines an NV space. Owner-authorized. `write_pcrs` gates writes on the
+  // *values the selected PCRs hold at definition time* unless explicit
+  // values are provided.
+  Status NvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                        const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth);
   Status NvWrite(uint32_t index, const Bytes& data);
-  Result<Bytes> NvRead(uint32_t index);
+  // Observer: a space's contents, kNotFound when undefined. No product reads
+  // NV back; tests check that a write landed (or rolled back) whole.
+  Result<Bytes> NvContents(uint32_t index) const;
 
   // ---- Monotonic counters (§4.3.2) ----
 
@@ -252,8 +253,6 @@ class Tpm {
 
   struct NvSpace {
     size_t size = 0;
-    PcrSelection read_selection;
-    Bytes read_composite;
     PcrSelection write_selection;
     Bytes write_composite;
     Bytes data;

@@ -42,16 +42,13 @@ Result<Bytes> TpmUnsealData(TpmClient* tpm, const SealedBlob& blob, const Bytes&
 }
 
 Status TpmDefineNvSpace(TpmClient* tpm, uint32_t index, size_t size,
-                        const PcrSelection& read_selection, const std::map<int, Bytes>& read_pcrs,
                         const PcrSelection& write_selection, const std::map<int, Bytes>& write_pcrs,
                         const Bytes& owner_secret) {
   AuthSessionInfo session = tpm->StartOiap();
-  Bytes param_digest = Sha1::Digest(Concat(BytesOf("TPM_NV_DefineSpace"),
-                                           read_selection.Serialize(),
-                                           write_selection.Serialize()));
+  Bytes param_digest =
+      Sha1::Digest(Concat(BytesOf("TPM_NV_DefineSpace"), write_selection.Serialize()));
   CommandAuth auth = MakeAuth(tpm, session, owner_secret, param_digest);
-  Status st =
-      tpm->NvDefineSpace(index, size, read_selection, read_pcrs, write_selection, write_pcrs, auth);
+  Status st = tpm->NvDefineSpace(index, size, write_selection, write_pcrs, auth);
   tpm->TerminateSession(session.handle);
   return st;
 }

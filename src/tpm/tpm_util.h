@@ -44,7 +44,6 @@ Result<Bytes> TpmUnsealData(TpmClient* tpm, const SealedBlob& blob, const Bytes&
 
 // Owner-authorized NV space definition.
 Status TpmDefineNvSpace(TpmClient* tpm, uint32_t index, size_t size,
-                        const PcrSelection& read_selection, const std::map<int, Bytes>& read_pcrs,
                         const PcrSelection& write_selection, const std::map<int, Bytes>& write_pcrs,
                         const Bytes& owner_secret);
 

@@ -265,12 +265,10 @@ Result<TpmQuote> TpmClient::Quote(const Bytes& nonce, const PcrSelection& select
   return ParseQuotePayload(payload.value());
 }
 
-Status TpmClient::NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                                const std::map<int, Bytes>& read_pcrs,
-                                const PcrSelection& write_selection,
+Status TpmClient::NvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                                 const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth) {
-  Result<Bytes> payload = Roundtrip(BuildNvDefineSpace(index, size, read_selection, read_pcrs,
-                                                       write_selection, write_pcrs, auth));
+  Result<Bytes> payload =
+      Roundtrip(BuildNvDefineSpace(index, size, write_selection, write_pcrs, auth));
   return payload.ok() ? Status::Ok() : payload.status();
 }
 

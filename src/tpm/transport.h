@@ -84,6 +84,11 @@ class TpmTransport {
     void ForceFailureMode();
     void ClearFailureMode();
     Status SetLocality(int locality);
+    // Probes the NV array directly (Tpm::NvContents): no product reads NV
+    // back, so this is how a crash test checks a write landed whole.
+    Result<Bytes> NvContents(uint32_t index) const {
+      return transport_->tpm_->NvContents(index);
+    }
 
    private:
     TpmTransport* transport_;
@@ -140,8 +145,7 @@ class TpmClient {
   // quote latency.
   Result<TpmQuote> Quote(const Bytes& nonce, const PcrSelection& selection);
 
-  Status NvDefineSpace(uint32_t index, size_t size, const PcrSelection& read_selection,
-                       const std::map<int, Bytes>& read_pcrs, const PcrSelection& write_selection,
+  Status NvDefineSpace(uint32_t index, size_t size, const PcrSelection& write_selection,
                        const std::map<int, Bytes>& write_pcrs, const CommandAuth& auth);
   Status NvWrite(uint32_t index, const Bytes& data);
 

@@ -23,15 +23,6 @@ TEST(BackoffTest, CapBoundsEveryDelay) {
   EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 12.0);  // Stays capped.
 }
 
-TEST(BackoffTest, PeekDoesNotRatchet) {
-  BackoffSchedule schedule(BackoffPolicy{});
-  EXPECT_DOUBLE_EQ(schedule.PeekDelayMs(), 2.0);
-  EXPECT_DOUBLE_EQ(schedule.PeekDelayMs(), 2.0);
-  EXPECT_DOUBLE_EQ(schedule.NextDelayMs(), 2.0);
-  EXPECT_DOUBLE_EQ(schedule.PeekDelayMs(), 4.0);
-  EXPECT_EQ(schedule.retries_issued(), 1);
-}
-
 TEST(BackoffTest, ResetStartsOver) {
   BackoffSchedule schedule(BackoffPolicy{});
   schedule.NextDelayMs();

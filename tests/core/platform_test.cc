@@ -389,7 +389,6 @@ TEST_F(SealedStateTest, NvSpaceGatedOnPalIdentity) {
   Bytes execution_pcr = ComputeExecutionPcr17(binary.value());
 
   ASSERT_TRUE(TpmDefineNvSpace(tpm, 7, 32, PcrSelection({kSkinitPcr}),
-                               {{kSkinitPcr, execution_pcr}}, PcrSelection({kSkinitPcr}),
                                {{kSkinitPcr, execution_pcr}}, owner_auth_)
                   .ok());
   // Outside the PAL: denied.

@@ -53,7 +53,7 @@ TEST(MontgomeryTest, DifferentialAgainstReference) {
   }
 }
 
-// Every width from 1 to 64 bytes plus the 1024/1536/2048-bit kernels, with a
+// Every width from 1 to 64 bytes plus 1024/1536/2048-bit moduli, with a
 // random odd modulus and one whose top limb is all ones, against exponents
 // that straddle the window-width switch at 32 bits.
 TEST(MontgomeryTest, WindowBoundaryExponentsAtEveryWidth) {

@@ -36,7 +36,6 @@
 #include "src/core/sealed_state.h"
 #include "src/crypto/sha1.h"
 #include "src/obs/trace.h"
-#include "src/tpm/commands.h"
 #include "src/tpm/pcr_bank.h"
 #include "src/tpm/tpm_util.h"
 
@@ -46,23 +45,6 @@ namespace {
 constexpr uint32_t kNvIndex = 77;
 const Bytes kNvBefore(8, 0x11);
 const Bytes kNvAfter(8, 0x22);
-
-// Reads an NV space back over the wire. No product reads NV, so the client
-// has no call for it and the frame is built here.
-Result<Bytes> ReadNv(Machine* machine, uint32_t index) {
-  Bytes body;
-  PutUint32(&body, index);
-  Result<Bytes> response =
-      machine->tpm_transport()->Transmit(BuildCommandFrame(kTagRequest, kOrdNvReadValue, body));
-  if (!response.ok()) {
-    return response.status();
-  }
-  Result<Bytes> payload = ParseResponseFrame(response.value());
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  return ParseBlobPayload(payload.value());
-}
 
 // One cell's worth of platform + stores, set up identically every time. The
 // setup runs without a FaultInjectionScope, so its crash points neither fire
@@ -105,7 +87,7 @@ class CrashMatrixTest : public ::testing::Test {
     EXPECT_TRUE(rig->store->Seal(BytesOf("gen-1"), rig->release_pcr, rig->blob_auth).ok());
 
     EXPECT_TRUE(TpmDefineNvSpace(rig->platform->tpm(), kNvIndex, kNvBefore.size(),
-                                 PcrSelection(), {}, PcrSelection(), {}, rig->owner_auth)
+                                 PcrSelection(), {}, rig->owner_auth)
                     .ok());
     EXPECT_TRUE(rig->platform->tpm()->NvWrite(kNvIndex, kNvBefore).ok());
 
@@ -169,7 +151,8 @@ class CrashMatrixTest : public ::testing::Test {
 
     // C. The NV space holds the old or the new value, never a torn mix of
     //    the two, and takes a fresh write.
-    Result<Bytes> nv = ReadNv(rig->platform->machine(), kNvIndex);
+    Result<Bytes> nv =
+        rig->platform->machine()->tpm_transport()->hardware()->NvContents(kNvIndex);
     EXPECT_TRUE(nv.ok()) << nv.status().ToString();
     if (nv.ok()) {
       EXPECT_TRUE(nv.value() == kNvBefore || nv.value() == kNvAfter) << "torn NV write";

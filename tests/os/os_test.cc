@@ -229,6 +229,20 @@ TEST(BlockCopyTest, NoSessionsNoStalls) {
   EXPECT_EQ(report.source_digest, report.delivered_digest);
 }
 
+TEST(BlockCopyTest, SeededRingOverrunIsCaught) {
+  // The same copy with a device that overwrites a full ring instead of
+  // stalling: the chunks it drops must show up at the OS.
+  BlockCopyParams params;
+  params.total_bytes = 64ULL * 1024 * 1024;
+  params.seeded_ring_overrun = true;
+  BlockCopyReport report = SimulateBlockCopyDuringSessions(params);
+
+  EXPECT_EQ(report.stall_events, 0u);
+  EXPECT_GT(report.io_errors, 0u);
+  EXPECT_NE(report.source_digest, report.delivered_digest);
+  EXPECT_EQ(report.bytes_delivered + report.io_errors * 64 * 1024, params.total_bytes);
+}
+
 TEST(TqdTest, QuoteWhileOsRuns) {
   Machine machine{MachineConfig{}};
   TpmQuoteDaemon tqd(&machine);

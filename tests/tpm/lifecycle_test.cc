@@ -36,9 +36,7 @@ class TpmLifecycleTest : public ::testing::Test {
 
   void DefineNvSpace() {
     ASSERT_TRUE(tpm_.TakeOwnership(OwnerAuth()).ok());
-    ASSERT_TRUE(TpmDefineNvSpace(&client_, kNvIndex, 8, PcrSelection(), {}, PcrSelection(), {},
-                                 OwnerAuth())
-                    .ok());
+    ASSERT_TRUE(TpmDefineNvSpace(&client_, kNvIndex, 8, PcrSelection(), {}, OwnerAuth()).ok());
   }
 
   // Crashes at the named point while running `fn`, then returns the
@@ -183,7 +181,7 @@ TEST_F(TpmLifecycleTest, NvWriteCrashBeforeCommitDiscardsJournal) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_discarded);
   EXPECT_FALSE(report.value().journal_rolled_forward);
-  EXPECT_EQ(tpm_.NvRead(kNvIndex).value(), v1);
+  EXPECT_EQ(tpm_.NvContents(kNvIndex).value(), v1);
 }
 
 TEST_F(TpmLifecycleTest, NvWriteTornApplyRolledForwardOnStartup) {
@@ -197,7 +195,7 @@ TEST_F(TpmLifecycleTest, NvWriteTornApplyRolledForwardOnStartup) {
   EXPECT_EQ(CrashAt("tpm.nv_write.apply", [&] { (void)tpm_.NvWrite(kNvIndex, v2); }),
             "tpm.nv_write.apply");
   // The torn state is visible at the device before recovery: half new bytes.
-  Bytes torn = tpm_.NvRead(kNvIndex).value();
+  Bytes torn = tpm_.NvContents(kNvIndex).value();
   EXPECT_NE(torn, v1);
   EXPECT_NE(torn, v2);
 
@@ -205,7 +203,7 @@ TEST_F(TpmLifecycleTest, NvWriteTornApplyRolledForwardOnStartup) {
   Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_rolled_forward);
-  EXPECT_EQ(tpm_.NvRead(kNvIndex).value(), v2);
+  EXPECT_EQ(tpm_.NvContents(kNvIndex).value(), v2);
 }
 
 TEST_F(TpmLifecycleTest, CounterIncrementCrashNeverLosesOrRepeatsValues) {
@@ -256,7 +254,7 @@ TEST_F(TpmLifecycleTest, GarbledJournalEntryDiscardedByCrcCheck) {
   Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_discarded);
-  EXPECT_EQ(tpm_.NvRead(kNvIndex).value(), Bytes(8, 0x11));
+  EXPECT_EQ(tpm_.NvContents(kNvIndex).value(), Bytes(8, 0x11));
 }
 
 TEST_F(TpmLifecycleTest, LifecycleCommandsChargeNoLatency) {

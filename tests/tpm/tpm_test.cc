@@ -213,66 +213,43 @@ TEST_F(TpmTest, QuoteEmptySelectionRejected) {
 }
 
 TEST_F(TpmTest, NvRequiresOwnership) {
-  Status st =
-      TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth());
+  Status st = TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, OwnerAuth());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(TpmTest, NvDefineWriteRead) {
   TakeOwnership();
-  ASSERT_TRUE(
-      TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
+  ASSERT_TRUE(TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, OwnerAuth()).ok());
   ASSERT_TRUE(tpm_.NvWrite(1, BytesOf("nv payload")).ok());
-  Result<Bytes> back = tpm_.NvRead(1);
+  Result<Bytes> back = tpm_.NvContents(1);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), BytesOf("nv payload"));
 }
 
 TEST_F(TpmTest, NvDefineRejectsWrongOwnerAuth) {
   TakeOwnership();
-  Status st = TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {}, PcrSelection(), {},
+  Status st = TpmDefineNvSpace(&client_, 1, 64, PcrSelection(), {},
                                Sha1::Digest(BytesOf("not the owner")));
   EXPECT_EQ(st.code(), StatusCode::kPermissionDenied);
 }
 
-TEST_F(TpmTest, NvPcrGatingEnforced) {
-  TakeOwnership();
-  // Gate reads on the current PCR 17 value.
-  ASSERT_TRUE(TpmDefineNvSpace(&client_, 2, 64, PcrSelection({17}), {}, PcrSelection(), {},
-                               OwnerAuth())
-                  .ok());
-  ASSERT_TRUE(tpm_.NvWrite(2, BytesOf("gated")).ok());
-  EXPECT_TRUE(tpm_.NvRead(2).ok());
-
-  // Change PCR 17: reads must now fail.
-  ASSERT_TRUE(tpm_.RequestLocality(2).ok());
-  ASSERT_TRUE(tpm_.PcrExtend(17, Bytes(kPcrSize, 0x01)).ok());
-  Result<Bytes> denied = tpm_.NvRead(2);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
-}
-
 TEST_F(TpmTest, NvWriteGatingEnforced) {
   TakeOwnership();
-  ASSERT_TRUE(TpmDefineNvSpace(&client_, 3, 64, PcrSelection(), {}, PcrSelection({17}), {},
-                               OwnerAuth())
-                  .ok());
+  ASSERT_TRUE(TpmDefineNvSpace(&client_, 3, 64, PcrSelection({17}), {}, OwnerAuth()).ok());
   ASSERT_TRUE(tpm_.NvWrite(3, BytesOf("v1")).ok());
   ASSERT_TRUE(tpm_.RequestLocality(2).ok());
   ASSERT_TRUE(tpm_.PcrExtend(17, Bytes(kPcrSize, 0x01)).ok());
   EXPECT_EQ(tpm_.NvWrite(3, BytesOf("v2")).code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(tpm_.NvRead(3).value(), BytesOf("v1"));
+  EXPECT_EQ(tpm_.NvContents(3).value(), BytesOf("v1"));
 }
 
 TEST_F(TpmTest, NvBoundsAndDuplicates) {
   TakeOwnership();
-  ASSERT_TRUE(
-      TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth()).ok());
+  ASSERT_TRUE(TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, OwnerAuth()).ok());
   EXPECT_EQ(tpm_.NvWrite(4, Bytes(9, 0)).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, PcrSelection(), {}, OwnerAuth())
-                .code(),
+  EXPECT_EQ(TpmDefineNvSpace(&client_, 4, 8, PcrSelection(), {}, OwnerAuth()).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(tpm_.NvRead(99).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(tpm_.NvContents(99).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(tpm_.NvWrite(99, Bytes()).code(), StatusCode::kNotFound);
 }
 

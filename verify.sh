@@ -65,27 +65,26 @@
 #                        and run the fleet-labeled suites and the obs suites
 #                        (traced fleet builds included) plus a 64-machine
 #                        fleet bench there; any race report fails the run
-#   verify.sh --reachability
-#                        additionally build only the products (every bench,
+#   verify.sh --coverage additionally build only the products (every bench,
 #                        every example and perfbench's workload) in
-#                        ./build-reach at -O0 -fno-inline with
-#                        --gc-sections, and fail on any strong flicker::
-#                        function a src/ library defines that no product
-#                        links and tools/reachability.allow does not list,
-#                        or on an allowlist entry that names no such
-#                        function
+#                        ./build-cov at -O0 -fno-inline --coverage with the
+#                        SIMD kernels compiled out, run each once in the
+#                        modes the other rows run, and fail on any named
+#                        function a src/*.cc defines that ran zero times and
+#                        tools/coverage.allow does not list, or on an
+#                        allowlist entry that names no such function
 #
-# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--reachability] [build-dir]
+# Usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--coverage] [build-dir]
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--reachability] [build-dir]"
+usage="usage: verify.sh [--asan|--faults|--net|--obs|--perf|--fleet|--vtpm|--chaos-fuzz|--hv|--tsan|--coverage] [build-dir]"
 
 # One row per campaign flag:
 #   build      the side build its suites run in: asan (./build-asan,
 #              ASan+UBSan), tsan (./build-tsan, ThreadSanitizer), noperf
-#              (./build-noperf, -DFLICKER_SIMD=OFF) or reach (./build-reach,
-#              unoptimised, unused sections dropped)
+#              (./build-noperf, -DFLICKER_SIMD=OFF) or cov (./build-cov,
+#              unoptimised, gcov-instrumented, SIMD off)
 #   follow_up  the checks run afterwards (- none)
 #   selection  the ctest selection (-L label or -R regex) of its suites; the
 #              side build compiles exactly the targets `ctest -N` lists for
@@ -103,7 +102,7 @@ campaigns='
 --chaos-fuzz    asan    chaos_fuzz_follow_up    -R ^sim_chaos_fuzz_test$  micro_fleet
 --hv            asan    hv_follow_up            -L hv      -
 --tsan          tsan    tsan_follow_up          -L ^(fleet|obs)$  micro_fleet
---reachability  reach   reachability_follow_up  - -        -
+--coverage      cov     coverage_follow_up      - -        -
 '
 campaign=
 case "${1:-}" in
@@ -209,6 +208,23 @@ if [ -n "$time_violations" ]; then
   exit 1
 fi
 
+# ---- Coverage allowlist format (always on) ----
+#
+# Every tools/coverage.allow entry is one qualified name and a '# reason'
+# that starts with its class, so a malformed entry fails here without the
+# -O0 build --coverage needs.
+allow_file="$repo_root/tools/coverage.allow"
+malformed=$(grep -vE '^[[:space:]]*(#|$)' "$allow_file" \
+  | grep -vE '^[^#[:space:]][^#]*#[[:space:]]*(test vectors|observer|fault seam|error path|paper mechanism|adversary path):[[:space:]]*[^[:space:]]' \
+  || true)
+if [ -n "$malformed" ]; then
+  echo "verify.sh: tools/coverage.allow entries without a classed '# reason':" >&2
+  echo "$malformed" >&2
+  echo "  each reason starts with test vectors:, observer:, fault seam:," >&2
+  echo "  error path:, paper mechanism: or adversary path:" >&2
+  exit 1
+fi
+
 # ---- Crash-point coverage gate (always on) ----
 #
 # Every CRASH_POINT("...") durability marker in src/ must be executed by the
@@ -278,13 +294,14 @@ same_twice() {
   echo "verify.sh: $what byte-identical across same-seed runs"
 }
 
-# The reachability build's flags: no optimisation and no inlining, so a
-# call the source makes stays a call the linker sees, and one section per
-# function, so the linker drops every function no product calls.
-reach_configure() {
+# The coverage build's flags: no optimisation and no inlining, so every call
+# the source makes stays a call gcov counts, and the SIMD kernels compiled
+# out (in CMAKE_CXX_FLAGS, so perfbench's own copy of src/ gets it too), so
+# the count does not depend on the host's ISA.
+cov_configure() {
   cmake -B "$1" -S "$2" -DCMAKE_BUILD_TYPE=None \
-    -DCMAKE_CXX_FLAGS='-O0 -fno-inline -ffunction-sections -fdata-sections' \
-    -DCMAKE_EXE_LINKER_FLAGS='-Wl,--gc-sections'
+    -DCMAKE_CXX_FLAGS='-O0 -fno-inline --coverage -DFLICKER_SIMD_DISABLED' \
+    -DCMAKE_EXE_LINKER_FLAGS='--coverage'
 }
 
 # Configures the side build, compiles exactly the suites the selection
@@ -310,9 +327,9 @@ side_suites() {
       side_dir="$repo_root/build-noperf"
       cmake -B "$side_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
       ;;
-    reach)
-      side_dir="$repo_root/build-reach"
-      reach_configure "$side_dir" "$repo_root"
+    cov)
+      side_dir="$repo_root/build-cov"
+      cov_configure "$side_dir" "$repo_root"
       ;;
   esac
   case $side in
@@ -470,52 +487,92 @@ tsan_follow_up() {
   echo "verify.sh: 64-machine fleet build and run race-free under ThreadSanitizer"
 }
 
-reachability_follow_up() {
+# Runs one product for the coverage count, its output in the side build's
+# log. The exit code is the release rows' check, not this one's
+# (micro_tpm_transport misses its host-time budget at -O0, micro_obs without
+# a mode flag and the seeded fuzz campaign exit nonzero by design); a
+# product killed by a signal fails the gate.
+cov_run() {
+  rc=0
+  "$@" >> "$side_dir/cov.log" 2>&1 || rc=$?
+  if [ "$rc" -gt 128 ]; then
+    echo "verify.sh: coverage run killed by signal $((rc - 128)): $*" >&2
+    exit 1
+  fi
+}
+
+coverage_follow_up() {
   # The products are every bench, every example and the benchmark's
   # workload; perfbench/CMakeLists.txt is only read, into a subdirectory.
+  # Every src/ library is built too, so one no product links still counts.
+  cmake --build "$side_dir/src" -j "$jobs"
   cmake --build "$side_dir/bench" -j "$jobs"
   cmake --build "$side_dir/examples" -j "$jobs"
-  reach_configure "$side_dir/perfbench" "$repo_root/perfbench"
+  cov_configure "$side_dir/perfbench" "$repo_root/perfbench"
   cmake --build "$side_dir/perfbench" -j "$jobs" --target perfbench_workload
 
-  # Strong text symbols of the src/ libraries, minus every symbol a product
-  # still defines after --gc-sections, by qualified name (all overloads).
-  find "$side_dir/src" -name '*.a' -exec nm --defined-only {} + \
-    | awk '$2 == "T" { print $3 }' | sort -u > "$side_dir/reach.defined"
-  for product in $(find "$side_dir/bench" "$side_dir/examples" -maxdepth 1 \
-      -type f -perm -u+x) "$side_dir/perfbench/perfbench_workload"; do
-    nm --defined-only "$product" | awk '{ print $3 }'
-  done | sort -u > "$side_dir/reach.linked"
-  comm -23 "$side_dir/reach.defined" "$side_dir/reach.linked" \
-    | c++filt -p | sed 's/\[abi:[^]]*\]//g' | grep '^flicker::' | sort -u \
-    > "$side_dir/reach.unreached"
+  # One run of each product in the modes the other rows run.
+  find "$side_dir" -name '*.gcda' -exec rm -f {} +
+  : > "$side_dir/cov.log"
+  out="$side_dir/cov_out"
+  mkdir -p "$out"
+  bench="$side_dir/bench"
+  for product in $(find "$bench" "$side_dir/examples" -maxdepth 1 -type f \
+      -perm -u+x | sort); do
+    cov_run "$product"
+  done
+  for bin in micro_crypto micro_tpm_transport micro_obs micro_fleet micro_hv \
+      micro_vtpm micro_net micro_recovery; do
+    cov_run "$bench/$bin" --bench_json="$out/$bin.json"
+  done
+  cov_run "$bench/micro_obs" --trace_json="$out/trace.json"
+  cov_run "$bench/micro_obs" --dump_metrics_md="$out/METRICS.md"
+  cov_run "$bench/micro_obs" --dump_metrics
+  cov_run "$bench/micro_fleet" --chaos --machines=64 --rounds=256 --verifiers=4
+  cov_run "$bench/micro_fleet" --chaos-fuzz --fuzz-plans=16
+  cov_run "$bench/micro_fleet" --chaos-fuzz --misordered-commit --fuzz-plans=24 \
+    --replay-out="$out/fuzz_min.replay" --artifact-out="$out/fuzz_artifact.txt"
+  cov_run "$bench/micro_fleet" --replay="$repo_root/tools/chaos/minimal_torn_state.replay"
+  cov_run "$bench/micro_hv" --quiet --seed=2
+  cov_run "$bench/micro_vtpm" --seed=7
+  for workload in fleet-steady fleet-chaos vtpm-tenants; do
+    for trace in 0 1; do
+      cov_run "$side_dir/perfbench/perfbench_workload" "$workload" 1 1 "$trace"
+    done
+  done
 
-  allow_file="$repo_root/tools/reachability.allow"
-  unexplained=$(grep -vE '^[[:space:]]*(#|$)' "$allow_file" | grep -v '#' || true)
-  if [ -n "$unexplained" ]; then
-    echo "verify.sh: tools/reachability.allow entries without a '# reason':" >&2
-    echo "$unexplained" >&2
-    exit 1
-  fi
+  # Every named function a src/*.cc defines that ran zero times in both
+  # trees (src/ and perfbench's copy), by qualified name: an entry covers
+  # all overloads and is listed while any of them never ran. Lambda bodies
+  # are branch-level, the tests' job; header-inline functions are left out
+  # because each translation unit that drops its copy reads zero.
+  find "$side_dir" -name '*.gcno' | sort > "$side_dir/cov.gcno"
+  (cd "$side_dir" && xargs gcov -t -b -m < cov.gcno 2> /dev/null) \
+    | awk -v src="$repo_root/src/" -f "$repo_root/tools/coverage_names.awk" \
+    | sort -t "$(printf '\t')" -k2,2 -k1,1r \
+    | awk -F '\t' '$2 != last { last = $2; if ($1 == 0) print $3 }' \
+    | sort -u > "$side_dir/cov.unrun"
+
   sed -e 's/#.*//' -e 's/[[:space:]]*$//' -e '/^$/d' "$allow_file" | sort -u \
-    > "$side_dir/reach.allowed"
-  unreached=$(comm -23 "$side_dir/reach.unreached" "$side_dir/reach.allowed")
-  if [ -n "$unreached" ]; then
-    echo "verify.sh: src/ functions no bench, example or perfbench workload links:" >&2
-    echo "$unreached" >&2
-    echo "  wire each into a real path or delete it (with the tests that only" >&2
-    echo "  check it); a test observer or fault seam goes in tools/reachability.allow" >&2
+    > "$side_dir/cov.allowed"
+  unrun=$(comm -23 "$side_dir/cov.unrun" "$side_dir/cov.allowed")
+  if [ -n "$unrun" ]; then
+    echo "verify.sh: src/ functions no bench, example or perfbench workload runs:" >&2
+    echo "$unrun" >&2
+    echo "  make a product run each, or delete it (with the tests that only" >&2
+    echo "  check it); an observer, fault seam or classed path goes in" >&2
+    echo "  tools/coverage.allow" >&2
     exit 1
   fi
-  stale=$(comm -13 "$side_dir/reach.unreached" "$side_dir/reach.allowed")
+  stale=$(comm -13 "$side_dir/cov.unrun" "$side_dir/cov.allowed")
   if [ -n "$stale" ]; then
-    echo "verify.sh: stale tools/reachability.allow entries (no such function, or a" >&2
-    echo "  product now links it):" >&2
+    echo "verify.sh: stale tools/coverage.allow entries (no such function, or a" >&2
+    echo "  product now runs it):" >&2
     echo "$stale" >&2
     exit 1
   fi
-  echo "verify.sh: reachability: every src/ function is linked by a product or" \
-    "allowlisted ($(wc -l < "$side_dir/reach.allowed" | tr -d ' ') entries)"
+  echo "verify.sh: coverage: every src/ function runs in a product or is" \
+    "allowlisted ($(wc -l < "$side_dir/cov.allowed" | tr -d ' ') entries)"
 }
 
 if [ -n "$campaign" ]; then
