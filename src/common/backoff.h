@@ -45,7 +45,6 @@ class BackoffSchedule {
   double NextDelayMs();
 
   void Reset() { retries_ = 0; }
-  int retries_issued() const { return retries_; }
 
  private:
   double DelayForRetry(int retry) const;

@@ -138,4 +138,13 @@ uint64_t GetUint64(const Bytes& in, size_t offset) {
   return (static_cast<uint64_t>(GetUint32(in, offset)) << 32) | GetUint32(in, offset + 4);
 }
 
+uint32_t Fnv1a32(const uint8_t* data, size_t len) {
+  uint32_t hash = 0x811C9DC5u;
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= data[i];
+    hash *= 0x01000193u;
+  }
+  return hash;
+}
+
 }  // namespace flicker

@@ -52,6 +52,11 @@ uint16_t GetUint16(const Bytes& in, size_t offset);
 uint32_t GetUint32(const Bytes& in, size_t offset);
 uint64_t GetUint64(const Bytes& in, size_t offset);
 
+// FNV-1a, 32-bit (offset basis 0x811C9DC5, prime 0x01000193) over the first
+// `len` bytes of `data`. Not cryptographic: the session layer and the vTPM
+// state codec use it to turn a wire bit-flip into a rejected frame.
+uint32_t Fnv1a32(const uint8_t* data, size_t len);
+
 }  // namespace flicker
 
 #endif  // FLICKER_SRC_COMMON_BYTES_H_

@@ -207,7 +207,12 @@ Result<Bytes> Machine::GuestRead(int cpu_index, uint64_t addr, size_t len) {
 }
 
 void Machine::Reboot() {
-  tpm_transport_.hardware()->PowerCycle();
+  // The reset line, then the BIOS's POST: TPM_Startup(ST_CLEAR) as a real
+  // frame, the same two steps power-cut recovery software sends. A device
+  // parked in failure mode stays there; its next command reports it.
+  tpm_transport_.hardware()->Init();
+  Result<TpmStartupReport> started = tpm_client_.Startup();
+  (void)started;
   ResetCommon();
 }
 

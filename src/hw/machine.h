@@ -73,6 +73,9 @@ class Machine {
   // Software-side TPM access: every command crosses the byte-marshalled
   // transport; no layer above the machine touches the device model directly.
   TpmClient* tpm() { return &tpm_client_; }
+  // The transport itself, and with it the Hardware facade (SKINIT reset,
+  // TPM_Init): the Machine holds the one capability that can reset PCR 17,
+  // and the hypervisor reaches it only through here.
   TpmTransport* tpm_transport() { return &tpm_transport_; }
   Apic* apic() { return &apic_; }
 
@@ -133,8 +136,9 @@ class Machine {
   // hypervisor keys its residency on this: any reset evicts it.
   uint64_t reset_epoch() const { return reset_epoch_; }
 
-  // Platform reboot: TPM power cycle (dynamic PCRs to -1), CPUs reset, DEV
-  // cleared.
+  // Platform reboot: TPM_Init then the BIOS's TPM_Startup(ST_CLEAR) frame
+  // (dynamic PCRs to -1, statics to zero), CPUs reset, DEV cleared. RAM is
+  // kept.
   void Reboot();
 
   // ---- Power domain / reset model ----

@@ -106,8 +106,6 @@ class DeviceExclusionVector {
   // True when [addr, addr+len) overlaps any protected range.
   bool Blocks(uint64_t addr, size_t len) const;
 
-  size_t protected_range_count() const { return ranges_.size(); }
-
  private:
   struct Range {
     uint64_t base;

@@ -105,7 +105,6 @@ class LossyChannel {
       : clock_(clock), profile_(profile), jitter_(jitter_seed) {}
 
   void set_fault_schedule(const NetFaultSchedule& schedule) { schedule_ = schedule; }
-  const NetFaultSchedule& fault_schedule() const { return schedule_; }
 
   // Queues one datagram from `from` toward the peer. Draws exactly one
   // latency sample; the armed schedule may drop, duplicate, reorder,

@@ -12,19 +12,6 @@ namespace {
 // number so concurrent retriers do not sync up.
 constexpr uint64_t kJitterSeed = 0x5e55;
 
-// FNV-1a over the frame body. Not cryptographic - the trust decisions live
-// in the attestation layer - but it turns every wire bit-flip into a
-// rejected frame the retransmit machinery recovers from, instead of garbled
-// bytes surfacing to the application.
-uint32_t FrameChecksum(const Bytes& body) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : body) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
-
 }  // namespace
 
 Bytes SessionFrame::Serialize() const {
@@ -37,7 +24,7 @@ Bytes SessionFrame::Serialize() const {
   w.Blob(payload);
   Bytes body = w.Take();
   Writer tail;
-  tail.U32(FrameChecksum(body));
+  tail.U32(Fnv1a32(body.data(), body.size()));
   Bytes sum = tail.Take();
   body.insert(body.end(), sum.begin(), sum.end());
   return body;
@@ -53,7 +40,7 @@ Result<SessionFrame> SessionFrame::Deserialize(const Bytes& data) {
   Bytes body(data.begin(), data.end() - 4);
   Bytes sum(data.end() - 4, data.end());
   Reader tail(sum);
-  if (tail.U32() != FrameChecksum(body)) {
+  if (tail.U32() != Fnv1a32(body.data(), body.size())) {
     return IntegrityFailureError("session frame checksum mismatch");
   }
   Reader r(body);

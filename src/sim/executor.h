@@ -75,7 +75,6 @@ class SimExecutor {
   // ---- Introspection / determinism ----
   uint64_t events_processed() const { return events_processed_; }
   size_t max_heap_size() const { return queue_.max_size(); }
-  size_t heap_size() const { return queue_.size(); }
   uint64_t events_cancelled() const { return queue_.cancelled(); }
   uint64_t seed() const { return seed_; }
   // FNV-1a over every dispatched (at_ns, actor, seq): two runs executed the

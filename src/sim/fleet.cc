@@ -292,7 +292,7 @@ Status Fleet::BootstrapMachine(FleetMachine* machine) {
 Status Fleet::SetupCheckpointStore(FleetMachine* machine) {
   // Runs before the machine's first session: the release PCR read here is
   // the post-reset PCR 17 value, which is exactly what the register holds
-  // again after a power cut's Startup(kClear) - so recovery can unseal.
+  // again after a power cut's TPM_Startup - so recovery can unseal.
   machine->owner_auth =
       Sha1::Digest(BytesOf("fleet-owner-" + std::to_string(machine->id)));
   machine->blob_auth = Sha1::Digest(BytesOf("fleet-blob-" + std::to_string(machine->id)));
@@ -706,7 +706,6 @@ uint64_t Fleet::SendWire(FleetMachine* machine, size_t round_index, bool to_farm
   PendingWire pending;
   pending.round = round_index;
   pending.to_farm = to_farm;
-  pending.sent = wire;
   pending.sent_ns = sender_now_ns;
   pending.exclude = exclude;
   pending.hedge = hedge;
@@ -833,7 +832,9 @@ void Fleet::OnFarmDelivery(int machine_id, uint64_t seq, uint64_t arrival_ns, in
   ++stats_.responses_verified;
   obs::ObserveMs(obs::Hist::kFleetVerifierBusyMs, verify_cost_ms);
 
-  const bool tampered = wire != pending.sent;
+  // Every farm-bound frame of a round carries the round's response_wire
+  // (hedges and overload resends re-send it), so it is the ground truth.
+  const bool tampered = wire != round.response_wire;
   const SessionExpectation expectation = SnapshotExpectation(round);
   // The farm's shared cache skips the CA signature on certificates it has
   // already verified; the simulated verify_cost_ms above is charged either way.
@@ -1054,7 +1055,7 @@ void Fleet::OnPowerCut(const FleetPowerCut& cut) {
   // gone; the rounds parked there will time out and that is the contract.
   machine.platform->tqd()->OnPowerLoss();
   ++machine.reboots;
-  Result<TpmStartupReport> startup = machine.platform->tpm()->Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> startup = machine.platform->tpm()->Startup();
   if (!startup.ok()) {
     machine.dead = true;
     ++stats_.machines_dead;

@@ -252,7 +252,6 @@ class Fleet {
   struct PendingWire {
     size_t round = 0;
     bool to_farm = false;
-    Bytes sent;  // Ground truth for tamper detection at the verifier.
     uint64_t sent_ns = 0;
     // Farm-policy bookkeeping (hedged mode).
     int verifier = -1;       // Farm wires: dispatch target. Acks: the sender.
@@ -305,7 +304,7 @@ class Fleet {
     bool is_batch = false;
     int hedge_count = 0;         // Hedges fired so far (capped by the policy).
     int overload_resends = 0;
-    Bytes response_wire;         // Last farm-bound frame, for hedge/resend.
+    Bytes response_wire;         // The farm-bound frame: hedges, resends, tamper check.
     // Expectation snapshot captured when the quote was produced, so a
     // machine refreshing its session mid-flight cannot invalidate earlier
     // genuine quotes.

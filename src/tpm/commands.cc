@@ -83,7 +83,6 @@ const char* TpmOrdinalName(uint32_t ordinal) {
     case kOrdTakeOwnership: return "TPM_ORD_TakeOwnership";
     case kOrdExtend: return "TPM_ORD_Extend";
     case kOrdGetTestResult: return "TPM_ORD_GetTestResult";
-    case kOrdSaveState: return "TPM_ORD_SaveState";
     case kOrdStartup: return "TPM_ORD_Startup";
     case kOrdPcrRead: return "TPM_ORD_PcrRead";
     case kOrdQuote: return "TPM_ORD_Quote";
@@ -101,7 +100,6 @@ const char* TpmOrdinalName(uint32_t ordinal) {
     case kOrdTisReleaseLocality: return "TIS_ReleaseLocality";
     case kOrdHwSkinitReset: return "HW_SkinitReset";
     case kOrdHwExtendIdentityPcr: return "HW_ExtendIdentityPcr";
-    case kOrdHwPowerCycle: return "HW_PowerCycle";
     case kOrdHwSetLocality: return "HW_SetLocality";
     case kOrdHwInit: return "HW_Init";
     case kOrdHwForceFailure: return "HW_ForceFailureMode";
@@ -331,13 +329,11 @@ Bytes BuildTakeOwnership(const Bytes& owner_auth) {
   return BuildCommandFrame(kTagRequest, kOrdTakeOwnership, w.Take());
 }
 
-Bytes BuildStartup(TpmStartupType type) {
+Bytes BuildStartup() {
   Writer w;
-  w.U16(type == TpmStartupType::kClear ? 1 : 2);  // TPM_ST_CLEAR / TPM_ST_STATE
+  w.U16(kTpmStClear);
   return BuildCommandFrame(kTagRequest, kOrdStartup, w.Take());
 }
-
-Bytes BuildSaveState() { return BuildCommandFrame(kTagRequest, kOrdSaveState, Bytes()); }
 
 Bytes BuildGetTestResult() { return BuildCommandFrame(kTagRequest, kOrdGetTestResult, Bytes()); }
 
@@ -411,7 +407,6 @@ Result<TpmStartupReport> ParseStartupPayload(const Bytes& payload) {
   TpmStartupReport report;
   report.journal_rolled_forward = r.U8() != 0;
   report.journal_discarded = r.U8() != 0;
-  report.state_restored = r.U8() != 0;
   if (!r.ok() || !r.AtEnd()) {
     return InvalidArgumentError("malformed TPM startup payload");
   }
@@ -591,25 +586,19 @@ Bytes HandleFrame(Tpm* tpm, const CommandFrame& cmd) {
       return respond(tpm->TakeOwnership(owner_auth));
     }
     case kOrdStartup: {
+      // ST_STATE (the S3 resume) is not implemented: every type but
+      // ST_CLEAR is refused before the lifecycle state changes.
       uint16_t type = r.U16();
-      if (!r.ok() || !r.AtEnd() || type < 1 || type > 2) {
+      if (!r.ok() || !r.AtEnd() || type != kTpmStClear) {
         return malformed();
       }
-      Result<TpmStartupReport> report =
-          tpm->Startup(type == 1 ? TpmStartupType::kClear : TpmStartupType::kState);
+      Result<TpmStartupReport> report = tpm->Startup();
       if (!report.ok()) {
         return respond(report.status());
       }
       payload.U8(report.value().journal_rolled_forward ? 1 : 0);
       payload.U8(report.value().journal_discarded ? 1 : 0);
-      payload.U8(report.value().state_restored ? 1 : 0);
       return respond(Status::Ok());
-    }
-    case kOrdSaveState: {
-      if (!r.AtEnd()) {
-        return malformed();
-      }
-      return respond(tpm->SaveState());
     }
     case kOrdGetTestResult: {
       if (!r.AtEnd()) {

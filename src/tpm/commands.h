@@ -34,6 +34,9 @@ constexpr uint16_t kTagRequestAuth1 = 0x00C2;  // TPM_TAG_RQU_AUTH1_COMMAND
 constexpr uint16_t kTagResponse = 0x00C4;      // TPM_TAG_RSP_COMMAND
 constexpr uint16_t kTagResponseAuth1 = 0x00C5; // TPM_TAG_RSP_AUTH1_COMMAND
 
+// TPM_Startup's 2-byte type field: ST_CLEAR is the only type implemented.
+constexpr uint16_t kTpmStClear = 0x0001;  // TPM_ST_CLEAR
+
 // Header: tag (2) + paramSize (4) + ordinal/returnCode (4).
 constexpr size_t kFrameHeaderSize = 10;
 // The largest frame either direction accepts, header included; a longer
@@ -55,7 +58,6 @@ enum TpmOrdinal : uint32_t {
   kOrdGetRandom = 0x00000046,
   kOrdGetTestResult = 0x00000054,
   kOrdTerminateHandle = 0x00000096,
-  kOrdSaveState = 0x00000098,
   kOrdStartup = 0x00000099,
   kOrdNvDefineSpace = 0x000000CC,
   kOrdNvWriteValue = 0x000000CD,
@@ -72,7 +74,6 @@ enum TpmOrdinal : uint32_t {
   kOrdTisReleaseLocality = 0xF0000002,
   kOrdHwSkinitReset = 0xF0000010,
   kOrdHwExtendIdentityPcr = 0xF0000011,
-  kOrdHwPowerCycle = 0xF0000012,
   kOrdHwSetLocality = 0xF0000013,
   kOrdHwInit = 0xF0000014,
   kOrdHwForceFailure = 0xF0000015,
@@ -136,8 +137,10 @@ Bytes BuildCreateCounter(const Bytes& counter_auth, const CommandAuth& auth);
 Bytes BuildIncrementCounter(uint32_t id, const Bytes& counter_auth);
 Bytes BuildReadCounter(uint32_t id);
 Bytes BuildTakeOwnership(const Bytes& owner_auth);
-Bytes BuildStartup(TpmStartupType type);
-Bytes BuildSaveState();
+// TPM_Startup(ST_CLEAR), the one startup type the device accepts; any other
+// type field is answered as a malformed frame (kInvalidArgument) and leaves
+// the lifecycle state as it was.
+Bytes BuildStartup();
 Bytes BuildGetTestResult();
 Bytes BuildGetPubKey(bool srk);
 

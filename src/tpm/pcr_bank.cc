@@ -20,12 +20,6 @@ void PcrBank::DynamicReset() {
   }
 }
 
-void PcrBank::RestoreStaticFrom(const PcrBank& saved) {
-  for (int i = 0; i < kFirstDynamicPcr; ++i) {
-    values_[i] = saved.values_[i];
-  }
-}
-
 Status PcrBank::Extend(int index, const Bytes& measurement) {
   if (!ValidIndex(index)) {
     return InvalidArgumentError("PCR index out of range");

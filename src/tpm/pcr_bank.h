@@ -24,14 +24,8 @@ class PcrBank {
   void PowerCycleReset();
 
   // The SKINIT-initiated hardware reset: dynamic PCRs (17-23) to 0^20.
-  // Callable only by the CPU model; the Tpm facade does not expose it to
-  // software.
+  // Reached only through Tpm::SkinitReset, which software cannot call.
   void DynamicReset();
-
-  // TPM_Startup(ST_STATE): restore static PCRs 0-16 from a SaveState
-  // snapshot. Resettable (dynamic) PCRs keep their post-Init default of -1:
-  // a suspend/resume cycle must never resurrect a launch-session PCR value.
-  void RestoreStaticFrom(const PcrBank& saved);
 
   // PCR_i <- SHA1(PCR_i || measurement). Measurement must be 20 bytes.
   Status Extend(int index, const Bytes& measurement);

@@ -55,7 +55,6 @@ Bytes QuoteInfoDigestInput(const Bytes& composite, const Bytes& nonce) {
 Tpm::Tpm(SimClock* clock, TpmTimingProfile profile, TpmConfig config)
     : clock_(clock),
       profile_(std::move(profile)),
-      hardware_(this),
       rng_(config.manufacture_seed ^ 0x54504d21ULL),  // "TPM!"
       srk_usage_auth_(WellKnownSecret()) {
   const ManufacturedKeys& keys = GetManufacturedKeys(config.manufacture_seed, config.key_bits);
@@ -127,47 +126,18 @@ void Tpm::ReplayJournal(TpmStartupReport* report) {
   report->journal_rolled_forward = true;
 }
 
-Result<TpmStartupReport> Tpm::Startup(TpmStartupType type) {
+Result<TpmStartupReport> Tpm::Startup() {
   if (lifecycle_ == TpmLifecycleState::kOperational) {
     return FailedPreconditionError("TPM_Startup without a preceding TPM_Init");
   }
   TpmStartupReport report;
   ReplayJournal(&report);
-
-  if (type == TpmStartupType::kState) {
-    if (!saved_state_valid_) {
-      // The spec's answer to a ST_STATE resume with nothing to resume:
-      // failure mode until the platform restarts with ST_CLEAR.
-      self_test_result_ = kTpmTestNoSavedState;
-      lifecycle_ = TpmLifecycleState::kFailed;
-      return TpmFailedError("TPM_Startup(ST_STATE) without valid saved state");
-    }
-    pcrs_.RestoreStaticFrom(saved_pcrs_);
-    report.state_restored = true;
-  } else if (self_test_result_ == kTpmTestNoSavedState) {
-    // ST_CLEAR needs no saved state; the resume failure is not permanent.
-    self_test_result_ = kTpmTestPassed;
-  }
-  // The snapshot is single-use either way.
-  saved_state_valid_ = false;
-
   if (self_test_result_ != kTpmTestPassed) {
     lifecycle_ = TpmLifecycleState::kFailed;
     return TpmFailedError("TPM self test failed during startup");
   }
   lifecycle_ = TpmLifecycleState::kOperational;
   return report;
-}
-
-Status Tpm::SaveState() {
-  if (lifecycle_ != TpmLifecycleState::kOperational) {
-    return FailedPreconditionError("TPM_SaveState requires an operational TPM");
-  }
-  saved_state_valid_ = false;  // A partially written snapshot is no snapshot.
-  saved_pcrs_ = pcrs_;
-  CRASH_POINT("tpm.save_state");
-  saved_state_valid_ = true;
-  return Status::Ok();
 }
 
 Bytes Tpm::GetRandom(size_t len) {
@@ -615,57 +585,46 @@ Status Tpm::RequestLocality(int locality) {
   return TransitionLocality(locality, /*hardware=*/false);
 }
 
-void Tpm::HardwareInterface::SkinitReset(const Bytes& slb_measurement) {
-  Status raised = tpm_->TransitionLocality(4, /*hardware=*/true);
+void Tpm::SkinitReset(const Bytes& slb_measurement) {
+  Status raised = TransitionLocality(4, /*hardware=*/true);
   (void)raised;  // Locality 4 is always reachable from the hardware side.
   // Dynamic PCRs reset only at locality 4 - the property the paper's TCB
   // argument rests on (§2.3); the transition above just established it.
-  tpm_->pcrs_.DynamicReset();
+  pcrs_.DynamicReset();
   // The measurement arrives over the hardware path; the transfer time is
   // charged by the CPU model as part of SKINIT itself.
-  Status st = tpm_->pcrs_.Extend(kSkinitPcr, slb_measurement);
+  Status st = pcrs_.Extend(kSkinitPcr, slb_measurement);
   (void)st;  // A 20-byte digest from the CPU cannot fail validation.
-  st = tpm_->TransitionLocality(2, /*hardware=*/true);
+  st = TransitionLocality(2, /*hardware=*/true);
   (void)st;
 }
 
-Status Tpm::HardwareInterface::SetLocality(int locality) {
-  return tpm_->TransitionLocality(locality, /*hardware=*/true);
+Status Tpm::SetLocality(int locality) {
+  return TransitionLocality(locality, /*hardware=*/true);
 }
 
-void Tpm::HardwareInterface::ExtendIdentityPcr(const Bytes& measurement) {
-  Status st = tpm_->pcrs_.Extend(kSkinitPcr, measurement);
+void Tpm::ExtendIdentityPcr(const Bytes& measurement) {
+  Status st = pcrs_.Extend(kSkinitPcr, measurement);
   (void)st;  // 20-byte digests from the CPU cannot fail validation.
 }
 
-void Tpm::HardwareInterface::Init() {
+void Tpm::Init() {
   // The reset line: volatile state evaporates, persistent state (NV spaces,
-  // counters, the journal, the SaveState snapshot, the fault latch) stays.
-  tpm_->pcrs_.PowerCycleReset();
-  tpm_->sessions_.clear();
-  Status st = tpm_->TransitionLocality(0, /*hardware=*/true);
+  // counters, the journal, the fault latch) stays.
+  pcrs_.PowerCycleReset();
+  sessions_.clear();
+  Status st = TransitionLocality(0, /*hardware=*/true);
   (void)st;
-  tpm_->lifecycle_ = TpmLifecycleState::kNeedStartup;
+  lifecycle_ = TpmLifecycleState::kNeedStartup;
 }
 
-void Tpm::HardwareInterface::PowerCycle() {
-  Init();
-  // The BIOS issues TPM_Startup(ST_CLEAR) during POST; callers of this
-  // one-shot reboot get back an operational TPM (or one parked in failure
-  // mode, which Startup reports and the caller's next command will see).
-  Result<TpmStartupReport> started = tpm_->Startup(TpmStartupType::kClear);
-  (void)started;
+void Tpm::ForceFailureMode() {
+  self_test_result_ = kTpmTestHardwareFault;
+  lifecycle_ = TpmLifecycleState::kFailed;
 }
 
-void Tpm::HardwareInterface::ForceFailureMode() {
-  tpm_->self_test_result_ = kTpmTestHardwareFault;
-  tpm_->lifecycle_ = TpmLifecycleState::kFailed;
-}
-
-void Tpm::HardwareInterface::ClearFailureMode() {
-  if (tpm_->self_test_result_ == kTpmTestHardwareFault) {
-    tpm_->self_test_result_ = kTpmTestPassed;
-  }
+void Tpm::ClearFailureMode() {
+  self_test_result_ = kTpmTestPassed;
   // The device stays in failure mode until software runs TPM_Startup;
   // clearing the latch models the fault going away, not the recovery
   // protocol.

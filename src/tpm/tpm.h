@@ -6,9 +6,11 @@
 // modeled, by charging the shared SimClock per the TpmTimingProfile; the
 // profile defaults reproduce the Broadcom BCM0102 the paper measured.
 //
-// The hardware-only interface (dynamic PCR reset, locality changes) is
-// reachable through Tpm::HardwareInterface, which only the CPU/chipset model
-// holds - mirroring the property that software cannot reset PCR 17 (§2.3).
+// The hardware-only operations (dynamic PCR reset, hardware locality
+// changes, the reset line) are private members only TpmTransport may call,
+// and TpmTransport hands them out solely through its Hardware facade, which
+// only the Machine (the CPU/chipset model) holds - mirroring the property
+// that software cannot reset PCR 17 (§2.3).
 
 #ifndef FLICKER_SRC_TPM_TPM_H_
 #define FLICKER_SRC_TPM_TPM_H_
@@ -61,14 +63,9 @@ enum class AuthEntity {
 //
 // TPM_Init is the hardware reset signal (a power cut or platform reset);
 // after it the TPM accepts only TPM_Startup/TPM_GetTestResult until software
-// issues TPM_Startup. A failed self test (or a ST_STATE resume without valid
-// saved state) enters failure mode, where again only those two commands are
-// accepted - everything else answers kTpmFailed.
-
-enum class TpmStartupType {
-  kClear,  // TPM_ST_CLEAR: boot with default volatile state.
-  kState,  // TPM_ST_STATE: resume from a TPM_SaveState snapshot (S3 wake).
-};
+// issues TPM_Startup(ST_CLEAR), the only startup type the model implements.
+// A failed self test enters failure mode, where again only those two
+// commands are accepted - everything else answers kTpmFailed.
 
 enum class TpmLifecycleState {
   kNeedStartup,  // TPM_Init seen; waiting for TPM_Startup.
@@ -81,12 +78,10 @@ enum class TpmLifecycleState {
 struct TpmStartupReport {
   bool journal_rolled_forward = false;  // committed NV/counter journal applied
   bool journal_discarded = false;       // torn or uncommitted journal dropped
-  bool state_restored = false;          // ST_STATE restored static PCRs
 };
 
 // TPM_GetTestResult values the model reports.
 constexpr uint32_t kTpmTestPassed = 0;
-constexpr uint32_t kTpmTestNoSavedState = 0x21;   // ST_STATE without SaveState
 constexpr uint32_t kTpmTestHardwareFault = 0x5A;  // injected permanent fault
 
 class Tpm {
@@ -101,25 +96,18 @@ class Tpm {
   // models steady-state command costs, and startup happens outside every
   // measured window, so the reproduced tables are unaffected.
 
-  // TPM_Startup. Replays the NV/counter write-ahead journal (rolling a
-  // committed record forward, discarding a torn or uncommitted one), then
-  // either boots clear or restores the SaveState snapshot. Fails with
-  // kFailedPrecondition when no TPM_Init preceded it, and with kTpmFailed
-  // when the self test fails (ST_STATE without valid saved state included).
-  Result<TpmStartupReport> Startup(TpmStartupType type);
-
-  // TPM_SaveState: snapshot volatile state ahead of S3. The snapshot is
-  // single-use and only static PCRs are restored - resettable PCRs 17-23
-  // return to -1 on every TPM_Init, so a suspend/resume cycle can never
-  // resurrect a Flicker session's PCR 17 value.
-  Status SaveState();
+  // TPM_Startup(ST_CLEAR). Replays the NV/counter write-ahead journal
+  // (rolling a committed record forward, discarding a torn or uncommitted
+  // one) and boots with the post-Init PCR values: statics zero, dynamics -1.
+  // Fails with kFailedPrecondition when no TPM_Init preceded it, and with
+  // kTpmFailed when the self test fails.
+  Result<TpmStartupReport> Startup();
 
   // TPM_GetTestResult: answers in every lifecycle state. kTpmTestPassed (0)
   // means healthy.
   uint32_t GetTestResult() const { return self_test_result_; }
 
   TpmLifecycleState lifecycle_state() const { return lifecycle_; }
-  bool saved_state_valid() const { return saved_state_valid_; }
   // True while an NV/counter journal record is pending (crashed mid-write).
   bool journal_pending() const { return journal_.has_value(); }
 
@@ -204,44 +192,6 @@ class Tpm {
   // only locality 2 (trusted OS); static PCRs accept any locality.
   static bool ExtendAllowedAt(int index, int locality);
 
-  // ---- Hardware interface: held by the chipset/CPU model only ----
-  class HardwareInterface {
-   public:
-    explicit HardwareInterface(Tpm* tpm) : tpm_(tpm) {}
-
-    // The SKINIT handshake: raise locality 4, reset dynamic PCRs, extend the
-    // SLB measurement into PCR 17, drop to locality 2.
-    void SkinitReset(const Bytes& slb_measurement);
-
-    // Additional hardware-path extend into PCR 17 at launch locality; used
-    // by the TXT model for the post-ACM MLE measurement.
-    void ExtendIdentityPcr(const Bytes& measurement);
-
-    // TPM_Init: the reset line. Drops volatile state (sessions, locality),
-    // resets PCRs to power-cycle defaults and leaves the device
-    // awaiting TPM_Startup. Persistent state (NV, counters, journal, saved
-    // state, fault flag) survives.
-    void Init();
-
-    // Platform reboot: TPM_Init plus an immediate TPM_Startup(ST_CLEAR), the
-    // one-shot cycle a BIOS performs before handing off to the OS.
-    void PowerCycle();
-
-    // Latches / clears the permanent hardware fault the self test reports -
-    // the knob robustness tests use to put the device into failure mode.
-    void ForceFailureMode();
-    void ClearFailureMode();
-
-    // Hardware-side locality transition (any locality 0-4). Out-of-range
-    // values are a chipset-model bug and are rejected.
-    Status SetLocality(int locality);
-
-   private:
-    Tpm* tpm_;
-  };
-
-  HardwareInterface* hardware() { return &hardware_; }
-
   // Computes the HMAC a caller must present for an authorized command, and
   // is reused by driver-side helpers. Exposed so the SLB-core TPM utilities
   // implement the same computation the TPM checks.
@@ -249,7 +199,35 @@ class Tpm {
                                   const Bytes& nonce_even, const Bytes& nonce_odd);
 
  private:
-  friend class HardwareInterface;
+  // ---- Hardware operations: reachable only through TpmTransport ----
+  //
+  // TpmTransport wraps each in its Hardware facade (recording a `tpm` span),
+  // and only the Machine holds that facade: no driver, PAL or test holding a
+  // TpmClient can reset PCR 17 (§2.3).
+  friend class TpmTransport;
+
+  // The SKINIT handshake: raise locality 4, reset dynamic PCRs, extend the
+  // SLB measurement into PCR 17, drop to locality 2.
+  void SkinitReset(const Bytes& slb_measurement);
+
+  // Additional hardware-path extend into PCR 17 at launch locality; used by
+  // the TXT model for the post-ACM MLE measurement.
+  void ExtendIdentityPcr(const Bytes& measurement);
+
+  // TPM_Init: the reset line. Drops volatile state (sessions, locality),
+  // resets PCRs to power-on values and leaves the device awaiting
+  // TPM_Startup. Persistent state (NV, counters, journal, fault latch)
+  // survives.
+  void Init();
+
+  // Hardware-side locality transition (any locality 0-4). Out-of-range
+  // values are a chipset-model bug and are rejected.
+  Status SetLocality(int locality);
+
+  // Latches / clears the permanent hardware fault the self test reports -
+  // the knob robustness tests use to put the device into failure mode.
+  void ForceFailureMode();
+  void ClearFailureMode();
 
   struct NvSpace {
     size_t size = 0;
@@ -295,7 +273,6 @@ class Tpm {
 
   SimClock* clock_;
   TpmTimingProfile profile_;
-  HardwareInterface hardware_;
 
   // ---- Volatile state: lost on TPM_Init / power cut ----
   //
@@ -327,8 +304,6 @@ class Tpm {
   uint32_t next_counter_id_ = 1;
 
   std::optional<JournalEntry> journal_;
-  bool saved_state_valid_ = false;
-  PcrBank saved_pcrs_;                       // SaveState snapshot (statics restored).
   uint32_t self_test_result_ = kTpmTestPassed;
 };
 

@@ -113,39 +113,33 @@ Status TpmTransport::ReleaseLocality() {
 // ---- Hardware facade ----
 
 void TpmTransport::Hardware::SkinitReset(const Bytes& slb_measurement) {
-  transport_->tpm_->hardware()->SkinitReset(slb_measurement);
+  transport_->tpm_->SkinitReset(slb_measurement);
   transport_->Record(kOrdHwSkinitReset, 4, 0, 0);
 }
 
 void TpmTransport::Hardware::ExtendIdentityPcr(const Bytes& measurement) {
-  transport_->tpm_->hardware()->ExtendIdentityPcr(measurement);
+  transport_->tpm_->ExtendIdentityPcr(measurement);
   transport_->Record(kOrdHwExtendIdentityPcr, transport_->tpm_->locality(), 0, 0);
 }
 
 void TpmTransport::Hardware::Init() {
-  transport_->tpm_->hardware()->Init();
+  transport_->tpm_->Init();
   transport_->locality_stack_.clear();
   transport_->Record(kOrdHwInit, 0, 0, 0);
 }
 
-void TpmTransport::Hardware::PowerCycle() {
-  transport_->tpm_->hardware()->PowerCycle();
-  transport_->locality_stack_.clear();
-  transport_->Record(kOrdHwPowerCycle, 0, 0, 0);
-}
-
 void TpmTransport::Hardware::ForceFailureMode() {
-  transport_->tpm_->hardware()->ForceFailureMode();
+  transport_->tpm_->ForceFailureMode();
   transport_->Record(kOrdHwForceFailure, 0, 0, 0);
 }
 
 void TpmTransport::Hardware::ClearFailureMode() {
-  transport_->tpm_->hardware()->ClearFailureMode();
+  transport_->tpm_->ClearFailureMode();
   transport_->Record(kOrdHwClearFailure, 0, 0, 0);
 }
 
 Status TpmTransport::Hardware::SetLocality(int locality) {
-  Status st = transport_->tpm_->hardware()->SetLocality(locality);
+  Status st = transport_->tpm_->SetLocality(locality);
   transport_->Record(kOrdHwSetLocality, locality, 0, ReturnCodeFor(st.code()));
   return st;
 }
@@ -306,17 +300,12 @@ Status TpmClient::TakeOwnership(const Bytes& owner_auth) {
   return payload.ok() ? Status::Ok() : payload.status();
 }
 
-Result<TpmStartupReport> TpmClient::Startup(TpmStartupType type) {
-  Result<Bytes> payload = Roundtrip(BuildStartup(type));
+Result<TpmStartupReport> TpmClient::Startup() {
+  Result<Bytes> payload = Roundtrip(BuildStartup());
   if (!payload.ok()) {
     return payload.status();
   }
   return ParseStartupPayload(payload.value());
-}
-
-Status TpmClient::SaveState() {
-  Result<Bytes> payload = Roundtrip(BuildSaveState());
-  return payload.ok() ? Status::Ok() : payload.status();
 }
 
 Result<uint32_t> TpmClient::GetTestResult() {

@@ -3,7 +3,8 @@
 // TpmTransport carries every driver-side command as a byte frame
 // (src/tpm/commands.h) through Transmit(), and owns the TIS locality state:
 // software may request localities 0-2; locality 4 is reachable only through
-// the hardware facade that wraps Tpm::HardwareInterface (the SKINIT path).
+// the Hardware facade (the SKINIT path), the one capability that reaches
+// the device's private hardware operations. Only the Machine holds it.
 // The transport rejects locality-inappropriate commands before they reach
 // the device and can inject faults - drop, garble or delay every Nth frame -
 // so upper layers' retry logic is testable.
@@ -16,9 +17,10 @@
 // prints.
 //
 // TpmClient is the one driver built on top, and the handle every caller
-// (including the TPM utilities in tpm_util.h) holds: it mirrors the Tpm
-// software API method-for-method so call sites keep their shape, but every
-// operation is marshalled, transmitted, policy-checked and unmarshalled. Timing is
+// (including the TPM utilities in tpm_util.h and every PAL) holds: it mirrors
+// the Tpm software API method-for-method so call sites keep their shape, but
+// every operation is marshalled, transmitted, policy-checked and
+// unmarshalled. It exposes no path to the Hardware facade. Timing is
 // unchanged by construction: the device model charges the calibrated
 // latencies exactly as before, and the transport adds none of its own.
 
@@ -63,10 +65,11 @@ class TpmTransport {
   Status ReleaseLocality();
   int locality() const { return tpm_->locality(); }
 
-  // ---- Hardware facade: the sole holder of Tpm::HardwareInterface ----
+  // ---- Hardware facade: the only path to Tpm's hardware operations ----
   //
-  // The chipset/CPU model goes through this so hardware-path events appear
-  // in the same trace as driver commands.
+  // The chipset/CPU model (Machine, and the hypervisor through
+  // Machine::tpm_transport()) goes through this so hardware-path events
+  // appear in the same trace as driver commands.
   class Hardware {
    public:
     explicit Hardware(TpmTransport* transport) : transport_(transport) {}
@@ -75,11 +78,8 @@ class TpmTransport {
     void ExtendIdentityPcr(const Bytes& measurement);
     // TPM_Init alone: volatile state is lost and the device demands a
     // TPM_Startup before accepting further commands. This is the reset-line
-    // event the power domain pulls on PowerCut.
+    // event the power domain pulls on PowerCut and Reboot.
     void Init();
-    // Legacy reset: TPM_Init plus the BIOS's automatic TPM_Startup(ST_CLEAR),
-    // preserving the pre-lifecycle Reboot contract.
-    void PowerCycle();
     // Latches/clears the hardware self-test fault (for failure-mode tests).
     void ForceFailureMode();
     void ClearFailureMode();
@@ -98,7 +98,6 @@ class TpmTransport {
 
   // ---- Fault injection ----
   void set_fault_plan(const FaultPlan& plan) { plan_ = plan; }
-  const FaultPlan& fault_plan() const { return plan_; }
   uint64_t faults_injected() const { return faults_injected_; }
 
   // Transmit calls so far (TIS and hardware pseudo-commands excluded); the
@@ -155,9 +154,9 @@ class TpmClient {
 
   Status TakeOwnership(const Bytes& owner_auth);
 
-  // ---- Lifecycle (TPM_Startup family) ----
-  Result<TpmStartupReport> Startup(TpmStartupType type);
-  Status SaveState();
+  // ---- Lifecycle ----
+  // TPM_Startup(ST_CLEAR): what recovery software sends after TPM_Init.
+  Result<TpmStartupReport> Startup();
   Result<uint32_t> GetTestResult();
 
   // Fetched over the wire once at construction (a capability read; free).
@@ -166,8 +165,6 @@ class TpmClient {
   static Bytes WellKnownSecret() { return Tpm::WellKnownSecret(); }
 
   int locality() const { return transport_->locality(); }
-  TpmTransport* transport() { return transport_; }
-  TpmTransport::Hardware* hardware() { return transport_->hardware(); }
 
  private:
   Result<Bytes> Roundtrip(const Bytes& request_frame);

@@ -319,7 +319,7 @@ void Campaign::OnCompletion(const VtpmQuoteCompletion& completion) {
 void Campaign::OnPowerCut() {
   ++stats_.power_cuts;
   platform_->machine()->PowerCut();
-  (void)platform_->tpm()->Startup(TpmStartupType::kClear);
+  (void)platform_->tpm()->Startup();
   manager_->OnPowerLoss();
   (void)manager_->RecoverAll();
   mux_->OnPowerLoss();

@@ -11,18 +11,9 @@ namespace {
 constexpr uint32_t kBindingMagic = 0x56434231;  // "VCB1"
 constexpr uint32_t kStateMagic = 0x56545332;    // "VTS2"
 
-uint32_t Fnv1a32(const Bytes& data, size_t len) {
-  uint32_t hash = 0x811C9DC5u;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 0x01000193u;
-  }
-  return hash;
-}
-
 // Appends the checksum over everything written so far.
 Bytes SealChecksum(Bytes body) {
-  uint32_t crc = Fnv1a32(body, body.size());
+  uint32_t crc = Fnv1a32(body.data(), body.size());
   PutUint32(&body, crc);
   return body;
 }
@@ -33,7 +24,7 @@ bool CheckAndStripChecksum(const Bytes& wire, Bytes* body) {
     return false;
   }
   size_t body_len = wire.size() - 4;
-  if (GetUint32(wire, body_len) != Fnv1a32(wire, body_len)) {
+  if (GetUint32(wire, body_len) != Fnv1a32(wire.data(), body_len)) {
     return false;
   }
   body->assign(wire.begin(), wire.begin() + static_cast<long>(body_len));

@@ -119,7 +119,7 @@ TEST_F(ImaTest, StaticPcrSurvivesDynamicReset) {
   // afterwards, so trusted boot and Flicker coexist.
   BootCleanStack();
   Bytes before = machine_.tpm()->PcrRead(10).value();
-  machine_.tpm()->hardware()->SkinitReset(Sha1::Digest(BytesOf("pal")));
+  machine_.tpm_transport()->hardware()->SkinitReset(Sha1::Digest(BytesOf("pal")));
   EXPECT_EQ(machine_.tpm()->PcrRead(10).value(), before);
 }
 

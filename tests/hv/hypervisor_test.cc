@@ -243,7 +243,7 @@ TEST_F(HypervisorTest, EveryResetFlavourEvictsTheHypervisor) {
 
   platform.machine()->PowerCut();
   EXPECT_FALSE(platform.hypervisor()->resident());
-  ASSERT_TRUE(platform.tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(platform.tpm()->Startup().ok());
   ASSERT_TRUE(platform.EnsureHypervisorResident().ok());
   EXPECT_TRUE(platform.hypervisor()->resident());
 }

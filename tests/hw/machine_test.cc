@@ -3,9 +3,13 @@
 
 #include "src/hw/machine.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/tpm/pcr_bank.h"
 
 namespace flicker {
@@ -177,15 +181,35 @@ TEST_F(MachineTest, ExitSecureModeWithoutSessionFails) {
 }
 
 TEST_F(MachineTest, RebootResetsEverything) {
+  ASSERT_TRUE(machine_.tpm()->PcrExtend(0, Bytes(kPcrSize, 2)).ok());
   StageSlb(RawSlb(4096, 156));
   ParkAps();
   ASSERT_TRUE(machine_.Skinit(0, kBase).ok());
-  machine_.Reboot();
+
+  std::vector<std::string> reboot_spans;
+  {
+    obs::ScopedTracer tracer(machine_.clock());
+    machine_.Reboot();
+    for (const obs::SpanRecord& span : tracer.spans()) {
+      if (std::string(span.category) == "tpm") {
+        reboot_spans.push_back(span.name);
+      }
+    }
+  }
+  // The reset line, then the BIOS's TPM_Startup(ST_CLEAR) as a wire frame.
+  EXPECT_EQ(reboot_spans, (std::vector<std::string>{"HW_Init", "TPM_ORD_Startup"}));
 
   EXPECT_FALSE(machine_.in_secure_session());
   EXPECT_FALSE(machine_.dev()->Blocks(kBase, 1));
-  // Dynamic PCRs back to -1: reboot is distinguishable from SKINIT reset.
-  EXPECT_EQ(machine_.tpm()->PcrRead(17).value(), Bytes(kPcrSize, 0xff));
+  // The TPM answers again at locality 0. Dynamic PCRs are back to -1, so a
+  // reboot is distinguishable from a SKINIT reset; statics are zero.
+  EXPECT_EQ(machine_.tpm_transport()->locality(), 0);
+  Result<Bytes> pcr17 = machine_.tpm()->PcrRead(kSkinitPcr);
+  ASSERT_TRUE(pcr17.ok()) << pcr17.status().ToString();
+  EXPECT_EQ(pcr17.value(), Bytes(kPcrSize, 0xff));
+  for (int i = 0; i < kFirstDynamicPcr; ++i) {
+    EXPECT_EQ(machine_.tpm()->PcrRead(i).value(), Bytes(kPcrSize, 0x00)) << "PCR " << i;
+  }
   for (int i = 0; i < machine_.num_cpus(); ++i) {
     EXPECT_EQ(machine_.cpu(i)->state, CpuState::kRunning);
   }

@@ -9,7 +9,8 @@
 //   1. a full Flicker session (SKINIT -> PAL -> erase -> resume),
 //   2. a two-phase seal of a new generation,
 //   3. an NV write,
-//   4. TPM_SaveState.
+//   4. a coalesced batch quote,
+//   5. a concurrent-mode session on a second platform.
 // Recovery per cell: PowerCut, TPM_Startup(ST_CLEAR),
 // CrashConsistentSealedStore::Recover().
 //
@@ -106,7 +107,6 @@ class CrashMatrixTest : public ::testing::Test {
     (void)rig->store->Seal(BytesOf("gen-2"), rig->release_pcr, rig->blob_auth);
     (void)rig->platform->tpm()->NvWrite(kNvIndex, kNvAfter);
     (void)rig->platform->ExecuteSession(rig->detector, rig->inputs);
-    (void)rig->platform->tpm()->SaveState();
     // A coalesced batch quote, so the matrix sweeps a power cut through the
     // batch-flush boundary too.
     (void)rig->platform->tqd()->SubmitBatched(BytesOf("batch-a"), PcrSelection({17}));
@@ -121,7 +121,7 @@ class CrashMatrixTest : public ::testing::Test {
   // Recovers the cell and checks invariants A-D. Returns false (with gtest
   // failures recorded) when any invariant is violated.
   static bool RecoverAndCheck(Rig* rig) {
-    Result<TpmStartupReport> startup = rig->platform->tpm()->Startup(TpmStartupType::kClear);
+    Result<TpmStartupReport> startup = rig->platform->tpm()->Startup();
     EXPECT_TRUE(startup.ok()) << startup.status().ToString();
     if (!startup.ok()) {
       return false;
@@ -176,7 +176,7 @@ class CrashMatrixTest : public ::testing::Test {
     rig->hv_platform->machine()->PowerCut();
     EXPECT_FALSE(rig->hv_platform->hypervisor()->resident());
     Result<TpmStartupReport> hv_startup =
-        rig->hv_platform->tpm()->Startup(TpmStartupType::kClear);
+        rig->hv_platform->tpm()->Startup();
     EXPECT_TRUE(hv_startup.ok()) << hv_startup.status().ToString();
     Result<FlickerSessionResult> hv_session =
         rig->hv_platform->ExecuteSession(rig->hello, BytesOf("post-crash-hv"));
@@ -204,14 +204,14 @@ TEST_F(CrashMatrixTest, WorkloadCoversTheCrashSurface) {
   std::vector<std::string> hits = RecordHits();
   std::set<std::string> distinct(hits.begin(), hits.end());
   // The acceptance floor is 15 instrumented points; the workload reaches the
-  // full census of 22 (19 classic + the hypervisor's three).
+  // full census of 21 (18 classic + the hypervisor's three).
   EXPECT_GE(distinct.size(), 15u) << "crash surface shrank";
   for (const char* point :
        {"skinit.enter", "skinit.measured", "skinit.pcr_extended", "slb.entry", "slb.pal_done",
         "slb.erased", "machine.exit_secure", "seal.staged", "seal.incremented", "seal.committed",
         "tpm.counter.journal", "tpm.counter.staged", "tpm.counter.commit", "tpm.nv_write.journal",
-        "tpm.nv_write.staged", "tpm.nv_write.commit", "tpm.nv_write.apply", "tpm.save_state",
-        "tqd.batch_flush", "hv.launched", "hv.session_protected", "hv.session_end"}) {
+        "tpm.nv_write.staged", "tpm.nv_write.commit", "tpm.nv_write.apply", "tqd.batch_flush",
+        "hv.launched", "hv.session_protected", "hv.session_end"}) {
     EXPECT_TRUE(distinct.count(point)) << "workload never reached " << point;
   }
 }
@@ -296,7 +296,7 @@ TEST_F(CrashMatrixTest, BrokenCommitOrderingIsCaughtByTheMatrix) {
       break;
     }
     rig->platform->machine()->PowerCut();
-    if (!rig->platform->tpm()->Startup(TpmStartupType::kClear).ok()) {
+    if (!rig->platform->tpm()->Startup().ok()) {
       ++violations;
       continue;
     }

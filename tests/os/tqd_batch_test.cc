@@ -128,7 +128,7 @@ TEST(TqdBatchTest, OpenBreakerHoldsWindowsUntilRecovery) {
   // held window flushes in one quote.
   machine.tpm_transport()->hardware()->ClearFailureMode();
   machine.tpm_transport()->hardware()->Init();
-  ASSERT_TRUE(machine.tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(machine.tpm()->Startup().ok());
   machine.clock()->AdvanceMillis(TpmQuoteDaemon::kBreakerCooldownMs);
   ASSERT_TRUE(tqd.FlushReadyBatches(&responses).ok());
   EXPECT_EQ(responses.size(), 2u);
@@ -161,7 +161,7 @@ TEST(TqdBatchTest, TpmFailureMidFlushKeepsTheWindow) {
   // Recovery drains the same window: no challenge was lost.
   machine.tpm_transport()->hardware()->ClearFailureMode();
   machine.tpm_transport()->hardware()->Init();
-  ASSERT_TRUE(machine.tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(machine.tpm()->Startup().ok());
   machine.clock()->AdvanceMillis(TpmQuoteDaemon::kBreakerCooldownMs);
   ASSERT_TRUE(tqd.FlushReadyBatches(&responses).ok());
   EXPECT_EQ(responses.size(), 2u);

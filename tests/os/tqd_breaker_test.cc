@@ -60,7 +60,7 @@ TEST(TqdBreakerTest, HalfOpenProbeRecoversAndDrainsQueue) {
   // Before the cooldown elapses, even a recovered TPM is not probed.
   machine.tpm_transport()->hardware()->ClearFailureMode();
   machine.tpm_transport()->hardware()->Init();
-  ASSERT_TRUE(machine.tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(machine.tpm()->Startup().ok());
   ASSERT_FALSE(tqd.HandleChallenge(BytesOf("b"), PcrSelection({17})).ok());
   EXPECT_EQ(tqd.queued_count(), 2u);
   EXPECT_TRUE(tqd.breaker_open());

@@ -112,7 +112,7 @@ TEST_F(TqdTimerTest, BreakerProbeDrainsQueueAfterCooldown) {
   // The TPM recovers while the cooldown timer is pending.
   machine_.tpm_transport()->hardware()->ClearFailureMode();
   machine_.tpm_transport()->hardware()->Init();
-  ASSERT_TRUE(machine_.tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(machine_.tpm()->Startup().ok());
 
   executor_.Run();
   EXPECT_FALSE(tqd_->breaker_open());

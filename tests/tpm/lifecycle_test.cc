@@ -1,6 +1,7 @@
-// TPM v1.2 lifecycle: TPM_Init/TPM_Startup/TPM_SaveState/TPM_GetTestResult,
-// the failure mode in which only Startup/GetTestResult are accepted, and the
-// NV/counter write-ahead journal that makes persistent writes crash-safe.
+// TPM v1.2 lifecycle: TPM_Init/TPM_Startup(ST_CLEAR)/TPM_GetTestResult, the
+// refusal of every other startup type, the failure mode in which only
+// Startup/GetTestResult are accepted, and the NV/counter write-ahead journal
+// that makes persistent writes crash-safe.
 
 #include <iostream>
 
@@ -9,6 +10,7 @@
 #include "src/common/fault.h"
 #include "src/crypto/sha1.h"
 #include "src/obs/trace.h"
+#include "src/tpm/commands.h"
 #include "src/tpm/pcr_bank.h"
 #include "src/tpm/tpm.h"
 #include "src/tpm/tpm_util.h"
@@ -67,7 +69,7 @@ class TpmLifecycleTest : public ::testing::Test {
 TEST_F(TpmLifecycleTest, StartupWithoutInitRejected) {
   // The model boots operational (BIOS POST already ran Startup); a second
   // Startup with no reset in between is a protocol violation.
-  Result<TpmStartupReport> report = tpm_.Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> report = tpm_.Startup();
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -85,7 +87,7 @@ TEST_F(TpmLifecycleTest, InitBlocksEverythingButStartupAndGetTestResult) {
   Result<uint32_t> test = client_.GetTestResult();
   ASSERT_TRUE(test.ok());
   EXPECT_EQ(test.value(), kTpmTestPassed);
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(client_.Startup().ok());
   EXPECT_EQ(tpm_.lifecycle_state(), TpmLifecycleState::kOperational);
   EXPECT_TRUE(client_.PcrRead(0).ok());
 }
@@ -97,58 +99,30 @@ TEST_F(TpmLifecycleTest, InitResetsPcrsToPowerOnValues) {
   ASSERT_TRUE(tpm_.PcrExtend(0, Bytes(kPcrSize, 2)).ok());
 
   transport_.hardware()->Init();
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(client_.Startup().ok());
   // Dynamic PCRs read -1 after any reset; statics are zeroed by ST_CLEAR.
   EXPECT_EQ(tpm_.PcrRead(17).value(), Bytes(kPcrSize, 0xff));
   EXPECT_EQ(tpm_.PcrRead(0).value(), Bytes(kPcrSize, 0x00));
 }
 
-TEST_F(TpmLifecycleTest, SaveStateRestoresStaticsButNeverDynamics) {
-  ASSERT_TRUE(tpm_.PcrExtend(0, Bytes(kPcrSize, 2)).ok());
-  Bytes static_value = tpm_.PcrRead(0).value();
-  ASSERT_TRUE(tpm_.RequestLocality(2).ok());
-  ASSERT_TRUE(tpm_.PcrExtend(17, Bytes(kPcrSize, 1)).ok());
-  Bytes dynamic_value = tpm_.PcrRead(17).value();
-
-  ASSERT_TRUE(client_.SaveState().ok());
+TEST_F(TpmLifecycleTest, StartupRefusesEveryTypeButStClear) {
   transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kState);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().state_restored);
-
-  EXPECT_EQ(tpm_.PcrRead(0).value(), static_value);
-  // The launch-session PCR must NOT survive suspend/resume.
-  EXPECT_NE(tpm_.PcrRead(17).value(), dynamic_value);
-  EXPECT_EQ(tpm_.PcrRead(17).value(), Bytes(kPcrSize, 0xff));
-}
-
-TEST_F(TpmLifecycleTest, SaveStateSnapshotIsSingleUse) {
-  ASSERT_TRUE(client_.SaveState().ok());
-  transport_.hardware()->Init();
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kState).ok());
-
-  // A second ST_STATE resume has nothing to restore: failure mode.
-  transport_.hardware()->Init();
-  Result<TpmStartupReport> again = client_.Startup(TpmStartupType::kState);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kTpmFailed);
-  EXPECT_EQ(tpm_.lifecycle_state(), TpmLifecycleState::kFailed);
-  EXPECT_EQ(client_.GetTestResult().value(), kTpmTestNoSavedState);
-
-  // ST_CLEAR after another reset recovers.
-  transport_.hardware()->Init();
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kClear).ok());
+  // ST_STATE (2) asks for a TPM_SaveState resume the device does not
+  // implement; 0 is no type at all. Both are malformed frames, refused
+  // typed, and neither moves the lifecycle state.
+  for (uint16_t type : {uint16_t{2}, uint16_t{0}}) {
+    Bytes body;
+    PutUint16(&body, type);
+    Result<Bytes> response =
+        transport_.Transmit(BuildCommandFrame(kTagRequest, kOrdStartup, body));
+    ASSERT_TRUE(response.ok());
+    Result<Bytes> payload = ParseResponseFrame(response.value());
+    ASSERT_FALSE(payload.ok()) << "type " << type;
+    EXPECT_EQ(payload.status().code(), StatusCode::kInvalidArgument) << "type " << type;
+    EXPECT_EQ(tpm_.lifecycle_state(), TpmLifecycleState::kNeedStartup) << "type " << type;
+  }
+  ASSERT_TRUE(client_.Startup().ok());
   EXPECT_EQ(tpm_.lifecycle_state(), TpmLifecycleState::kOperational);
-  EXPECT_EQ(client_.GetTestResult().value(), kTpmTestPassed);
-}
-
-TEST_F(TpmLifecycleTest, CrashDuringSaveStateInvalidatesSnapshot) {
-  EXPECT_EQ(CrashAt("tpm.save_state", [&] { (void)tpm_.SaveState(); }), "tpm.save_state");
-  EXPECT_FALSE(tpm_.saved_state_valid());
-  transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kState);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kTpmFailed);
 }
 
 TEST_F(TpmLifecycleTest, FailureModeGatesWireCommands) {
@@ -161,7 +135,7 @@ TEST_F(TpmLifecycleTest, FailureModeGatesWireCommands) {
   // The fault clears, software restarts the device, service resumes.
   transport_.hardware()->ClearFailureMode();
   transport_.hardware()->Init();
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(client_.Startup().ok());
   EXPECT_TRUE(client_.PcrRead(0).ok());
 }
 
@@ -177,7 +151,7 @@ TEST_F(TpmLifecycleTest, NvWriteCrashBeforeCommitDiscardsJournal) {
   EXPECT_TRUE(tpm_.journal_pending());
 
   transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> report = client_.Startup();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_discarded);
   EXPECT_FALSE(report.value().journal_rolled_forward);
@@ -200,7 +174,7 @@ TEST_F(TpmLifecycleTest, NvWriteTornApplyRolledForwardOnStartup) {
   EXPECT_NE(torn, v2);
 
   transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> report = client_.Startup();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_rolled_forward);
   EXPECT_EQ(tpm_.NvContents(kNvIndex).value(), v2);
@@ -221,7 +195,7 @@ TEST_F(TpmLifecycleTest, CounterIncrementCrashNeverLosesOrRepeatsValues) {
                     [&] { (void)tpm_.IncrementCounter(id.value(), counter_auth); }),
             "tpm.counter.commit");
   transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> report = client_.Startup();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_rolled_forward);
   EXPECT_EQ(client_.ReadCounter(id.value()).value(), 2u);
@@ -231,7 +205,7 @@ TEST_F(TpmLifecycleTest, CounterIncrementCrashNeverLosesOrRepeatsValues) {
                     [&] { (void)tpm_.IncrementCounter(id.value(), counter_auth); }),
             "tpm.counter.journal");
   transport_.hardware()->Init();
-  report = client_.Startup(TpmStartupType::kClear);
+  report = client_.Startup();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_discarded);
   EXPECT_EQ(client_.ReadCounter(id.value()).value(), 2u);
@@ -251,7 +225,7 @@ TEST_F(TpmLifecycleTest, GarbledJournalEntryDiscardedByCrcCheck) {
                     [&] { (void)tpm_.NvWrite(kNvIndex, Bytes(8, 0x22)); }),
             "tpm.nv_write.journal");
   transport_.hardware()->Init();
-  Result<TpmStartupReport> report = client_.Startup(TpmStartupType::kClear);
+  Result<TpmStartupReport> report = client_.Startup();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().journal_discarded);
   EXPECT_EQ(tpm_.NvContents(kNvIndex).value(), Bytes(8, 0x11));
@@ -259,9 +233,8 @@ TEST_F(TpmLifecycleTest, GarbledJournalEntryDiscardedByCrcCheck) {
 
 TEST_F(TpmLifecycleTest, LifecycleCommandsChargeNoLatency) {
   double before = clock_.NowMillis();
-  ASSERT_TRUE(client_.SaveState().ok());
   transport_.hardware()->Init();
-  ASSERT_TRUE(client_.Startup(TpmStartupType::kState).ok());
+  ASSERT_TRUE(client_.Startup().ok());
   (void)client_.GetTestResult();
   EXPECT_DOUBLE_EQ(clock_.NowMillis(), before);  // Table 1/2 stay byte-identical.
 }

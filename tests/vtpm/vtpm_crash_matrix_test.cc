@@ -100,7 +100,7 @@ class VtpmCrashMatrixTest : public ::testing::Test {
   // Recovery runs OUTSIDE the fault scope (the cut already happened); its
   // own crash points are swept separately by the double-fault suite.
   static bool RecoverAndCheck(Rig* rig) {
-    Result<TpmStartupReport> startup = rig->platform->tpm()->Startup(TpmStartupType::kClear);
+    Result<TpmStartupReport> startup = rig->platform->tpm()->Startup();
     EXPECT_TRUE(startup.ok()) << startup.status().ToString();
     if (!startup.ok()) {
       return false;

@@ -85,7 +85,7 @@ void SweepDoubleFaults(size_t first_hit, int* recovery_cells) {
     // Record with the scope active but no plan armed: Startup's journal
     // replay and RecoverAll's store classification both run inside it.
     FaultInjectionScope scope(scheduler);
-    ASSERT_TRUE(rig->platform->tpm()->Startup(TpmStartupType::kClear).ok());
+    ASSERT_TRUE(rig->platform->tpm()->Startup().ok());
     rig->manager->OnPowerLoss();
     ASSERT_TRUE(rig->manager->RecoverAll().ok());
     recovery_hits = scheduler->hits();
@@ -116,7 +116,7 @@ void SweepDoubleFaults(size_t first_hit, int* recovery_cells) {
     {
       FaultInjectionScope scope(scheduler);
       try {
-        ASSERT_TRUE(rig->platform->tpm()->Startup(TpmStartupType::kClear).ok());
+        ASSERT_TRUE(rig->platform->tpm()->Startup().ok());
         rig->manager->OnPowerLoss();
         (void)rig->manager->RecoverAll();
       } catch (const PowerLossException&) {
@@ -130,7 +130,7 @@ void SweepDoubleFaults(size_t first_hit, int* recovery_cells) {
     rig->platform->machine()->PowerCut();
 
     // Third attempt, unarmed: must converge.
-    ASSERT_TRUE(rig->platform->tpm()->Startup(TpmStartupType::kClear).ok());
+    ASSERT_TRUE(rig->platform->tpm()->Startup().ok());
     rig->manager->OnPowerLoss();
     Status final_recovery = rig->manager->RecoverAll();
     ASSERT_TRUE(final_recovery.ok())
@@ -210,7 +210,7 @@ TEST(VtpmDoubleFaultTest, RecoveryCrashSurfaceIncludesReplayAndClassification) {
   scheduler->ClearHits();
   {
     FaultInjectionScope scope(scheduler);
-    ASSERT_TRUE(rig->platform->tpm()->Startup(TpmStartupType::kClear).ok());
+    ASSERT_TRUE(rig->platform->tpm()->Startup().ok());
     rig->manager->OnPowerLoss();
     ASSERT_TRUE(rig->manager->RecoverAll().ok());
   }

@@ -38,7 +38,7 @@ class VtpmManagerTest : public ::testing::Test {
 
   void PowerCutAndRecover() {
     platform_->machine()->PowerCut();
-    ASSERT_TRUE(platform_->tpm()->Startup(TpmStartupType::kClear).ok());
+    ASSERT_TRUE(platform_->tpm()->Startup().ok());
     manager_->OnPowerLoss();
     ASSERT_TRUE(manager_->RecoverAll().ok());
   }
@@ -138,7 +138,7 @@ TEST_F(VtpmManagerTest, RollbackAttackIsDetectedAndFailsClosed) {
 
   // ...then the attacker power-cuts the host and restores the stale copy.
   platform_->machine()->PowerCut();
-  ASSERT_TRUE(platform_->tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(platform_->tpm()->Startup().ok());
   manager_->OnPowerLoss();
   store->RestoreDiskForTest(std::move(stale));
   ASSERT_TRUE(manager_->RecoverAll().ok());
@@ -169,7 +169,7 @@ TEST_F(VtpmManagerTest, QuarantineIsPerTenant) {
   ASSERT_TRUE(manager_->SnapshotTenant("victim").ok());
 
   platform_->machine()->PowerCut();
-  ASSERT_TRUE(platform_->tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(platform_->tpm()->Startup().ok());
   manager_->OnPowerLoss();
   store->RestoreDiskForTest(std::move(stale));
   ASSERT_TRUE(manager_->RecoverAll().ok());
@@ -190,7 +190,7 @@ TEST_F(VtpmManagerTest, CorruptStateBlobQuarantinesTheTenant) {
   ASSERT_TRUE(manager_->CreateTenant("other", Auth("other")).ok());
 
   platform_->machine()->PowerCut();
-  ASSERT_TRUE(platform_->tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(platform_->tpm()->Startup().ok());
   manager_->OnPowerLoss();
   ASSERT_TRUE(manager_->RecoverAll().ok());
 

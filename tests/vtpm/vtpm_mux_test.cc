@@ -227,7 +227,7 @@ TEST_F(VtpmMuxTest, RollbackQuarantinedTenantFailsItsRequestsOnly) {
   ASSERT_TRUE(manager_->SnapshotTenant("victim").ok());
 
   platform_->machine()->PowerCut();
-  ASSERT_TRUE(platform_->tpm()->Startup(TpmStartupType::kClear).ok());
+  ASSERT_TRUE(platform_->tpm()->Startup().ok());
   manager_->OnPowerLoss();
   mux_->OnPowerLoss();
   store->RestoreDiskForTest(std::move(stale));
