@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "src/common/bytes.h"
+#include "src/crypto/sha256.h"
 
 namespace flicker {
 
@@ -29,8 +30,8 @@ class Drbg {
  private:
   void Ratchet();
 
-  Bytes state_;      // 32-byte working state V.
-  uint64_t counter_; // Monotonic block counter.
+  uint8_t state_[Sha256::kDigestSize];  // Working state V.
+  uint64_t counter_;                    // Monotonic block counter.
 };
 
 }  // namespace flicker

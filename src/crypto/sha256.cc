@@ -192,7 +192,7 @@ void Sha256::Update(const void* data, size_t len) {
   }
 }
 
-Bytes Sha256::Finish() {
+void Sha256::Finish(uint8_t digest[kDigestSize]) {
   // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
   // into a second block when fewer than 9 bytes are free), then the 64-bit
   // big-endian bit length.
@@ -209,7 +209,6 @@ Bytes Sha256::Finish() {
   }
   ProcessBlocks(buffer_, 1);
 
-  Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     digest[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
     digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
@@ -217,6 +216,11 @@ Bytes Sha256::Finish() {
     digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
   }
   Reset();  // Finish leaves the object ready for the next message.
+}
+
+Bytes Sha256::Finish() {
+  Bytes digest(kDigestSize);
+  Finish(digest.data());
   return digest;
 }
 

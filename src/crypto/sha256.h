@@ -32,6 +32,8 @@ class Sha256 {
   void Update(const void* data, size_t len);
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
   Bytes Finish();
+  // Writes the digest into `digest` instead of a new vector.
+  void Finish(uint8_t digest[kDigestSize]);
 
   static Bytes Digest(const Bytes& data);
   static Bytes Digest(const void* data, size_t len);

@@ -11,10 +11,14 @@ namespace flicker {
 
 namespace {
 
-// The synthetic kernel image is a pure function of the region layout, and a fleet builds the same image on every machine (and
-// again on every RestorePristine). Generate each distinct image once per
-// process: the region bytes, drawn from one DRBG in measurement order, and
-// their SHA-1.
+// The synthetic kernel image is a pure function of the region layout, and a
+// fleet builds the same image on every machine (and again on every
+// RestorePristine). Generate each distinct image once per process: the
+// region bytes, drawn from one DRBG in measurement order, and their SHA-1.
+// Machines do not copy the bytes: PhysicalMemory::WriteImage keeps a pointer
+// to each region's Bytes and copies them in on first touch. The memo is
+// leaked on purpose and never erased, and a map node never moves, so those
+// pointers outlive every machine.
 struct KernelImage {
   std::vector<Bytes> region_bytes;
   Bytes measurement;
@@ -74,7 +78,7 @@ OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
   const KernelImage& image = GetKernelImage(regions_);
   bool all_written = true;
   for (size_t i = 0; i < regions_.size(); ++i) {
-    all_written &= machine_->memory()->Write(regions_[i].base, image.region_bytes[i]).ok();
+    all_written &= machine_->memory()->WriteImage(regions_[i].base, image.region_bytes[i]).ok();
   }
   pristine_measurement_ =
       all_written && image.disjoint ? image.measurement : CurrentMeasurement();
@@ -160,7 +164,8 @@ Status OsKernel::PatchText(uint64_t offset, const Bytes& patch) {
 Status OsKernel::RestorePristine() {
   const KernelImage& image = GetKernelImage(regions_);
   for (size_t i = 0; i < regions_.size(); ++i) {
-    FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(regions_[i].base, image.region_bytes[i]));
+    FLICKER_RETURN_IF_ERROR(
+        machine_->memory()->WriteImage(regions_[i].base, image.region_bytes[i]));
   }
   tampered_ = false;
   return Status::Ok();

@@ -186,10 +186,10 @@ Fleet::ReleaseFreedMemory::~ReleaseFreedMemory() {
   // Build's pool threads each allocate from their own malloc arena, and
   // memory freed in one arena is not reused by another thread's
   // allocations: over repeated 256-machine fleets the benchmark's peak RSS
-  // rose 6.5-7.5% above one-at-a-time builds. Handing every arena's free
-  // pages back once a fleet is gone holds it within 1.5%; trimming once
-  // after the pool joins left +3.5-6.5%. The next build re-faults the
-  // returned pages, a few ms.
+  // rose 8.6-10.6% above one-at-a-time builds. Handing every arena's free
+  // pages back once a fleet is gone holds it within 2%; trimming once after
+  // the pool joins did not. The next build re-faults the returned pages,
+  // ~10 ms of a 256-machine build.
   malloc_trim(0);
 #endif
 }

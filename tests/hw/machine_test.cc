@@ -3,6 +3,9 @@
 
 #include "src/hw/machine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <string>
 #include <vector>
 
@@ -29,6 +32,22 @@ Bytes RawSlb(uint16_t length, uint16_t entry) {
 }
 
 constexpr uint64_t kBase = 0x100000;
+
+size_t HostPage() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+// How many of the whole host pages in [addr, addr + pages * page) of
+// `memory` cost host RAM; `addr` must be page-aligned.
+size_t ResidentPages(const PhysicalMemory& memory, uint64_t addr, size_t pages) {
+  std::vector<unsigned char> vec(pages);
+  EXPECT_EQ(mincore(const_cast<void*>(memory.host_address(addr)), pages * HostPage(),
+                    vec.data()),
+            0);
+  size_t resident = 0;
+  for (unsigned char v : vec) {
+    resident += v & 1;
+  }
+  return resident;
+}
 
 class MachineTest : public ::testing::Test {
  protected:
@@ -267,6 +286,70 @@ TEST(PhysicalMemoryTest, BoundsChecking) {
   ASSERT_EQ(machine.memory()->size(), 64u * 1024 * 1024);
   EXPECT_EQ(machine.memory()->Read(machine.memory()->size() - 4096, 4096).value(),
             Bytes(4096, 0));
+}
+
+TEST(PhysicalMemoryTest, EraseHandsWholePagesBack) {
+  const size_t page = HostPage();
+  PhysicalMemory memory(8 * page);
+  ASSERT_TRUE(memory.Write(0, Bytes(memory.size(), 0xAB)).ok());
+  ASSERT_EQ(ResidentPages(memory, 0, 8), 8u);
+
+  // Unaligned at both ends: pages 2..4 lie wholly inside, 1 and 5 in part.
+  const uint64_t addr = page + page / 2 + 3;
+  const size_t len = 4 * page + 100;
+  ASSERT_TRUE(memory.Erase(addr, len).ok());
+  // Checked before the read below, which maps the zero page back in.
+  EXPECT_EQ(ResidentPages(memory, 2 * page, 3), 0u);
+  EXPECT_EQ(ResidentPages(memory, page, 1), 1u);
+  EXPECT_EQ(ResidentPages(memory, 5 * page, 1), 1u);
+  Bytes after = memory.Read(0, memory.size()).value();
+  for (size_t i = 0; i < after.size(); ++i) {
+    const bool inside = i >= addr && i < addr + len;
+    ASSERT_EQ(after[i], inside ? 0x00 : 0xAB) << "byte " << i;
+  }
+}
+
+TEST(PhysicalMemoryTest, DeferredImageCostsNothingUntilTouched) {
+  const size_t page = HostPage();
+  const Bytes image(3 * page + 100, 0x3C);
+  const Bytes later(page, 0x5A);
+  PhysicalMemory memory(8 * page);
+  ASSERT_TRUE(memory.Write(0, Bytes(memory.size(), 0x11)).ok());
+  const int watch = memory.RegisterWatch(2 * page, page);
+  const int outside = memory.RegisterWatch(6 * page, page);
+
+  // Registering dirties overlapping watches as a Write would, and hands the
+  // whole pages under the image back.
+  ASSERT_TRUE(memory.WriteImage(page, image).ok());
+  EXPECT_TRUE(memory.IsWatchDirty(watch));
+  EXPECT_FALSE(memory.IsWatchDirty(outside));
+  memory.ClearWatchDirty(watch);
+  EXPECT_EQ(ResidentPages(memory, page, 3), 0u);
+  EXPECT_FALSE(memory.WriteImage(7 * page, image).ok());
+
+  // A later image over part of the first lands on top of it.
+  ASSERT_TRUE(memory.WriteImage(3 * page, later).ok());
+  memory.ClearWatchDirty(watch);
+
+  // An access away from the images copies nothing in.
+  EXPECT_EQ(memory.Read(0, 16).value(), Bytes(16, 0x11));
+  EXPECT_EQ(ResidentPages(memory, page, 3), 0u);
+
+  // The first overlapping access copies both in, in order, and dirties
+  // nothing: the content did not change.
+  Bytes expected(memory.size(), 0x11);
+  std::copy(image.begin(), image.end(), expected.begin() + static_cast<long>(page));
+  std::copy(later.begin(), later.end(), expected.begin() + static_cast<long>(3 * page));
+  EXPECT_EQ(memory.Read(2 * page, 4).value(), Bytes(4, 0x3C));
+  EXPECT_EQ(memory.Read(0, memory.size()).value(), expected);
+  EXPECT_FALSE(memory.IsWatchDirty(watch));
+  EXPECT_EQ(ResidentPages(memory, page, 3), 3u);
+
+  // An erase that covers a pending image whole leaves zeros, not the image.
+  ASSERT_TRUE(memory.WriteImage(page, image).ok());
+  ASSERT_TRUE(memory.Erase(page, 4 * page).ok());
+  EXPECT_EQ(memory.Read(page, 4 * page).value(), Bytes(4 * page, 0));
+  EXPECT_EQ(memory.Read(5 * page, 16).value(), Bytes(16, 0x11));
 }
 
 TEST(DevTest, OverlapSemantics) {

@@ -2,8 +2,17 @@
 // flicker-module staging flow, block-device behaviour under suspension, and
 // the quote daemon.
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/core/flicker_platform.h"
 #include "src/crypto/drbg.h"
 #include "src/os/devices.h"
 #include "src/os/flicker_module.h"
@@ -15,6 +24,25 @@
 
 namespace flicker {
 namespace {
+
+size_t HostPage() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+// Whether the host page holding simulated byte `addr` costs host RAM.
+bool Resident(const PhysicalMemory& memory, uint64_t addr) {
+  const uint64_t page_base = addr / HostPage() * HostPage();
+  unsigned char vec = 0;
+  EXPECT_EQ(mincore(const_cast<void*>(memory.host_address(page_base)), HostPage(), &vec), 0);
+  return (vec & 1) != 0;
+}
+
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++lines;
+  }
+  return lines;
+}
 
 class OsTest : public ::testing::Test {
  protected:
@@ -122,6 +150,39 @@ TEST_F(OsTest, TextPatchChangesMeasurement) {
   EXPECT_NE(kernel_.CurrentMeasurement(), before);
   EXPECT_FALSE(kernel_.PatchText(3 * 1024 * 1024, Bytes(4, 0)).ok());
   EXPECT_FALSE(kernel_.InstallSyscallHook(100000).ok());
+}
+
+TEST_F(OsTest, PowerCutDropsAnUntouchedImage) {
+  // The text was registered but never read: the cut must not bring it back.
+  machine_.PowerCut();
+  const KernelConfig config;
+  EXPECT_EQ(machine_.memory()->Read(config.text_base, config.text_size).value(),
+            Bytes(config.text_size, 0));
+  ASSERT_TRUE(kernel_.RestorePristine().ok());
+  EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
+}
+
+TEST_F(OsTest, RestorePristineHandsPatchedPagesBack) {
+  const uint64_t patched = KernelConfig().text_base + 0x1000;
+  ASSERT_TRUE(kernel_.PatchText(0x1000, BytesOf("\xcc\xcc\xcc\xcc")).ok());
+  EXPECT_TRUE(Resident(*machine_.memory(), patched));
+  ASSERT_TRUE(kernel_.RestorePristine().ok());
+  EXPECT_FALSE(Resident(*machine_.memory(), patched));
+  EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
+  EXPECT_TRUE(Resident(*machine_.memory(), patched));
+}
+
+TEST(KernelImageTest, PlatformsAddAtMostOneMappingEach) {
+  // Each platform's memory is one anonymous mapping, which the host merges
+  // with its neighbours; mapping kernel pages in per machine would add
+  // several per platform and cap a process far below 100k machines.
+  constexpr size_t kPlatforms = 200;
+  const size_t before = MappingCount();
+  std::vector<std::unique_ptr<FlickerPlatform>> platforms;
+  for (size_t i = 0; i < kPlatforms; ++i) {
+    platforms.push_back(std::make_unique<FlickerPlatform>(CompactPlatformConfig()));
+  }
+  EXPECT_LE(MappingCount(), before + kPlatforms);
 }
 
 TEST_F(OsTest, HotplugParksAps) {
